@@ -970,8 +970,9 @@ impl Frontend {
     }
 
     /// Serves the request on `lane`, trying the shared-read fast path
-    /// first when configured. Returns the outcome and whether the fast
-    /// path answered.
+    /// first when configured — unless `probed` says the caller already
+    /// tried it on this lane for this request and was declined. Returns
+    /// the outcome and whether the fast path answered.
     ///
     /// When the lane belongs to a peer cell, a local radio miss first
     /// consults the cell *after* the lane guard is dropped: a peer hit
@@ -981,9 +982,10 @@ impl Frontend {
         &self,
         lane: usize,
         request: &ServeRequest,
+        probed: bool,
     ) -> (Result<ServeOutcome, CloudletError>, bool) {
         let service_request = request.service_request();
-        if self.config.hit_path == HitPathMode::SharedRead {
+        if self.config.hit_path == HitPathMode::SharedRead && !probed {
             let fast = {
                 let service = self.lanes[lane].service.read();
                 service.try_serve_hit(&service_request)
@@ -1047,7 +1049,7 @@ impl Frontend {
     /// also tallied in the lane's `errors` counter.
     pub fn serve_one(&self, request: ServeRequest) -> Result<FrontServed, CloudletError> {
         let lane = self.lane_of(&request)?;
-        let (result, fast_path) = self.execute(lane, &request);
+        let (result, fast_path) = self.execute(lane, &request, false);
         match &result {
             Ok(outcome) => self.lanes[lane]
                 .counters
@@ -1224,7 +1226,9 @@ impl Frontend {
                 // whether the request was shed.
             }
 
-            let (result, fast_path) = self.execute(target, request);
+            // Any fast-path probe above was on the home lane and was
+            // declined; a stolen request still probes its new lane.
+            let (result, fast_path) = self.execute(target, request, !stolen);
             match result {
                 Ok(outcome) => {
                     let start = sims[target].busy_until.max(t);
@@ -1566,6 +1570,75 @@ mod tests {
             .map(|s| s.lane)
             .collect();
         assert!(stolen_lanes.iter().all(|&l| l == 1));
+    }
+
+    /// A [`ToyLane`] that counts its fast-path probes.
+    struct ProbeCounting {
+        lane: ToyLane,
+        probes: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CloudletService for ProbeCounting {
+        fn name(&self) -> &'static str {
+            self.lane.name()
+        }
+
+        fn serve(&mut self, request: &ServiceRequest) -> Result<ServeOutcome, CloudletError> {
+            self.lane.serve(request)
+        }
+
+        fn try_serve_hit(&self, request: &ServiceRequest) -> Option<ServeOutcome> {
+            self.probes
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.lane.try_serve_hit(request)
+        }
+
+        fn service_stats(&self) -> ServeStats {
+            self.lane.service_stats()
+        }
+
+        fn cache_bytes(&self) -> u64 {
+            self.lane.cache_bytes()
+        }
+    }
+
+    #[test]
+    fn each_request_probes_the_fast_path_once_per_lane() {
+        let probes = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let lanes = (0..2)
+            .map(|_| {
+                Box::new(ProbeCounting {
+                    lane: ToyLane {
+                        cached_below: 100,
+                        stats: ServeStats::default(),
+                    },
+                    probes: Arc::clone(&probes),
+                }) as Box<dyn CloudletService + Send + Sync>
+            })
+            .collect();
+        let config = FrontendConfig::builder()
+            .queue_depth(1)
+            .coalescing(false)
+            .work_stealing(true)
+            .build();
+        let fe = Frontend::new(vec![lanes], config);
+        let count = || probes.load(std::sync::atomic::Ordering::SeqCst);
+        // Everything homes on lane 0: two hits, a miss that takes the
+        // queue, and a miss that finds it full and is stolen by lane 1.
+        let batch = fe
+            .serve_batch(&zero_batch(&[0, 200, 2, 202]))
+            .expect("toy batch");
+        assert_eq!(batch.report.stolen(), 1);
+        assert_eq!(
+            batch.served.iter().map(|s| s.fast_path).collect::<Vec<_>>(),
+            [true, false, true, false]
+        );
+        // One probe per request on its home lane, plus one on the lane
+        // that stole the last miss.
+        assert_eq!(count(), 5);
+        fe.serve_one(ServeRequest::new(0, 0, 204, SimInstant::ZERO))
+            .expect("toy serve");
+        assert_eq!(count(), 6, "serve_one probes once");
     }
 
     #[test]

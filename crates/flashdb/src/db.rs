@@ -174,6 +174,9 @@ impl FileState {
 pub struct ResultDb {
     config: DbConfig,
     files: Vec<FileState>,
+    /// On-flash name of each file (`psdb-NNN`), formatted once at build
+    /// so that no read formats one.
+    names: Vec<String>,
 }
 
 impl ResultDb {
@@ -196,8 +199,11 @@ impl ResultDb {
                 buckets[(hash % config.n_files as u64) as usize].push(r);
             }
         }
+        let names: Vec<String> = (0..config.n_files)
+            .map(|i| format!("psdb-{i:03}"))
+            .collect();
         let mut files = Vec::with_capacity(config.n_files);
-        for (i, bucket) in buckets.into_iter().enumerate() {
+        for (bucket, name) in buckets.into_iter().zip(&names) {
             let capacity = bucket
                 .len()
                 .saturating_mul(2)
@@ -209,19 +215,19 @@ impl ResultDb {
                 dead_bytes: 0,
             };
             let bytes = Self::serialize_file(&bucket, capacity, &mut state);
-            flash.write_file(Self::file_name(i), bytes);
+            flash.write_file(name.clone(), bytes);
             files.push(state);
         }
-        ResultDb { config, files }
+        ResultDb {
+            config,
+            files,
+            names,
+        }
     }
 
     /// The database configuration.
     pub fn config(&self) -> &DbConfig {
         &self.config
-    }
-
-    fn file_name(i: usize) -> String {
-        format!("psdb-{i:03}")
     }
 
     /// The file index that stores (or would store) `result_hash` — the
@@ -242,7 +248,7 @@ impl ResultDb {
             "file index {index} out of range ({} files)",
             self.config.n_files
         );
-        Self::file_name(index)
+        self.names[index].clone()
     }
 
     fn file_for(&self, result_hash: u64) -> usize {
@@ -379,12 +385,13 @@ impl ResultDb {
     ) -> Result<(ResultRecord, SimDuration), DbError> {
         let file_idx = self.file_for(result_hash);
         let state = &self.files[file_idx];
-        let name = Self::file_name(file_idx);
+        let name = &self.names[file_idx];
 
         let mut time = flash.open_cost();
 
-        // Read and parse the header region.
-        let header = flash.read(&name, 0, state.header_bytes())?;
+        // Read and parse the header region. The read borrows the stored
+        // header and is charged in full; only its preamble is checked.
+        let header = flash.read(name, 0, state.header_bytes())?;
         time += header.time;
         time += self.config.header_parse_per_entry * state.index.len() as u64;
         Self::check_preamble(file_idx, &header.data, state)?;
@@ -394,9 +401,9 @@ impl ResultDb {
             .get(&result_hash)
             .ok_or(DbError::NotFound { result_hash })?;
 
-        let record_read = flash.read(&name, u64::from(offset), u64::from(len))?;
+        let record_read = flash.read(name, u64::from(offset), u64::from(len))?;
         time += record_read.time;
-        let record = match ResultRecord::decode(&mut record_read.data.as_slice()) {
+        let record = match ResultRecord::decode(&mut &*record_read.data) {
             Ok(record) => record,
             Err(DecodeError::Truncated) => return Err(DbError::TruncatedRecord { result_hash }),
             Err(e) => return Err(DbError::Corrupt(e)),
@@ -467,7 +474,6 @@ impl ResultDb {
     ) -> Result<SimDuration, DbError> {
         let record = record.borrow();
         let file_idx = self.file_for(record.result_hash);
-        let name = Self::file_name(file_idx);
         if self.files[file_idx].index.contains_key(&record.result_hash) {
             return Ok(SimDuration::ZERO);
         }
@@ -476,8 +482,9 @@ impl ResultDb {
             return self.rebuild_file_with(file_idx, Some(record.clone()), flash);
         }
 
+        let name = &self.names[file_idx];
         let encoded = record.encode();
-        let (offset, append_time) = flash.append(&name, &encoded);
+        let (offset, append_time) = flash.append(name, &encoded);
         let mut time = append_time;
 
         // Augment the header: bump the live count and fill the next slot.
@@ -487,13 +494,13 @@ impl ResultDb {
         slot_bytes.put_u64_le(record.result_hash);
         slot_bytes.put_u32_le(offset as u32);
         time += flash.overwrite(
-            &name,
+            name,
             HEADER_PREAMBLE_BYTES + slot * HEADER_ENTRY_BYTES,
             &slot_bytes,
         )?;
         let mut count_bytes = BytesMut::with_capacity(4);
         count_bytes.put_u32_le(state.index.len() as u32 + 1);
-        time += flash.overwrite(&name, 4, &count_bytes)?;
+        time += flash.overwrite(name, 4, &count_bytes)?;
 
         state
             .index
@@ -540,8 +547,8 @@ impl ResultDb {
     pub fn stats(&self, flash: &FlashStore) -> DbStats {
         let mut logical = 0u64;
         let mut allocated = 0u64;
-        for i in 0..self.files.len() {
-            let size = flash.file_size(&Self::file_name(i)).unwrap_or(0);
+        for name in &self.names {
+            let size = flash.file_size(name).unwrap_or(0);
             logical += size;
             allocated += flash.model().allocated_bytes(size);
         }
@@ -564,9 +571,8 @@ impl ResultDb {
     /// disagrees with the mirror; flash errors when a file cannot be
     /// read.
     pub fn verify(&self, flash: &FlashStore) -> Result<(), DbError> {
-        for (i, state) in self.files.iter().enumerate() {
-            let name = Self::file_name(i);
-            let header = flash.read(&name, 0, state.header_bytes())?;
+        for (i, (state, name)) in self.files.iter().zip(&self.names).enumerate() {
+            let header = flash.read(name, 0, state.header_bytes())?;
             Self::check_preamble(i, &header.data, state)?;
             let mut buf = &header.data[HEADER_PREAMBLE_BYTES as usize..];
             for slot in 0..state.index.len() {
@@ -611,7 +617,7 @@ impl ResultDb {
             out.put_u32_le(offset);
         }
         out.resize(state.header_bytes() as usize, 0);
-        Ok(flash.overwrite(&Self::file_name(file_idx), 0, &out)?)
+        Ok(flash.overwrite(&self.names[file_idx], 0, &out)?)
     }
 
     fn rebuild_file_with(
@@ -620,7 +626,7 @@ impl ResultDb {
         extra: Option<ResultRecord>,
         flash: &mut FlashStore,
     ) -> Result<SimDuration, DbError> {
-        let name = Self::file_name(file_idx);
+        let name = &self.names[file_idx];
         // Read back every live record.
         let mut live = Vec::with_capacity(self.files[file_idx].index.len() + 1);
         let mut time = flash.open_cost();
@@ -630,9 +636,9 @@ impl ResultDb {
                 state.index.iter().map(|(&h, &v)| (h, v)).collect();
             entries.sort_unstable_by_key(|&(_, (o, _))| o);
             for (_, (offset, len)) in entries {
-                let read = flash.read(&name, u64::from(offset), u64::from(len))?;
+                let read = flash.read(name, u64::from(offset), u64::from(len))?;
                 time += read.time;
-                live.push(ResultRecord::decode(&mut read.data.as_slice())?);
+                live.push(ResultRecord::decode(&mut &*read.data)?);
             }
         }
         if let Some(r) = extra {
@@ -645,7 +651,7 @@ impl ResultDb {
             .max(self.config.initial_header_capacity);
         let mut state = FileState::default();
         let bytes = Self::serialize_file(&live, capacity, &mut state);
-        time += flash.write_file(name, bytes);
+        time += flash.write_file(self.names[file_idx].clone(), bytes);
         self.files[file_idx] = state;
         Ok(time)
     }

@@ -8,6 +8,45 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables. `CRC32_TABLES[0][b]` is the CRC of the
+/// single byte `b`; `CRC32_TABLES[k][b]` is the CRC of `b` followed by
+/// `k` zero bytes, so eight input bytes fold into the state with eight
+/// independent lookups instead of sixty-four shift/xor steps.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 0 {
+                crc >> 1
+            } else {
+                (crc >> 1) ^ CRC32_POLY
+            };
+            bit += 1;
+        }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// Streaming CRC-32 (IEEE 802.3 reflected polynomial, the zlib/PNG one).
 ///
 /// Every [`ResultRecord`] carries this checksum over its encoded bytes so
@@ -31,18 +70,28 @@ impl Crc32 {
         Crc32 { state: !0 }
     }
 
-    /// Feeds bytes into the checksum.
+    /// Feeds bytes into the checksum, eight at a time through the
+    /// slice-by-8 tables and the tail one byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.state ^= u32::from(byte);
-            for _ in 0..8 {
-                let lsb = self.state & 1;
-                self.state >>= 1;
-                if lsb != 0 {
-                    self.state ^= 0xEDB8_8320;
-                }
-            }
+        let t = &CRC32_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let x = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]])
+                ^ u64::from(crc);
+            crc = t[7][x as u8 as usize]
+                ^ t[6][(x >> 8) as u8 as usize]
+                ^ t[5][(x >> 16) as u8 as usize]
+                ^ t[4][(x >> 24) as u8 as usize]
+                ^ t[3][(x >> 32) as u8 as usize]
+                ^ t[2][(x >> 40) as u8 as usize]
+                ^ t[1][(x >> 48) as u8 as usize]
+                ^ t[0][(x >> 56) as usize];
         }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ t[0][(crc as u8 ^ byte) as usize];
+        }
+        self.state = crc;
     }
 
     /// The checksum of everything fed so far.
@@ -104,6 +153,57 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// A cursor over one contiguous record encoding. `pos` counts the bytes
+/// consumed so far, and an error leaves it just past the last field that
+/// was read whole — the length prefix of a short field, the bytes of a
+/// field that is not UTF-8, the whole record on a checksum mismatch.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Consumes the next `len` bytes, or nothing when fewer remain.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        let taken = self
+            .bytes
+            .get(self.pos..self.pos + len)
+            .ok_or(DecodeError::Truncated)?;
+        self.pos += len;
+        Ok(taken)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.take(N)?.try_into().map_err(|_| DecodeError::Truncated)
+    }
+
+    /// A 16-bit length prefix and that many bytes of UTF-8 text.
+    fn text(&mut self) -> Result<&'a str, DecodeError> {
+        let len = usize::from(u16::from_le_bytes(self.array()?));
+        std::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::InvalidUtf8)
+    }
+
+    fn record(&mut self) -> Result<ResultRecord, DecodeError> {
+        let result_hash = u64::from_le_bytes(self.array()?);
+        let title = self.text()?;
+        let display_url = self.text()?;
+        let snippet = self.text()?;
+        let bytes = self.bytes;
+        let body = &bytes[..self.pos];
+        let stored = u32::from_le_bytes(self.array()?);
+        let computed = Crc32::of(body);
+        if stored != computed {
+            return Err(DecodeError::ChecksumMismatch { stored, computed });
+        }
+        Ok(ResultRecord {
+            result_hash,
+            title: title.to_owned(),
+            display_url: display_url.to_owned(),
+            snippet: snippet.to_owned(),
+        })
+    }
+}
+
 impl ResultRecord {
     /// Creates a record.
     ///
@@ -157,6 +257,14 @@ impl ResultRecord {
 
     /// Decodes one record from the front of `buf`, verifying its CRC-32.
     ///
+    /// The record is parsed in place from the contiguous
+    /// [`Buf::chunk`]: lengths and UTF-8 are checked on borrowed
+    /// sub-slices, the checksum is one pass over the record's bytes, and
+    /// the text is copied out only once the record is known good. `buf`
+    /// advances past the record, or on an error past the fields read
+    /// before it. A record split across chunks reads as truncated; every
+    /// `Buf` this crate decodes from is a single chunk.
+    ///
     /// # Errors
     ///
     /// Returns [`DecodeError::Truncated`] when `buf` is too short,
@@ -164,27 +272,77 @@ impl ResultRecord {
     /// [`DecodeError::ChecksumMismatch`] when the bytes parsed but do not
     /// match the stored checksum.
     pub fn decode(buf: &mut impl Buf) -> Result<ResultRecord, DecodeError> {
-        fn field(buf: &mut impl Buf, crc: &mut Crc32) -> Result<String, DecodeError> {
+        let mut reader = Reader {
+            bytes: buf.chunk(),
+            pos: 0,
+        };
+        let record = reader.record();
+        let consumed = reader.pos;
+        buf.advance(consumed);
+        record
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn sample() -> ResultRecord {
+        ResultRecord::new(
+            0xdead_beef,
+            "Michael Jackson — IMDb",
+            "imdb.com/name/nm0001391",
+            "Biography of the King of Pop.",
+        )
+    }
+
+    /// The bit-at-a-time CRC-32 the table-driven one replaced: the
+    /// reference every table lookup must agree with.
+    fn bitwise_update(state: &mut u32, bytes: &[u8]) {
+        for &byte in bytes {
+            *state ^= u32::from(byte);
+            for _ in 0..8 {
+                let lsb = *state & 1;
+                *state >>= 1;
+                if lsb != 0 {
+                    *state ^= CRC32_POLY;
+                }
+            }
+        }
+    }
+
+    fn bitwise_crc(bytes: &[u8]) -> u32 {
+        let mut state = !0;
+        bitwise_update(&mut state, bytes);
+        !state
+    }
+
+    /// The streaming decoder the in-place one replaced, checksumming
+    /// piecewise with the bitwise CRC: the reference for every error,
+    /// record, and byte consumed.
+    fn reference_decode(buf: &mut impl Buf) -> Result<ResultRecord, DecodeError> {
+        fn field(buf: &mut impl Buf, crc: &mut u32) -> Result<String, DecodeError> {
             if buf.remaining() < 2 {
                 return Err(DecodeError::Truncated);
             }
             let len = buf.get_u16_le();
-            crc.update(&len.to_le_bytes());
+            bitwise_update(crc, &len.to_le_bytes());
             let len = usize::from(len);
             if buf.remaining() < len {
                 return Err(DecodeError::Truncated);
             }
             let mut bytes = vec![0u8; len];
             buf.copy_to_slice(&mut bytes);
-            crc.update(&bytes);
+            bitwise_update(crc, &bytes);
             String::from_utf8(bytes).map_err(|_| DecodeError::InvalidUtf8)
         }
-        let mut crc = Crc32::new();
+        let mut crc = !0;
         if buf.remaining() < 8 {
             return Err(DecodeError::Truncated);
         }
         let result_hash = buf.get_u64_le();
-        crc.update(&result_hash.to_le_bytes());
+        bitwise_update(&mut crc, &result_hash.to_le_bytes());
         let title = field(buf, &mut crc)?;
         let display_url = field(buf, &mut crc)?;
         let snippet = field(buf, &mut crc)?;
@@ -192,7 +350,7 @@ impl ResultRecord {
             return Err(DecodeError::Truncated);
         }
         let stored = buf.get_u32_le();
-        let computed = crc.finish();
+        let computed = !crc;
         if stored != computed {
             return Err(DecodeError::ChecksumMismatch { stored, computed });
         }
@@ -203,19 +361,56 @@ impl ResultRecord {
             snippet,
         })
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Decodes `bytes` with both decoders and asserts they agree on the
+    /// result and on how many bytes they consumed.
+    fn assert_matches_reference(bytes: &[u8]) {
+        let mut fast = bytes;
+        let mut reference = bytes;
+        assert_eq!(
+            ResultRecord::decode(&mut fast),
+            reference_decode(&mut reference),
+            "decoders disagree on {bytes:02x?}"
+        );
+        assert_eq!(
+            fast.len(),
+            reference.len(),
+            "decoders consumed different byte counts of {bytes:02x?}"
+        );
+    }
 
-    fn sample() -> ResultRecord {
-        ResultRecord::new(
-            0xdead_beef,
-            "Michael Jackson — IMDb",
-            "imdb.com/name/nm0001391",
-            "Biography of the King of Pop.",
+    /// Text with one- to three-byte UTF-8 characters, so a flipped byte
+    /// can break a multi-byte sequence.
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0u32..0x3000, 0..60)
+            .prop_map(|chars| chars.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    fn record() -> impl Strategy<Value = ResultRecord> {
+        (any::<u64>(), text(), text(), text())
+            .prop_map(|(hash, title, url, snippet)| ResultRecord::new(hash, title, url, snippet))
+    }
+
+    /// Bytes shaped like a record — a hash and three fields whose length
+    /// prefixes may or may not match what follows — plus a random tail.
+    fn record_shaped_bytes() -> impl Strategy<Value = Vec<u8>> {
+        (
+            any::<u64>(),
+            proptest::collection::vec(
+                (0u16..40, proptest::collection::vec(any::<u8>(), 0..40)),
+                0..4,
+            ),
+            proptest::collection::vec(any::<u8>(), 0..12),
         )
+            .prop_map(|(hash, fields, tail)| {
+                let mut bytes = hash.to_le_bytes().to_vec();
+                for (len, body) in fields {
+                    bytes.extend_from_slice(&len.to_le_bytes());
+                    bytes.extend_from_slice(&body);
+                }
+                bytes.extend_from_slice(&tail);
+                bytes
+            })
     }
 
     #[test]
@@ -300,5 +495,57 @@ mod tests {
         assert_eq!(ResultRecord::decode(&mut bytes).unwrap(), a);
         assert_eq!(ResultRecord::decode(&mut bytes).unwrap(), b);
         assert_eq!(bytes.remaining(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_streamed_at_any_split_equals_the_bitwise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..1_200),
+            splits in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> = splits
+                .into_iter()
+                .map(|s| s % (bytes.len() + 1))
+                .collect();
+            cuts.push(0);
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            for pair in cuts.windows(2) {
+                crc.update(&bytes[pair[0]..pair[1]]);
+            }
+            prop_assert_eq!(crc.finish(), bitwise_crc(&bytes));
+            prop_assert_eq!(Crc32::of(&bytes), bitwise_crc(&bytes));
+        }
+
+        #[test]
+        fn decode_of_arbitrary_bytes_matches_the_reference_decoder(
+            bytes in prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..64),
+                record_shaped_bytes(),
+            ],
+        ) {
+            assert_matches_reference(&bytes);
+        }
+
+        #[test]
+        fn decode_of_damaged_encodings_matches_the_reference_decoder(
+            r in record(),
+            truncate in any::<bool>(),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+            tail in proptest::collection::vec(any::<u8>(), 0..8),
+        ) {
+            let mut bytes = r.encode().to_vec();
+            assert_matches_reference(&bytes);
+            if truncate {
+                bytes.truncate(at % bytes.len());
+            } else {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+            bytes.extend_from_slice(&tail);
+            assert_matches_reference(&bytes);
+        }
     }
 }

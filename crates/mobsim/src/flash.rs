@@ -20,6 +20,7 @@
 //! runs unconditionally (it is cheap, deterministic bookkeeping), but no
 //! read is ever altered unless [`WearModel::enabled`] is set.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -203,9 +204,10 @@ impl std::error::Error for FlashError {}
 
 /// A timed read: the bytes plus the simulated time the read took.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TimedRead {
-    /// The bytes read.
-    pub data: Vec<u8>,
+pub struct TimedRead<'a> {
+    /// The bytes read: borrowed from the stored file, or an owned copy
+    /// carrying the stuck-bit overlay when a failed cell lies in range.
+    pub data: Cow<'a, [u8]>,
     /// Simulated time spent (page reads only; see [`FlashStore::open_cost`]).
     pub time: SimDuration,
 }
@@ -511,17 +513,20 @@ impl FlashStore {
             .collect()
     }
 
-    /// Applies stuck-bit corruption from worn blocks to freshly read
-    /// bytes. A no-op unless wear injection is enabled.
-    fn apply_stuck_bits(&self, name: &str, offset: u64, data: &mut [u8]) {
-        if !self.model.wear.enabled || data.is_empty() {
-            return;
+    /// What a read of `stored` (the file's bytes at `offset`) returns:
+    /// the stored bytes, borrowed, unless a stuck bit from a worn block
+    /// lies in the range — then an owned copy with every such bit
+    /// overlaid. Always borrowed unless wear injection is enabled.
+    fn overlay_stuck_bits<'a>(&self, name: &str, offset: u64, stored: &'a [u8]) -> Cow<'a, [u8]> {
+        let mut data = Cow::Borrowed(stored);
+        if !self.model.wear.enabled || stored.is_empty() {
+            return data;
         }
         let Some(ids) = self.file_blocks.get(name) else {
-            return;
+            return data;
         };
         let block_bytes = self.model.block_bytes.max(1);
-        let len = data.len() as u64;
+        let len = stored.len() as u64;
         let first = offset / block_bytes;
         let last = offset.saturating_add(len - 1) / block_bytes;
         for index in first..=last {
@@ -537,7 +542,7 @@ impl FlashStore {
                 if position < offset || position >= offset.saturating_add(len) {
                     continue;
                 }
-                let byte = &mut data[(position - offset) as usize];
+                let byte = &mut data.to_mut()[(position - offset) as usize];
                 if bit.stuck_one {
                     *byte |= bit.mask;
                 } else {
@@ -545,6 +550,7 @@ impl FlashStore {
                 }
             }
         }
+        data
     }
 
     // ---- file operations ------------------------------------------------
@@ -672,16 +678,17 @@ impl FlashStore {
     /// Reads `len` bytes at `offset`, charging page-granular read time.
     ///
     /// The [`open_cost`](Self::open_cost) is *not* included; callers that
-    /// model an open-per-access pattern add it explicitly. When wear
-    /// injection is enabled, stuck bits in worn blocks corrupt the
-    /// returned bytes (the stored data is untouched — the cells lie on
-    /// the way out).
+    /// model an open-per-access pattern add it explicitly. The bytes are
+    /// borrowed from the stored file. When wear injection is enabled,
+    /// stuck bits in worn blocks corrupt the returned bytes: a range
+    /// holding one comes back as an owned copy with the overlay applied
+    /// (the stored data is untouched — the cells lie on the way out).
     ///
     /// # Errors
     ///
     /// Returns [`FlashError::FileNotFound`] for unknown names and
     /// [`FlashError::ReadPastEnd`] when the range exceeds the file.
-    pub fn read(&self, name: &str, offset: u64, len: u64) -> Result<TimedRead, FlashError> {
+    pub fn read(&self, name: &str, offset: u64, len: u64) -> Result<TimedRead<'_>, FlashError> {
         let file = self
             .files
             .get(name)
@@ -698,8 +705,7 @@ impl FlashStore {
                 })
             }
         };
-        let mut data = file[offset as usize..end as usize].to_vec();
-        self.apply_stuck_bits(name, offset, &mut data);
+        let data = self.overlay_stuck_bits(name, offset, &file[offset as usize..end as usize]);
         let time = self.model.read_page * self.model.pages_touched(offset, len);
         Ok(TimedRead { data, time })
     }
@@ -794,8 +800,74 @@ mod tests {
         let mut fs = FlashStore::new(FlashModel::default());
         fs.write_file("f", b"hello flash".to_vec());
         let r = fs.read("f", 6, 5).unwrap();
-        assert_eq!(r.data, b"flash");
+        assert_eq!(r.data, Cow::Borrowed(b"flash".as_slice()));
         assert_eq!(r.time, FlashModel::default().read_page);
+    }
+
+    #[test]
+    fn reads_borrow_the_stored_bytes_when_wear_is_off() {
+        let mut fs = FlashStore::new(FlashModel::default());
+        for _ in 0..500 {
+            fs.write_file("f", b"hello flash".to_vec());
+        }
+        let r = fs.read("f", 0, 11).unwrap();
+        assert!(matches!(r.data, Cow::Borrowed(b"hello flash")));
+    }
+
+    /// The copying read the borrowing one replaced: copy the range, then
+    /// overlay every stuck bit of the file's blocks that lands in it.
+    /// Returns the bytes and whether any stuck bit landed.
+    fn copying_read(fs: &FlashStore, name: &str, offset: u64, len: u64) -> (Vec<u8>, bool) {
+        let mut data = fs.files[name][offset as usize..(offset + len) as usize].to_vec();
+        let mut stuck_in_range = false;
+        for (index, id) in fs.file_blocks[name].iter().enumerate() {
+            for bit in fs.blocks.get(id).map_or(&[][..], |s| &s.stuck) {
+                let position = index as u64 * fs.model.block_bytes + u64::from(bit.offset);
+                if (offset..offset + len).contains(&position) {
+                    stuck_in_range = true;
+                    let byte = &mut data[(position - offset) as usize];
+                    if bit.stuck_one {
+                        *byte |= bit.mask;
+                    } else {
+                        *byte &= !bit.mask;
+                    }
+                }
+            }
+        }
+        (data, stuck_in_range)
+    }
+
+    #[test]
+    fn worn_reads_copy_only_ranges_holding_a_stuck_bit() {
+        let model = FlashModel {
+            wear: WearModel::enabled_with_seed(11),
+            ..FlashModel::default()
+        };
+        let mut fs = FlashStore::new(model);
+        fs.write_file("f", (0..8_192u32).map(|i| (i * 7) as u8).collect());
+        let second = fs.file_block_ids("f").unwrap()[1];
+        fs.age_block(second, 400);
+        assert!(fs.wear_summary().stuck_bits > 0);
+
+        let (mut borrowed, mut owned) = (0, 0);
+        for offset in (0..8_192 - 600).step_by(250) {
+            let read = fs.read("f", offset, 600).unwrap();
+            let (expected, stuck_in_range) = copying_read(&fs, "f", offset, 600);
+            assert_eq!(read.data, expected, "overlay at offset {offset}");
+            match read.data {
+                Cow::Owned(_) => owned += 1,
+                Cow::Borrowed(_) => borrowed += 1,
+            }
+            assert_eq!(
+                matches!(read.data, Cow::Owned(_)),
+                stuck_in_range,
+                "a read copies exactly when a stuck bit is in range (offset {offset})"
+            );
+        }
+        assert!(
+            borrowed > 0 && owned > 0,
+            "{borrowed} borrowed, {owned} owned"
+        );
     }
 
     #[test]
@@ -855,7 +927,7 @@ mod tests {
         fs.write_file("f", vec![0u8; 100]);
         let t = fs.overwrite("f", 10, b"xyz").unwrap();
         assert_eq!(t, FlashModel::default().program_page);
-        assert_eq!(fs.read("f", 10, 3).unwrap().data, b"xyz");
+        assert_eq!(*fs.read("f", 10, 3).unwrap().data, *b"xyz");
         assert_eq!(fs.file_size("f"), Some(100), "size unchanged");
         assert!(
             fs.overwrite("f", 99, b"ab").is_err(),

@@ -19,6 +19,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> pipeline-bench tests (the end-to-end benchmark package builds and runs)"
+cargo test -q --offline --manifest-path pipeline-bench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
