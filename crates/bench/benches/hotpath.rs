@@ -2,12 +2,12 @@
 //!
 //! Two complementary views of the same contrast:
 //!
-//! * Criterion single-thread timings of `ShardedTable::lookup_locked`
-//!   (the `OrderedRwLock` read-guard baseline) vs `ShardedTable::lookup`
-//!   (the `AtomicTable` snapshot mirror) — the per-call cost with no
-//!   contention at all;
+//! * Criterion single-thread timings of the bench-local
+//!   `pocket_bench::hotpath::LockedShards` baseline (per-shard
+//!   read-locked tables) vs `ShardedTable::lookup` (immutable
+//!   `FrozenTable` shards) — the per-call cost with no contention;
 //! * a `pocket_bench::wallclock::thread_sweep` at 1/8/32 threads —
-//!   the shape under contention, which is what the lock-free rebuild
+//!   the shape under contention, which is what the lock-free index
 //!   buys. `ablations --study hotpath --out BENCH_hotpath.json` runs
 //!   the same sweep at committed scale.
 //!
@@ -18,32 +18,30 @@
 use cloudlet_core::hashtable::{ConflictPolicy, QueryHashTable};
 use cloudlet_core::shard::ShardedTable;
 use criterion::{criterion_group, criterion_main, Criterion};
+use pocket_bench::hotpath::{mix64, LockedShards};
 use pocket_bench::wallclock::thread_sweep;
 use std::hint::black_box;
 
-fn populated_sharded(pairs: u64, shards: usize) -> ShardedTable {
+/// One table of `pairs` pairs, partitioned into `shards` both ways.
+fn populated(pairs: u64, shards: usize) -> (ShardedTable, LockedShards) {
     let mut t = QueryHashTable::new();
     for q in 0..pairs / 2 {
         t.upsert(q, q + 1_000_000, 0.6, ConflictPolicy::Max);
         t.upsert(q, q + 2_000_000, 0.4, ConflictPolicy::Max);
     }
-    ShardedTable::from_table(&t, shards)
-}
-
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    (
+        ShardedTable::from_table(&t, shards),
+        LockedShards::from_table(&t, shards),
+    )
 }
 
 fn bench_single_thread(c: &mut Criterion) {
-    let sharded = populated_sharded(8_000, 8);
+    let (sharded, locked) = populated(8_000, 8);
     c.bench_function("hotpath/locked_lookup_hit", |b| {
         let mut q = 0u64;
         b.iter(|| {
             q = (q + 1) % 4_000;
-            black_box(sharded.lookup_locked(black_box(q)))
+            black_box(locked.lookup(black_box(q)))
         })
     });
     c.bench_function("hotpath/lockfree_lookup_hit", |b| {
@@ -61,7 +59,7 @@ fn bench_single_thread(c: &mut Criterion) {
 fn bench_thread_sweep(c: &mut Criterion) {
     // Criterion times one whole sweep repetition so the bench registers
     // in the harness; the printed table below is the readable output.
-    let sharded = populated_sharded(8_000, 8);
+    let (sharded, baseline) = populated(8_000, 8);
     c.bench_function("hotpath/sweep_8_threads_lockfree", |b| {
         b.iter(|| {
             thread_sweep(8, 2_000, 1, |t, i| {
@@ -76,7 +74,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
         let ops = (64_000 / threads as u64).max(1);
         let locked = thread_sweep(threads, ops, 3, |t, i| {
             let key = mix64(((t as u64) << 40) ^ i) % 4_000;
-            black_box(sharded.lookup_locked(black_box(key)));
+            black_box(baseline.lookup(black_box(key)));
         });
         let lockfree = thread_sweep(threads, ops, 3, |t, i| {
             let key = mix64(((t as u64) << 40) ^ i) % 4_000;

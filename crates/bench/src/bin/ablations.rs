@@ -46,11 +46,12 @@
 //!   (`BENCH_wear.json`).
 //! * `hotpath` — the **wall-clock** serve hot path (the one
 //!   host-clock study; every other number here is simulated): a
-//!   hit-heavy key stream probed through the sharded index's locked
-//!   baseline (`lookup_locked`) and its lock-free `AtomicTable`
-//!   mirror (`lookup`) at 1/8/32 threads, reporting real ns/lookup
-//!   and qps. Host-dependent by design — the committed
-//!   BENCH_hotpath.json is a trajectory, not a reproducible artifact.
+//!   hit-heavy key stream probed through a bench-local locked
+//!   baseline (`pocket_bench::hotpath::LockedShards`) and the
+//!   immutable sharded index (`ShardedTable::lookup`) at 1/8/32
+//!   threads, reporting real ns/lookup and qps. Host-dependent by
+//!   design — the committed BENCH_hotpath.json is a trajectory, not a
+//!   reproducible artifact.
 //!   With `--out`, writes the sweep as JSON (`BENCH_hotpath.json`).
 //! * `population` — population-scale streaming: a full simulated day
 //!   (1M users at full scale) flows lazily through user-routed
@@ -93,6 +94,7 @@ use cloudlet_core::update::UpdateServer;
 use mobsim::flash::{AllocPolicy, WearModel, WearSummary};
 use mobsim::memory::{IndexPlacement, TieredMemory};
 use mobsim::time::{SimDuration, SimInstant};
+use pocket_bench::hotpath::{mix64, LockedShards};
 use pocket_bench::wallclock::{thread_sweep, SweepPoint};
 use pocket_bench::{
     fleet_workload, frontend_workload, full_scale_study_inputs, materialized_month_requests,
@@ -2119,15 +2121,6 @@ fn peers_json(
     )
 }
 
-/// `splitmix64` — cheap deterministic per-op key mixing for the
-/// hot-path sweep (no RNG state shared between threads).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// One thread-count point of the hot-path sweep: locked vs lock-free.
 struct HotpathRow {
     threads: usize,
@@ -2154,9 +2147,9 @@ fn median_point(threads: usize, total_ops: u64, ns: &mut [f64]) -> SweepPoint {
     }
 }
 
-/// The wall-clock serve hot path: `ShardedTable::lookup_locked` (the
-/// `OrderedRwLock` read-guard baseline) against `ShardedTable::lookup`
-/// (the `AtomicTable` snapshot mirror) on a hit-heavy stream at
+/// The wall-clock serve hot path: the bench-local [`LockedShards`]
+/// baseline (per-shard read-locked tables) against `ShardedTable::lookup`
+/// (the immutable `FrozenTable` shards) on a hit-heavy stream at
 /// 1/8/32 threads. This is the workspace's only host-clock study; the
 /// numbers are machine-dependent by design.
 fn hotpath_study(opts: &Options) {
@@ -2171,6 +2164,7 @@ fn hotpath_study(opts: &Options) {
         table.upsert(q, q + 2_000_000, 0.4, ConflictPolicy::Max);
     }
     let sharded = ShardedTable::from_table(&table, 8);
+    let locked = LockedShards::from_table(&table, 8);
     // ~94% hits: key space slightly larger than the cached one, so the
     // miss walk is exercised without dominating.
     let key_space = queries + queries / 16;
@@ -2182,7 +2176,7 @@ fn hotpath_study(opts: &Options) {
         let run_locked = || {
             thread_sweep(threads, ops_per_thread, 1, |t, i| {
                 let key = mix64(seed ^ ((t as u64) << 40) ^ i) % key_space;
-                std::hint::black_box(sharded.lookup_locked(std::hint::black_box(key)));
+                std::hint::black_box(locked.lookup(std::hint::black_box(key)));
             })
         };
         let run_lockfree = || {

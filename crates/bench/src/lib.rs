@@ -9,6 +9,7 @@
 // targets generate undocumented glue functions.
 #![warn(missing_docs)]
 
+pub mod hotpath;
 pub mod render;
 pub mod wallclock;
 pub mod workloads;

@@ -14,17 +14,19 @@
 //! model as actual structure is [`SplitCache`]: one read-mostly
 //! [`CommunityCache`] snapshot (`Arc`-shared across every user and
 //! lane) layered under a compact copy-on-write [`PersonalDelta`] per
-//! user. Lookup order is delta-then-community; clicks fold into the
-//! delta only. Under install-before-replay the split cache reproduces
-//! the flattened cache's hit/miss sequence bit for bit (see the
-//! equivalence tests).
+//! user. The snapshot owns the one [`FrozenTable`] serve index of its
+//! table, built once and shared with it, so any number of users and
+//! lanes probe a single index. Lookup order is delta-then-community;
+//! clicks fold into the delta only. Under install-before-replay the
+//! split cache reproduces the flattened cache's hit/miss sequence bit
+//! for bit (see the equivalence tests).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use crate::contentgen::CacheContents;
-use crate::hashtable::atomic::AtomicTable;
+use crate::hashtable::frozen::FrozenTable;
 use crate::hashtable::{ConflictPolicy, QueryHashTable, ScoredResult};
 use crate::ranking::RankingPolicy;
 
@@ -251,10 +253,24 @@ impl PocketCache {
 /// runs. Per-user state never writes here — clicks fold into each user's
 /// [`PersonalDelta`] instead — which is what makes one copy sufficient
 /// for a million users.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The serve path reads the snapshot through its [`FrozenTable`] index:
+/// built by [`CommunityCache::into_shared`] (or on first use) and
+/// dropped by every install, so it always images the current table.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CommunityCache {
     table: QueryHashTable,
     policy: RankingPolicy,
+    #[serde(skip)]
+    index: OnceLock<FrozenTable>,
+}
+
+/// Equality is over the contents; whether the derived index has been
+/// built yet does not matter.
+impl PartialEq for CommunityCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.table == other.table && self.policy == other.policy
+    }
 }
 
 impl CommunityCache {
@@ -263,6 +279,7 @@ impl CommunityCache {
         CommunityCache {
             table: QueryHashTable::new(),
             policy,
+            index: OnceLock::new(),
         }
     }
 
@@ -279,6 +296,7 @@ impl CommunityCache {
     /// Installs one mined pair (server-state conflicts keep the larger
     /// score, §5.4).
     pub fn install_pair(&mut self, query_hash: u64, result_hash: u64, score: f32) {
+        self.index = OnceLock::new();
         self.table
             .upsert(query_hash, result_hash, score, ConflictPolicy::Max);
     }
@@ -288,6 +306,12 @@ impl CommunityCache {
         for p in contents.pairs() {
             self.install_pair(p.query_hash, p.result_hash, p.score);
         }
+    }
+
+    /// The serve index of the current table, built on first call.
+    pub(crate) fn index(&self) -> &FrozenTable {
+        self.index
+            .get_or_init(|| FrozenTable::from_table(&self.table))
     }
 
     /// Ranked results for a query, if cached.
@@ -310,8 +334,10 @@ impl CommunityCache {
         self.table.footprint_bytes()
     }
 
-    /// Freezes the snapshot for sharing across users and lanes.
+    /// Freezes the snapshot for sharing across users and lanes, building
+    /// its serve index once here rather than on the first serve.
     pub fn into_shared(self) -> Arc<CommunityCache> {
+        self.index();
         Arc::new(self)
     }
 }
@@ -396,13 +422,18 @@ impl PersonalDelta {
     /// `community` on first touch and then applying the §5.3 arithmetic:
     /// clicked pair +1 (inserted at the max log score if absent),
     /// siblings decay, accessed flag set.
+    ///
+    /// Returns the accounted bytes the click added to
+    /// [`PersonalDelta::footprint_bytes`], so callers can keep a running
+    /// total without re-walking the delta.
     pub fn record_click(
         &mut self,
         policy: &RankingPolicy,
         community: Option<&CommunityCache>,
         query_hash: u64,
         result_hash: u64,
-    ) {
+    ) -> usize {
+        let mut added = 0;
         let idx = match self.find(query_hash) {
             Ok(idx) => idx,
             Err(insert_at) => {
@@ -411,6 +442,7 @@ impl PersonalDelta {
                 let results = community
                     .and_then(|c| c.lookup(query_hash))
                     .unwrap_or_default();
+                added += DELTA_ENTRY_OVERHEAD_BYTES + results.len() * DELTA_RESULT_BYTES;
                 self.entries.insert(
                     insert_at,
                     DeltaEntry {
@@ -444,7 +476,9 @@ impl PersonalDelta {
                 score: policy.miss_insert_score(),
                 accessed: true,
             });
+            added += DELTA_RESULT_BYTES;
         }
+        added
     }
 
     fn find(&self, query_hash: u64) -> Result<usize, usize> {
@@ -462,7 +496,7 @@ impl PersonalDelta {
 /// community results it was seeded from); anything else falls through
 /// to the shared snapshot. Clicks fold into the delta only — the
 /// community copy is never written — so any number of `SplitCache`s can
-/// share one snapshot.
+/// share one snapshot — and its one serve index.
 ///
 /// Under install-before-replay (the community frozen before serving
 /// starts, as in the paper's update protocol), a `SplitCache` reproduces
@@ -490,11 +524,6 @@ impl PersonalDelta {
 pub struct SplitCache {
     mode: CacheMode,
     community: Arc<CommunityCache>,
-    /// Lock-free read mirror of the frozen community table. The
-    /// snapshot never mutates after `into_shared`, so the mirror is
-    /// built once and shared by clones (cloning a `SplitCache` clones
-    /// the `Arc`, not the mirror).
-    index: Arc<AtomicTable>,
     delta: PersonalDelta,
     stats: CacheStats,
 }
@@ -502,11 +531,9 @@ pub struct SplitCache {
 impl SplitCache {
     /// A split cache for one user over a shared community snapshot.
     pub fn new(mode: CacheMode, community: Arc<CommunityCache>) -> Self {
-        let index = Arc::new(AtomicTable::from_table(community.table()));
         SplitCache {
             mode,
             community,
-            index,
             delta: PersonalDelta::new(),
             stats: CacheStats::default(),
         }
@@ -539,8 +566,8 @@ impl SplitCache {
 
     /// Pure lookup without statistics bookkeeping: delta first, then the
     /// community snapshot (mode-gated exactly like [`PocketCache`]).
-    /// The community half probes the lock-free [`AtomicTable`] mirror —
-    /// bit-identical to the table walk it replaced.
+    /// The community half probes the snapshot's shared [`FrozenTable`]
+    /// index — bit-identical to the table walk.
     pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
         if self.mode.personalization_enabled() {
             if let Some(results) = self.delta.lookup(query_hash) {
@@ -548,7 +575,7 @@ impl SplitCache {
             }
         }
         if self.mode.community_enabled() {
-            return self.index.lookup(query_hash);
+            return self.community.index().lookup(query_hash);
         }
         None
     }
@@ -807,12 +834,25 @@ mod tests {
         let mut d = PersonalDelta::new();
         assert_eq!(d.footprint_bytes(), 0);
         let policy = RankingPolicy::default();
-        d.record_click(&policy, None, 1, 10);
+        // New entry, no community seed: overhead plus the clicked result.
+        assert_eq!(d.record_click(&policy, None, 1, 10), 16 + 13);
         assert_eq!(d.footprint_bytes(), 16 + 13);
-        d.record_click(&policy, None, 1, 11);
-        d.record_click(&policy, None, 2, 20);
+        // A new result on a known entry: one result row.
+        assert_eq!(d.record_click(&policy, None, 1, 11), 13);
+        // A repeat click on a known pair adds nothing.
+        assert_eq!(d.record_click(&policy, None, 1, 11), 0);
+        assert_eq!(d.record_click(&policy, None, 2, 20), 16 + 13);
         assert_eq!(d.footprint_bytes(), 2 * 16 + 3 * 13);
         assert_eq!(d.query_count(), 2);
         assert_eq!(d.pair_count(), 3);
+        // A new entry seeded with two community results, then a click on
+        // a third result: 16 + 2·13 for the seeded entry, +13 appended.
+        let community = community_with(&[(3, 30, 0.6), (3, 31, 0.4)]);
+        assert_eq!(
+            d.record_click(&policy, Some(&*community), 3, 32),
+            16 + 3 * 13
+        );
+        assert_eq!(d.record_click(&policy, Some(&*community), 4, 40), 16 + 13);
+        assert_eq!(d.footprint_bytes(), 4 * 16 + 7 * 13);
     }
 }

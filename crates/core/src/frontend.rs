@@ -35,8 +35,8 @@
 //!   in the same service group idles, the request is admitted on the
 //!   sibling instead. Only meaningful for groups whose lanes are
 //!   replicas over shared state (search shards route lookups through
-//!   the shared [`crate::shard::ShardedTable`], so any shard serves any
-//!   key identically); disabled by default.
+//!   the shared, immutable [`crate::shard::ShardedTable`], so any shard
+//!   serves any key identically); disabled by default.
 //!
 //! # Timing model
 //!
@@ -700,8 +700,8 @@ impl FrontendTelemetry {
 /// One serving lane: a cloudlet behind a rank-checked read/write lock
 /// (shared for fast-path hits, exclusive for everything else), with
 /// lock-free counters beside it. The lane lock is the outermost lock
-/// in the serve path — serves may descend into shard locks below it
-/// (see [`crate::lockrank`]).
+/// in the serve path; the sharded index a serve reads below it is
+/// immutable and takes no lock (see [`crate::lockrank`]).
 struct FrontLane {
     service: OrderedRwLock<Box<dyn CloudletService + Send + Sync>>,
     counters: FrontCounters,
@@ -854,7 +854,7 @@ impl Frontend {
         cells
     }
 
-    /// Republishes every cell-attached lane's summary from its current
+    /// Re-registers every cell-attached lane's summary from its current
     /// [`CloudletService::summary_keys`] inventory — the epoch-grained
     /// refresh that keeps summaries tracking personalization churn.
     /// Each lane's read guard is dropped before its fabric registers,

@@ -12,7 +12,7 @@
 //! serialize to [`EntryRecord`]s, and never-accessed community entries can
 //! be pruned by inspecting flags alone.
 
-pub mod atomic;
+pub mod frozen;
 
 use std::collections::HashMap;
 

@@ -12,7 +12,8 @@
 //!
 //! * [`hashtable`] — the DRAM query hash table of §5.2.1: fixed-layout
 //!   entries holding two scored results plus a flags word, with salted
-//!   overflow entries for queries with more results.
+//!   overflow entries for queries with more results, and its immutable
+//!   serve-path image [`hashtable::frozen::FrozenTable`].
 //! * [`contentgen`] — cache content generation from `(query, result,
 //!   volume)` triplets under a memory or saturation threshold (§5.1).
 //! * [`ranking`] — the personalized ranking update of §5.3
@@ -34,8 +35,8 @@
 //!   happened × who answered × condition flags), and the
 //!   workspace-level [`CloudletError`].
 //! * [`peer`] — the cooperative cloudlet tier between local-miss and
-//!   the radio: a per-cell [`peer::PeerFabric`] of lock-free-readable
-//!   Bloom summaries over each device's cached keys, with modeled
+//!   the radio: a per-cell [`peer::PeerFabric`] of Bloom summaries
+//!   over each device's cached keys, with modeled
 //!   WiFi-direct fetch latency/energy.
 //! * [`frontend`] — the pipelined serving front-end: bounded per-lane
 //!   queues with typed admission/backpressure, duplicate-key
@@ -47,14 +48,11 @@
 //!   O(users) resident-memory accounting.
 //! * [`corpus`] — the small trait that ties hashes and record sizes back
 //!   to a concrete corpus (implemented for `querylog::Universe`).
-//! * [`shard`] — the query hash table partitioned into independently
-//!   locked shards for concurrent serving, each with a lock-free
-//!   [`hashtable::atomic::AtomicTable`] read mirror for the hit path.
-//! * [`snapshot`] — the safe `arc-swap`-style [`snapshot::SnapshotCell`]
-//!   the lock-free read path publishes through.
+//! * [`shard`] — the query hash table partitioned into immutable
+//!   [`hashtable::frozen::FrozenTable`] shards for concurrent serving.
 //! * [`counters`] — the shared lock-free [`counters::CounterSet`]
 //!   statistics bank used by the front-end, the search fleet, and the
-//!   atomic table.
+//!   peer fabric.
 //!
 //! # Scaling beyond one device
 //!
@@ -66,8 +64,8 @@
 //! changing its semantics: shard `s` of `S` owns every query with
 //! `query_hash % S == s`, including the query's whole salted overflow
 //! chain, so a lookup inside one shard returns byte-for-byte what the
-//! flat table would. Each shard sits behind its own `RwLock`; readers
-//! of different shards never touch the same lock, and the modulo
+//! flat table would. Shards are immutable once built, so readers share
+//! them through an `Arc` without any lock, and the modulo
 //! layout matches the flash result database's `hash % n_files`
 //! placement so a shard's index entries and its result files can be
 //! co-located. The `pocketsearch` crate's `fleet` module builds the
@@ -101,7 +99,6 @@ pub mod population;
 pub mod ranking;
 pub mod service;
 pub mod shard;
-pub mod snapshot;
 pub mod update;
 
 pub use arbiter::{AdaptiveArbiter, ArbiterConfig, BudgetDecision, DemandContext};
@@ -115,7 +112,7 @@ pub use frontend::{
     Frontend, FrontendConfig, FrontendReport, FrontendTelemetry, HitPathMode, OverflowPolicy,
     RouteBy, ServeRequest,
 };
-pub use hashtable::atomic::{AtomicTable, AtomicTableStats};
+pub use hashtable::frozen::FrozenTable;
 pub use hashtable::{QueryHashTable, ScoredResult, SLOTS_PER_ENTRY};
 pub use peer::{BloomSummary, PeerConfig, PeerConsult, PeerFabric, PeerFabricStats};
 pub use population::{PairTable, PopulationConfig, PopulationLane, PopulationResidency};
@@ -127,6 +124,5 @@ pub use ranking::RankingPolicy;
 pub use service::{
     CloudletError, CloudletService, ServeKind, ServeOutcome, ServeSource, ServeStats,
 };
-pub use shard::{ShardWriteGuard, ShardedTable};
-pub use snapshot::SnapshotCell;
+pub use shard::ShardedTable;
 pub use update::{UpdateBundle, UpdateServer};

@@ -14,20 +14,19 @@
 //!   hashes its cloudlet can answer (the
 //!   [`crate::service::CloudletService::summary_keys`] inventory),
 //!   alongside the exact inventory used to model the peer actually
-//!   serving the fetch. Both are published together through a
-//!   [`SnapshotCell`], so **summary reads on the serve path are
-//!   lock-free** — the same PR 9 publish/read discipline as the
-//!   `AtomicTable` mirror.
+//!   serving the fetch. Both live together in one holding per member.
 //! * A local miss calls [`PeerFabric::consult`]: walk the cell's
 //!   summaries, probe the claimants best-first, and on a verified hold
 //!   fetch the record at modeled WiFi-direct latency/energy
 //!   ([`PeerConfig::link`]). Bloom false positives are real, wasted
 //!   peer exchanges: their time and bytes are charged to the outcome,
 //!   which is exactly why the `peers` ablation sweeps summary bits.
-//! * The membership vector itself sits behind an `OrderedRwLock` at
-//!   rank [`crate::lockrank::PEER_FABRIC`] — only registration takes
-//!   the write side; consults take the read side and then touch
-//!   nothing but `SnapshotCell`s and [`CounterSet`] slots.
+//! * The membership vector, holdings included, sits behind an
+//!   `OrderedRwLock` at rank [`crate::lockrank::PEER_FABRIC`] — only
+//!   registration takes the write side and replaces a holding whole;
+//!   consults take the read side, read the holdings in place, and
+//!   otherwise touch only [`CounterSet`] slots. A consult racing a
+//!   refresh therefore sees the old or the new holding, never a mix.
 //!
 //! A fabric with a single member (cell size 1) never produces a claim,
 //! never charges a probe, and leaves every outcome untouched — the
@@ -35,7 +34,6 @@
 //! ablation asserts on every run.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use analysis::sync::OrderedRwLock;
 use mobsim::radio::RadioModel;
@@ -43,7 +41,6 @@ use mobsim::time::SimDuration;
 
 use crate::counters::CounterSet;
 use crate::service::ServeOutcome;
-use crate::snapshot::SnapshotCell;
 
 /// The finalizer constant of splitmix64 — an empirically strong 64-bit
 /// mixer, the same family the sharded table's Fibonacci probing uses.
@@ -228,7 +225,7 @@ struct PeerHolding {
 #[derive(Debug)]
 struct PeerMember {
     device: u64,
-    holding: Arc<SnapshotCell<PeerHolding>>,
+    holding: PeerHolding,
 }
 
 /// The result of consulting the cell on a local miss.
@@ -283,8 +280,8 @@ const RADIO_FALLBACKS: usize = 4;
 ///
 /// Registration (and summary refresh) takes the ranked write lock;
 /// [`consult`](PeerFabric::consult) — the serve-path operation — takes
-/// the ranked read lock and then reads only published `SnapshotCell`s,
-/// so concurrent consults never serialize on a summary.
+/// the ranked read lock and reads the holdings under it, so concurrent
+/// consults never serialize on each other.
 pub struct PeerFabric {
     config: PeerConfig,
     members: OrderedRwLock<Vec<PeerMember>>,
@@ -317,9 +314,9 @@ impl PeerFabric {
     }
 
     /// Registers (or refreshes) a device's inventory: rebuilds its
-    /// Bloom summary from `keys` and publishes summary + exact set in
-    /// one `SnapshotCell` snapshot. The Arc-swap publish means consults
-    /// racing a refresh see either the old or the new summary, never a
+    /// Bloom summary from `keys` outside the lock, then replaces
+    /// summary + exact set together under the write lock, so consults
+    /// racing a refresh see either the old or the new holding, never a
     /// torn one.
     pub fn register(&self, device: u64, keys: &[u64]) {
         let holding = PeerHolding {
@@ -330,24 +327,11 @@ impl PeerFabric {
             ),
             keys: keys.iter().copied().collect(),
         };
-        {
-            let members = self.members.read();
-            if let Some(member) = members.iter().find(|m| m.device == device) {
-                member.holding.publish(holding);
-                return;
-            }
-        }
         let mut members = self.members.write();
-        // Re-check under the write lock: a racing register may have
-        // added the device between our read and write acquisitions.
-        if let Some(member) = members.iter().find(|m| m.device == device) {
-            member.holding.publish(holding);
-            return;
+        match members.iter_mut().find(|m| m.device == device) {
+            Some(member) => member.holding = holding,
+            None => members.push(PeerMember { device, holding }),
         }
-        members.push(PeerMember {
-            device,
-            holding: Arc::new(SnapshotCell::new(holding)),
-        });
     }
 
     /// Registered devices.
@@ -371,18 +355,15 @@ impl PeerFabric {
         self.counters.bump(CONSULTS, 1);
         let members = self.members.read();
         // (entries, device, index) per claimant: deterministic
-        // best-first order without holding any snapshot borrow across
-        // the probe loop.
+        // best-first order for the probe loop.
         let mut claimants: Vec<(u64, u64, usize)> = Vec::new();
         for (index, member) in members.iter().enumerate() {
             if member.device == requester {
                 continue;
             }
-            let claim = member
-                .holding
-                .read(|h| h.summary.contains(key).then_some(h.summary.entries()));
-            if let Some(entries) = claim {
-                claimants.push((entries, member.device, index));
+            let summary = &member.holding.summary;
+            if summary.contains(key) {
+                claimants.push((summary.entries(), member.device, index));
             }
         }
         claimants.sort_unstable();
@@ -391,8 +372,7 @@ impl PeerFabric {
         let mut wasted = SimDuration::ZERO;
         let mut wasted_bytes = 0u64;
         for &(_, device, index) in &claimants {
-            let holds = members[index].holding.read(|h| h.keys.contains(&key));
-            if holds {
+            if members[index].holding.keys.contains(&key) {
                 let peer_bytes = self.config.response_bytes + wasted_bytes;
                 let outcome = ServeOutcome::peer_hit(peer_bytes)
                     .with_service(self.config.fetch_time() + wasted);
@@ -538,7 +518,7 @@ mod tests {
         fabric.register(1, &[100]);
         fabric.register(2, &[]);
         assert!(matches!(fabric.consult(2, 100), PeerConsult::Hit { .. }));
-        // Device 1 evicted key 100; a refresh republishes its summary.
+        // Device 1 evicted key 100; a refresh replaces its summary.
         fabric.register(1, &[200]);
         assert_eq!(fabric.member_count(), 2);
         assert!(matches!(fabric.consult(2, 100), PeerConsult::Miss { .. }));

@@ -4,10 +4,10 @@
 //! A [`PopulationLane`] is a [`CloudletService`] that serves a whole
 //! *population* of simulated users through the §4 two-part cache split:
 //! every user on the lane shares one `Arc`'d [`CommunityCache`] snapshot
-//! (and one [`PairTable`] mapping request keys back to query/result
-//! hashes), while each user's clicks fold into their own compact
-//! [`PersonalDelta`], created lazily on first click. Resident memory is
-//! therefore
+//! with its one serve index (and one [`PairTable`] mapping request keys
+//! back to query/result hashes), while each user's clicks fold into
+//! their own compact [`PersonalDelta`], created lazily on first click.
+//! Resident memory is therefore
 //!
 //! ```text
 //! community (once) + pair table (once) + Σ_users delta(user)
@@ -30,7 +30,6 @@ use std::sync::Arc;
 use mobsim::time::SimDuration;
 
 use crate::cache::{CacheMode, CommunityCache, PersonalDelta};
-use crate::hashtable::atomic::AtomicTable;
 use crate::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats};
 
 /// Accounting bytes per pair-table row: two 64-bit hashes.
@@ -135,9 +134,6 @@ pub struct PopulationResidency {
 pub struct PopulationLane {
     config: PopulationConfig,
     community: Arc<CommunityCache>,
-    /// Lock-free read mirror of the frozen community table, shared by
-    /// clones; `is_hit` and the fast hit path probe it with zero locks.
-    index: Arc<AtomicTable>,
     pairs: Arc<PairTable>,
     deltas: HashMap<u64, PersonalDelta>,
     stats: ServeStats,
@@ -151,11 +147,9 @@ impl PopulationLane {
         community: Arc<CommunityCache>,
         pairs: Arc<PairTable>,
     ) -> Self {
-        let index = Arc::new(AtomicTable::from_table(community.table()));
         PopulationLane {
             config,
             community,
-            index,
             pairs,
             deltas: HashMap::new(),
             stats: ServeStats::default(),
@@ -204,7 +198,7 @@ impl PopulationLane {
         {
             return true;
         }
-        self.config.mode.community_enabled() && self.index.contains_query(query_hash)
+        self.config.mode.community_enabled() && self.community.index().contains_query(query_hash)
     }
 }
 
@@ -237,18 +231,20 @@ impl CloudletService for PopulationLane {
                 .mode
                 .community_enabled()
                 .then_some(self.community.as_ref());
-            let delta = self.deltas.entry(user).or_default();
-            let before = delta.footprint_bytes();
-            delta.record_click(&policy, community, query_hash, result_hash);
-            self.delta_bytes = self.delta_bytes + delta.footprint_bytes() - before;
+            self.delta_bytes += self.deltas.entry(user).or_default().record_click(
+                &policy,
+                community,
+                query_hash,
+                result_hash,
+            );
         }
         Ok(outcome)
     }
 
-    /// Lock-free community fast path: in community-only mode a serve
-    /// has no side effects beyond statistics (which the fast-path
-    /// caller records), so a hit can be answered from the shared
-    /// [`AtomicTable`] mirror without exclusive access — the community
+    /// Shared-access community fast path: in community-only mode a
+    /// serve has no side effects beyond statistics (which the fast-path
+    /// caller records), so a hit can be answered from the community's
+    /// immutable serve index without exclusive access — the community
     /// probe is user-independent. In any personalization mode every
     /// serve must fold the click into the user's delta, so the fast
     /// path declines and the write path runs. Misses also decline: the
@@ -258,7 +254,8 @@ impl CloudletService for PopulationLane {
             return None;
         }
         let (query_hash, _) = self.pairs.get(request.key)?;
-        self.index
+        self.community
+            .index()
             .contains_query(query_hash)
             .then(|| ServeOutcome::hit().with_service(self.config.hit_service))
     }
@@ -280,7 +277,7 @@ impl CloudletService for PopulationLane {
                 let Some((query_hash, _)) = self.pairs.get(key) else {
                     return false;
                 };
-                if community_on && self.index.contains_query(query_hash) {
+                if community_on && self.community.index().contains_query(query_hash) {
                     return false;
                 }
                 self.deltas.values().any(|d| d.contains_query(query_hash))

@@ -161,7 +161,7 @@ impl CloudletService for SearchShard {
     }
 
     fn cache_bytes(&self) -> u64 {
-        self.table.read(self.shard).footprint_bytes() as u64
+        self.table.shard(self.shard).footprint_bytes() as u64
     }
 
     /// A shard's demand is always its slice of the shared DRAM index,
@@ -176,7 +176,7 @@ impl CloudletService for SearchShard {
     ) -> cloudlet_core::coordination::BudgetDemand {
         cloudlet_core::coordination::BudgetDemand {
             cloudlet,
-            demand_bytes: self.table.read(self.shard).footprint_bytes(),
+            demand_bytes: self.table.shard(self.shard).footprint_bytes(),
             priority: ctx.priority,
         }
     }
@@ -313,7 +313,7 @@ mod tests {
         let (table, shards) = SearchShard::fleet_of(&engine, 4);
         let ctx = DemandContext::equal_priority(0);
         for (i, shard) in shards.iter().enumerate() {
-            let footprint = table.read(i).footprint_bytes();
+            let footprint = table.shard(i).footprint_bytes();
             assert_eq!(shard.shard_index(), i);
             assert_eq!(shard.cache_bytes(), footprint as u64);
             let demand = shard.budget_demand(CloudletId(i as u32), &ctx);

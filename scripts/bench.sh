@@ -17,7 +17,8 @@
 #     hit ratio, peer serves, false-positive probes, and radio vs
 #     peer-link energy across the cell-size x summary-bits x skew sweep.
 #   BENCH_hotpath.json  — wall-clock ns/lookup and qps at 1/8/32 threads,
-#     locked (OrderedRwLock) vs lock-free (AtomicTable mirror). Unlike
+#     locked (bench-local per-shard RwLock tables) vs lock-free (the
+#     immutable FrozenTable shards of ShardedTable). Unlike
 #     every other artifact this one is HOST-DEPENDENT (real time, the
 #     workspace's one R2 carve-out) and is committed as a trajectory,
 #     not a reproducible number. Committed at test scale: ~20k cached

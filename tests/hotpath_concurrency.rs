@@ -1,119 +1,110 @@
-//! Lock-free hot path under interleaving: snapshot reads must never
-//! observe a torn table, and accessed-flag bits set lock-free during
-//! reads must never be lost to a concurrent republish.
+//! The serve path under interleaving: the immutable sharded index is
+//! shared by many threads with no lock, and the peer fabric's one
+//! writer — re-registration — never lets a consult observe half of an
+//! old holding and half of a new one.
 //!
 //! Thread counts follow the benchmark sweep (8 and 32); iteration
 //! counts are modest because the suite also runs on small hosts —
 //! these are interleaving smoke tests, not throughput measurements.
 
-use pocket_cloudlets::core::hashtable::atomic::AtomicTable;
-use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable};
+use std::sync::{Arc, Barrier};
 
-/// Two tables over the same queries with disjoint result sets, so any
-/// blend of the two is detectable.
-fn world_a_and_b(queries: u64) -> (QueryHashTable, QueryHashTable) {
-    let mut a = QueryHashTable::new();
-    let mut b = QueryHashTable::new();
-    for q in 0..queries {
-        a.upsert(q, 10_000 + q, 0.9, ConflictPolicy::Max);
-        a.upsert(q, 20_000 + q, 0.1, ConflictPolicy::Max);
-        b.upsert(q, 30_000 + q, 0.5, ConflictPolicy::Max);
+use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable};
+use pocket_cloudlets::core::peer::{PeerConfig, PeerConsult, PeerFabric};
+use pocket_cloudlets::core::shard::ShardedTable;
+
+/// 32 threads share one `Arc<ShardedTable>`: every lookup — results,
+/// order and `accessed` bits — equals the flat table's.
+#[test]
+fn shared_sharded_index_answers_like_the_flat_table_on_every_thread() {
+    const QUERIES: u64 = 256;
+    const THREADS: usize = 32;
+    const READS_PER_THREAD: u64 = 2_000;
+
+    let mut flat = QueryHashTable::new();
+    for q in 0..QUERIES {
+        for r in 0..(q % 5) {
+            flat.upsert(q, 10_000 + q * 10 + r, 0.1 * r as f32, ConflictPolicy::Max);
+        }
+        if q % 3 == 0 && q % 5 != 0 {
+            flat.mark_accessed(q, 10_000 + q * 10)
+                .expect("pair was just inserted");
+        }
     }
-    (a, b)
+    let sharded = Arc::new(ShardedTable::from_table(&flat, 8));
+    let flat = Arc::new(flat);
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let sharded = Arc::clone(&sharded);
+            let flat = Arc::clone(&flat);
+            std::thread::spawn(move || {
+                for i in 0..READS_PER_THREAD {
+                    // A few keys past the cached range exercise misses.
+                    let q = (i * 7 + t as u64) % (QUERIES + 16);
+                    assert_eq!(sharded.lookup(q), flat.lookup(q), "query {q}");
+                }
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().expect("reader thread panicked");
+    }
 }
 
-/// 8 reader threads race a writer republishing alternating snapshots:
-/// every lookup must equal exactly table A's or table B's answer —
-/// same results, same order, never a mix or a partial table.
+/// 8 consult threads race a thread that re-registers one device with
+/// inventory A or inventory B: every consult must equal what a fabric
+/// holding exactly A, or exactly B, answers — never a mix of one
+/// inventory's Bloom summary with the other's exact key set.
 #[test]
-fn readers_see_only_whole_snapshots_during_republishes() {
-    const QUERIES: u64 = 64;
-    const READERS: usize = 8;
-    const READS_PER_THREAD: u64 = 2_000;
-    const REPUBLISHES: usize = 200;
+fn consults_see_one_whole_holding_during_re_registration() {
+    const KEYS: u64 = 128;
+    const READERS: u64 = 8;
+    const CONSULTS_PER_THREAD: u64 = 2_000;
+    const REGISTRATIONS: usize = 200;
 
-    let (a, b) = world_a_and_b(QUERIES);
-    let mirror = AtomicTable::from_table(&a);
+    let a: Vec<u64> = (0..KEYS / 2).collect();
+    let b: Vec<u64> = (KEYS / 2..KEYS).collect();
+    let stable: Vec<u64> = (KEYS..KEYS + 8).collect();
+    // Reference answers: the requester (device 0) consulting a cell
+    // where device 1 holds exactly A, or exactly B.
+    let answers = |inventory: &[u64]| -> Vec<PeerConsult> {
+        let fabric = PeerFabric::new(PeerConfig::default());
+        fabric.register(0, &[]);
+        fabric.register(1, inventory);
+        fabric.register(2, &stable);
+        (0..KEYS + 8).map(|key| fabric.consult(0, key)).collect()
+    };
+    let (from_a, from_b) = (answers(&a), answers(&b));
+
+    let fabric = PeerFabric::new(PeerConfig::default());
+    fabric.register(0, &[]);
+    fabric.register(1, &a);
+    fabric.register(2, &stable);
+    // Readers and the writer start together, so consults overlap the
+    // re-registrations instead of finishing before the writer runs.
+    let start = Barrier::new(READERS as usize + 1);
     std::thread::scope(|scope| {
         for t in 0..READERS {
-            let mirror = &mirror;
-            let a = &a;
-            let b = &b;
+            let (fabric, from_a, from_b, start) = (&fabric, &from_a, &from_b, &start);
             scope.spawn(move || {
-                for i in 0..READS_PER_THREAD {
-                    let q = (i * 7 + t as u64) % QUERIES;
-                    let seen = mirror.lookup(q);
-                    let from_a = a.lookup(q);
-                    let from_b = b.lookup(q);
+                start.wait();
+                for i in 0..CONSULTS_PER_THREAD {
+                    let key = (i * 13 + t) % (KEYS + 8);
+                    let seen = fabric.consult(0, key);
+                    let k = key as usize;
                     assert!(
-                        seen == from_a || seen == from_b,
-                        "query {q}: torn or stale-beyond-either snapshot: {seen:?}"
+                        seen == from_a[k] || seen == from_b[k],
+                        "key {key}: consult matched neither holding: {seen:?}"
                     );
                 }
             });
         }
         scope.spawn(|| {
-            for i in 0..REPUBLISHES {
-                mirror.republish_from(if i % 2 == 0 { &b } else { &a });
+            start.wait();
+            for i in 0..REGISTRATIONS {
+                fabric.register(1, if i % 2 == 0 { &b } else { &a });
             }
         });
     });
-    assert_eq!(mirror.stats().publishes, REPUBLISHES as u64);
-}
-
-/// 32 threads set accessed flags lock-free while a writer republishes
-/// the same layout underneath them: every bit set must survive every
-/// republish (the shared flags word is carried across snapshots).
-#[test]
-fn flag_bits_set_during_reads_survive_republishes() {
-    const QUERIES: u64 = 64;
-    const MARKERS: usize = 32;
-    const REPUBLISHES: usize = 100;
-
-    let mut table = QueryHashTable::new();
-    for q in 0..QUERIES {
-        table.upsert(q, 10_000 + q, 0.9, ConflictPolicy::Max);
-        table.upsert(q, 20_000 + q, 0.1, ConflictPolicy::Max);
-    }
-    let mirror = AtomicTable::from_table(&table);
-    std::thread::scope(|scope| {
-        for t in 0..MARKERS {
-            let mirror = &mirror;
-            scope.spawn(move || {
-                // Each thread owns two queries and marks both results,
-                // re-marking across the republish storm (idempotent).
-                for round in 0..50 {
-                    for q in [t as u64 * 2, t as u64 * 2 + 1] {
-                        mirror
-                            .mark_accessed(q, 10_000 + q)
-                            .expect("pair is always cached");
-                        if round % 2 == 1 {
-                            mirror
-                                .mark_accessed(q, 20_000 + q)
-                                .expect("pair is always cached");
-                        }
-                    }
-                }
-            });
-        }
-        scope.spawn(|| {
-            for _ in 0..REPUBLISHES {
-                // Identical layout: the rebuild must carry every
-                // concurrently-set bit over, never resetting one.
-                mirror.republish_from(&table);
-            }
-        });
-    });
-
-    for q in 0..QUERIES {
-        let results = mirror.lookup(q).expect("query is cached");
-        for r in results {
-            assert!(
-                r.accessed,
-                "query {q} result {}: accessed bit lost across republishes",
-                r.result_hash
-            );
-        }
-    }
-    assert!(mirror.stats().flag_sets >= (MARKERS as u64) * 2 * 50);
+    assert_eq!(fabric.member_count(), 3);
 }
