@@ -1285,13 +1285,13 @@ impl Frontend {
             .min()
             .unwrap_or(SimInstant::ZERO);
         let makespan = last_completion.saturating_duration_since(first_arrival);
-        waits.sort_unstable();
+        let (queue_wait_p50, queue_wait_p99) = select_percentiles(&mut waits, 0.50, 0.99);
         let report = FrontendReport {
             lanes: batch_lanes,
             makespan,
-            queue_wait_p50: percentile(&waits, 0.50),
-            queue_wait_p99: percentile(&waits, 0.99),
-            queue_wait_max: SimDuration::from_micros(waits.last().copied().unwrap_or(0)),
+            queue_wait_p50,
+            queue_wait_p99,
+            queue_wait_max: SimDuration::from_micros(waits.iter().copied().max().unwrap_or(0)),
         };
         Ok(FrontendBatch { served, report })
     }
@@ -1331,18 +1331,38 @@ fn record_lane(
     }
 }
 
-/// Nearest-rank percentile of a sorted micros slice.
-fn percentile(sorted: &[u64], q: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
+/// The 1-based nearest rank of quantile `q` in `len > 0` samples.
+fn nearest_rank(len: usize, q: f64) -> usize {
+    ((len as f64 * q).ceil() as usize).clamp(1, len)
+}
+
+/// Nearest-rank percentiles `lo <= hi` of a micros slice, found by
+/// selection rather than a full sort; `values` is left reordered.
+fn select_percentiles(values: &mut [u64], lo: f64, hi: f64) -> (SimDuration, SimDuration) {
+    if values.is_empty() {
+        return (SimDuration::ZERO, SimDuration::ZERO);
     }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    SimDuration::from_micros(sorted[rank - 1])
+    let (lo_rank, hi_rank) = (
+        nearest_rank(values.len(), lo),
+        nearest_rank(values.len(), hi),
+    );
+    let (_, &mut at_lo, above) = values.select_nth_unstable(lo_rank - 1);
+    // Everything above `lo`'s rank sits in `above`, so `hi`'s rank is
+    // selected there.
+    let at_hi = match hi_rank - lo_rank {
+        0 => at_lo,
+        k => *above.select_nth_unstable(k - 1).1,
+    };
+    (
+        SimDuration::from_micros(at_lo),
+        SimDuration::from_micros(at_hi),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A toy replica service: keys below `cached_below` hit (100 ms),
     /// everything else misses (1 s, 500 bytes). `key == 7` is a typed
@@ -1684,12 +1704,48 @@ mod tests {
         assert_eq!((totals.events, totals.hits, totals.misses), (2, 1, 1));
     }
 
+    /// The sorted-slice oracle the selected percentiles must match.
+    fn percentile(sorted: &[u64], q: f64) -> SimDuration {
+        if sorted.is_empty() {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_micros(sorted[nearest_rank(sorted.len(), q) - 1])
+    }
+
     #[test]
     fn percentiles_are_nearest_rank() {
         let waits: Vec<u64> = (1..=100).collect();
         assert_eq!(percentile(&waits, 0.50), SimDuration::from_micros(50));
         assert_eq!(percentile(&waits, 0.99), SimDuration::from_micros(99));
         assert_eq!(percentile(&[], 0.99), SimDuration::ZERO);
+        let mut shuffled: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(
+            select_percentiles(&mut shuffled, 0.50, 0.99),
+            (SimDuration::from_micros(50), SimDuration::from_micros(99))
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn selected_percentiles_match_the_sorted_oracle(
+            values in prop_oneof![
+                proptest::collection::vec(0u64..1_000_000, 0..2),
+                proptest::collection::vec(0u64..50, 0..400),
+                proptest::collection::vec(0u64..1_000_000, 0..3_000),
+                (0u64..1_000, 0usize..300).prop_map(|(v, n)| vec![v; n]),
+            ],
+            (lo, hi) in (0.0f64..1.0, 0.0f64..1.0).prop_map(|(a, b)| (a.min(b), a.max(b))),
+        ) {
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            for (lo, hi) in [(0.50, 0.99), (lo, hi), (lo, lo)] {
+                let mut selected = values.clone();
+                prop_assert_eq!(
+                    select_percentiles(&mut selected, lo, hi),
+                    (percentile(&sorted, lo), percentile(&sorted, hi))
+                );
+            }
+        }
     }
 
     #[test]

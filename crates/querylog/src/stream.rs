@@ -23,12 +23,21 @@
 //!   the materialized log. `LogGenerator::generate_month` is now a thin
 //!   [`EventStream::collect_log`] wrapper over this stream.
 //!
+//! Because cells are independent, a day is generated in parallel: the
+//! users split into contiguous ranges, one per core (populations below
+//! a few thousand users per core stay on the calling thread), each worker
+//! draws its range into per-epoch pieces, and every epoch is the pieces
+//! appended in range order — the serial user order — then sorted. The
+//! batches are bit-identical for any core count.
+//!
 //! Query times follow a diurnal profile ([`DIURNAL_HOUR_WEIGHTS`],
 //! after Carlsson & Eager's time-varying request volumes): a night
 //! trough, a morning ramp, and an evening peak, so day-scale runs exhibit
 //! the load shapes a front-end's admission control must ride out.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,6 +212,38 @@ pub fn user_month_entries(
     entries
 }
 
+/// Fewest users a day-generation worker is given: below this a thread's
+/// start-up outweighs its share, so test-scale populations stay serial.
+const MIN_USERS_PER_WORKER: usize = 2_048;
+
+/// Runs `work` over `inputs`, one scoped thread per input (inline when
+/// there is only one), and returns the outputs in input order. A worker's
+/// panic is re-raised with its original payload.
+fn on_workers<I, O, F>(inputs: Vec<I>, work: F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> O + Sync,
+{
+    if inputs.len() <= 1 {
+        return inputs.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| scope.spawn(move || work(input)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 /// Which month an [`EventStream`] generates and how finely each day is
 /// chunked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,9 +282,15 @@ pub struct EpochBatch {
 impl EpochBatch {
     /// The simulated instant (in microseconds since day 0) at which this
     /// epoch ends — the natural `now` for folding telemetry.
+    ///
+    /// Entries are bucketed by `⌊m·E/D⌋` for micros-of-day `m`, `E` epochs
+    /// and a `D`-µs day, so epoch `k` holds exactly `m < ⌈(k+1)·D/E⌉` —
+    /// also when `E` does not divide `D`.
     pub fn end_micros(&self, epochs_per_day: u16) -> u64 {
-        let per = MICROS_PER_DAY / u64::from(epochs_per_day.max(1));
-        u64::from(self.day) * MICROS_PER_DAY + u64::from(self.epoch_of_day + 1) * per
+        // `(k+1)·D ≤ 65,536·D < 2^63`: no overflow in u64.
+        let end_of_day = ((u64::from(self.epoch_of_day) + 1) * MICROS_PER_DAY)
+            .div_ceil(u64::from(epochs_per_day.max(1)));
+        u64::from(self.day) * MICROS_PER_DAY + end_of_day
     }
 }
 
@@ -384,12 +431,93 @@ impl<'a> EventStream<'a> {
         self.peak_day_entries
     }
 
-    /// Generates day `day` into per-epoch buckets.
+    /// Generates day `day` into the pending queue, on as many workers as
+    /// the host has cores and the population has [`MIN_USERS_PER_WORKER`]
+    /// users for.
     fn generate_day(&mut self, day: u16) {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let workers = cores.min(self.profiles.n_users() / MIN_USERS_PER_WORKER);
+        let batches = self.day_batches(day, workers);
+        let day_entries: usize = batches.iter().map(|b| b.entries.len()).sum();
+        self.peak_day_entries = self.peak_day_entries.max(day_entries);
+        self.pending.extend(batches);
+    }
+
+    /// Day `day`'s epoch batches, generated on `workers` threads (at
+    /// least one). Users split into contiguous ranges, one per worker,
+    /// each drawing its users' events into its own per-epoch pieces; an
+    /// epoch is then the workers' pieces appended in range order — which
+    /// is user order, exactly the serial generation order — and sorted.
+    /// Every cell's RNG is independent of every other's and entries with
+    /// equal sort keys are identical, so the batches are the same for any
+    /// worker count.
+    fn day_batches(&self, day: u16, workers: usize) -> Vec<EpochBatch> {
         let epochs = usize::from(self.config.epochs_per_day);
-        let mut buckets: Vec<Vec<LogEntry>> = (0..epochs).map(|_| Vec::new()).collect();
+        let n_users = self.profiles.n_users();
+        let workers = workers.clamp(1, n_users.max(1));
+        let per_worker = n_users.div_ceil(workers);
+        // Every bucket is first allocated here, on the calling thread.
+        // Allocators with per-thread arenas (glibc's) grow a block inside
+        // the arena it came from, so the day lands in the caller's arena,
+        // which reuses it once the batches drop; buckets born on workers
+        // strand that memory in worker arenas (+22% peak RSS on a
+        // 1M-user day).
+        let shares: Vec<(Range<usize>, Vec<Vec<LogEntry>>)> = (0..workers)
+            .map(|w| {
+                let users = (w * per_worker).min(n_users)..((w + 1) * per_worker).min(n_users);
+                (users, (0..epochs).map(|_| Vec::with_capacity(1)).collect())
+            })
+            .collect();
+        let mut pieces = on_workers(shares, |(users, mut buckets)| {
+            self.user_range_day(users, day, &mut buckets);
+            buckets
+        });
+
+        let mut merged: Vec<Vec<LogEntry>> = Vec::with_capacity(epochs);
+        for e in 0..epochs {
+            let (first, rest) = pieces.split_at_mut(1);
+            let mut entries = std::mem::take(&mut first[0][e]);
+            entries.reserve_exact(rest.iter().map(|worker| worker[e].len()).sum());
+            // Each piece is freed as soon as it is appended, so the day is
+            // never resident twice.
+            for worker in rest {
+                entries.extend(std::mem::take(&mut worker[e]));
+            }
+            merged.push(entries);
+        }
+
+        // The diurnal profile makes epochs uneven; dealing them out
+        // round-robin balances the sorts across workers.
+        let mut sort_lanes: Vec<Vec<&mut Vec<LogEntry>>> =
+            (0..workers).map(|_| Vec::new()).collect();
+        for (i, entries) in merged.iter_mut().enumerate() {
+            sort_lanes[i % workers].push(entries);
+        }
+        on_workers(sort_lanes, |lane| {
+            for entries in lane {
+                entries.sort_unstable_by_key(|e| (e.time, e.user, e.pair));
+            }
+        });
+
+        merged
+            .into_iter()
+            .enumerate()
+            .map(|(slice, entries)| EpochBatch {
+                month: self.config.month,
+                day,
+                epoch_of_day: slice as u16,
+                epoch: u32::from(day) * u32::from(self.config.epochs_per_day) + slice as u32,
+                entries,
+            })
+            .collect()
+    }
+
+    /// One worker's share of a day: appends the events of `users`, in
+    /// user then generation order, to their epochs' `buckets`.
+    fn user_range_day(&self, users: Range<usize>, day: u16, buckets: &mut [Vec<LogEntry>]) {
+        let epochs = buckets.len();
         let mut scratch = Vec::new();
-        for u in 0..self.profiles.n_users() {
+        for u in users {
             let user = UserId::new(u as u32);
             let derived;
             let profile = match &self.profiles {
@@ -413,18 +541,6 @@ impl<'a> EventStream<'a> {
                 let slice = (e.time.micros_of_day * epochs as u64 / MICROS_PER_DAY) as usize;
                 buckets[slice.min(epochs - 1)].push(*e);
             }
-        }
-        let day_entries: usize = buckets.iter().map(Vec::len).sum();
-        self.peak_day_entries = self.peak_day_entries.max(day_entries);
-        for (slice, mut entries) in buckets.into_iter().enumerate() {
-            entries.sort_by_key(|e| (e.time, e.user, e.pair));
-            self.pending.push_back(EpochBatch {
-                month: self.config.month,
-                day,
-                epoch_of_day: slice as u16,
-                epoch: u32::from(day) * u32::from(self.config.epochs_per_day) + slice as u32,
-                entries,
-            });
         }
     }
 
@@ -495,23 +611,91 @@ mod tests {
 
     #[test]
     fn batches_cover_every_epoch_in_order() {
-        let (g, batches) = stream(6);
-        let days = g.config().days_per_month;
-        assert_eq!(batches.len(), usize::from(days) * 6);
-        for (i, b) in batches.iter().enumerate() {
-            assert_eq!(b.epoch as usize, i);
-            assert_eq!(b.day, (i / 6) as u16);
-            assert_eq!(b.epoch_of_day, (i % 6) as u16);
-            let per = MICROS_PER_DAY / 6;
-            let lo = u64::from(b.day) * MICROS_PER_DAY + u64::from(b.epoch_of_day) * per;
-            for e in &b.entries {
-                let at = u64::from(e.time.day) * MICROS_PER_DAY + e.time.micros_of_day;
-                assert!(at >= lo && at < lo + per, "entry outside its epoch slice");
+        // 7 does not divide the day's microseconds: epoch ends must still
+        // agree with the bucketing.
+        for epochs in [6u16, 7, 24] {
+            let (g, batches) = stream(epochs);
+            let per_day = usize::from(epochs);
+            let days = g.config().days_per_month;
+            assert_eq!(batches.len(), usize::from(days) * per_day);
+            let mut start = 0;
+            for (i, b) in batches.iter().enumerate() {
+                assert_eq!(b.epoch as usize, i);
+                assert_eq!(b.day, (i / per_day) as u16);
+                assert_eq!(b.epoch_of_day, (i % per_day) as u16);
+                let end = b.end_micros(epochs);
+                assert!(end > start, "epochs must have positive length");
+                for e in &b.entries {
+                    let at = u64::from(e.time.day) * MICROS_PER_DAY + e.time.micros_of_day;
+                    assert!(
+                        (start..end).contains(&at),
+                        "entry at {at} outside epoch {i} = [{start}, {end})"
+                    );
+                }
+                assert!(b.entries.windows(2).all(
+                    |w| (w[0].time, w[0].user, w[0].pair) <= (w[1].time, w[1].user, w[1].pair)
+                ));
+                start = end;
             }
-            assert!(b
-                .entries
-                .windows(2)
-                .all(|w| (w[0].time, w[0].user, w[0].pair) <= (w[1].time, w[1].user, w[1].pair)));
+            assert_eq!(start, u64::from(days) * MICROS_PER_DAY);
+        }
+    }
+
+    #[test]
+    fn epoch_ends_partition_an_unevenly_divided_day() {
+        let batch = |epoch_of_day| EpochBatch {
+            month: 0,
+            day: 0,
+            epoch_of_day,
+            epoch: u32::from(epoch_of_day),
+            entries: Vec::new(),
+        };
+        // An entry five µs before midnight buckets into the last epoch,
+        // which must therefore end after it.
+        let last = MICROS_PER_DAY - 5;
+        assert_eq!(last * 7 / MICROS_PER_DAY, 6);
+        assert_eq!(batch(6).end_micros(7), MICROS_PER_DAY);
+        for k in 0..7u16 {
+            let end = batch(k).end_micros(7);
+            assert_eq!((end - 1) * 7 / MICROS_PER_DAY, u64::from(k));
+            assert_eq!(end * 7 / MICROS_PER_DAY, u64::from(k) + 1);
+        }
+        for epochs in [1u16, 4, 6, 24] {
+            let per = MICROS_PER_DAY / u64::from(epochs);
+            for k in 0..epochs {
+                assert_eq!(batch(k).end_micros(epochs), (u64::from(k) + 1) * per);
+            }
+        }
+    }
+
+    #[test]
+    fn day_batches_are_invariant_in_the_worker_count() {
+        let g = LogGenerator::new(GeneratorConfig::test_scale(), 42);
+        let behavior = g.config().behavior;
+        let config = StreamConfig {
+            month: 1,
+            epochs_per_day: 7,
+        };
+        let table =
+            EventStream::with_profiles(g.universe(), g.profiles(), behavior, 42, 28, config);
+        // 301 users divide by none of 2, 3 and 8; 5 users are fewer than 8
+        // workers.
+        let derived = EventStream::new(g.universe(), behavior, 42, 301, 28, config);
+        let tiny = EventStream::new(g.universe(), behavior, 42, 5, 28, config);
+        for stream in [&table, &derived, &tiny] {
+            let mut events = 0;
+            for day in [0u16, 13, 27] {
+                let serial = stream.day_batches(day, 1);
+                events += serial.iter().map(|b| b.entries.len()).sum::<usize>();
+                for workers in [2usize, 3, 8] {
+                    assert!(
+                        stream.day_batches(day, workers) == serial,
+                        "{} users, day {day}: {workers} workers differ from one",
+                        stream.n_users()
+                    );
+                }
+            }
+            assert!(events > 0, "{} users drew no events", stream.n_users());
         }
     }
 

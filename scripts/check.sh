@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo fmt --check (pipeline-bench is its own workspace; the root check skips it)"
+cargo fmt --check --manifest-path pipeline-bench/Cargo.toml
+
 echo "==> cloudlet-analysis lint (policy rules R1-R5)"
 cargo run -q -p cloudlet-analysis --bin lint
 
