@@ -171,6 +171,7 @@ impl Allowlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn finding(rule: Rule, path: &str, snippet: &str) -> Finding {
         Finding {
@@ -234,5 +235,34 @@ mod tests {
         let unused = allow.unused();
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].reason, "two");
+    }
+
+    /// Lines over the format's own alphabet (rule ids, `|`, `*`, `#`),
+    /// four-field entries with maybe-empty fields, and arbitrary bytes.
+    fn hostile_text() -> impl Strategy<Value = String> {
+        let entry = (
+            "[R1-59*]{0,2}",
+            "[a-z/ ]{0,6}",
+            "[*a-z]{0,4}",
+            "[a-z| ]{0,6}",
+        )
+            .prop_map(|(rule, path, needle, reason)| format!("{rule}|{path}|{needle}|{reason}"));
+        let line = prop_oneof!["[|*#R1-9a-z/. \t\r]{0,40}", entry];
+        prop_oneof![
+            3 => proptest::collection::vec(line, 0..8).prop_map(|lines| lines.join("\n")),
+            1 => proptest::collection::vec(any::<u8>(), 0..160)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        ]
+    }
+
+    proptest! {
+        /// Hostile input never panics: every text parses, or fails with
+        /// a typed error naming one of its own lines.
+        #[test]
+        fn arbitrary_text_parses_or_names_a_line(text in hostile_text()) {
+            if let Err(err) = Allowlist::parse(&text) {
+                prop_assert!((1..=text.lines().count()).contains(&err.line));
+            }
+        }
     }
 }

@@ -22,8 +22,9 @@
 //! [`allowlist`]); every entry names the rule, the path, and — the
 //! important part — the reason.
 //!
-//! The crate has no dependencies and no `build.rs`: it must stay
-//! cheap enough to run before the test suite on every CI pass.
+//! The crate has no dependencies (the vendored `proptest` is only a
+//! dev-dependency) and no `build.rs`: it must stay cheap enough to run
+//! before the test suite on every CI pass.
 
 pub mod allowlist;
 pub mod lexer;

@@ -70,11 +70,11 @@ fn bench_serve_batch(c: &mut Criterion) {
         println!(
             "{:>7}  {:>10}  {:>12.3}  {:>8.1} ({})  {:>9.4}",
             shards,
-            report.hits(),
+            report.totals().hits,
             report.makespan.as_secs_f64(),
             qps,
             speedup,
-            report.hit_rate()
+            report.totals().hit_rate()
         );
     }
 }
@@ -131,11 +131,11 @@ fn bench_frontend_batch(c: &mut Criterion) {
         println!(
             "{:>10}  {:>8}  {:>10}  {:>8.1} ({})  {:>9.4}",
             name,
-            report.hits(),
-            report.coalesced(),
+            report.totals().hits,
+            report.totals().coalesced,
             qps,
             speedup,
-            report.hit_rate()
+            report.totals().hit_rate()
         );
     }
 }

@@ -741,7 +741,7 @@ fn fleet_study(opts: &Options) {
         let base = *baseline_qps.get_or_insert(qps);
         table.row(&[
             shards.to_string(),
-            format!("{:.4}", report.hit_rate()),
+            format!("{:.4}", report.totals().hit_rate()),
             format!("{:.2} s", report.makespan.as_secs_f64()),
             format!("{qps:.1}"),
             format!("{:.2}x", qps / base),
@@ -845,15 +845,16 @@ fn frontend_study(opts: &Options) {
         let (_, frontend) = search_frontend(&engine, shards, config);
         let batch = frontend.serve_batch(&requests).expect("frontend batch");
         let report = &batch.report;
-        assert_eq!(report.rejected(), 0, "Park must shed nothing");
+        let totals = report.totals();
+        assert_eq!(totals.rejected, 0, "Park must shed nothing");
         let qps = report.throughput_qps();
         let base = *baseline_qps.get_or_insert(qps);
         let p99_ms = report.queue_wait_p99.as_secs_f64() * 1_000.0;
         table.row(&[
             name.to_owned(),
-            format!("{:.4}", report.hit_rate()),
-            report.coalesced().to_string(),
-            report.stolen().to_string(),
+            format!("{:.4}", totals.hit_rate()),
+            totals.coalesced.to_string(),
+            totals.stolen.to_string(),
             format!("{p99_ms:.0} ms"),
             format!("{qps:.1}"),
             format!("{:.2}x", qps / base),
@@ -862,10 +863,10 @@ fn frontend_study(opts: &Options) {
             name,
             config,
             sim_qps: qps,
-            hit_ratio: report.hit_rate(),
+            hit_ratio: totals.hit_rate(),
             p99_wait_ms: p99_ms,
-            coalesced: report.coalesced(),
-            stolen: report.stolen(),
+            coalesced: totals.coalesced,
+            stolen: totals.stolen,
         });
     }
     println!("{}", table.render());
@@ -895,8 +896,8 @@ fn frontend_study(opts: &Options) {
         let report = &batch.report;
         shed_table.row(&[
             depth.to_string(),
-            report.served().to_string(),
-            report.rejected().to_string(),
+            report.totals().served().to_string(),
+            report.totals().rejected.to_string(),
             format!("{:.0} ms", report.queue_wait_p99.as_secs_f64() * 1_000.0),
             format!("{:.1}", report.throughput_qps()),
         ]);
@@ -1516,21 +1517,18 @@ struct PopulationEpochRow {
     epoch: u32,
     hour: u16,
     phase: &'static str,
-    events: u64,
-    hits: u64,
-    misses: u64,
-    shed: u64,
-    radio_bytes: u64,
+    /// The epoch's front-end totals (a telemetry delta).
+    totals: LaneTotals,
     radio_energy_mj: f64,
 }
 
 impl PopulationEpochRow {
     fn hit_ratio(&self) -> f64 {
-        self.hits as f64 / self.events.max(1) as f64
+        self.totals.hits as f64 / self.totals.events.max(1) as f64
     }
 
     fn shed_ratio(&self) -> f64 {
-        self.shed as f64 / self.events.max(1) as f64
+        self.totals.rejected as f64 / self.totals.events.max(1) as f64
     }
 }
 
@@ -1665,16 +1663,13 @@ fn population_study(opts: &Options) {
             arbitrations += 1;
         }
         let cum = frontend.telemetry().aggregate();
+        let totals = cum.delta_since(&prev);
         rows.push(PopulationEpochRow {
             epoch: batch.epoch,
             hour: batch.epoch_of_day,
             phase: diurnal_phase(batch.epoch_of_day),
-            events: cum.events - prev.events,
-            hits: cum.hits - prev.hits,
-            misses: cum.misses - prev.misses,
-            shed: cum.rejected - prev.rejected,
-            radio_bytes: cum.radio_bytes - prev.radio_bytes,
-            radio_energy_mj: (cum.misses - prev.misses) as f64 * miss_energy_mj,
+            totals,
+            radio_energy_mj: totals.misses as f64 * miss_energy_mj,
         });
         prev = cum;
     }
@@ -1684,8 +1679,8 @@ fn population_study(opts: &Options) {
     let community_bytes = world.community.footprint_bytes() as u64;
     let pair_bytes = world.pairs.footprint_bytes() as u64;
     let peak_entries = stream.peak_day_entries();
-    let total_events: u64 = rows.iter().map(|r| r.events).sum();
-    let total_hits: u64 = rows.iter().map(|r| r.hits).sum();
+    let total_events: u64 = rows.iter().map(|r| r.totals.events).sum();
+    let total_hits: u64 = rows.iter().map(|r| r.totals.hits).sum();
     let hit_ratio = total_hits as f64 / total_events.max(1) as f64;
 
     let mut table = Table::new(
@@ -1704,17 +1699,14 @@ fn population_study(opts: &Options) {
     );
     for phase in ["night", "morning", "afternoon", "evening"] {
         let picks: Vec<&PopulationEpochRow> = rows.iter().filter(|r| r.phase == phase).collect();
-        let events: u64 = picks.iter().map(|r| r.events).sum();
-        let hits: u64 = picks.iter().map(|r| r.hits).sum();
-        let shed: u64 = picks.iter().map(|r| r.shed).sum();
-        let bytes: u64 = picks.iter().map(|r| r.radio_bytes).sum();
+        let t = LaneTotals::aggregate(&picks.iter().map(|r| r.totals).collect::<Vec<_>>());
         let energy: f64 = picks.iter().map(|r| r.radio_energy_mj).sum();
         table.row(&[
             phase.to_owned(),
-            events.to_string(),
-            format!("{:.4}", hits as f64 / events.max(1) as f64),
-            format!("{:.4}", shed as f64 / events.max(1) as f64),
-            format!("{:.2}", bytes as f64 / 1e6),
+            t.events.to_string(),
+            format!("{:.4}", t.hits as f64 / t.events.max(1) as f64),
+            format!("{:.4}", t.rejected as f64 / t.events.max(1) as f64),
+            format!("{:.2}", t.radio_bytes as f64 / 1e6),
             format!("{:.1}", energy / 1_000.0),
         ]);
     }
@@ -1762,7 +1754,7 @@ fn population_study(opts: &Options) {
     // The committed artifact is witness to the memory claim: nothing was
     // shed (Park), the stream never held more than one day, and per-user
     // resident state is bounded by a small constant.
-    assert_eq!(telemetry.shed(), 0, "Park must shed nothing");
+    assert_eq!(telemetry.aggregate().rejected, 0, "Park must shed nothing");
     assert!(total_events > 0, "the day must contain events");
     assert!(
         peak_entries as u64 <= 8 * users as u64,
@@ -1814,13 +1806,13 @@ fn population_json(
                 r.epoch,
                 r.hour,
                 r.phase,
-                r.events,
-                r.hits,
-                r.misses,
-                r.shed,
+                r.totals.events,
+                r.totals.hits,
+                r.totals.misses,
+                r.totals.rejected,
                 r.hit_ratio(),
                 r.shed_ratio(),
-                r.radio_bytes,
+                r.totals.radio_bytes,
                 r.radio_energy_mj,
             )
         })
@@ -1855,19 +1847,16 @@ struct PeersRow {
     skew: f64,
     bits: usize,
     cell: usize,
-    events: u64,
-    hits: u64,
-    misses: u64,
+    /// The measured stream's front-end totals.
+    totals: LaneTotals,
     fabric: PeerFabricStats,
-    radio_bytes: u64,
-    peer_bytes: u64,
     radio_energy_mj: f64,
     peer_energy_mj: f64,
 }
 
 impl PeersRow {
     fn hit_ratio(&self) -> f64 {
-        self.hits as f64 / self.events.max(1) as f64
+        self.totals.hits as f64 / self.totals.events.max(1) as f64
     }
 }
 
@@ -1894,7 +1883,7 @@ fn peers_arm(
     let batch = frontend
         .serve_batch(&workload.measure)
         .expect("measured batch");
-    let report = &batch.report;
+    let totals = batch.report.totals();
 
     // Cells were attached after warm-up, so their counters cover
     // exactly the measured stream; the front-end's view of peer serves
@@ -1907,20 +1896,16 @@ fn peers_arm(
         fabric.peer_bytes += stats.peer_bytes;
         fabric.radio_fallbacks += stats.radio_fallbacks;
     }
-    assert_eq!(report.peer_hits(), fabric.peer_hits);
-    assert_eq!(report.peer_bytes(), fabric.peer_bytes);
+    assert_eq!(totals.peer_hits, fabric.peer_hits);
+    assert_eq!(totals.peer_bytes, fabric.peer_bytes);
 
     PeersRow {
         skew,
         bits: config.summary_bits,
         cell,
-        events: report.events(),
-        hits: report.hits(),
-        misses: report.misses(),
+        totals,
         fabric,
-        radio_bytes: report.radio_bytes(),
-        peer_bytes: report.peer_bytes(),
-        radio_energy_mj: report.misses() as f64 * miss_energy_mj,
+        radio_energy_mj: totals.misses as f64 * miss_energy_mj,
         peer_energy_mj: fabric.peer_hits as f64 * config.fetch_energy_mj()
             + fabric.false_positives as f64 * config.probe_energy_mj(),
     }
@@ -2022,7 +2007,10 @@ fn peers_study(opts: &Options) {
                     miss_energy_mj,
                 );
                 let base = &arms[0];
-                assert_eq!(row.events, base.events, "identical replay across arms");
+                assert_eq!(
+                    row.totals.events, base.totals.events,
+                    "identical replay across arms"
+                );
                 assert!(
                     row.hit_ratio() > base.hit_ratio(),
                     "pooling must lift the aggregate hit ratio (skew {skew}, {bits} bits, \
@@ -2034,7 +2022,7 @@ fn peers_study(opts: &Options) {
                      cell {cell})"
                 );
                 assert_eq!(
-                    base.misses - row.misses,
+                    base.totals.misses - row.totals.misses,
                     row.fabric.peer_hits,
                     "every avoided radio miss must be a peer serve"
                 );
@@ -2093,15 +2081,15 @@ fn peers_json(
                 r.skew,
                 r.bits,
                 r.cell,
-                r.events,
-                r.hits,
-                r.misses,
+                r.totals.events,
+                r.totals.hits,
+                r.totals.misses,
                 r.hit_ratio(),
                 r.fabric.peer_hits,
                 r.fabric.consults,
                 r.fabric.false_positives,
-                r.radio_bytes,
-                r.peer_bytes,
+                r.totals.radio_bytes,
+                r.totals.peer_bytes,
                 r.radio_energy_mj / devices as f64,
                 r.peer_energy_mj / devices as f64,
             )

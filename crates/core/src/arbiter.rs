@@ -409,14 +409,11 @@ fn project_stats(stats: &ServeStats) -> LaneTotals {
         stale_hits: stats.stale_hits,
         misses: stats.misses,
         skipped: stats.skipped,
-        errors: 0,
-        rejected: 0,
-        coalesced: 0,
-        stolen: 0,
         radio_bytes: stats.radio_bytes,
         peer_hits: stats.peer_hits,
         peer_bytes: stats.peer_bytes,
         busy: stats.busy,
+        ..LaneTotals::default()
     }
 }
 

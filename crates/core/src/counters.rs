@@ -1,14 +1,12 @@
 //! Reusable lock-free statistics counters.
 //!
-//! Several layers keep monotonic per-lane statistics in banks of
-//! `AtomicU64`s — the front-end's lane counters, the search fleet's
-//! shard counters, and the lock-free hash table's publication stats.
-//! Before this module each of them hand-rolled the same fields and the
-//! same `bump`/`peek` helpers (with the same memory-ordering
-//! justification copied alongside). [`CounterSet`] is the one shared
-//! implementation: a fixed-size bank of slots with relaxed
-//! bump/peek semantics, so the ordering argument lives in exactly one
-//! place.
+//! Two layers keep monotonic statistics in banks of `AtomicU64`s: the
+//! front-end's cumulative per-lane totals (each `serve_batch` adds its
+//! batch-local `LaneTotals` in one step) and the cooperative
+//! [`crate::peer::PeerFabric`]'s consult counters. [`CounterSet`] is
+//! their one shared implementation: a fixed-size bank of slots with
+//! relaxed bump/peek semantics, so the ordering argument lives in
+//! exactly one place.
 //!
 //! Wrappers give slots meaning with `const` indexes:
 //!

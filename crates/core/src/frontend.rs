@@ -322,82 +322,31 @@ impl FrontendConfigBuilder {
     }
 }
 
-/// Monotonic per-lane counters, updated lock-free through the shared
-/// [`CounterSet`] bank (which owns the memory-ordering argument).
+/// One lane's cumulative counters: a lock-free [`CounterSet`] bank
+/// (which owns the memory-ordering argument) in `lane_slots!` order.
+/// Serves never bump it request by request; each call adds its locally
+/// counted totals in one step.
 #[derive(Debug, Default)]
-struct FrontCounters(CounterSet<13>);
+struct FrontCounters(CounterSet<{ LaneTotals::SLOTS }>);
 
 impl FrontCounters {
-    const EVENTS: usize = 0;
-    const HITS: usize = 1;
-    const STALE_HITS: usize = 2;
-    const MISSES: usize = 3;
-    const SKIPPED: usize = 4;
-    const ERRORS: usize = 5;
-    const REJECTED: usize = 6;
-    const COALESCED: usize = 7;
-    const STOLEN: usize = 8;
-    const RADIO_BYTES: usize = 9;
-    const BUSY_MICROS: usize = 10;
-    const PEER_HITS: usize = 11;
-    const PEER_BYTES: usize = 12;
-
-    fn record_outcome(&self, outcome: &ServeOutcome, coalesced: bool, stolen: bool) {
-        self.0.bump(Self::EVENTS, 1);
-        let bucket = match outcome.kind {
-            ServeKind::Hit => Self::HITS,
-            ServeKind::StaleHit => Self::STALE_HITS,
-            ServeKind::Miss => Self::MISSES,
-            ServeKind::Skipped => Self::SKIPPED,
-        };
-        self.0.bump(bucket, 1);
-        // Followers count with their leader's outcome (like hits), but
-        // the peer link only carried the leader's bytes.
-        if outcome.source == ServeSource::Peer {
-            self.0.bump(Self::PEER_HITS, 1);
-        }
-        if coalesced {
-            self.0.bump(Self::COALESCED, 1);
-        } else {
-            // Followers ride the leader's serve: no radio, no busy time.
-            self.0.bump(Self::RADIO_BYTES, outcome.radio_bytes);
-            self.0.bump(Self::PEER_BYTES, outcome.peer_bytes);
-            self.0.bump(Self::BUSY_MICROS, outcome.service.as_micros());
-        }
-        if stolen {
-            self.0.bump(Self::STOLEN, 1);
-        }
-    }
-
-    fn record_error(&self, rejected: bool) {
-        self.0.bump(Self::EVENTS, 1);
-        if rejected {
-            self.0.bump(Self::REJECTED, 1);
-        } else {
-            self.0.bump(Self::ERRORS, 1);
+    /// Adds a batch's (or one request's) totals, skipping zero fields
+    /// so a lone hit costs only the adds it changes.
+    fn add(&self, totals: &LaneTotals) {
+        for (slot, amount) in totals.to_slots().into_iter().enumerate() {
+            if amount != 0 {
+                self.0.bump(slot, amount);
+            }
         }
     }
 
     fn snapshot(&self) -> LaneTotals {
-        LaneTotals {
-            events: self.0.peek(Self::EVENTS),
-            hits: self.0.peek(Self::HITS),
-            stale_hits: self.0.peek(Self::STALE_HITS),
-            misses: self.0.peek(Self::MISSES),
-            skipped: self.0.peek(Self::SKIPPED),
-            errors: self.0.peek(Self::ERRORS),
-            rejected: self.0.peek(Self::REJECTED),
-            coalesced: self.0.peek(Self::COALESCED),
-            stolen: self.0.peek(Self::STOLEN),
-            radio_bytes: self.0.peek(Self::RADIO_BYTES),
-            peer_hits: self.0.peek(Self::PEER_HITS),
-            peer_bytes: self.0.peek(Self::PEER_BYTES),
-            busy: SimDuration::from_micros(self.0.peek(Self::BUSY_MICROS)),
-        }
+        LaneTotals::from_slots(self.0.snapshot())
     }
 }
 
-/// One lane's cumulative front-end totals.
+/// One lane's front-end totals: cumulative in [`Frontend::telemetry`],
+/// per batch in [`FrontendReport::lanes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LaneTotals {
     /// Requests routed to (or stolen by) this lane, including rejected
@@ -431,14 +380,87 @@ pub struct LaneTotals {
     pub busy: SimDuration,
 }
 
+/// Writes the one `LaneTotals` ↔ counter-slot mapping from a single
+/// field list: the listed `u64` fields take slots in order and `busy`
+/// takes the last, in microseconds. The snapshot, the per-batch add,
+/// `aggregate` and `delta_since` all go through it.
+macro_rules! lane_slots {
+    ($($field:ident),+ $(,)?) => {
+        impl LaneTotals {
+            const SLOTS: usize = [$(stringify!($field),)+ "busy"].len();
+
+            fn to_slots(self) -> [u64; Self::SLOTS] {
+                [$(self.$field,)+ self.busy.as_micros()]
+            }
+
+            fn from_slots(slots: [u64; Self::SLOTS]) -> LaneTotals {
+                let [$($field,)+ busy] = slots;
+                LaneTotals {
+                    $($field,)+
+                    busy: SimDuration::from_micros(busy),
+                }
+            }
+        }
+    };
+}
+
+lane_slots! {
+    events, hits, stale_hits, misses, skipped, errors, rejected, coalesced, stolen, radio_bytes,
+    peer_hits, peer_bytes,
+}
+
 impl LaneTotals {
+    /// Folds one request's disposition into these totals — the
+    /// front-end's one accounting rule. Every request counts one event
+    /// and one outcome bucket; [`CloudletError::QueueFull`] counts as a
+    /// rejection, not an error. Peer answers are a subset of hits.
+    /// Followers (`coalesced`) count with their leader's outcome but
+    /// add no radio bytes, peer bytes or busy time: they rode the
+    /// leader's serve.
+    pub fn record(
+        &mut self,
+        result: &Result<ServeOutcome, CloudletError>,
+        coalesced: bool,
+        stolen: bool,
+    ) {
+        self.events += 1;
+        let outcome = match result {
+            Ok(outcome) => outcome,
+            Err(CloudletError::QueueFull { .. }) => {
+                self.rejected += 1;
+                return;
+            }
+            Err(_) => {
+                self.errors += 1;
+                return;
+            }
+        };
+        match outcome.kind {
+            ServeKind::Hit => self.hits += 1,
+            ServeKind::StaleHit => self.stale_hits += 1,
+            ServeKind::Miss => self.misses += 1,
+            ServeKind::Skipped => self.skipped += 1,
+        }
+        if outcome.source == ServeSource::Peer {
+            self.peer_hits += 1;
+        }
+        if coalesced {
+            self.coalesced += 1;
+        } else {
+            self.radio_bytes += outcome.radio_bytes;
+            self.peer_bytes += outcome.peer_bytes;
+            self.busy += outcome.service;
+        }
+        if stolen {
+            self.stolen += 1;
+        }
+    }
+
     /// Sums a set of lane totals into one aggregate.
     pub fn aggregate(lanes: &[LaneTotals]) -> LaneTotals {
-        let mut total = LaneTotals::default();
-        for lane in lanes {
-            total.merge(lane);
-        }
-        total
+        lanes.iter().fold(LaneTotals::default(), |total, lane| {
+            total.zip_with(lane, u64::saturating_add)
+        })
     }
 
     /// The counters accumulated since `earlier` was snapshotted, as a
@@ -447,37 +469,35 @@ impl LaneTotals {
     /// per-epoch observations.
     #[must_use]
     pub fn delta_since(&self, earlier: &LaneTotals) -> LaneTotals {
-        LaneTotals {
-            events: self.events.saturating_sub(earlier.events),
-            hits: self.hits.saturating_sub(earlier.hits),
-            stale_hits: self.stale_hits.saturating_sub(earlier.stale_hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            skipped: self.skipped.saturating_sub(earlier.skipped),
-            errors: self.errors.saturating_sub(earlier.errors),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            coalesced: self.coalesced.saturating_sub(earlier.coalesced),
-            stolen: self.stolen.saturating_sub(earlier.stolen),
-            radio_bytes: self.radio_bytes.saturating_sub(earlier.radio_bytes),
-            peer_hits: self.peer_hits.saturating_sub(earlier.peer_hits),
-            peer_bytes: self.peer_bytes.saturating_sub(earlier.peer_bytes),
-            busy: self.busy.saturating_sub(earlier.busy),
+        self.zip_with(earlier, u64::saturating_sub)
+    }
+
+    /// Requests that actually completed (everything but rejections and
+    /// errors).
+    pub fn served(&self) -> u64 {
+        self.events - self.rejected - self.errors
+    }
+
+    /// Underlying serves: completed requests minus coalesced followers.
+    pub fn unique_serves(&self) -> u64 {
+        self.served() - self.coalesced
+    }
+
+    /// Pure-hit ratio over attempted requests (skips, rejections, and
+    /// errors excluded from the denominator). Followers count with
+    /// their leader's outcome, so coalescing never moves this number.
+    pub fn hit_rate(&self) -> f64 {
+        let attempted = self.served() - self.skipped;
+        if attempted == 0 {
+            0.0
+        } else {
+            self.hits as f64 / attempted as f64
         }
     }
 
-    fn merge(&mut self, other: &LaneTotals) {
-        self.events += other.events;
-        self.hits += other.hits;
-        self.stale_hits += other.stale_hits;
-        self.misses += other.misses;
-        self.skipped += other.skipped;
-        self.errors += other.errors;
-        self.rejected += other.rejected;
-        self.coalesced += other.coalesced;
-        self.stolen += other.stolen;
-        self.radio_bytes += other.radio_bytes;
-        self.peer_hits += other.peer_hits;
-        self.peer_bytes += other.peer_bytes;
-        self.busy += other.busy;
+    fn zip_with(&self, other: &LaneTotals, op: fn(u64, u64) -> u64) -> LaneTotals {
+        let (a, b) = (self.to_slots(), other.to_slots());
+        LaneTotals::from_slots(std::array::from_fn(|slot| op(a[slot], b[slot])))
     }
 }
 
@@ -533,95 +553,9 @@ pub struct FrontendReport {
 }
 
 impl FrontendReport {
-    /// Requests that entered the front-end (served + rejected + errors).
-    pub fn events(&self) -> u64 {
-        self.lanes.iter().map(|l| l.events).sum()
-    }
-
-    /// Pure local hits.
-    pub fn hits(&self) -> u64 {
-        self.lanes.iter().map(|l| l.hits).sum()
-    }
-
-    /// Stale hits.
-    pub fn stale_hits(&self) -> u64 {
-        self.lanes.iter().map(|l| l.stale_hits).sum()
-    }
-
-    /// Radio misses.
-    pub fn misses(&self) -> u64 {
-        self.lanes.iter().map(|l| l.misses).sum()
-    }
-
-    /// Declined consultations.
-    pub fn skipped(&self) -> u64 {
-        self.lanes.iter().map(|l| l.skipped).sum()
-    }
-
-    /// Typed serve errors (excluding queue rejections).
-    pub fn errors(&self) -> u64 {
-        self.lanes.iter().map(|l| l.errors).sum()
-    }
-
-    /// Requests shed by backpressure.
-    pub fn rejected(&self) -> u64 {
-        self.lanes.iter().map(|l| l.rejected).sum()
-    }
-
-    /// Follower requests that rode a coalesced serve.
-    pub fn coalesced(&self) -> u64 {
-        self.lanes.iter().map(|l| l.coalesced).sum()
-    }
-
-    /// Requests admitted on a sibling lane by work stealing.
-    pub fn stolen(&self) -> u64 {
-        self.lanes.iter().map(|l| l.stolen).sum()
-    }
-
-    /// Radio bytes across underlying serves.
-    pub fn radio_bytes(&self) -> u64 {
-        self.lanes.iter().map(|l| l.radio_bytes).sum()
-    }
-
-    /// Requests a cell peer answered instead of the radio (a subset of
-    /// [`FrontendReport::hits`]).
-    pub fn peer_hits(&self) -> u64 {
-        self.lanes.iter().map(|l| l.peer_hits).sum()
-    }
-
-    /// Peer-link bytes across underlying serves (fetches plus wasted
-    /// false-positive probes).
-    pub fn peer_bytes(&self) -> u64 {
-        self.lanes.iter().map(|l| l.peer_bytes).sum()
-    }
-
-    /// Requests that actually completed (everything but rejections and
-    /// errors).
-    pub fn served(&self) -> u64 {
-        self.events() - self.rejected() - self.errors()
-    }
-
-    /// Underlying serves: completed requests minus coalesced followers.
-    pub fn unique_serves(&self) -> u64 {
-        self.served() - self.coalesced()
-    }
-
-    /// Aggregate pure-hit ratio over attempted requests (skips,
-    /// rejections, and errors excluded from the denominator). Followers
-    /// count with their leader's outcome, so coalescing never moves
-    /// this number.
-    pub fn hit_rate(&self) -> f64 {
-        let attempted = self.served() - self.skipped();
-        if attempted == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / attempted as f64
-        }
-    }
-
-    /// Summed simulated service time across underlying serves.
-    pub fn total_busy(&self) -> SimDuration {
-        self.lanes.iter().map(|l| l.busy).sum()
+    /// All lanes summed into one [`LaneTotals`].
+    pub fn totals(&self) -> LaneTotals {
+        LaneTotals::aggregate(&self.lanes)
     }
 
     /// Serving throughput in completed requests per simulated second:
@@ -631,7 +565,7 @@ impl FrontendReport {
         if makespan == 0.0 {
             0.0
         } else {
-            self.served() as f64 / makespan
+            self.totals().served() as f64 / makespan
         }
     }
 }
@@ -680,21 +614,6 @@ impl FrontendTelemetry {
         let totals: Vec<LaneTotals> = self.lanes.iter().map(|l| l.totals).collect();
         LaneTotals::aggregate(&totals)
     }
-
-    /// Requests shed with [`CloudletError::QueueFull`], across lanes.
-    pub fn shed(&self) -> u64 {
-        self.lanes.iter().map(|l| l.totals.rejected).sum()
-    }
-
-    /// Just the per-lane front-end totals.
-    pub fn lane_totals(&self) -> Vec<LaneTotals> {
-        self.lanes.iter().map(|l| l.totals).collect()
-    }
-
-    /// Just the per-lane serve-path stats.
-    pub fn lane_stats(&self) -> Vec<ServeStats> {
-        self.lanes.iter().map(|l| l.stats).collect()
-    }
 }
 
 /// One serving lane: a cloudlet behind a rank-checked read/write lock
@@ -716,6 +635,7 @@ impl std::fmt::Debug for FrontLane {
 }
 
 /// Per-lane discrete-event state local to one `serve_batch` call.
+#[derive(Clone, Default)]
 struct LaneSim {
     /// When the lane's single exclusive server frees up.
     busy_until: SimInstant,
@@ -725,13 +645,6 @@ struct LaneSim {
 }
 
 impl LaneSim {
-    fn new() -> Self {
-        LaneSim {
-            busy_until: SimInstant::ZERO,
-            queue: VecDeque::new(),
-        }
-    }
-
     /// Queue occupancy at instant `t`: serves admitted whose completion
     /// is still in the future. Drains finished entries.
     fn occupancy_at(&mut self, t: SimInstant) -> usize {
@@ -740,13 +653,6 @@ impl LaneSim {
         }
         self.queue.len()
     }
-}
-
-/// A remembered leader serve a follower can ride.
-struct CoalesceEntry {
-    lane: usize,
-    outcome: ServeOutcome,
-    completion: SimInstant,
 }
 
 /// One lane's membership in a cooperative peer cell: which fabric it
@@ -893,8 +799,14 @@ impl Frontend {
     }
 
     /// One unified snapshot of everything the front-end measures:
-    /// per-lane front-end totals *and* serve-path stats, with aggregate
-    /// and shed-count accessors on the result.
+    /// per-lane front-end totals *and* serve-path stats.
+    ///
+    /// Each call counts its requests locally and adds them to the
+    /// cumulative lane totals in one step: a [`Frontend::serve_batch`]
+    /// shows up here when it returns, not request by request, and a
+    /// [`Frontend::serve_one`] when it returns. Read telemetry between
+    /// batches; a snapshot taken while another thread's batch is
+    /// finishing may be torn across lanes and fields.
     pub fn telemetry(&self) -> FrontendTelemetry {
         FrontendTelemetry {
             lanes: self
@@ -1050,12 +962,9 @@ impl Frontend {
     pub fn serve_one(&self, request: ServeRequest) -> Result<FrontServed, CloudletError> {
         let lane = self.lane_of(&request)?;
         let (result, fast_path) = self.execute(lane, &request, false);
-        match &result {
-            Ok(outcome) => self.lanes[lane]
-                .counters
-                .record_outcome(outcome, false, false),
-            Err(_) => self.lanes[lane].counters.record_error(false),
-        }
+        let mut totals = LaneTotals::default();
+        totals.record(&result, false, false);
+        self.lanes[lane].counters.add(&totals);
         result.map(|outcome| FrontServed {
             outcome: Ok(outcome),
             lane,
@@ -1088,12 +997,13 @@ impl Frontend {
             .map(|r| self.lane_of(r))
             .collect::<Result<_, _>>()?;
 
-        let mut sims: Vec<LaneSim> = (0..self.lanes.len()).map(|_| LaneSim::new()).collect();
+        let mut sims = vec![LaneSim::default(); self.lanes.len()];
         let mut read_pool = vec![SimInstant::ZERO; self.config.read_workers];
-        let mut in_flight: HashMap<(u32, u64), CoalesceEntry> = HashMap::new();
+        // Each key's leader in this window, as an index into `served`.
+        let mut in_flight: HashMap<(u32, u64), usize> = HashMap::new();
         let mut window = 0usize;
         let mut batch_lanes = vec![LaneTotals::default(); self.lanes.len()];
-        let mut served = Vec::with_capacity(requests.len());
+        let mut served: Vec<FrontServed> = Vec::with_capacity(requests.len());
         let mut waits: Vec<u64> = Vec::with_capacity(requests.len());
         let mut last_completion = SimInstant::ZERO;
 
@@ -1105,180 +1015,128 @@ impl Frontend {
                 in_flight.clear();
             }
             let t = request.at;
-
-            // Follower: ride an already-served leader in this window.
-            if self.config.coalescing {
-                if let Some(entry) = in_flight.get(&(request.service, request.key)) {
-                    let completed_at = entry.completion.max(t);
-                    let wait = completed_at.saturating_duration_since(t);
-                    self.lanes[entry.lane]
-                        .counters
-                        .record_outcome(&entry.outcome, true, false);
-                    record_lane(
-                        &mut batch_lanes[entry.lane],
-                        &Ok(entry.outcome),
-                        true,
-                        false,
-                    );
-                    waits.push(wait.as_micros());
-                    last_completion = last_completion.max(completed_at);
-                    served.push(FrontServed {
-                        outcome: Ok(entry.outcome),
-                        lane: entry.lane,
-                        coalesced: true,
-                        stolen: false,
-                        fast_path: false,
-                        queue_wait: wait,
-                        completed_at,
-                    });
-                    continue;
-                }
-            }
-
-            // Fast path: a read-only hit runs on the read pool and
-            // never touches the bounded exclusive queue.
-            if self.config.hit_path == HitPathMode::SharedRead {
-                let fast = {
-                    let service = self.lanes[home].service.read();
-                    service.try_serve_hit(&request.service_request())
-                };
-                if let Some(outcome) = fast {
-                    let worker = read_pool
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &free)| free)
-                        .map(|(w, _)| w)
-                        .unwrap_or(0);
-                    let start = read_pool[worker].max(t);
-                    let completed_at = start + outcome.service;
-                    read_pool[worker] = completed_at;
-                    let wait = start.saturating_duration_since(t);
-                    self.lanes[home]
-                        .counters
-                        .record_outcome(&outcome, false, false);
-                    record_lane(&mut batch_lanes[home], &Ok(outcome), false, false);
-                    if self.config.coalescing {
-                        in_flight.insert(
-                            (request.service, request.key),
-                            CoalesceEntry {
-                                lane: home,
-                                outcome,
-                                completion: completed_at,
-                            },
-                        );
-                    }
-                    waits.push(wait.as_micros());
-                    last_completion = last_completion.max(completed_at);
-                    served.push(FrontServed {
-                        outcome: Ok(outcome),
-                        lane: home,
-                        coalesced: false,
-                        stolen: false,
-                        fast_path: true,
-                        queue_wait: wait,
-                        completed_at,
-                    });
-                    continue;
-                }
-            }
-
-            // Exclusive path: admission against the bounded queue, with
-            // optional stealing to an idler sibling.
-            let mut target = home;
-            let mut stolen = false;
-            if sims[home].occupancy_at(t) >= self.config.queue_depth {
-                if self.config.work_stealing {
-                    let group = &self.groups[request.service as usize];
-                    let victim = group
-                        .iter()
-                        .copied()
-                        .filter(|&l| l != home)
-                        .map(|l| (sims[l].occupancy_at(t), l))
-                        .min()
-                        .filter(|&(occ, _)| occ < self.config.queue_depth);
-                    if let Some((_, sibling)) = victim {
-                        target = sibling;
-                        stolen = true;
+            let done = 'dispose: {
+                // Follower: ride an already-served leader in this window.
+                if self.config.coalescing {
+                    if let Some(&leader) = in_flight.get(&(request.service, request.key)) {
+                        let leader = &served[leader];
+                        let completed_at = leader.completed_at.max(t);
+                        break 'dispose FrontServed {
+                            outcome: leader.outcome.clone(),
+                            lane: leader.lane,
+                            coalesced: true,
+                            stolen: false,
+                            fast_path: false,
+                            queue_wait: completed_at.saturating_duration_since(t),
+                            completed_at,
+                        };
                     }
                 }
-                if !stolen && self.config.overflow == OverflowPolicy::Reject {
-                    let err = CloudletError::QueueFull {
-                        lane: home,
-                        depth: self.config.queue_depth,
+
+                // Fast path: a read-only hit runs on the read pool and
+                // never touches the bounded exclusive queue.
+                if self.config.hit_path == HitPathMode::SharedRead {
+                    let fast = {
+                        let service = self.lanes[home].service.read();
+                        service.try_serve_hit(&request.service_request())
                     };
-                    self.lanes[home].counters.record_error(true);
-                    batch_lanes[home].events += 1;
-                    batch_lanes[home].rejected += 1;
-                    served.push(FrontServed {
-                        outcome: Err(err),
-                        lane: home,
-                        coalesced: false,
-                        stolen: false,
-                        fast_path: false,
-                        queue_wait: SimDuration::ZERO,
-                        completed_at: t,
-                    });
-                    continue;
-                }
-                // OverflowPolicy::Park: the request waits for a slot.
-                // With one exclusive server per lane the FIFO start time
-                // is `busy_until` either way; parking only changes
-                // whether the request was shed.
-            }
-
-            // Any fast-path probe above was on the home lane and was
-            // declined; a stolen request still probes its new lane.
-            let (result, fast_path) = self.execute(target, request, !stolen);
-            match result {
-                Ok(outcome) => {
-                    let start = sims[target].busy_until.max(t);
-                    let completed_at = start + outcome.service;
-                    sims[target].busy_until = completed_at;
-                    sims[target].queue.push_back(completed_at);
-                    let wait = start.saturating_duration_since(t);
-                    self.lanes[target]
-                        .counters
-                        .record_outcome(&outcome, false, stolen);
-                    record_lane(&mut batch_lanes[target], &Ok(outcome), false, stolen);
-                    if self.config.coalescing {
-                        in_flight.insert(
-                            (request.service, request.key),
-                            CoalesceEntry {
-                                lane: target,
-                                outcome,
-                                completion: completed_at,
-                            },
-                        );
+                    if let Some(outcome) = fast {
+                        let worker = (0..read_pool.len())
+                            .min_by_key(|&w| read_pool[w])
+                            .unwrap_or(0);
+                        let start = read_pool[worker].max(t);
+                        let completed_at = start + outcome.service;
+                        read_pool[worker] = completed_at;
+                        break 'dispose FrontServed {
+                            outcome: Ok(outcome),
+                            lane: home,
+                            coalesced: false,
+                            stolen: false,
+                            fast_path: true,
+                            queue_wait: start.saturating_duration_since(t),
+                            completed_at,
+                        };
                     }
-                    waits.push(wait.as_micros());
-                    last_completion = last_completion.max(completed_at);
-                    served.push(FrontServed {
-                        outcome: Ok(outcome),
-                        lane: target,
-                        coalesced: false,
-                        stolen,
-                        fast_path,
-                        queue_wait: wait,
-                        completed_at,
-                    });
                 }
-                Err(err) => {
-                    self.lanes[target].counters.record_error(false);
-                    batch_lanes[target].events += 1;
-                    batch_lanes[target].errors += 1;
-                    served.push(FrontServed {
-                        outcome: Err(err),
-                        lane: target,
-                        coalesced: false,
-                        stolen,
-                        fast_path: false,
-                        queue_wait: SimDuration::ZERO,
-                        completed_at: t,
-                    });
+
+                // Exclusive path: admission against the bounded queue,
+                // with optional stealing to an idler sibling.
+                let mut target = home;
+                let mut stolen = false;
+                if sims[home].occupancy_at(t) >= self.config.queue_depth {
+                    if self.config.work_stealing {
+                        let group = &self.groups[request.service as usize];
+                        let victim = group
+                            .iter()
+                            .copied()
+                            .filter(|&l| l != home)
+                            .map(|l| (sims[l].occupancy_at(t), l))
+                            .min()
+                            .filter(|&(occ, _)| occ < self.config.queue_depth);
+                        if let Some((_, sibling)) = victim {
+                            target = sibling;
+                            stolen = true;
+                        }
+                    }
+                    if !stolen && self.config.overflow == OverflowPolicy::Reject {
+                        break 'dispose FrontServed {
+                            outcome: Err(CloudletError::QueueFull {
+                                lane: home,
+                                depth: self.config.queue_depth,
+                            }),
+                            lane: home,
+                            coalesced: false,
+                            stolen: false,
+                            fast_path: false,
+                            queue_wait: SimDuration::ZERO,
+                            completed_at: t,
+                        };
+                    }
+                    // OverflowPolicy::Park: the request waits for a slot.
+                    // With one exclusive server per lane the FIFO start
+                    // time is `busy_until` either way; parking only
+                    // changes whether the request was shed.
                 }
+
+                // Any fast-path probe above was on the home lane and was
+                // declined; a stolen request still probes its new lane.
+                let (outcome, fast_path) = self.execute(target, request, !stolen);
+                let (queue_wait, completed_at) = match &outcome {
+                    Ok(serve) => {
+                        let sim = &mut sims[target];
+                        let start = sim.busy_until.max(t);
+                        sim.busy_until = start + serve.service;
+                        sim.queue.push_back(sim.busy_until);
+                        (start.saturating_duration_since(t), sim.busy_until)
+                    }
+                    Err(_) => (SimDuration::ZERO, t),
+                };
+                FrontServed {
+                    outcome,
+                    lane: target,
+                    coalesced: false,
+                    stolen,
+                    fast_path,
+                    queue_wait,
+                    completed_at,
+                }
+            };
+
+            // Every disposition is counted here, once.
+            batch_lanes[done.lane].record(&done.outcome, done.coalesced, done.stolen);
+            if done.outcome.is_ok() {
+                if self.config.coalescing && !done.coalesced {
+                    in_flight.insert((request.service, request.key), served.len());
+                }
+                waits.push(done.queue_wait.as_micros());
+                last_completion = last_completion.max(done.completed_at);
             }
+            served.push(done);
         }
 
+        for (lane, totals) in self.lanes.iter().zip(&batch_lanes) {
+            lane.counters.add(totals);
+        }
         let first_arrival = requests
             .iter()
             .map(|r| r.at)
@@ -1294,40 +1152,6 @@ impl Frontend {
             queue_wait_max: SimDuration::from_micros(waits.iter().copied().max().unwrap_or(0)),
         };
         Ok(FrontendBatch { served, report })
-    }
-}
-
-/// Folds one request's disposition into a batch-local lane total.
-fn record_lane(
-    lane: &mut LaneTotals,
-    result: &Result<ServeOutcome, CloudletError>,
-    coalesced: bool,
-    stolen: bool,
-) {
-    lane.events += 1;
-    match result {
-        Ok(outcome) => {
-            match outcome.kind {
-                ServeKind::Hit => lane.hits += 1,
-                ServeKind::StaleHit => lane.stale_hits += 1,
-                ServeKind::Miss => lane.misses += 1,
-                ServeKind::Skipped => lane.skipped += 1,
-            }
-            if outcome.source == ServeSource::Peer {
-                lane.peer_hits += 1;
-            }
-            if coalesced {
-                lane.coalesced += 1;
-            } else {
-                lane.radio_bytes += outcome.radio_bytes;
-                lane.peer_bytes += outcome.peer_bytes;
-                lane.busy += outcome.service;
-            }
-            if stolen {
-                lane.stolen += 1;
-            }
-        }
-        Err(_) => lane.errors += 1,
     }
 }
 
@@ -1441,20 +1265,20 @@ mod tests {
             .serve_batch(&zero_batch(&[0, 200, 1]))
             .expect("toy batch");
         let report = &batch.report;
-        assert_eq!(report.events(), 3);
-        assert_eq!(report.hits(), 2);
-        assert_eq!(report.misses(), 1);
+        assert_eq!(report.totals().events, 3);
+        assert_eq!(report.totals().hits, 2);
+        assert_eq!(report.totals().misses, 1);
         // Makespan = busiest lane's summed service time (lane 0).
         assert_eq!(
             report.makespan,
             SimDuration::from_millis(100) + SimDuration::from_secs(1)
         );
         assert_eq!(
-            report.total_busy(),
+            report.totals().busy,
             report.makespan + SimDuration::from_millis(100)
         );
-        assert_eq!(report.rejected(), 0);
-        assert_eq!(report.coalesced(), 0);
+        assert_eq!(report.totals().rejected, 0);
+        assert_eq!(report.totals().coalesced, 0);
     }
 
     #[test]
@@ -1470,7 +1294,7 @@ mod tests {
             .expect("toy batch");
         assert_eq!(batch.report.makespan, SimDuration::from_secs(1));
         assert!(batch.served[1].fast_path && batch.served[2].fast_path);
-        assert_eq!(batch.report.hits(), 2);
+        assert_eq!(batch.report.totals().hits, 2);
         // The exclusive lane only saw the miss.
         let telemetry = fe.telemetry();
         assert_eq!(telemetry.lanes[0].stats.serves, 1);
@@ -1489,11 +1313,11 @@ mod tests {
             .serve_batch(&zero_batch(&[200, 200, 200, 200]))
             .expect("toy batch");
         let report = &batch.report;
-        assert_eq!(report.events(), 4);
-        assert_eq!(report.misses(), 4, "all four get the miss outcome");
-        assert_eq!(report.coalesced(), 3);
-        assert_eq!(report.unique_serves(), 1);
-        assert_eq!(report.radio_bytes(), 500, "one radio exchange");
+        assert_eq!(report.totals().events, 4);
+        assert_eq!(report.totals().misses, 4, "all four get the miss outcome");
+        assert_eq!(report.totals().coalesced, 3);
+        assert_eq!(report.totals().unique_serves(), 1);
+        assert_eq!(report.totals().radio_bytes, 500, "one radio exchange");
         assert_eq!(report.makespan, SimDuration::from_secs(1));
         assert!(batch.served[3].coalesced);
         assert_eq!(batch.served[3].queue_wait, SimDuration::from_secs(1));
@@ -1511,8 +1335,8 @@ mod tests {
             .serve_batch(&zero_batch(&[200, 200, 200, 200]))
             .expect("toy batch");
         // Windows [0,1] and [2,3]: one leader + one follower each.
-        assert_eq!(batch.report.coalesced(), 2);
-        assert_eq!(batch.report.unique_serves(), 2);
+        assert_eq!(batch.report.totals().coalesced, 2);
+        assert_eq!(batch.report.totals().unique_serves(), 2);
     }
 
     #[test]
@@ -1530,7 +1354,11 @@ mod tests {
             SimInstant::from_micros(3_000_000),
         ));
         let batch = fe.serve_batch(&requests).expect("toy batch");
-        assert_eq!(batch.report.rejected(), 2, "two over the depth-2 queue");
+        assert_eq!(
+            batch.report.totals().rejected,
+            2,
+            "two over the depth-2 queue"
+        );
         assert_eq!(
             batch.served[2].outcome,
             Err(CloudletError::QueueFull { lane: 0, depth: 2 })
@@ -1559,8 +1387,8 @@ mod tests {
         let batch = fe
             .serve_batch(&zero_batch(&[200, 201, 202]))
             .expect("toy batch");
-        assert_eq!(batch.report.rejected(), 0);
-        assert_eq!(batch.report.served(), 3);
+        assert_eq!(batch.report.totals().rejected, 0);
+        assert_eq!(batch.report.totals().served(), 3);
         // FIFO waits: 0s, 1s, 2s.
         assert_eq!(batch.served[2].queue_wait, SimDuration::from_secs(2));
         assert_eq!(batch.report.queue_wait_max, SimDuration::from_secs(2));
@@ -1577,8 +1405,8 @@ mod tests {
         let batch = fe
             .serve_batch(&zero_batch(&[200, 202, 204, 206]))
             .expect("toy batch");
-        assert!(batch.report.stolen() > 0);
-        assert_eq!(batch.report.rejected(), 0);
+        assert!(batch.report.totals().stolen > 0);
+        assert_eq!(batch.report.totals().rejected, 0);
         assert!(
             batch.report.makespan < SimDuration::from_secs(4),
             "stealing must beat the serial 4 s drain"
@@ -1648,7 +1476,7 @@ mod tests {
         let batch = fe
             .serve_batch(&zero_batch(&[0, 200, 2, 202]))
             .expect("toy batch");
-        assert_eq!(batch.report.stolen(), 1);
+        assert_eq!(batch.report.totals().stolen, 1);
         assert_eq!(
             batch.served.iter().map(|s| s.fast_path).collect::<Vec<_>>(),
             [true, false, true, false]
@@ -1665,8 +1493,8 @@ mod tests {
     fn typed_errors_are_tallied_not_fatal() {
         let fe = frontend(1, FrontendConfig::default());
         let batch = fe.serve_batch(&zero_batch(&[7, 0])).expect("toy batch");
-        assert_eq!(batch.report.errors(), 1);
-        assert_eq!(batch.report.hits(), 1);
+        assert_eq!(batch.report.totals().errors, 1);
+        assert_eq!(batch.report.totals().hits, 1);
         assert_eq!(
             batch.served[0].outcome,
             Err(CloudletError::UnknownKey { key: 7 })
@@ -1795,13 +1623,11 @@ mod tests {
         let fe = frontend(2, FrontendConfig::default());
         fe.serve_batch(&zero_batch(&[0, 1, 200])).expect("batch");
         let telemetry = fe.telemetry();
-        assert_eq!(
-            telemetry.aggregate(),
-            LaneTotals::aggregate(&telemetry.lane_totals())
-        );
-        assert_eq!(telemetry.lane_stats().len(), 2);
+        let lanes: Vec<LaneTotals> = telemetry.lanes.iter().map(|l| l.totals).collect();
+        assert_eq!(telemetry.aggregate(), LaneTotals::aggregate(&lanes));
+        assert_eq!(telemetry.lanes.len(), 2);
         assert_eq!(telemetry.aggregate().events, 3);
-        assert_eq!(telemetry.shed(), 0);
+        assert_eq!(telemetry.aggregate().rejected, 0);
         assert_eq!(telemetry.lanes[0].name, "toy");
     }
 
@@ -1886,12 +1712,12 @@ mod tests {
         let bare_batch = bare.serve_batch(&requests).expect("bare batch");
         let solo_batch = solo.serve_batch(&requests).expect("solo batch");
         assert_eq!(bare_batch, solo_batch, "cell size 1 must change nothing");
-        assert_eq!(
-            bare.telemetry().lane_totals(),
-            solo.telemetry().lane_totals()
-        );
-        assert_eq!(solo_batch.report.peer_hits(), 0);
-        assert_eq!(solo_batch.report.peer_bytes(), 0);
+        let lane_totals = |fe: &Frontend| -> Vec<LaneTotals> {
+            fe.telemetry().lanes.iter().map(|l| l.totals).collect()
+        };
+        assert_eq!(lane_totals(&bare), lane_totals(&solo));
+        assert_eq!(solo_batch.report.totals().peer_hits, 0);
+        assert_eq!(solo_batch.report.totals().peer_bytes, 0);
     }
 
     #[test]

@@ -251,10 +251,11 @@ mod tests {
         let (engine, cached) = test_engine();
         let requests = batch(&cached, 240);
         let (_, frontend) = search_frontend(&engine, 8, FrontendConfig::pr3_baseline());
-        let report = frontend
+        let totals = frontend
             .serve_batch(&requests)
             .expect("search batch")
-            .report;
+            .report
+            .totals();
 
         let mut sequential = engine.clone();
         let seq_hits = requests
@@ -262,15 +263,16 @@ mod tests {
             .filter(|r| sequential.serve(r.key).hit)
             .count() as u64;
 
-        assert_eq!(report.events(), requests.len() as u64);
-        assert_eq!(report.hits(), seq_hits);
-        assert_eq!(report.misses(), requests.len() as u64 - seq_hits);
-        assert_eq!(report.errors(), 0);
+        assert_eq!(totals.events, requests.len() as u64);
+        assert_eq!(totals.hits, seq_hits);
+        assert_eq!(totals.misses, requests.len() as u64 - seq_hits);
+        assert_eq!(totals.errors, 0);
         // Under the baseline every serve takes the exclusive path, so the
         // shards' own stats see every request.
-        let stats = frontend.telemetry().lane_stats();
-        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), report.hits());
-        assert_eq!(stats.iter().map(|s| s.serves).sum::<u64>(), report.events());
+        let telemetry = frontend.telemetry();
+        let stats: Vec<_> = telemetry.lanes.iter().map(|l| l.stats).collect();
+        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), totals.hits);
+        assert_eq!(stats.iter().map(|s| s.serves).sum::<u64>(), totals.events);
     }
 
     #[test]
@@ -282,12 +284,14 @@ mod tests {
             frontend.serve_batch(&requests).expect("batch").report
         };
         let one = serve(1);
-        assert_eq!(one.makespan, one.total_busy());
+        let base = one.totals();
+        assert_eq!(one.makespan, base.busy);
         for shards in [2, 4, 16] {
             let report = serve(shards);
-            assert_eq!(report.hits(), one.hits(), "{shards} shards");
-            assert_eq!(report.misses(), one.misses(), "{shards} shards");
-            assert_eq!(report.total_busy(), one.total_busy(), "{shards} shards");
+            let totals = report.totals();
+            assert_eq!(totals.hits, base.hits, "{shards} shards");
+            assert_eq!(totals.misses, base.misses, "{shards} shards");
+            assert_eq!(totals.busy, base.busy, "{shards} shards");
             assert!(report.makespan < one.makespan, "{shards} shards");
         }
     }

@@ -189,6 +189,11 @@ pub fn parse_log(text: &str) -> Result<ExternalLog, ParseError> {
         let user: u32 = raw.parse().map_err(|_| bad("user", raw))?;
         let raw = field()?;
         let day: u16 = raw.parse().map_err(|_| bad("day", raw))?;
+        // The log spans `max day + 1` days, which must fit the `u16`
+        // day count too.
+        if day == u16::MAX {
+            return Err(bad("day", raw));
+        }
         let raw = field()?;
         let micros: u64 = raw.parse().map_err(|_| bad("micros_of_day", raw))?;
         if micros >= 86_400_000_000 {
@@ -220,6 +225,7 @@ mod tests {
     use crate::analysis::stats::LogStats;
     use crate::generator::{GeneratorConfig, LogGenerator};
     use crate::triplets::TripletTable;
+    use proptest::prelude::*;
 
     #[test]
     fn export_parse_round_trip_preserves_structure() {
@@ -326,6 +332,75 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn last_u16_day_is_rejected_not_overflowing_the_day_window() {
+        let row = |day: u16| format!("{FORMAT_HEADER}\n1\t{day}\t0\tweb\tsmart\tq\thttp://u\n");
+        assert!(matches!(
+            parse_log(&row(u16::MAX)).unwrap_err(),
+            ParseError::BadField {
+                line: 2,
+                field: "day",
+                ..
+            }
+        ));
+        let (log, _, _) = parse_log(&row(u16::MAX - 1)).unwrap().to_search_log();
+        assert_eq!(log.days(), u16::MAX);
+    }
+
+    /// Values no column accepts, or that belong to another column.
+    const JUNK: [&str; 7] = ["", "-1", "é", "86400000000", "65536", "web", "feature"];
+
+    /// A valid row with a boundary-leaning day, then maybe one column
+    /// swapped for junk, a junk column appended, or the row truncated.
+    fn hostile_row() -> impl Strategy<Value = String> {
+        let day = prop_oneof![0u16..30, 65_530u16..=u16::MAX];
+        let edits = 0..12 * JUNK.len();
+        (any::<u32>(), day, 0u64..86_400_000_000, ".{0,12}", edits).prop_map(
+            |(user, day, micros, text, edit)| {
+                let row = format!("{user}\t{day}\t{micros}\tnav\tsmart\t{text}\t{text}");
+                let mut fields: Vec<&str> = row.split('\t').collect();
+                let junk = JUNK[edit / 12];
+                match edit % 12 {
+                    column @ 0..=6 => fields[column] = junk,
+                    7 => fields.push(junk),
+                    8 => fields.truncate(edit / 12),
+                    _ => {}
+                }
+                fields.join("\t")
+            },
+        )
+    }
+
+    /// The no-panic contract: `Ok` (which must intern without
+    /// panicking) or a typed error naming a real line.
+    fn assert_parses_or_rejects(text: &str) {
+        match parse_log(text) {
+            Ok(parsed) => assert_eq!(parsed.to_search_log().0.len(), parsed.rows.len()),
+            Err(ParseError::BadHeader { .. }) => {}
+            Err(ParseError::BadFieldCount { line, .. } | ParseError::BadField { line, .. }) => {
+                assert!((2..=text.lines().count()).contains(&line))
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_text_never_panics(
+            text in prop_oneof![
+                "[\t\n\r#0-9a-z .:/]{0,160}",
+                proptest::collection::vec(any::<u8>(), 0..160)
+                    .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+            ],
+        ) {
+            assert_parses_or_rejects(&text);
+        }
+
+        #[test]
+        fn arbitrary_rows_never_panic(rows in proptest::collection::vec(hostile_row(), 0..8)) {
+            assert_parses_or_rejects(&format!("{FORMAT_HEADER}\n{}", rows.join("\n")));
+        }
     }
 
     #[test]

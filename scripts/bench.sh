@@ -25,31 +25,67 @@
 #     pairs is the paper's pocket-sized community cache; at DRAM-bound
 #     sizes both paths converge on memory latency.
 #
-# Usage: scripts/bench.sh [--full]   (--full runs the paper-scale sweeps;
-# the committed artifacts are the test-scale ones, except the population
-# study which is committed at full scale.)
+# Usage: scripts/bench.sh [--full | --check]
+#   --full   runs the paper-scale sweeps; the committed artifacts are the
+#            test-scale ones, except the population study which is
+#            committed at full scale.
+#   --check  regenerates the five deterministic artifacts (everything but
+#            BENCH_hotpath.json) into a temporary directory and compares
+#            each byte for byte against the committed file; exits
+#            non-zero and names every file that differs. Writes nothing
+#            in the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 scale_flag="--scale test"
-if [[ "${1:-}" == "--full" ]]; then
-  scale_flag="--scale full"
+check=false
+case "${1:-}" in
+  "") ;;
+  --full) scale_flag="--scale full" ;;
+  --check) check=true ;;
+  *)
+    echo "usage: scripts/bench.sh [--full | --check]" >&2
+    exit 2
+    ;;
+esac
+
+out_dir=.
+table_sink=/dev/stdout
+if $check; then
+  out_dir="$(mktemp -d)"
+  trap 'rm -rf "$out_dir"' EXIT
+  table_sink=/dev/null
 fi
 
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study frontend ${scale_flag} --seed 2011 --out BENCH_frontend.json
+# study <name> <scale flags...>: writes BENCH_<name>.json into $out_dir.
+study() {
+  local name="$1"
+  shift
+  cargo run --release -q -p pocket-bench --bin ablations -- \
+    --study "$name" "$@" --seed 2011 --out "$out_dir/BENCH_$name.json" >"$table_sink"
+}
 
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study arbiter ${scale_flag} --seed 2011 --out BENCH_arbiter.json
+deterministic=(frontend arbiter wear population peers)
+for name in "${deterministic[@]}"; do
+  if [[ "$name" == population ]]; then
+    study population --scale full
+  else
+    study "$name" ${scale_flag}
+  fi
+done
 
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study wear ${scale_flag} --seed 2011 --out BENCH_wear.json
+if $check; then
+  status=0
+  for name in "${deterministic[@]}"; do
+    if ! cmp -s "$out_dir/BENCH_$name.json" "BENCH_$name.json"; then
+      echo "bench.sh --check: BENCH_$name.json differs from the committed file" >&2
+      status=1
+    fi
+  done
+  if [[ $status -eq 0 ]]; then
+    echo "bench.sh --check: ${#deterministic[@]} deterministic artifacts regenerate byte-identical"
+  fi
+  exit "$status"
+fi
 
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study population --scale full --seed 2011 --out BENCH_population.json
-
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study peers ${scale_flag} --seed 2011 --out BENCH_peers.json
-
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study hotpath --scale test --seed 2011 --out BENCH_hotpath.json
+study hotpath --scale test

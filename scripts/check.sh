@@ -19,6 +19,9 @@ cargo run -q -p cloudlet-analysis --bin lint
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> scripts/bench.sh --check (deterministic BENCH_*.json regenerate byte-identical)"
+scripts/bench.sh --check
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -41,7 +41,8 @@ fn eight_threads_lose_no_counter_updates() {
         }
     });
 
-    let totals = frontend.telemetry().lane_totals();
+    let telemetry = frontend.telemetry();
+    let totals: Vec<_> = telemetry.lanes.iter().map(|l| l.totals).collect();
     let served: u64 = totals.iter().map(|s| s.events).sum();
     assert_eq!(served, (THREADS * EVENTS_PER_THREAD) as u64);
     for (shard, report) in totals.iter().enumerate() {
@@ -88,10 +89,11 @@ fn serve_one_and_serve_batch_agree_under_contention() {
         }
     });
 
-    let lanes = frontend.telemetry().lane_totals();
+    let telemetry = frontend.telemetry();
+    let lanes: Vec<_> = telemetry.lanes.iter().map(|l| l.totals).collect();
     let totals = LaneTotals::aggregate(&lanes);
-    assert_eq!(totals.hits, batch_report.hits());
-    assert_eq!(totals.misses, batch_report.misses());
+    assert_eq!(totals.hits, batch_report.totals().hits);
+    assert_eq!(totals.misses, batch_report.totals().misses);
     assert_eq!(
         lanes.iter().map(|s| s.busy).collect::<Vec<_>>(),
         batch_report
@@ -123,10 +125,11 @@ fn sixteen_shards_at_least_double_throughput() {
     let one = serve(1);
     let sixteen = serve(16);
 
-    assert_eq!(one.hits(), sixteen.hits(), "hit ratio must be invariant");
-    assert_eq!(one.misses(), sixteen.misses());
+    let (base, wide) = (one.totals(), sixteen.totals());
+    assert_eq!(base.hits, wide.hits, "hit ratio must be invariant");
+    assert_eq!(base.misses, wide.misses);
     assert!(
-        one.hits() > 0 && one.misses() > 0,
+        base.hits > 0 && base.misses > 0,
         "workload exercises both paths"
     );
 

@@ -85,9 +85,9 @@ proptest! {
         prop_assert_eq!(&observed, &expected, "hit/miss multiset diverged");
 
         let expected_hits = expected.iter().filter(|(_, hit)| *hit).count() as u64;
-        prop_assert_eq!(report.events(), requests.len() as u64);
-        prop_assert_eq!(report.hits(), expected_hits);
-        prop_assert_eq!(report.misses(), requests.len() as u64 - expected_hits);
+        prop_assert_eq!(report.totals().events, requests.len() as u64);
+        prop_assert_eq!(report.totals().hits, expected_hits);
+        prop_assert_eq!(report.totals().misses, requests.len() as u64 - expected_hits);
     }
 
     /// Every request lands on lane `query_hash % shards` and nowhere

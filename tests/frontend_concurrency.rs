@@ -70,24 +70,26 @@ fn eight_threads_steal_work_without_losing_counts() {
     // One reference batch on an identical front-end.
     let (_, reference) = search_frontend(engine, shards, config);
     let single = reference.serve_batch(&requests).expect("reference batch");
-    assert!(single.report.stolen() > 0, "the hot lane must overflow");
-    assert_eq!(single.report.rejected(), 0, "stealing absorbs the burst");
+    let expected = single.report.totals();
+    assert!(expected.stolen > 0, "the hot lane must overflow");
+    assert_eq!(expected.rejected, 0, "stealing absorbs the burst");
 
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             scope.spawn(|| {
                 let batch = frontend.serve_batch(&requests).expect("threaded batch");
-                assert_eq!(batch.report.events(), requests.len() as u64);
-                assert_eq!(batch.report.rejected(), 0);
-                assert_eq!(batch.report.hits(), single.report.hits());
+                let totals = batch.report.totals();
+                assert_eq!(totals.events, requests.len() as u64);
+                assert_eq!(totals.rejected, 0);
+                assert_eq!(totals.hits, expected.hits);
             });
         }
     });
 
     let totals = frontend.telemetry().aggregate();
     assert_eq!(totals.events, THREADS * requests.len() as u64);
-    assert_eq!(totals.hits, THREADS * single.report.hits());
-    assert_eq!(totals.misses, THREADS * single.report.misses());
+    assert_eq!(totals.hits, THREADS * expected.hits);
+    assert_eq!(totals.misses, THREADS * expected.misses);
     assert_eq!(totals.rejected, 0);
     assert_eq!(totals.errors, 0);
 }

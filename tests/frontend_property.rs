@@ -11,7 +11,9 @@ use proptest::prelude::*;
 
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
-use pocket_cloudlets::core::frontend::{FrontendConfig, HitPathMode, OverflowPolicy, ServeRequest};
+use pocket_cloudlets::core::frontend::{
+    FrontServed, FrontendConfig, HitPathMode, LaneTotals, OverflowPolicy, ServeRequest,
+};
 use pocket_cloudlets::core::service::{CloudletError, ServeKind};
 use pocket_cloudlets::mobsim::time::SimInstant;
 use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
@@ -60,6 +62,16 @@ fn materialize(raw: &[(u64, u64, bool)], cached: &[u64]) -> Vec<ServeRequest> {
         .collect()
 }
 
+/// Folds dispositions into per-lane totals through the front-end's one
+/// accounting rule, [`LaneTotals::record`].
+fn fold<'a>(lanes: usize, served: impl IntoIterator<Item = &'a FrontServed>) -> Vec<LaneTotals> {
+    let mut totals = vec![LaneTotals::default(); lanes];
+    for s in served {
+        totals[s.lane].record(&s.outcome, s.coalesced, s.stolen);
+    }
+    totals
+}
+
 proptest! {
     /// Coalescing equivalence: with coalescing, the shared-read hit
     /// path, and work stealing all on, every event's `(user, key, hit)`
@@ -103,13 +115,13 @@ proptest! {
 
         let distinct: std::collections::HashSet<u64> =
             events.iter().map(|e| e.key).collect();
-        prop_assert_eq!(batch.report.rejected(), 0);
+        prop_assert_eq!(batch.report.totals().rejected, 0);
         prop_assert_eq!(
-            batch.report.unique_serves(),
+            batch.report.totals().unique_serves(),
             distinct.len() as u64,
             "one underlying serve per distinct key"
         );
-        prop_assert_eq!(batch.report.events(), events.len() as u64);
+        prop_assert_eq!(batch.report.totals().events, events.len() as u64);
     }
 
     /// The hit *ratio* is invariant across every front-end
@@ -131,7 +143,7 @@ proptest! {
         for config in [FrontendConfig::pr3_baseline(), optimized] {
             let (_, frontend) = search_frontend(engine, shards, config);
             let batch = frontend.serve_batch(&requests).expect("frontend batch");
-            hits.push((batch.report.hits(), batch.report.events()));
+            hits.push((batch.report.totals().hits, batch.report.totals().events));
         }
         prop_assert_eq!(hits[0], hits[1], "hit counts diverged across configs");
     }
@@ -176,6 +188,66 @@ proptest! {
         prop_assert!(!first[requests.len() - 1], "drained queue must recover");
         prop_assert_eq!(&first, &shed(&requests), "shedding must be deterministic");
     }
+
+    /// One accounting rule, counted once: for random configurations and
+    /// batches with spread arrivals, each lane's batch report is the
+    /// fold of `LaneTotals::record` over that lane's dispositions, the
+    /// cumulative telemetry moves by exactly the report, every event
+    /// lands in one bucket, and with `serve_one` calls before and after
+    /// the batch the telemetry is the fold of every disposition returned.
+    #[test]
+    fn lane_totals_are_the_fold_of_every_disposition(
+        raw in proptest::collection::vec((0u64..32, any::<u64>(), any::<bool>()), 1..40),
+        gaps in proptest::collection::vec(prop_oneof![Just(0u64), 0u64..400_000], 40..41),
+        singles in proptest::collection::vec((0u64..32, any::<u64>(), any::<bool>()), 0..10),
+        (shards, depth) in (1usize..=6, 1usize..=6),
+        window in prop_oneof![Just(usize::MAX), 1usize..=8],
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let (coalescing, shared_read, reject, stealing) = flags;
+        let (engine, cached) = shared_engine();
+        let mut requests = materialize(&raw, cached);
+        let mut at = 0;
+        for (request, gap) in requests.iter_mut().zip(&gaps) {
+            at += gap;
+            request.at = SimInstant::from_micros(at);
+        }
+        let config = FrontendConfig::builder()
+            .queue_depth(depth)
+            .coalescing(coalescing)
+            .coalesce_window(window)
+            .hit_path(if shared_read { HitPathMode::SharedRead } else { HitPathMode::Exclusive })
+            .overflow(if reject { OverflowPolicy::Reject } else { OverflowPolicy::Park })
+            .work_stealing(stealing)
+            .build();
+        let (_, frontend) = search_frontend(engine, shards, config);
+        let lanes = || -> Vec<LaneTotals> {
+            frontend.telemetry().lanes.iter().map(|l| l.totals).collect()
+        };
+        let serve_each = |raw: &[(u64, u64, bool)]| -> Vec<FrontServed> {
+            let requests = materialize(raw, cached).into_iter();
+            requests.map(|r| frontend.serve_one(r).expect("search never errors")).collect()
+        };
+
+        let (before, after) = singles.split_at(singles.len() / 2);
+        let mut returned = serve_each(before);
+        let start = lanes();
+        let batch = frontend.serve_batch(&requests).expect("frontend batch");
+        let end = lanes();
+        returned.extend(serve_each(after));
+        returned.extend(batch.served.iter().cloned());
+
+        prop_assert_eq!(&batch.report.lanes, &fold(shards, &batch.served));
+        for (lane, report) in batch.report.lanes.iter().enumerate() {
+            prop_assert_eq!(&end[lane].delta_since(&start[lane]), report);
+        }
+        let cumulative = lanes();
+        prop_assert_eq!(&cumulative, &fold(shards, &returned));
+        for t in batch.report.lanes.iter().chain(&cumulative) {
+            let buckets = t.hits + t.stale_hits + t.misses + t.skipped + t.errors + t.rejected;
+            prop_assert_eq!(t.events, buckets);
+        }
+    }
 }
 
 /// The PR 3 baseline configuration keeps the original sharded-serving
@@ -204,14 +276,15 @@ fn baseline_frontend_reproduces_router_makespan() {
             .report
     };
     let one = serve(1);
-    assert_eq!(one.makespan, one.total_busy(), "one lane drains everything");
-    assert!(one.hits() > 0 && one.misses() > 0, "both paths exercised");
+    let base = one.totals();
+    assert_eq!(one.makespan, base.busy, "one lane drains everything");
+    assert!(base.hits > 0 && base.misses > 0, "both paths exercised");
     for shards in [4usize, 9] {
         let report = serve(shards);
         let busiest = report.lanes.iter().map(|l| l.busy).max();
         assert_eq!(Some(report.makespan), busiest, "{shards} shards");
-        assert_eq!(report.hits(), one.hits(), "{shards} shards");
-        assert_eq!(report.total_busy(), one.total_busy(), "{shards} shards");
+        assert_eq!(report.totals().hits, base.hits, "{shards} shards");
+        assert_eq!(report.totals().busy, base.busy, "{shards} shards");
     }
 }
 
@@ -240,13 +313,14 @@ fn optimized_frontend_beats_baseline_qps() {
     let (_, optimized) = search_frontend(engine, 4, FrontendConfig::default());
     let opt = optimized.serve_batch(&requests).expect("optimized batch");
 
-    assert_eq!(opt.report.hits(), base.report.hits(), "hits invariant");
-    assert_eq!(opt.report.events(), base.report.events());
+    let (opt_totals, base_totals) = (opt.report.totals(), base.report.totals());
+    assert_eq!(opt_totals.hits, base_totals.hits, "hits invariant");
+    assert_eq!(opt_totals.events, base_totals.events);
     assert!(
         opt.report.throughput_qps() > base.report.throughput_qps(),
         "optimized {:.1} qps must beat baseline {:.1} qps",
         opt.report.throughput_qps(),
         base.report.throughput_qps()
     );
-    assert!(opt.report.coalesced() > 0, "duplicates must coalesce");
+    assert!(opt_totals.coalesced > 0, "duplicates must coalesce");
 }

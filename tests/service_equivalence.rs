@@ -315,20 +315,20 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
     let report = frontend.serve_batch(&events).expect("mixed batch").report;
 
     let legacy_hits = search_hits + web_hits + maps_hits;
-    assert_eq!(report.events(), events.len() as u64);
-    assert_eq!(report.errors(), 0);
+    assert_eq!(report.totals().events, events.len() as u64);
+    assert_eq!(report.totals().errors, 0);
     assert_eq!(
-        report.hits(),
+        report.totals().hits,
         legacy_hits,
         "aggregate hits must equal the sum of the three legacy loops"
     );
     assert_eq!(
-        report.hit_rate(),
+        report.totals().hit_rate(),
         legacy_hits as f64 / events.len() as f64,
         "hit ratio matches exactly"
     );
     assert!(
-        report.hits() > 0 && report.misses() > 0,
+        report.totals().hits > 0 && report.totals().misses > 0,
         "both paths exercised"
     );
 
