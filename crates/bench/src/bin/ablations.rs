@@ -90,7 +90,6 @@ use cloudlet_core::population::{PopulationConfig, PopulationLane};
 use cloudlet_core::ranking::RankingPolicy;
 use cloudlet_core::service::{CloudletService, ServeStats};
 use cloudlet_core::shard::ShardedTable;
-use cloudlet_core::update::UpdateServer;
 use mobsim::flash::{AllocPolicy, WearModel, WearSummary};
 use mobsim::memory::{IndexPlacement, TieredMemory};
 use mobsim::time::{SimDuration, SimInstant};
@@ -103,13 +102,14 @@ use pocket_bench::{
 };
 use pocketsearch::config::PocketSearchConfig;
 use pocketsearch::engine::{PocketSearch, RecoveryStats};
-use pocketsearch::experiment::{run_hit_rate_study, select_streams, HitRateConfig};
+use pocketsearch::experiment::{
+    run_hit_rate_study, select_streams, sliding_window_server, HitRateConfig,
+};
 use pocketsearch::fleet::search_frontend;
 use pocketsearch::replay::replay_population;
 use querylog::generator::{GeneratorConfig, LogGenerator};
-use querylog::log::{LogEntry, SearchLog};
+use querylog::log::LogEntry;
 use querylog::stream::{EventStream, StreamConfig};
-use querylog::triplets::TripletTable;
 
 /// Every study id, in the order `all` runs them.
 const STUDIES: &[&str] = &[
@@ -1333,25 +1333,14 @@ fn wear_month(inputs: &StudyInputs, wear: Option<WearModel>, alloc: AllocPolicy)
 
         // Nightly patch against a 28-day sliding-window server (§6.2.2),
         // the erase-heavy churn that wears blocks out.
-        let mut window: Vec<LogEntry> = inputs
-            .build_month
-            .iter()
-            .filter(|e| e.time.day > day)
-            .copied()
-            .collect();
-        window.extend(
-            inputs
-                .replay_month
-                .iter()
-                .filter(|e| e.time.day <= day)
-                .copied(),
-        );
-        let window_contents = CacheContents::generate(
-            &TripletTable::from_log(&SearchLog::new(window, days)),
+        let server = sliding_window_server(
+            &inputs.build_month,
+            &inputs.replay_month,
+            day,
             &corpus,
             admission,
+            RankingPolicy::default(),
         );
-        let server = UpdateServer::from_contents(&window_contents, RankingPolicy::default());
         if engine.nightly_update(&server, &inputs.catalog).is_err() {
             run.update_failures += 1;
         }

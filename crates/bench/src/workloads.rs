@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use cloudlet_core::cache::CommunityCache;
+use cloudlet_core::cache::{CacheMode, CommunityCache, PocketCache};
 use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
 use cloudlet_core::corpus::UniverseCorpus;
 use cloudlet_core::frontend::ServeRequest;
@@ -220,8 +220,8 @@ pub fn population_world(config: GeneratorConfig, seed: u64, share: f64) -> Popul
         AdmissionPolicy::CumulativeShare { share },
     );
     let catalog = Catalog::new(generator.universe());
-    let mut community = CommunityCache::new(RankingPolicy::default());
-    community.install_contents(&contents);
+    let mut installed = PocketCache::new(CacheMode::Full, RankingPolicy::default());
+    installed.install_contents(&contents);
     let pairs = PairTable::new(
         generator
             .universe()
@@ -232,7 +232,10 @@ pub fn population_world(config: GeneratorConfig, seed: u64, share: f64) -> Popul
     );
     PopulationWorld {
         universe: generator.universe().clone(),
-        community: community.into_shared(),
+        community: Arc::new(CommunityCache::new(
+            installed.table(),
+            RankingPolicy::default(),
+        )),
         pairs: pairs.into_shared(),
         contents,
     }

@@ -465,11 +465,6 @@ impl AdaptiveArbiter {
         &self.decisions
     }
 
-    /// The most recent decision, if any epoch has run.
-    pub fn last_decision(&self) -> Option<&BudgetDecision> {
-        self.decisions.last()
-    }
-
     /// Whether the next epoch boundary has been reached at simulated
     /// instant `now`. Boundaries sit at multiples of
     /// [`ArbiterConfig::epoch_length`]; running an epoch advances the

@@ -1,27 +1,24 @@
 //! The on-device cache state machine (Figure 6).
 //!
-//! [`PocketCache`] combines the two interrelated components of the
-//! PocketSearch architecture: the **community** component — query/result
-//! pairs mined from everyone's logs, installed as a warm start — and the
-//! **personalization** component, which expands the cache with pairs this
-//! user selects after misses and re-ranks results from their clicks
-//! (§5.3). [`CacheMode`] exposes the Figure 17 ablations: community-only
-//! (no expansion, no re-ranking) and personalization-only (starts empty).
+//! The PocketSearch cache has two interrelated components: the
+//! **community** component — query/result pairs mined from everyone's
+//! logs, installed as a warm start — and the **personalization**
+//! component, which expands the cache with pairs this user selects after
+//! misses and re-ranks results from their clicks (§5.3). [`CacheMode`]
+//! exposes the Figure 17 ablations: community-only (no expansion, no
+//! re-ranking) and personalization-only (starts empty).
 //!
-//! [`PocketCache`] *flattens* both components into one table — fine for
-//! a single device, ruinous for a simulated population, where the
-//! community component would be duplicated per user. The §4 two-part
-//! model as actual structure is [`SplitCache`]: one read-mostly
-//! [`CommunityCache`] snapshot (`Arc`-shared across every user and
-//! lane) layered under a compact copy-on-write [`PersonalDelta`] per
-//! user. The snapshot owns the one [`FrozenTable`] serve index of its
-//! table, built once and shared with it, so any number of users and
-//! lanes probe a single index. Lookup order is delta-then-community;
-//! clicks fold into the delta only. Under install-before-replay the
-//! split cache reproduces the flattened cache's hit/miss sequence bit
-//! for bit (see the equivalence tests).
-
-use std::sync::{Arc, OnceLock};
+//! [`PocketCache`] *flattens* both components into the device's one §5.2
+//! table — right for a single handset, ruinous for a simulated
+//! population, where the community component would be duplicated per
+//! user. There the §4 split is structure: one frozen [`CommunityCache`]
+//! (`Arc`-shared by every user and lane, probed through its one
+//! [`FrozenTable`] index) under a compact copy-on-write [`PersonalDelta`]
+//! per user. [`crate::population::PopulationLane`] composes the two:
+//! lookups go delta-then-community and clicks fold into the delta only.
+//! Under install-before-replay the split reproduces the flat cache's
+//! hit/miss sequence, scores and accessed bits bit for bit, in every
+//! mode (`tests/population_stream.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -72,36 +69,6 @@ impl std::fmt::Display for CacheMode {
     }
 }
 
-/// Outcome of serving one query against the cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LookupOutcome {
-    /// Whether the query hit.
-    pub hit: bool,
-    /// Ranked results on a hit; empty on a miss.
-    pub results: Vec<ScoredResult>,
-}
-
-/// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Queries served from the cache.
-    pub hits: u64,
-    /// Queries that had to go to the radio.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]`, or 0 when nothing was served.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The generic pocket-cloudlet cache.
 ///
 /// # Example
@@ -111,18 +78,17 @@ impl CacheStats {
 /// use cloudlet_core::ranking::RankingPolicy;
 ///
 /// let mut cache = PocketCache::new(CacheMode::Full, RankingPolicy::default());
-/// assert!(!cache.serve(42).hit);
+/// assert!(cache.lookup(42).is_none());
 /// // The user clicked a result for that query over the radio: the
 /// // personalization component caches it for next time.
 /// cache.record_click(42, 1000);
-/// assert!(cache.serve(42).hit);
+/// assert!(cache.lookup(42).is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PocketCache {
     mode: CacheMode,
     table: QueryHashTable,
     policy: RankingPolicy,
-    stats: CacheStats,
 }
 
 impl PocketCache {
@@ -132,7 +98,6 @@ impl PocketCache {
             mode,
             table: QueryHashTable::new(),
             policy,
-            stats: CacheStats::default(),
         }
     }
 
@@ -156,16 +121,6 @@ impl PocketCache {
         self.table = table;
     }
 
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Clears hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Installs one community pair. Ignored in personalization-only mode
     /// (Figure 17's empty-start configuration).
     pub fn install_pair(&mut self, query_hash: u64, result_hash: u64, score: f32) {
@@ -182,26 +137,9 @@ impl PocketCache {
         }
     }
 
-    /// Pure lookup without statistics bookkeeping.
+    /// Ranked results for a query, or `None` on a miss.
     pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
         self.table.lookup(query_hash)
-    }
-
-    /// Serves a query, updating hit/miss statistics.
-    pub fn serve(&mut self, query_hash: u64) -> LookupOutcome {
-        match self.table.lookup(query_hash) {
-            Some(results) => {
-                self.stats.hits += 1;
-                LookupOutcome { hit: true, results }
-            }
-            None => {
-                self.stats.misses += 1;
-                LookupOutcome {
-                    hit: false,
-                    results: Vec::new(),
-                }
-            }
-        }
     }
 
     /// Records the user's click on `(query, result)` and applies the §5.3
@@ -245,41 +183,46 @@ impl PocketCache {
 }
 
 /// The shared community component of the §4 two-part model: query/result
-/// pairs mined from everyone's logs, built once and snapshot-shared
-/// (`Arc`) across every user and serving lane.
+/// pairs mined from everyone's logs, frozen into one [`FrozenTable`]
+/// serve index at construction and `Arc`-shared across every user and
+/// serving lane.
 ///
-/// The community cache is **read-mostly by contract**: installs happen
-/// during the update window, then the snapshot is frozen while replay
-/// runs. Per-user state never writes here — clicks fold into each user's
-/// [`PersonalDelta`] instead — which is what makes one copy sufficient
-/// for a million users.
+/// Nothing writes a built community cache — clicks fold into each user's
+/// [`PersonalDelta`] instead, which is what makes one copy sufficient for
+/// a million users. A refresh builds a new one.
 ///
-/// The serve path reads the snapshot through its [`FrozenTable`] index:
-/// built by [`CommunityCache::into_shared`] (or on first use) and
-/// dropped by every install, so it always images the current table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// # Example
+///
+/// ```
+/// use cloudlet_core::cache::{CommunityCache, PersonalDelta};
+/// use cloudlet_core::hashtable::{ConflictPolicy, QueryHashTable};
+/// use cloudlet_core::ranking::RankingPolicy;
+///
+/// let mut table = QueryHashTable::new();
+/// table.upsert(42, 1000, 0.7, ConflictPolicy::Max);
+/// let community = CommunityCache::new(&table, RankingPolicy::default());
+/// assert!(community.contains_query(42), "community warm start");
+///
+/// // Alice's click folds into her delta only: the shared snapshot, and
+/// // so every other user's view, is unchanged.
+/// let mut alice = PersonalDelta::new();
+/// alice.record_click(community.policy(), Some(&community), 42, 2000);
+/// assert!(alice.lookup(42).unwrap().iter().any(|r| r.result_hash == 2000));
+/// assert!(!community.lookup(42).unwrap().iter().any(|r| r.result_hash == 2000));
+/// ```
+#[derive(Debug, Clone)]
 pub struct CommunityCache {
-    table: QueryHashTable,
+    index: FrozenTable,
     policy: RankingPolicy,
-    #[serde(skip)]
-    index: OnceLock<FrozenTable>,
-}
-
-/// Equality is over the contents; whether the derived index has been
-/// built yet does not matter.
-impl PartialEq for CommunityCache {
-    fn eq(&self, other: &Self) -> bool {
-        self.table == other.table && self.policy == other.policy
-    }
 }
 
 impl CommunityCache {
-    /// An empty community snapshot.
-    pub fn new(policy: RankingPolicy) -> Self {
+    /// Freezes `table` — installed with [`ConflictPolicy::Max`], the
+    /// §5.4 rule for server-state conflicts — into the shared snapshot.
+    pub fn new(table: &QueryHashTable, policy: RankingPolicy) -> Self {
         CommunityCache {
-            table: QueryHashTable::new(),
+            index: FrozenTable::from_table(table),
             policy,
-            index: OnceLock::new(),
         }
     }
 
@@ -288,57 +231,24 @@ impl CommunityCache {
         &self.policy
     }
 
-    /// Read access to the underlying hash table.
-    pub fn table(&self) -> &QueryHashTable {
-        &self.table
-    }
-
-    /// Installs one mined pair (server-state conflicts keep the larger
-    /// score, §5.4).
-    pub fn install_pair(&mut self, query_hash: u64, result_hash: u64, score: f32) {
-        self.index = OnceLock::new();
-        self.table
-            .upsert(query_hash, result_hash, score, ConflictPolicy::Max);
-    }
-
-    /// Installs a whole generated community cache.
-    pub fn install_contents(&mut self, contents: &CacheContents) {
-        for p in contents.pairs() {
-            self.install_pair(p.query_hash, p.result_hash, p.score);
-        }
-    }
-
-    /// The serve index of the current table, built on first call.
-    pub(crate) fn index(&self) -> &FrozenTable {
-        self.index
-            .get_or_init(|| FrozenTable::from_table(&self.table))
-    }
-
     /// Ranked results for a query, if cached.
     pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
-        self.table.lookup(query_hash)
+        self.index.lookup(query_hash)
     }
 
     /// Whether the snapshot holds any result for `query_hash`.
     pub fn contains_query(&self, query_hash: u64) -> bool {
-        self.table.contains_query(query_hash)
+        self.index.contains_query(query_hash)
     }
 
     /// Cached `(query, result)` pairs.
     pub fn pair_count(&self) -> usize {
-        self.table.pair_count()
+        self.index.pair_count()
     }
 
     /// DRAM footprint of the one shared copy (§5.2 accounting).
     pub fn footprint_bytes(&self) -> usize {
-        self.table.footprint_bytes()
-    }
-
-    /// Freezes the snapshot for sharing across users and lanes, building
-    /// its serve index once here rather than on the first serve.
-    pub fn into_shared(self) -> Arc<CommunityCache> {
-        self.index();
-        Arc::new(self)
+        self.index.footprint_bytes()
     }
 }
 
@@ -404,17 +314,12 @@ impl PersonalDelta {
             .sum()
     }
 
-    /// Ranked results for a query the delta shadows, in the same
-    /// `(score desc, result_hash asc)` order [`QueryHashTable::lookup`]
-    /// produces.
+    /// Ranked results for a query the delta shadows, in
+    /// [`ScoredResult::rank_order`] like every other lookup.
     pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
         let idx = self.find(query_hash).ok()?;
         let mut out = self.entries[idx].results.clone();
-        out.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.result_hash.cmp(&b.result_hash))
-        });
+        out.sort_by(ScoredResult::rank_order);
         Some(out)
     }
 
@@ -487,143 +392,13 @@ impl PersonalDelta {
     }
 }
 
-/// The §4 two-part model as structure: one shared [`CommunityCache`]
-/// snapshot under this user's [`PersonalDelta`], presenting the same
-/// serve/click surface as the flattened [`PocketCache`].
-///
-/// Lookup order is **delta, then community**: a query the user has
-/// personalized is answered from their delta (which already embeds the
-/// community results it was seeded from); anything else falls through
-/// to the shared snapshot. Clicks fold into the delta only — the
-/// community copy is never written — so any number of `SplitCache`s can
-/// share one snapshot — and its one serve index.
-///
-/// Under install-before-replay (the community frozen before serving
-/// starts, as in the paper's update protocol), a `SplitCache` reproduces
-/// the flattened cache's [`LookupOutcome`] sequence bit for bit in every
-/// [`CacheMode`].
-///
-/// # Example
-///
-/// ```
-/// use cloudlet_core::cache::{CacheMode, CommunityCache, SplitCache};
-/// use cloudlet_core::ranking::RankingPolicy;
-///
-/// let mut community = CommunityCache::new(RankingPolicy::default());
-/// community.install_pair(42, 1000, 0.7);
-/// let shared = community.into_shared();
-///
-/// let mut alice = SplitCache::new(CacheMode::Full, shared.clone());
-/// let mut bob = SplitCache::new(CacheMode::Full, shared);
-/// assert!(alice.serve(42).hit, "community warm start");
-/// alice.record_click(42, 2000); // folds into Alice's delta only
-/// assert!(alice.serve(42).results.iter().any(|r| r.result_hash == 2000));
-/// assert!(!bob.serve(42).results.iter().any(|r| r.result_hash == 2000));
-/// ```
-#[derive(Debug, Clone)]
-pub struct SplitCache {
-    mode: CacheMode,
-    community: Arc<CommunityCache>,
-    delta: PersonalDelta,
-    stats: CacheStats,
-}
-
-impl SplitCache {
-    /// A split cache for one user over a shared community snapshot.
-    pub fn new(mode: CacheMode, community: Arc<CommunityCache>) -> Self {
-        SplitCache {
-            mode,
-            community,
-            delta: PersonalDelta::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The active mode.
-    pub fn mode(&self) -> CacheMode {
-        self.mode
-    }
-
-    /// The shared community snapshot.
-    pub fn community(&self) -> &Arc<CommunityCache> {
-        &self.community
-    }
-
-    /// This user's personalization delta.
-    pub fn delta(&self) -> &PersonalDelta {
-        &self.delta
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Clears hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Pure lookup without statistics bookkeeping: delta first, then the
-    /// community snapshot (mode-gated exactly like [`PocketCache`]).
-    /// The community half probes the snapshot's shared [`FrozenTable`]
-    /// index — bit-identical to the table walk.
-    pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
-        if self.mode.personalization_enabled() {
-            if let Some(results) = self.delta.lookup(query_hash) {
-                return Some(results);
-            }
-        }
-        if self.mode.community_enabled() {
-            return self.community.index().lookup(query_hash);
-        }
-        None
-    }
-
-    /// Serves a query, updating hit/miss statistics.
-    pub fn serve(&mut self, query_hash: u64) -> LookupOutcome {
-        match self.lookup(query_hash) {
-            Some(results) => {
-                self.stats.hits += 1;
-                LookupOutcome { hit: true, results }
-            }
-            None => {
-                self.stats.misses += 1;
-                LookupOutcome {
-                    hit: false,
-                    results: Vec::new(),
-                }
-            }
-        }
-    }
-
-    /// Records the user's click, folding the §5.3 personalization into
-    /// the delta only. A no-op in community-only mode; in
-    /// personalization-only mode the delta is never seeded from the
-    /// community (Figure 17's empty start).
-    pub fn record_click(&mut self, query_hash: u64, result_hash: u64) {
-        if !self.mode.personalization_enabled() {
-            return;
-        }
-        let policy = *self.community.policy();
-        let community = self
-            .mode
-            .community_enabled()
-            .then_some(self.community.as_ref());
-        self.delta
-            .record_click(&policy, community, query_hash, result_hash);
-    }
-
-    /// Resident bytes attributable to this user: the delta only — the
-    /// community snapshot is shared and accounted once, not per user.
-    pub fn personal_bytes(&self) -> usize {
-        self.delta.footprint_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::{PairTable, PopulationConfig, PopulationLane};
+    use crate::service::{CloudletService, ServeKind, ServeRequest};
+    use mobsim::time::SimInstant;
+    use std::sync::Arc;
 
     fn full() -> PocketCache {
         PocketCache::new(CacheMode::Full, RankingPolicy::default())
@@ -634,27 +409,24 @@ mod tests {
         let mut c = full();
         c.install_pair(1, 10, 0.6);
         c.install_pair(1, 11, 0.4);
-        let out = c.serve(1);
-        assert!(out.hit);
-        assert_eq!(out.results.len(), 2);
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.lookup(1).expect("installed query hits").len(), 2);
     }
 
     #[test]
     fn personalization_only_ignores_community_installs() {
         let mut c = PocketCache::new(CacheMode::PersonalizationOnly, RankingPolicy::default());
         c.install_pair(1, 10, 0.6);
-        assert!(!c.serve(1).hit);
+        assert!(c.lookup(1).is_none());
         // But the user's own click is cached.
         c.record_click(1, 10);
-        assert!(c.serve(1).hit);
+        assert!(c.lookup(1).is_some());
     }
 
     #[test]
     fn community_only_never_learns() {
         let mut c = PocketCache::new(CacheMode::CommunityOnly, RankingPolicy::default());
         c.record_click(1, 10);
-        assert!(!c.serve(1).hit);
+        assert!(c.lookup(1).is_none());
         // Installed scores also stay frozen.
         c.install_pair(2, 20, 0.5);
         c.record_click(2, 20);
@@ -670,10 +442,10 @@ mod tests {
         for _ in 0..2 {
             c.record_click(1, 11);
         }
-        let out = c.serve(1);
-        assert_eq!(out.results[0].result_hash, 11, "clicked result must rise");
-        assert!(out.results[0].accessed);
-        assert!(!out.results[1].accessed);
+        let results = c.lookup(1).unwrap();
+        assert_eq!(results[0].result_hash, 11, "clicked result must rise");
+        assert!(results[0].accessed);
+        assert!(!results[1].accessed);
     }
 
     #[test]
@@ -681,9 +453,7 @@ mod tests {
         let mut c = full();
         c.record_click(7, 70);
         assert_eq!(c.table().score(7, 70).unwrap(), 1.0);
-        let out = c.serve(7);
-        assert!(out.hit);
-        assert!(out.results[0].accessed);
+        assert!(c.lookup(7).unwrap()[0].accessed);
     }
 
     #[test]
@@ -694,20 +464,6 @@ mod tests {
         let s10 = c.table().score(1, 10).unwrap();
         assert!(s10 < 0.8, "existing sibling must decay, was {s10}");
         assert_eq!(c.table().score(1, 99).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn stats_track_hits_and_misses() {
-        let mut c = full();
-        c.install_pair(1, 10, 0.5);
-        c.serve(1);
-        c.serve(2);
-        c.serve(3);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 2));
-        assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        c.reset_stats();
-        assert_eq!(c.stats().hit_rate(), 0.0);
     }
 
     #[test]
@@ -726,107 +482,66 @@ mod tests {
         let mut c = full();
         c.install_pair(1, 10, 0.5);
         c.replace_table(QueryHashTable::new());
-        assert!(!c.serve(1).hit);
+        assert!(c.lookup(1).is_none());
     }
 
-    fn community_with(pairs: &[(u64, u64, f32)]) -> Arc<CommunityCache> {
-        let mut c = CommunityCache::new(RankingPolicy::default());
+    fn community_with(pairs: &[(u64, u64, f32)]) -> CommunityCache {
+        let mut table = QueryHashTable::new();
         for &(q, r, s) in pairs {
-            c.install_pair(q, r, s);
+            table.upsert(q, r, s, ConflictPolicy::Max);
         }
-        c.into_shared()
-    }
-
-    /// Replays the same serve/click script against a flattened cache and
-    /// a split cache and demands identical outcomes at every step.
-    fn assert_split_matches_flat(
-        mode: CacheMode,
-        pairs: &[(u64, u64, f32)],
-        script: &[(u64, u64)],
-    ) {
-        let mut flat = PocketCache::new(mode, RankingPolicy::default());
-        for &(q, r, s) in pairs {
-            flat.install_pair(q, r, s);
-        }
-        let mut split = SplitCache::new(mode, community_with(pairs));
-        for &(q, r) in script {
-            let a = flat.serve(q);
-            let b = split.serve(q);
-            assert_eq!(a, b, "mode {mode}: outcomes diverged on query {q}");
-            flat.record_click(q, r);
-            split.record_click(q, r);
-        }
-        assert_eq!(flat.stats(), split.stats());
-    }
-
-    #[test]
-    fn split_cache_matches_flat_cache_in_every_mode() {
-        let pairs = [(1, 10, 0.6), (1, 11, 0.4), (2, 20, 0.9), (3, 30, 0.2)];
-        // Clicks on cached pairs, sibling pairs, brand-new queries, and
-        // repeats of all three.
-        let script = [
-            (1, 11),
-            (1, 11),
-            (2, 20),
-            (5, 50),
-            (1, 10),
-            (5, 50),
-            (3, 31),
-            (2, 21),
-            (7, 70),
-            (1, 11),
-        ];
-        for mode in CacheMode::ALL {
-            assert_split_matches_flat(mode, &pairs, &script);
-        }
+        CommunityCache::new(&table, RankingPolicy::default())
     }
 
     #[test]
     fn deltas_are_per_user_and_community_is_untouched() {
-        let shared = community_with(&[(1, 10, 0.6), (1, 11, 0.4)]);
-        let mut alice = SplitCache::new(CacheMode::Full, shared.clone());
-        let mut bob = SplitCache::new(CacheMode::Full, shared.clone());
+        let community = community_with(&[(1, 10, 0.6), (1, 11, 0.4)]);
+        let policy = *community.policy();
+        let mut alice = PersonalDelta::new();
         for _ in 0..3 {
-            alice.record_click(1, 11);
+            alice.record_click(&policy, Some(&community), 1, 11);
         }
-        // Alice's re-ranking lifted 11; Bob still sees community order.
-        assert_eq!(alice.serve(1).results[0].result_hash, 11);
-        assert_eq!(bob.serve(1).results[0].result_hash, 10);
-        // The shared snapshot itself never changed.
-        assert_eq!(shared.lookup(1).unwrap()[0].result_hash, 10);
-        assert_eq!(shared.pair_count(), 2);
+        // Alice's re-ranking lifted 11; Bob's empty delta falls through
+        // to the shared snapshot, which still has community order.
+        let bob = PersonalDelta::new();
+        assert_eq!(alice.lookup(1).unwrap()[0].result_hash, 11);
+        assert!(bob.lookup(1).is_none());
+        assert_eq!(community.lookup(1).unwrap()[0].result_hash, 10);
+        assert_eq!(community.pair_count(), 2);
         // Only Alice pays for her personalization.
-        assert!(alice.personal_bytes() > 0);
-        assert_eq!(bob.personal_bytes(), 0);
+        assert!(alice.footprint_bytes() > 0);
+        assert_eq!(bob.footprint_bytes(), 0);
     }
 
     #[test]
     fn copy_on_write_seeds_from_community_once() {
-        let shared = community_with(&[(1, 10, 0.6), (1, 11, 0.4)]);
-        let mut c = SplitCache::new(CacheMode::Full, shared);
-        assert_eq!(c.delta().query_count(), 0);
-        c.record_click(1, 10);
-        assert_eq!(c.delta().query_count(), 1);
-        assert_eq!(
-            c.delta().pair_count(),
-            2,
-            "seeded with both community results"
-        );
-        c.record_click(1, 10);
-        assert_eq!(c.delta().query_count(), 1, "second click reuses the entry");
+        let community = community_with(&[(1, 10, 0.6), (1, 11, 0.4)]);
+        let policy = *community.policy();
+        let mut d = PersonalDelta::new();
+        assert_eq!(d.query_count(), 0);
+        d.record_click(&policy, Some(&community), 1, 10);
+        assert_eq!(d.query_count(), 1);
+        assert_eq!(d.pair_count(), 2, "seeded with both community results");
+        d.record_click(&policy, Some(&community), 1, 10);
+        assert_eq!(d.query_count(), 1, "second click reuses the entry");
     }
 
     #[test]
     fn personalization_only_split_never_sees_community() {
-        let shared = community_with(&[(1, 10, 0.6)]);
-        let mut c = SplitCache::new(CacheMode::PersonalizationOnly, shared);
-        assert!(!c.serve(1).hit);
-        c.record_click(1, 99);
-        let out = c.serve(1);
-        assert!(out.hit);
+        let community = Arc::new(community_with(&[(1, 10, 0.6)]));
+        let pairs = Arc::new(PairTable::new(vec![(1, 99)]));
+        let config = PopulationConfig {
+            mode: CacheMode::PersonalizationOnly,
+            ..PopulationConfig::default()
+        };
+        let mut lane = PopulationLane::new(config, community, pairs);
+        let request = ServeRequest::for_user(7, 0, SimInstant::ZERO);
+        assert_eq!(lane.serve(&request).unwrap().kind, ServeKind::Miss);
+        assert_eq!(lane.serve(&request).unwrap().kind, ServeKind::Hit);
         // Not seeded: the community's result 10 must be absent.
-        assert_eq!(out.results.len(), 1);
-        assert_eq!(out.results[0].result_hash, 99);
+        let results = lane.delta(7).and_then(|d| d.lookup(1)).unwrap();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].result_hash, 99);
     }
 
     #[test]
@@ -849,10 +564,10 @@ mod tests {
         // a third result: 16 + 2·13 for the seeded entry, +13 appended.
         let community = community_with(&[(3, 30, 0.6), (3, 31, 0.4)]);
         assert_eq!(
-            d.record_click(&policy, Some(&*community), 3, 32),
+            d.record_click(&policy, Some(&community), 3, 32),
             16 + 3 * 13
         );
-        assert_eq!(d.record_click(&policy, Some(&*community), 4, 40), 16 + 13);
+        assert_eq!(d.record_click(&policy, Some(&community), 4, 40), 16 + 13);
         assert_eq!(d.footprint_bytes(), 4 * 16 + 7 * 13);
     }
 }

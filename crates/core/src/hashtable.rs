@@ -39,6 +39,16 @@ pub struct ScoredResult {
     pub accessed: bool,
 }
 
+impl ScoredResult {
+    /// The one ranking order every lookup returns: best score first,
+    /// ties broken by ascending result hash.
+    pub fn rank_order(a: &Self, b: &Self) -> std::cmp::Ordering {
+        b.score
+            .total_cmp(&a.score)
+            .then(a.result_hash.cmp(&b.result_hash))
+    }
+}
+
 /// How [`QueryHashTable::upsert`] reconciles an existing pair's score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ConflictPolicy {
@@ -212,11 +222,7 @@ impl QueryHashTable {
         if out.is_empty() {
             return None;
         }
-        out.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.result_hash.cmp(&b.result_hash))
-        });
+        out.sort_by(ScoredResult::rank_order);
         Some(out)
     }
 
@@ -303,16 +309,17 @@ impl QueryHashTable {
         // Collect survivors per query, then rebuild chains. Rebuilding is
         // simpler than in-place chain surgery and this path only runs
         // during nightly updates.
-        let mut survivors: HashMap<u64, Vec<(Slot, bool)>> = HashMap::new();
+        let mut survivors: HashMap<u64, Vec<ScoredResult>> = HashMap::new();
         let mut removed = 0;
         for (&(query_hash, _), entry) in &self.entries {
             for i in 0..SLOTS_PER_ENTRY {
                 if let Some(slot) = entry.slots[i] {
                     if keep(query_hash, slot.result_hash, slot.score, entry.accessed(i)) {
-                        survivors
-                            .entry(query_hash)
-                            .or_default()
-                            .push((slot, entry.accessed(i)));
+                        survivors.entry(query_hash).or_default().push(ScoredResult {
+                            result_hash: slot.result_hash,
+                            score: slot.score,
+                            accessed: entry.accessed(i),
+                        });
                     } else {
                         removed += 1;
                     }
@@ -320,17 +327,16 @@ impl QueryHashTable {
             }
         }
         self.entries.clear();
-        for (query_hash, mut slots) in survivors {
-            slots.sort_by(|a, b| {
-                b.0.score
-                    .total_cmp(&a.0.score)
-                    .then(a.0.result_hash.cmp(&b.0.result_hash))
-            });
-            for (chunk_idx, chunk) in slots.chunks(SLOTS_PER_ENTRY).enumerate() {
+        for (query_hash, mut results) in survivors {
+            results.sort_by(ScoredResult::rank_order);
+            for (chunk_idx, chunk) in results.chunks(SLOTS_PER_ENTRY).enumerate() {
                 let mut entry = Entry::default();
-                for (i, (slot, accessed)) in chunk.iter().enumerate() {
-                    entry.slots[i] = Some(*slot);
-                    if *accessed {
+                for (i, r) in chunk.iter().enumerate() {
+                    entry.slots[i] = Some(Slot {
+                        result_hash: r.result_hash,
+                        score: r.score,
+                    });
+                    if r.accessed {
                         entry.set_accessed(i);
                     }
                 }

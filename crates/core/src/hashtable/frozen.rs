@@ -13,7 +13,7 @@
 //! entry, its up-to-two scored results inline, and a copy of the §5.2
 //! flags word. Lookup results are bit-identical to
 //! [`super::QueryHashTable::lookup`]: same chain walk, same
-//! `(score desc, result_hash asc)` ordering, same `accessed` bits, same
+//! [`ScoredResult::rank_order`], same `accessed` bits, same
 //! miss semantics — `tests/hotpath_equivalence.rs` proves this over 256
 //! random tables.
 
@@ -224,11 +224,7 @@ impl FrozenTable {
         if out.is_empty() {
             return None;
         }
-        out.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.result_hash.cmp(&b.result_hash))
-        });
+        out.sort_by(ScoredResult::rank_order);
         Some(out)
     }
 

@@ -42,10 +42,10 @@
 //!   queues with typed admission/backpressure, duplicate-key
 //!   coalescing, a shared-lock read path for hits, and work stealing
 //!   between replica lanes.
-//! * [`population`] — population-scale serving: one shared
-//!   [`cache::CommunityCache`] snapshot plus per-user
-//!   [`cache::PersonalDelta`]s behind a [`CloudletService`] lane, with
-//!   O(users) resident-memory accounting.
+//! * [`population`] — population-scale serving, the one runtime form of
+//!   the §4 two-part split: one frozen [`cache::CommunityCache`]
+//!   snapshot plus per-user [`cache::PersonalDelta`]s behind a
+//!   [`CloudletService`] lane, with O(users) resident-memory accounting.
 //! * [`corpus`] — the small trait that ties hashes and record sizes back
 //!   to a concrete corpus (implemented for `querylog::Universe`).
 //! * [`shard`] — the query hash table partitioned into immutable
@@ -102,7 +102,7 @@ pub mod shard;
 pub mod update;
 
 pub use arbiter::{AdaptiveArbiter, ArbiterConfig, BudgetDecision, DemandContext};
-pub use cache::{CacheMode, CommunityCache, LookupOutcome, PersonalDelta, PocketCache, SplitCache};
+pub use cache::{CacheMode, CommunityCache, PersonalDelta, PocketCache};
 pub use contentgen::{AdmissionPolicy, CacheContents, CachePair};
 pub use coordination::{CloudletBudgets, CloudletId, CoordinatedEviction};
 pub use corpus::{CorpusView, UniverseCorpus};

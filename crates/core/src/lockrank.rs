@@ -24,9 +24,9 @@
 //! # Lock-free paths (no rank consumed)
 //!
 //! The DRAM serve index takes no lock at all:
-//! [`crate::shard::ShardedTable::lookup`], the community half of
-//! [`crate::cache::SplitCache::lookup`], and `PopulationLane`'s
-//! community probes all read a [`crate::hashtable::frozen::FrozenTable`]
+//! [`crate::shard::ShardedTable::lookup`] and the
+//! [`crate::cache::CommunityCache`] probes of `PopulationLane` and
+//! `PersonalDelta` all read a [`crate::hashtable::frozen::FrozenTable`]
 //! — an immutable image shared by `Arc`. Nothing writes a built index
 //! (a §5.4 refresh builds a new one), so there is nothing to order. The
 //! front-end lane lock is still taken (shared, [`FRONT_LANE`]) to pin

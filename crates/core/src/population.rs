@@ -128,8 +128,9 @@ pub struct PopulationResidency {
 ///
 /// Every serve is a *clicked* log event — `querylog` entries are
 /// query/clicked-result pairs — so a serve both answers the query
-/// (delta-then-community, exactly [`crate::cache::SplitCache`]'s order)
-/// and folds the click into the requesting user's delta.
+/// (delta-then-community: a query the user has personalized is answered
+/// from their delta, which already embeds the community results it was
+/// seeded from) and folds the click into the requesting user's delta.
 #[derive(Debug, Clone)]
 pub struct PopulationLane {
     config: PopulationConfig,
@@ -167,6 +168,11 @@ impl PopulationLane {
         &self.community
     }
 
+    /// `user`'s personalization delta, if they have clicked on this lane.
+    pub fn delta(&self, user: u64) -> Option<&PersonalDelta> {
+        self.deltas.get(&user)
+    }
+
     /// Resident-memory accounting across this lane's deltas.
     ///
     /// `delta_bytes` is maintained incrementally on the serve path; the
@@ -198,7 +204,7 @@ impl PopulationLane {
         {
             return true;
         }
-        self.config.mode.community_enabled() && self.community.index().contains_query(query_hash)
+        self.config.mode.community_enabled() && self.community.contains_query(query_hash)
     }
 }
 
@@ -255,7 +261,6 @@ impl CloudletService for PopulationLane {
         }
         let (query_hash, _) = self.pairs.get(request.key)?;
         self.community
-            .index()
             .contains_query(query_hash)
             .then(|| ServeOutcome::hit().with_service(self.config.hit_service))
     }
@@ -277,7 +282,7 @@ impl CloudletService for PopulationLane {
                 let Some((query_hash, _)) = self.pairs.get(key) else {
                     return false;
                 };
-                if community_on && self.community.index().contains_query(query_hash) {
+                if community_on && self.community.contains_query(query_hash) {
                     return false;
                 }
                 self.deltas.values().any(|d| d.contains_query(query_hash))
@@ -300,6 +305,7 @@ impl CloudletService for PopulationLane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashtable::{ConflictPolicy, QueryHashTable};
     use crate::ranking::RankingPolicy;
     use crate::service::ServeKind;
     use mobsim::time::SimInstant;
@@ -309,13 +315,14 @@ mod tests {
     }
 
     fn world() -> (Arc<CommunityCache>, Arc<PairTable>) {
-        let mut community = CommunityCache::new(RankingPolicy::default());
+        let mut table = QueryHashTable::new();
         // Pairs 0..3: queries 100/100/200, results 10/11/20.
-        community.install_pair(100, 10, 0.6);
-        community.install_pair(100, 11, 0.4);
-        community.install_pair(200, 20, 0.9);
+        table.upsert(100, 10, 0.6, ConflictPolicy::Max);
+        table.upsert(100, 11, 0.4, ConflictPolicy::Max);
+        table.upsert(200, 20, 0.9, ConflictPolicy::Max);
+        let community = CommunityCache::new(&table, RankingPolicy::default());
         let pairs = PairTable::new(vec![(100, 10), (100, 11), (200, 20), (300, 30)]);
-        (community.into_shared(), pairs.into_shared())
+        (Arc::new(community), pairs.into_shared())
     }
 
     #[test]

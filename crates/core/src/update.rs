@@ -101,11 +101,6 @@ impl UpdateServer {
         )
     }
 
-    /// The fresh popular set the server would push.
-    pub fn fresh_pairs(&self) -> &[(u64, u64, f32)] {
-        &self.fresh
-    }
-
     /// Runs the §5.4 merge against an uploaded table.
     ///
     /// # Errors

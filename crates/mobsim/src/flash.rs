@@ -327,11 +327,6 @@ impl FlashStore {
         self.model.alloc = alloc;
     }
 
-    /// Number of files currently stored.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Names of all files, in sorted order.
     pub fn file_names(&self) -> impl Iterator<Item = &str> {
         self.files.keys().map(String::as_str)

@@ -258,16 +258,10 @@ impl PocketSearch {
     /// Serves one query end to end: hash-table lookup, then either the
     /// flash fetch + render path (hit) or the radio path (miss).
     pub fn serve(&mut self, query_hash: u64) -> ServedQuery {
-        let outcome = self.cache.serve(query_hash);
         let mut degraded = None;
-        if outcome.hit {
+        if let Some(ranked) = self.cache.lookup(query_hash) {
             // Display the top two results, as in the Figure 1 GUI.
-            let top: Vec<u64> = outcome
-                .results
-                .iter()
-                .take(2)
-                .map(|r| r.result_hash)
-                .collect();
+            let top: Vec<u64> = ranked.iter().take(2).map(|r| r.result_hash).collect();
             match self.db.get_many(top.iter().copied(), self.device.flash()) {
                 Ok((results, fetch_time)) => {
                     let report = self.device.serve_cache_hit(fetch_time);

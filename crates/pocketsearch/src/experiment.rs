@@ -9,10 +9,14 @@
 //! * [`run_hit_rate_study`] — Figures 17/18/19 and the §6.2.2 daily-update
 //!   variant: build the cache from one month of community logs, replay the
 //!   next month's per-user streams per class and cache mode.
+//! * [`sliding_window_server`] — the §6.2.2 nightly update server, mined
+//!   from a month-long window sliding from the build month into the
+//!   replay month.
 
 use cloudlet_core::cache::CacheMode;
 use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
 use cloudlet_core::corpus::UniverseCorpus;
+use cloudlet_core::ranking::RankingPolicy;
 use cloudlet_core::update::UpdateServer;
 use mobsim::device::Device;
 use mobsim::power::Energy;
@@ -183,29 +187,20 @@ pub fn run_hit_rate_study(config: &HitRateConfig, modes: &[CacheMode]) -> HitRat
     let catalog = Catalog::new(generator.universe());
     let streams = select_streams(&replay_month, config.users_per_class);
 
-    // §6.2.2: one update server per replay day, built over a 28-day
-    // sliding window that gradually swaps build-month days for replay-month
-    // days.
+    // §6.2.2: one update server per replay day.
     let servers: Option<Vec<UpdateServer>> = config.daily_updates.then(|| {
-        let days = replay_month.days();
-        (0..days)
-            .map(|d| {
-                let mut window: Vec<LogEntry> = build_month
-                    .iter()
-                    .filter(|e| e.time.day > d)
-                    .copied()
-                    .collect();
-                window.extend(replay_month.iter().filter(|e| e.time.day <= d).copied());
-                let window_log = SearchLog::new(window, days);
-                let window_table = TripletTable::from_log(&window_log);
-                let window_contents = CacheContents::generate(
-                    &window_table,
+        (0..replay_month.days())
+            .map(|day| {
+                sliding_window_server(
+                    &build_month,
+                    &replay_month,
+                    day,
                     &corpus,
                     AdmissionPolicy::CumulativeShare {
                         share: config.cache_share,
                     },
-                );
-                UpdateServer::from_contents(&window_contents, config.ranking)
+                    config.ranking,
+                )
             })
             .collect()
     });
@@ -234,6 +229,29 @@ pub fn run_hit_rate_study(config: &HitRateConfig, modes: &[CacheMode]) -> HitRat
         dram_bytes: contents.dram_bytes(),
         flash_bytes: contents.flash_bytes(),
     }
+}
+
+/// The §6.2.2 nightly update server after replay day `day`: community
+/// contents mined at `admission` from a month-long sliding window — the
+/// build month's days after `day` plus the replay month's days up to and
+/// including it — so each night swaps one old day for one new one.
+pub fn sliding_window_server(
+    build_month: &SearchLog,
+    replay_month: &SearchLog,
+    day: u16,
+    corpus: &UniverseCorpus<'_>,
+    admission: AdmissionPolicy,
+    ranking: RankingPolicy,
+) -> UpdateServer {
+    let window: Vec<LogEntry> = build_month
+        .iter()
+        .filter(|e| e.time.day > day)
+        .chain(replay_month.iter().filter(|e| e.time.day <= day))
+        .copied()
+        .collect();
+    let log = SearchLog::new(window, replay_month.days());
+    let contents = CacheContents::generate(&TripletTable::from_log(&log), corpus, admission);
+    UpdateServer::from_contents(&contents, ranking)
 }
 
 /// Picks up to `per_class` user streams per Table 6 class from a replay

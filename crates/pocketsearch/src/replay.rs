@@ -165,18 +165,6 @@ pub fn replay_user(base: &PocketSearch, catalog: &Catalog, stream: &[LogEntry]) 
     replay_stream(&mut engine, catalog, stream, None)
 }
 
-/// Replays one user with nightly community updates applied between days
-/// (§6.2.2): `servers_by_day[d]` refreshes the cache after day `d`.
-pub fn replay_user_with_updates(
-    base: &PocketSearch,
-    catalog: &Catalog,
-    stream: &[LogEntry],
-    servers_by_day: &[UpdateServer],
-) -> ReplayOutcome {
-    let mut engine = base.clone();
-    replay_stream(&mut engine, catalog, stream, Some(servers_by_day))
-}
-
 /// Replays a whole population in parallel, one engine clone per user.
 pub fn replay_population(
     base: &PocketSearch,

@@ -39,12 +39,6 @@ impl WebService {
         &self.web
     }
 
-    /// Mutable access for maintenance passes (prefetch, overnight
-    /// refresh) that are not part of the serve path.
-    pub fn web_mut(&mut self) -> &mut PocketWeb {
-        &mut self.web
-    }
-
     /// The service-layer key of a page.
     pub fn key_of(page: PageId) -> u64 {
         u64::from(page.0)

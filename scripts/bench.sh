@@ -24,16 +24,20 @@
 #     not a reproducible number. Committed at test scale: ~20k cached
 #     pairs is the paper's pocket-sized community cache; at DRAM-bound
 #     sizes both paths converge on memory latency.
+#   results/*.txt       — the full-scale seed-2011 reproduction reports
+#     EXPERIMENTS.md cites: every table, every figure, the §6.2.2 daily
+#     updates, and the nine paper ablations. Deterministic, and always
+#     regenerated at full scale.
 #
 # Usage: scripts/bench.sh [--full | --check]
 #   --full   runs the paper-scale sweeps; the committed artifacts are the
 #            test-scale ones, except the population study which is
 #            committed at full scale.
 #   --check  regenerates the five deterministic artifacts (everything but
-#            BENCH_hotpath.json) into a temporary directory and compares
-#            each byte for byte against the committed file; exits
-#            non-zero and names every file that differs. Writes nothing
-#            in the repo.
+#            BENCH_hotpath.json) and the four results/*.txt reports into a
+#            temporary directory and compares each byte for byte against
+#            the committed file; exits non-zero and names every file that
+#            differs. Writes nothing in the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +69,29 @@ study() {
     --study "$name" "$@" --seed 2011 --out "$out_dir/BENCH_$name.json" >"$table_sink"
 }
 
+# report <dir> <name> <binary> <args...>: runs one full-scale seed-2011
+# report binary into <dir>/<name>.txt.
+report() {
+  local dir="$1" name="$2" bin="$3"
+  shift 3
+  cargo run --release -q -p pocket-bench --bin "$bin" -- --scale full --seed 2011 "$@" \
+    >"$dir/$name.txt"
+}
+
+# reproduce <dir>: regenerates the four results/*.txt reports into <dir>.
+reproduce() {
+  local dir="$1"
+  report "$dir" tables_full tables
+  report "$dir" figures_full figures \
+    --fig 2 --fig 4 --fig 5 --fig 7 --fig 8 --fig 11 --fig 12 \
+    --fig 15a --fig 15b --fig 16 --fig 17 --fig 18 --fig 19
+  report "$dir" daily_updates_full figures --fig daily
+  report "$dir" ablations_full ablations \
+    --study lambda --study admission --study tiers --study freshness --study maps \
+    --study battery --study suggest --study radios --study offload
+}
+reports=(tables_full figures_full daily_updates_full ablations_full)
+
 deterministic=(frontend arbiter wear population peers)
 for name in "${deterministic[@]}"; do
   if [[ "$name" == population ]]; then
@@ -75,6 +102,7 @@ for name in "${deterministic[@]}"; do
 done
 
 if $check; then
+  reproduce "$out_dir"
   status=0
   for name in "${deterministic[@]}"; do
     if ! cmp -s "$out_dir/BENCH_$name.json" "BENCH_$name.json"; then
@@ -82,10 +110,18 @@ if $check; then
       status=1
     fi
   done
+  for name in "${reports[@]}"; do
+    if ! cmp -s "$out_dir/$name.txt" "results/$name.txt"; then
+      echo "bench.sh --check: results/$name.txt differs from the committed file" >&2
+      status=1
+    fi
+  done
   if [[ $status -eq 0 ]]; then
-    echo "bench.sh --check: ${#deterministic[@]} deterministic artifacts regenerate byte-identical"
+    echo "bench.sh --check: ${#deterministic[@]} deterministic artifacts and ${#reports[@]} results reports regenerate byte-identical"
   fi
   exit "$status"
 fi
+
+reproduce results
 
 study hotpath --scale test

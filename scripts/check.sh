@@ -19,7 +19,7 @@ cargo run -q -p cloudlet-analysis --bin lint
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> scripts/bench.sh --check (deterministic BENCH_*.json regenerate byte-identical)"
+echo "==> scripts/bench.sh --check (deterministic BENCH_*.json and results/*.txt regenerate byte-identical)"
 scripts/bench.sh --check
 
 echo "==> cargo test -q"

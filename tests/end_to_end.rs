@@ -115,12 +115,14 @@ fn replay_statistics_match_engine_counters() {
     let stream = month.user_stream(user);
     let outcome = replay_user(&engine, &catalog, &stream);
 
-    // Recompute serially with a fresh clone and compare.
+    // Recompute serially with a fresh clone, serving through the
+    // engine's counted service path, and compare.
     let mut check = engine.clone();
     let mut hits = 0;
     for entry in &stream {
         let qh = catalog.query_hash(entry.query);
-        if check.serve(qh).hit {
+        let request = pocket_cloudlets::core::service::ServeRequest::new(qh, SimInstant::ZERO);
+        if CloudletService::serve(&mut check, &request).unwrap().kind == ServeKind::Hit {
             hits += 1;
         }
         check.click(qh, catalog.result_hash(entry.result), || {
@@ -129,7 +131,7 @@ fn replay_statistics_match_engine_counters() {
     }
     assert_eq!(outcome.hits, hits);
     assert_eq!(outcome.total as usize, stream.len());
-    assert_eq!(check.cache().stats().hits, u64::from(hits));
+    assert_eq!(check.service_stats().hits, u64::from(hits));
 }
 
 #[test]

@@ -6,16 +6,15 @@
 //!
 //! * `ShardedTable::lookup` vs the flat unsharded table, for the table
 //!   as first built and for a rebuild after further random writes;
-//! * `SplitCache` (community half served by the index) vs a flat
-//!   `PocketCache` over the same click stream, in all three
-//!   [`CacheMode`]s;
 //! * `PopulationLane`'s read-only fast path vs its write path, with
 //!   the fast-path outcomes merged into external stats the way the
 //!   front-end's lane counters do it.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use pocket_cloudlets::core::cache::{CacheMode, CommunityCache, PocketCache, SplitCache};
+use pocket_cloudlets::core::cache::{CacheMode, CommunityCache};
 use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable};
 use pocket_cloudlets::core::population::{PairTable, PopulationConfig, PopulationLane};
 use pocket_cloudlets::core::ranking::RankingPolicy;
@@ -95,46 +94,6 @@ proptest! {
         }
     }
 
-    /// A `SplitCache` (community half behind the shared index)
-    /// serves the same outcomes and counts the same stats as a flat
-    /// `PocketCache` over the same serve/click stream, in every mode.
-    #[test]
-    fn split_cache_matches_pocket_cache_in_every_mode(
-        pairs in proptest::collection::vec((0u64..30, 0u64..6, 0u32..=1000), 1..40),
-        stream in proptest::collection::vec((0u64..34, 0u64..6, any::<bool>()), 0..60),
-    ) {
-        for mode in CacheMode::ALL {
-            let mut community = CommunityCache::new(RankingPolicy::default());
-            let mut pocket = PocketCache::new(mode, RankingPolicy::default());
-            for (q, r, s) in &pairs {
-                let result = 1_000 + q * 10 + r;
-                let score = *s as f32 / 1000.0;
-                community.install_pair(*q, result, score);
-                pocket.install_pair(*q, result, score);
-            }
-            let mut split = SplitCache::new(mode, community.into_shared());
-            for (q, r, click) in &stream {
-                let split_out = split.serve(*q);
-                let pocket_out = pocket.serve(*q);
-                prop_assert_eq!(&split_out.hit, &pocket_out.hit, "mode {:?}", mode);
-                prop_assert_eq!(&split_out.results, &pocket_out.results, "mode {:?}", mode);
-                if *click {
-                    if let Some(first) = split_out.results.first() {
-                        // Click something actually served when possible,
-                        // otherwise a cold pair — both paths get the same.
-                        split.record_click(*q, first.result_hash);
-                        pocket.record_click(*q, first.result_hash);
-                    } else {
-                        split.record_click(*q, 1_000 + q * 10 + r);
-                        pocket.record_click(*q, 1_000 + q * 10 + r);
-                    }
-                }
-            }
-            prop_assert_eq!(split.stats().hits, pocket.stats().hits, "mode {:?}", mode);
-            prop_assert_eq!(split.stats().misses, pocket.stats().misses, "mode {:?}", mode);
-        }
-    }
-
     /// The population lane's shared-access fast path, with fast-path
     /// outcomes recorded externally (the front-end's counter pattern),
     /// reproduces the write path's outcomes and aggregate stats.
@@ -145,14 +104,14 @@ proptest! {
         mode_idx in 0usize..3,
     ) {
         let mode = CacheMode::ALL[mode_idx];
-        let mut community = CommunityCache::new(RankingPolicy::default());
+        let mut table = QueryHashTable::new();
         let mut key_pairs = Vec::new();
         for (q, r, s) in &pairs {
             let result = 1_000 + q * 10 + r;
-            community.install_pair(*q, result, *s as f32 / 1000.0);
+            table.upsert(*q, result, *s as f32 / 1000.0, ConflictPolicy::Max);
             key_pairs.push((*q, result));
         }
-        let community = community.into_shared();
+        let community = Arc::new(CommunityCache::new(&table, RankingPolicy::default()));
         let pair_table = PairTable::new(key_pairs).into_shared();
         let config = PopulationConfig { mode, ..PopulationConfig::default() };
 

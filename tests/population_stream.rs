@@ -1,21 +1,23 @@
 //! Property and equivalence tests for the population-scale streaming
 //! path: the lazy epoch stream must be a pure re-chunking of the
 //! materialized month, per-user streams must re-derive independently,
-//! and the split community/personal cache must be bit-identical to the
-//! flattened one.
+//! and the production community/personal split (`PopulationLane`) must
+//! be bit-identical to the flattened `PocketCache`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pocket_bench::{materialized_month_requests, population_requests, population_world};
-use pocket_cloudlets::core::cache::{CacheMode, CommunityCache, PocketCache, SplitCache};
+use pocket_cloudlets::core::cache::{CacheMode, CommunityCache, PocketCache};
 use pocket_cloudlets::core::frontend::{
     Frontend, FrontendConfig, OverflowPolicy, RouteBy, ServeRequest,
 };
-use pocket_cloudlets::core::population::{PopulationConfig, PopulationLane};
+use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable, ScoredResult};
+use pocket_cloudlets::core::population::{PairTable, PopulationConfig, PopulationLane};
 use pocket_cloudlets::core::ranking::RankingPolicy;
-use pocket_cloudlets::core::service::CloudletService;
+use pocket_cloudlets::core::service::{self, CloudletService, ServeKind};
+use pocket_cloudlets::mobsim::time::SimInstant;
 use pocket_cloudlets::querylog::generator::{GeneratorConfig, LogGenerator};
 use pocket_cloudlets::querylog::ids::UserId;
 use pocket_cloudlets::querylog::log::LogEntry;
@@ -111,68 +113,73 @@ proptest! {
     }
 }
 
-/// One step of a cache usage script: serve a query, or click a result.
-#[derive(Debug, Clone, Copy)]
-enum CacheOp {
-    Serve { q: u64 },
-    Click { q: u64, r: u64 },
-}
+/// The one user every split-equivalence script runs as.
+const USER: u64 = 7;
 
-fn cache_op() -> impl Strategy<Value = CacheOp> {
-    prop_oneof![
-        2 => (0u64..16).prop_map(|q| CacheOp::Serve { q }),
-        3 => (0u64..16, 100u64..112).prop_map(|(q, r)| CacheOp::Click { q, r }),
-    ]
+/// `user`'s ranked view through the production split, gated as
+/// `PopulationLane::serve` gates it: their delta answers first in the
+/// personalization modes, the community snapshot after it in the
+/// community modes.
+fn split_view(lane: &PopulationLane, user: u64, q: u64) -> Option<Vec<ScoredResult>> {
+    let mode = lane.config().mode;
+    let personal = mode
+        .personalization_enabled()
+        .then(|| lane.delta(user).and_then(|d| d.lookup(q)))
+        .flatten();
+    personal.or_else(|| {
+        mode.community_enabled()
+            .then(|| lane.community().lookup(q))
+            .flatten()
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Under the install-before-replay contract, the split
-    /// community/personal cache reproduces the flattened cache bit for
-    /// bit — same hit/miss sequence, same served results and scores —
-    /// in every cache mode, for arbitrary install sets and usage
-    /// scripts.
+    /// Under the install-before-replay contract, the production split —
+    /// a one-user `PopulationLane` over a frozen `CommunityCache` —
+    /// reproduces the flat `PocketCache` bit for bit in every cache
+    /// mode, for arbitrary install sets and clicked-event scripts: the
+    /// same hit or miss per event, and the same ranked results, scores
+    /// and accessed bits before and after every click.
     #[test]
-    fn split_cache_is_bit_identical_to_flattened(
+    fn population_lane_is_bit_identical_to_flattened(
         installs in proptest::collection::vec((0u64..16, 100u64..112, 0.0f32..1.0), 0..24),
-        script in proptest::collection::vec(cache_op(), 1..60),
+        script in proptest::collection::vec((0u64..16, 100u64..112), 1..60),
     ) {
-        for mode in [
-            CacheMode::Full,
-            CacheMode::CommunityOnly,
-            CacheMode::PersonalizationOnly,
-        ] {
-            let policy = RankingPolicy::default();
+        let policy = RankingPolicy::default();
+        let mut table = QueryHashTable::new();
+        for &(q, r, score) in &installs {
+            table.upsert(q, r, score, ConflictPolicy::Max);
+        }
+        let community = Arc::new(CommunityCache::new(&table, policy));
+        // Request key `i` resolves to the script's `i`-th clicked pair.
+        let pairs = Arc::new(PairTable::new(script.clone()));
+        for mode in CacheMode::ALL {
             let mut flat = PocketCache::new(mode, policy);
-            let mut community = CommunityCache::new(policy);
             for &(q, r, score) in &installs {
                 flat.install_pair(q, r, score);
-                community.install_pair(q, r, score);
             }
-            let mut split = SplitCache::new(mode, community.into_shared());
-
-            for (step, &op) in script.iter().enumerate() {
-                match op {
-                    CacheOp::Serve { q } => {
-                        let a = flat.serve(q);
-                        let b = split.serve(q);
-                        prop_assert_eq!(a, b, "serve diverged at step {} ({:?})", step, mode);
-                    }
-                    CacheOp::Click { q, r } => {
-                        flat.record_click(q, r);
-                        split.record_click(q, r);
-                        prop_assert_eq!(
-                            flat.lookup(q),
-                            split.lookup(q),
-                            "click diverged at step {} ({:?})",
-                            step,
-                            mode
-                        );
-                    }
-                }
+            let config = PopulationConfig { mode, ..PopulationConfig::default() };
+            let mut lane = PopulationLane::new(config, Arc::clone(&community), Arc::clone(&pairs));
+            for (step, &(q, r)) in script.iter().enumerate() {
+                let expected = flat.lookup(q);
+                prop_assert_eq!(
+                    &split_view(&lane, USER, q), &expected,
+                    "view diverged before click {} ({:?})", step, mode
+                );
+                let request = service::ServeRequest::for_user(USER, step as u64, SimInstant::ZERO);
+                let served = lane.serve(&request).expect("every script key resolves");
+                prop_assert_eq!(
+                    served.kind == ServeKind::Hit, expected.is_some(),
+                    "hit/miss diverged at event {} ({:?})", step, mode
+                );
+                flat.record_click(q, r);
+                prop_assert_eq!(
+                    split_view(&lane, USER, q), flat.lookup(q),
+                    "view diverged after click {} ({:?})", step, mode
+                );
             }
-            prop_assert_eq!(flat.stats(), split.stats());
         }
     }
 }

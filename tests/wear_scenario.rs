@@ -6,13 +6,13 @@
 //! while a zero-wear control run stays bit-identical to today's
 //! behavior.
 
-use pocket_cloudlets::core::update::UpdateServer;
 use pocket_cloudlets::mobsim::flash::{AllocPolicy, WearModel};
 use pocket_cloudlets::mobsim::power::Energy;
 use pocket_cloudlets::pocketsearch::engine::EngineError;
+use pocket_cloudlets::pocketsearch::experiment::sliding_window_server;
 use pocket_cloudlets::pocketsearch::RecoveryStats;
 use pocket_cloudlets::prelude::*;
-use pocket_cloudlets::querylog::log::{LogEntry, SearchLog};
+use pocket_cloudlets::querylog::log::LogEntry;
 
 /// Everything observable about one month-long run; compared wholesale
 /// (including simulated time and energy) for the bit-identical control.
@@ -97,18 +97,14 @@ fn run_month(wear: Option<WearModel>, alloc: AllocPolicy) -> MonthOutcome {
 
         // Nightly §5.4 cycle against a 28-day sliding-window server, the
         // churn that rewrites database files in place (§6.2.2).
-        let mut window: Vec<LogEntry> = build_month
-            .iter()
-            .filter(|e| e.time.day > day)
-            .copied()
-            .collect();
-        window.extend(replay_month.iter().filter(|e| e.time.day <= day).copied());
-        let window_contents = CacheContents::generate(
-            &TripletTable::from_log(&SearchLog::new(window, days)),
+        let server = sliding_window_server(
+            &build_month,
+            &replay_month,
+            day,
             &corpus,
             admission,
+            RankingPolicy::default(),
         );
-        let server = UpdateServer::from_contents(&window_contents, RankingPolicy::default());
         match engine.nightly_update(&server, &catalog) {
             Ok(_) => {}
             Err(e) => {
