@@ -3,8 +3,7 @@
 //! ```text
 //! ablations [--study <id>] [--scale test|full] [--seed N] [--out <path>]
 //!   ids: lambda admission tiers freshness maps battery suggest radios
-//!        offload fleet frontend arbiter wear population peers hotpath
-//!        all
+//!        offload fleet frontend arbiter wear population peers all
 //! ```
 //!
 //! * `lambda` — §5.3's decay constant: hit rate and ranking quality
@@ -44,15 +43,6 @@
 //!   corruption-shed rate, re-fetch radio bytes/energy, and the erase
 //!   spread. With `--out`, also writes the sweep as JSON
 //!   (`BENCH_wear.json`).
-//! * `hotpath` — the **wall-clock** serve hot path (the one
-//!   host-clock study; every other number here is simulated): a
-//!   hit-heavy key stream probed through a bench-local locked
-//!   baseline (`pocket_bench::hotpath::LockedShards`) and the
-//!   immutable sharded index (`ShardedTable::lookup`) at 1/8/32
-//!   threads, reporting real ns/lookup and qps. Host-dependent by
-//!   design — the committed BENCH_hotpath.json is a trajectory, not a
-//!   reproducible artifact.
-//!   With `--out`, writes the sweep as JSON (`BENCH_hotpath.json`).
 //! * `population` — population-scale streaming: a full simulated day
 //!   (1M users at full scale) flows lazily through user-routed
 //!   front-end lanes sharing one `Arc`'d community snapshot, clicks
@@ -71,7 +61,9 @@
 //!   (`BENCH_peers.json`).
 //!
 //! An unknown study id prints the valid ids and exits with code 2
-//! before any study runs.
+//! before any study runs, and so does `--out` with more than one study
+//! (`all` counts as many): every JSON-writing study writes to that one
+//! path.
 
 use std::process::ExitCode;
 
@@ -84,17 +76,14 @@ use cloudlet_core::corpus::UniverseCorpus;
 use cloudlet_core::frontend::{
     Frontend, FrontendConfig, HitPathMode, LaneTotals, OverflowPolicy, RouteBy,
 };
-use cloudlet_core::hashtable::{ConflictPolicy, QueryHashTable};
+use cloudlet_core::hashtable::QueryHashTable;
 use cloudlet_core::peer::{PeerConfig, PeerFabricStats};
 use cloudlet_core::population::{PopulationConfig, PopulationLane};
 use cloudlet_core::ranking::RankingPolicy;
-use cloudlet_core::service::{CloudletService, ServeStats};
-use cloudlet_core::shard::ShardedTable;
+use cloudlet_core::service::CloudletService;
 use mobsim::flash::{AllocPolicy, WearModel, WearSummary};
 use mobsim::memory::{IndexPlacement, TieredMemory};
 use mobsim::time::{SimDuration, SimInstant};
-use pocket_bench::hotpath::{mix64, LockedShards};
-use pocket_bench::wallclock::{thread_sweep, SweepPoint};
 use pocket_bench::{
     fleet_workload, frontend_workload, full_scale_study_inputs, materialized_month_requests,
     peer_cell_workload, population_requests, population_world, skewed_arbiter_workload,
@@ -128,7 +117,6 @@ const STUDIES: &[&str] = &[
     "wear",
     "population",
     "peers",
-    "hotpath",
 ];
 
 struct Options {
@@ -185,6 +173,13 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
+    if opts.out.is_some() && opts.studies.len() > 1 {
+        eprintln!(
+            "--out takes one study, got {}: each study would overwrite the same file",
+            opts.studies.len()
+        );
+        return ExitCode::from(2);
+    }
     println!(
         "# Pocket Cloudlets ablations ({} scale, seed {})\n",
         if opts.full_scale { "full" } else { "test" },
@@ -207,7 +202,6 @@ fn main() -> ExitCode {
             "wear" => wear_study(&opts),
             "population" => population_study(&opts),
             "peers" => peers_study(&opts),
-            "hotpath" => hotpath_study(&opts),
             other => unreachable!("study {other:?} was validated above"),
         }
     }
@@ -296,7 +290,7 @@ fn admission_sweep(opts: &Options) {
         ]);
     }
     println!("{}", table.render());
-    println!("LRU/LFU plateau at the personal-repeat ceiling (their capacity already holds every\nquery a user issues); the community warm start is what lifts PocketSearch above it,\nand the gap is widest at small budgets.\n");
+    println!("LRU/LFU plateau at the personal-repeat ceiling (their capacity already holds every\nquery a user issues); the community warm start is what lifts PocketSearch above it,\nand the gap grows with the budget.\n");
 }
 
 fn run_baseline(
@@ -1014,18 +1008,18 @@ fn arbiter_study(opts: &Options) {
     // to the PR 3 equal-priority allocation bit for bit.
     {
         let mut anchor = AdaptiveArbiter::new(ArbiterConfig::new(total));
-        let stats = ServeStats {
-            serves: 100,
+        let totals = LaneTotals {
+            events: 100,
             hits: 60,
             misses: 40,
             radio_bytes: 40 * MISS_RADIO_BYTES,
-            ..ServeStats::default()
+            ..LaneTotals::default()
         };
         let uniform = anchor.run_epoch(
             SimInstant::from_micros(1),
             &[
-                EpochObservation::new(CloudletId(0), LaneTotals::default(), stats),
-                EpochObservation::new(CloudletId(1), LaneTotals::default(), stats),
+                EpochObservation::new(CloudletId(0), totals),
+                EpochObservation::new(CloudletId(1), totals),
             ],
             |cloudlet, ctx| BudgetDemand {
                 cloudlet,
@@ -1049,8 +1043,8 @@ fn arbiter_study(opts: &Options) {
     }
 
     // Serves one epoch's keys with a community cache regenerated at the
-    // granted byte budget, returning the serve-path telemetry.
-    let serve = |grant: usize, keys: &[u64]| -> ServeStats {
+    // granted byte budget, returning the lane telemetry.
+    let serve = |grant: usize, keys: &[u64]| -> LaneTotals {
         let contents = CacheContents::generate(
             &inputs.triplets,
             &corpus,
@@ -1058,17 +1052,17 @@ fn arbiter_study(opts: &Options) {
         );
         let mut engine =
             PocketSearch::build(&contents, &inputs.catalog, PocketSearchConfig::default());
-        let mut stats = ServeStats::default();
+        let mut totals = LaneTotals::default();
         for &key in keys {
-            stats.serves += 1;
+            totals.events += 1;
             if engine.serve(key).hit {
-                stats.hits += 1;
+                totals.hits += 1;
             } else {
-                stats.misses += 1;
-                stats.radio_bytes += MISS_RADIO_BYTES;
+                totals.misses += 1;
+                totals.radio_bytes += MISS_RADIO_BYTES;
             }
         }
-        stats
+        totals
     };
 
     let equal_split = [total / 2, total - total / 2];
@@ -1080,27 +1074,27 @@ fn arbiter_study(opts: &Options) {
     for (epoch, keys) in schedule.iter().enumerate() {
         let hot = usize::from(epoch >= epochs / 2);
 
-        let static_stats = [
+        let static_totals = [
             serve(equal_split[0], &keys[0]),
             serve(equal_split[1], &keys[1]),
         ];
-        let adaptive_stats = [
+        let adaptive_totals = [
             serve(adaptive_grants[0], &keys[0]),
             serve(adaptive_grants[1], &keys[1]),
         ];
         for c in 0..2 {
-            static_counts.0 += static_stats[c].hits;
-            static_counts.1 += static_stats[c].serves;
-            adaptive_counts.0 += adaptive_stats[c].hits;
-            adaptive_counts.1 += adaptive_stats[c].serves;
+            static_counts.0 += static_totals[c].hits;
+            static_counts.1 += static_totals[c].events;
+            adaptive_counts.0 += adaptive_totals[c].hits;
+            adaptive_counts.1 += adaptive_totals[c].events;
         }
 
         // Close the loop: this epoch's telemetry prices the next one.
         let decision = arbiter.run_epoch(
             SimInstant::from_micros((epoch as u64 + 1) * 60_000_000),
             &[
-                EpochObservation::new(CloudletId(0), LaneTotals::default(), adaptive_stats[0]),
-                EpochObservation::new(CloudletId(1), LaneTotals::default(), adaptive_stats[1]),
+                EpochObservation::new(CloudletId(0), adaptive_totals[0]),
+                EpochObservation::new(CloudletId(1), adaptive_totals[1]),
             ],
             |cloudlet, ctx| BudgetDemand {
                 cloudlet,
@@ -1115,8 +1109,8 @@ fn arbiter_study(opts: &Options) {
                 hot,
                 grants: equal_split,
                 counts: [
-                    (static_stats[0].hits, static_stats[0].serves),
-                    (static_stats[1].hits, static_stats[1].serves),
+                    (static_totals[0].hits, static_totals[0].events),
+                    (static_totals[1].hits, static_totals[1].events),
                 ],
                 priorities: None,
                 held: false,
@@ -1126,8 +1120,8 @@ fn arbiter_study(opts: &Options) {
                 hot,
                 grants: adaptive_grants,
                 counts: [
-                    (adaptive_stats[0].hits, adaptive_stats[0].serves),
-                    (adaptive_stats[1].hits, adaptive_stats[1].serves),
+                    (adaptive_totals[0].hits, adaptive_totals[0].events),
+                    (adaptive_totals[1].hits, adaptive_totals[1].events),
                 ],
                 priorities: Some([decision.entries[0].priority, decision.entries[1].priority]),
                 held: decision.held,
@@ -2095,157 +2089,5 @@ fn peers_json(
         pool,
         per_device,
         arms.join(",\n")
-    )
-}
-
-/// One thread-count point of the hot-path sweep: locked vs lock-free.
-struct HotpathRow {
-    threads: usize,
-    locked: SweepPoint,
-    lockfree: SweepPoint,
-}
-
-impl HotpathRow {
-    fn speedup(&self) -> f64 {
-        self.locked.ns_per_op / self.lockfree.ns_per_op
-    }
-}
-
-/// Median of several interleaved sweep rounds, folded back into one
-/// [`SweepPoint`].
-fn median_point(threads: usize, total_ops: u64, ns: &mut [f64]) -> SweepPoint {
-    ns.sort_by(f64::total_cmp);
-    let ns_per_op = ns[ns.len() / 2];
-    SweepPoint {
-        threads,
-        total_ops,
-        ns_per_op,
-        qps: 1e9 / ns_per_op,
-    }
-}
-
-/// The wall-clock serve hot path: the bench-local [`LockedShards`]
-/// baseline (per-shard read-locked tables) against `ShardedTable::lookup`
-/// (the immutable `FrozenTable` shards) on a hit-heavy stream at
-/// 1/8/32 threads. This is the workspace's only host-clock study; the
-/// numbers are machine-dependent by design.
-fn hotpath_study(opts: &Options) {
-    let (queries, ops_total, rounds) = if opts.full_scale {
-        (100_000u64, 1_600_000u64, 9usize)
-    } else {
-        (10_000u64, 320_000u64, 5usize)
-    };
-    let mut table = QueryHashTable::new();
-    for q in 0..queries {
-        table.upsert(q, q + 1_000_000, 0.6, ConflictPolicy::Max);
-        table.upsert(q, q + 2_000_000, 0.4, ConflictPolicy::Max);
-    }
-    let sharded = ShardedTable::from_table(&table, 8);
-    let locked = LockedShards::from_table(&table, 8);
-    // ~94% hits: key space slightly larger than the cached one, so the
-    // miss walk is exercised without dominating.
-    let key_space = queries + queries / 16;
-    let seed = opts.seed;
-
-    let mut rows = Vec::new();
-    for threads in [1usize, 8, 32] {
-        let ops_per_thread = (ops_total / threads as u64).max(1);
-        let run_locked = || {
-            thread_sweep(threads, ops_per_thread, 1, |t, i| {
-                let key = mix64(seed ^ ((t as u64) << 40) ^ i) % key_space;
-                std::hint::black_box(locked.lookup(std::hint::black_box(key)));
-            })
-        };
-        let run_lockfree = || {
-            thread_sweep(threads, ops_per_thread, 1, |t, i| {
-                let key = mix64(seed ^ ((t as u64) << 40) ^ i) % key_space;
-                std::hint::black_box(sharded.lookup(std::hint::black_box(key)));
-            })
-        };
-        // Interleave the two variants, flipping the order every round:
-        // host load drifts on wall-clock time scales, and back-to-back
-        // rounds make that drift hit both variants equally before the
-        // medians compare like with like.
-        let mut locked_ns = Vec::with_capacity(rounds);
-        let mut lockfree_ns = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            if round % 2 == 0 {
-                locked_ns.push(run_locked().ns_per_op);
-                lockfree_ns.push(run_lockfree().ns_per_op);
-            } else {
-                lockfree_ns.push(run_lockfree().ns_per_op);
-                locked_ns.push(run_locked().ns_per_op);
-            }
-        }
-        let total_ops = threads as u64 * ops_per_thread;
-        rows.push(HotpathRow {
-            threads,
-            locked: median_point(threads, total_ops, &mut locked_ns),
-            lockfree: median_point(threads, total_ops, &mut lockfree_ns),
-        });
-    }
-
-    let mut out = Table::new(
-        format!(
-            "Ablation: wall-clock serve hot path ({} cached pairs, 8 shards, host clock — \
-             machine-dependent)",
-            table.pair_count()
-        ),
-        &[
-            "threads",
-            "locked ns/lookup",
-            "locked qps",
-            "lock-free ns/lookup",
-            "lock-free qps",
-            "speedup",
-        ],
-    );
-    for r in &rows {
-        out.row(&[
-            r.threads.to_string(),
-            format!("{:.1}", r.locked.ns_per_op),
-            format!("{:.0}", r.locked.qps),
-            format!("{:.1}", r.lockfree.ns_per_op),
-            format!("{:.0}", r.lockfree.qps),
-            format!("{:.2}x", r.speedup()),
-        ]);
-    }
-    println!("{}", out.render());
-
-    if let Some(path) = &opts.out {
-        let json = hotpath_json(opts, table.pair_count(), &rows);
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}\n");
-    }
-}
-
-/// Hand-rolled JSON for the hot-path sweep (same no-dependency schema
-/// style as [`population_json`]).
-fn hotpath_json(opts: &Options, pairs: usize, rows: &[HotpathRow]) -> String {
-    let points: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"threads\": {},\n      \"locked\": {{ \"ns_per_lookup\": \
-                 {:.2}, \"qps\": {:.0} }},\n      \"lockfree\": {{ \"ns_per_lookup\": {:.2}, \
-                 \"qps\": {:.0} }},\n      \"speedup\": {:.3}\n    }}",
-                r.threads,
-                r.locked.ns_per_op,
-                r.locked.qps,
-                r.lockfree.ns_per_op,
-                r.lockfree.qps,
-                r.speedup()
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
-         \"cached_pairs\": {},\n  \"shards\": 8,\n  \"note\": \"wall-clock (host) time; \
-         machine-dependent trajectory, not a reproducible artifact\",\n  \"points\": \
-         [\n{}\n  ]\n}}\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed,
-        pairs,
-        points.join(",\n")
     )
 }

@@ -1,28 +1,18 @@
-//! Wall-clock measurement: warmed medians and thread sweeps.
+//! Wall-clock measurement: the workspace's one host timer.
 //!
 //! Everything else in the workspace runs on simulated time
 //! (`mobsim::time`) so results are bit-reproducible across machines —
 //! and lint rule R2 bans host clocks to keep it that way. This module
 //! is the **one deliberate exception** (see the two `lint.allow`
-//! entries pinned by `tests/lint_clean.rs`): the ROADMAP's "as fast as
-//! the hardware allows" north star needs real ns/lookup and real qps,
-//! which only a host clock can produce. Numbers from here are
-//! host-dependent by design and are committed as a *trajectory*
-//! (BENCH_hotpath.json), not as reproducible artifacts.
+//! entries pinned by `tests/lint_clean.rs`): how fast the stack itself
+//! runs can only come from a host clock. Its one caller is the
+//! `pipeline-bench` package, whose spans time each layer of an
+//! end-to-end run through [`measure`]. Numbers from here are
+//! host-dependent by design; none of them is a committed artifact.
 //!
-//! Two primitives:
-//!
-//! * [`measure`] — single-threaded: warmup, then `reps` repetitions of
-//!   `iters_per_rep` calls, reported as median/p5/p95 ns per call.
-//! * [`thread_sweep`] — `threads` workers start behind one barrier,
-//!   each performs `ops_per_thread` operations; the median wall time
-//!   across `reps` repetitions becomes ns/op and qps. Oversubscribing
-//!   the host (more threads than cores) is valid and intentional: a
-//!   lock-free path degrades gracefully under oversubscription while a
-//!   lock convoy does not, which is exactly the contrast
-//!   `ablations --study hotpath` records.
+//! [`measure`] is single-threaded: warmup, then `reps` repetitions of
+//! `iters_per_rep` calls, reported as median/p5/p95 ns per call.
 
-use std::sync::{Barrier, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Single-threaded timing summary of one operation, in nanoseconds per
@@ -39,19 +29,6 @@ pub struct Measurement {
     pub iters_per_rep: u64,
     /// Repetitions measured (after warmup).
     pub reps: usize,
-}
-
-/// One thread-count point of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Concurrent worker threads.
-    pub threads: usize,
-    /// Total operations per repetition (`threads × ops_per_thread`).
-    pub total_ops: u64,
-    /// Median wall nanoseconds per operation.
-    pub ns_per_op: f64,
-    /// Median operations per wall second.
-    pub qps: f64,
 }
 
 /// `p`-th percentile of an ascending-sorted slice (nearest-rank).
@@ -95,79 +72,8 @@ pub fn measure<F: FnMut()>(
     }
 }
 
-/// Times `threads` workers each performing `ops_per_thread` calls of
-/// `op(thread_index, op_index)`, started together behind a barrier;
-/// each repetition's wall time spans the earliest worker's first op to
-/// the latest worker's last op (stamped worker-side), and the median
-/// across `reps` repetitions becomes the reported point. One extra
-/// warmup repetition runs first and is discarded.
-///
-/// # Panics
-///
-/// Panics when `threads`, `ops_per_thread`, or `reps` is zero.
-pub fn thread_sweep<F>(threads: usize, ops_per_thread: u64, reps: usize, op: F) -> SweepPoint
-where
-    F: Fn(usize, u64) + Sync,
-{
-    assert!(threads > 0, "need at least one worker thread");
-    assert!(ops_per_thread > 0, "need at least one op per thread");
-    assert!(reps > 0, "need at least one repetition");
-    let mut wall_ns: Vec<f64> = Vec::with_capacity(reps);
-    // One extra repetition warms caches and clocks; it is discarded.
-    for rep in 0..=reps {
-        let barrier = Barrier::new(threads);
-        // Each worker stamps its own first-op and last-op instants;
-        // the repetition's wall time is the span from the earliest
-        // start to the latest end. Timing from the spawning thread
-        // instead would be wrong on small hosts: on one core, workers
-        // released by the barrier can finish all their ops before the
-        // spawner is even rescheduled.
-        let spans: Mutex<Vec<(Instant, Instant)>> = Mutex::new(Vec::with_capacity(threads));
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let barrier = &barrier;
-                let op = &op;
-                let spans = &spans;
-                scope.spawn(move || {
-                    barrier.wait();
-                    let start = Instant::now();
-                    for i in 0..ops_per_thread {
-                        op(t, i);
-                    }
-                    let end = Instant::now();
-                    let mut spans = spans.lock().unwrap_or_else(PoisonError::into_inner);
-                    spans.push((start, end));
-                });
-            }
-        });
-        let spans = spans.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let first = spans.iter().map(|s| s.0).min();
-        let last = spans.iter().map(|s| s.1).max();
-        if rep > 0 {
-            if let (Some(first), Some(last)) = (first, last) {
-                wall_ns.push(last.duration_since(first).as_nanos() as f64);
-            }
-        }
-    }
-    wall_ns.sort_by(f64::total_cmp);
-    let median = percentile(&wall_ns, 50.0);
-    let total_ops = threads as u64 * ops_per_thread;
-    SweepPoint {
-        threads,
-        total_ops,
-        ns_per_op: median / total_ops as f64,
-        qps: if median > 0.0 {
-            1e9 * total_ops as f64 / median
-        } else {
-            f64::INFINITY
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
     use super::*;
 
     #[test]
@@ -181,20 +87,6 @@ mod tests {
         assert!(m.p5_ns <= m.median_ns);
         assert!(m.median_ns <= m.p95_ns);
         assert_eq!((m.iters_per_rep, m.reps), (100, 5));
-    }
-
-    #[test]
-    fn thread_sweep_runs_every_op_exactly_once_per_rep() {
-        let count = AtomicU64::new(0);
-        let point = thread_sweep(4, 50, 1, |_, _| {
-            count.fetch_add(1, Ordering::AcqRel);
-        });
-        // 1 measured repetition + 1 discarded warmup repetition.
-        assert_eq!(count.load(Ordering::Acquire), 400);
-        assert_eq!(point.threads, 4);
-        assert_eq!(point.total_ops, 200);
-        assert!(point.ns_per_op > 0.0);
-        assert!(point.qps > 0.0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Canonical workload construction shared by figures, tables, and benches.
+//! Canonical workload construction shared by figures, tables, ablations
+//! and the `pipeline-bench` package.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -66,7 +67,7 @@ pub fn full_scale_study_inputs(seed: u64) -> StudyInputs {
     study_inputs(GeneratorConfig::full_scale(), seed, 0.55)
 }
 
-/// Small, fast inputs (used by tests and Criterion benches).
+/// Small, fast inputs (used by tests and the test-scale studies).
 pub fn test_scale_study_inputs(seed: u64) -> StudyInputs {
     study_inputs(GeneratorConfig::test_scale(), seed, 0.55)
 }

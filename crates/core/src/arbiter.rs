@@ -3,8 +3,8 @@
 //!
 //! [`crate::coordination::CloudletBudgets`] divides one index budget by
 //! *static* priorities. The front-end ([`crate::frontend`]) already
-//! measures what each cloudlet is actually doing — per-lane
-//! [`LaneTotals`] and serve-path [`ServeStats`] — so this module closes
+//! measures what each cloudlet is actually doing — one [`LaneTotals`]
+//! per lane, fast-path hits included — so this module closes
 //! the loop the paper's §5.1/§7 argue for: cache capacity follows
 //! observed access value. An [`AdaptiveArbiter`] periodically folds each
 //! lane's telemetry into a scalar **utility**, smooths it, turns the
@@ -77,7 +77,6 @@ use mobsim::time::{SimDuration, SimInstant};
 
 use crate::coordination::{BudgetDemand, CloudletBudgets, CloudletId};
 use crate::frontend::LaneTotals;
-use crate::service::ServeStats;
 
 /// Additive hit-yield smoothing: a lane with traffic but zero hits
 /// still registers this much yield per unique attempt, so cold caches
@@ -108,8 +107,6 @@ pub struct DemandContext {
     /// This lane's front-end telemetry for the epoch (zeroed for a
     /// static allocation outside any front-end).
     pub totals: LaneTotals,
-    /// This lane's serve-path statistics for the epoch.
-    pub stats: ServeStats,
 }
 
 impl DemandContext {
@@ -120,7 +117,6 @@ impl DemandContext {
             epoch,
             priority: 1.0,
             totals: LaneTotals::default(),
-            stats: ServeStats::default(),
         }
     }
 
@@ -133,9 +129,8 @@ impl DemandContext {
 
     /// Attaches the lane's epoch telemetry.
     #[must_use]
-    pub fn with_telemetry(mut self, totals: LaneTotals, stats: ServeStats) -> Self {
+    pub fn with_telemetry(mut self, totals: LaneTotals) -> Self {
         self.totals = totals;
-        self.stats = stats;
         self
     }
 
@@ -143,7 +138,7 @@ impl DemandContext {
     /// static allocation (zeroed telemetry) returns `false`, which is
     /// how demand hooks distinguish "idle lane" from "no telemetry".
     pub fn observed(&self) -> bool {
-        self.totals.events > 0 || self.stats.serves > 0
+        self.totals.events > 0
     }
 }
 
@@ -240,27 +235,17 @@ pub struct EpochObservation {
     pub cloudlet: CloudletId,
     /// Front-end lane totals for the epoch.
     pub totals: LaneTotals,
-    /// Serve-path statistics for the epoch.
-    pub stats: ServeStats,
 }
 
 impl EpochObservation {
     /// Wraps one lane's epoch telemetry.
-    pub fn new(cloudlet: CloudletId, totals: LaneTotals, stats: ServeStats) -> Self {
-        EpochObservation {
-            cloudlet,
-            totals,
-            stats,
-        }
+    pub fn new(cloudlet: CloudletId, totals: LaneTotals) -> Self {
+        EpochObservation { cloudlet, totals }
     }
 
     /// A lane that saw no traffic this epoch.
     pub fn idle(cloudlet: CloudletId) -> Self {
-        EpochObservation {
-            cloudlet,
-            totals: LaneTotals::default(),
-            stats: ServeStats::default(),
-        }
+        EpochObservation::new(cloudlet, LaneTotals::default())
     }
 }
 
@@ -344,14 +329,7 @@ struct Signal {
 
 impl Signal {
     fn measure(obs: &EpochObservation) -> Self {
-        // Prefer the front-end view (it counts fast-path hits the
-        // serve-path stats cannot see); fall back to projecting the
-        // serve-path stats for arbiters fed without front-end totals.
-        let t = if obs.totals.events > 0 {
-            obs.totals
-        } else {
-            project_stats(&obs.stats)
-        };
+        let t = obs.totals;
         let served = t.events.saturating_sub(t.rejected).saturating_sub(t.errors);
         let attempted = served.saturating_sub(t.skipped);
         let unique = attempted.saturating_sub(t.coalesced);
@@ -401,22 +379,6 @@ impl Signal {
     }
 }
 
-/// Projects serve-path counters onto the front-end total shape.
-fn project_stats(stats: &ServeStats) -> LaneTotals {
-    LaneTotals {
-        events: stats.serves,
-        hits: stats.hits,
-        stale_hits: stats.stale_hits,
-        misses: stats.misses,
-        skipped: stats.skipped,
-        radio_bytes: stats.radio_bytes,
-        peer_hits: stats.peer_hits,
-        peer_bytes: stats.peer_bytes,
-        busy: stats.busy,
-        ..LaneTotals::default()
-    }
-}
-
 /// The §7 feedback controller. See the module docs for the model.
 #[derive(Debug)]
 pub struct AdaptiveArbiter {
@@ -425,7 +387,7 @@ pub struct AdaptiveArbiter {
     next_epoch_at: SimInstant,
     ewma: BTreeMap<CloudletId, f64>,
     last_priorities: BTreeMap<CloudletId, f64>,
-    cumulative: BTreeMap<CloudletId, (LaneTotals, ServeStats)>,
+    cumulative: BTreeMap<CloudletId, LaneTotals>,
     decisions: Vec<BudgetDecision>,
 }
 
@@ -491,16 +453,12 @@ impl AdaptiveArbiter {
         let deltas: Vec<EpochObservation> = lanes
             .iter()
             .map(|o| match self.cumulative.get(&o.cloudlet) {
-                Some((pt, ps)) => EpochObservation {
-                    cloudlet: o.cloudlet,
-                    totals: o.totals.delta_since(pt),
-                    stats: o.stats.delta_since(ps),
-                },
+                Some(earlier) => EpochObservation::new(o.cloudlet, o.totals.delta_since(earlier)),
                 None => *o,
             })
             .collect();
         for o in lanes {
-            self.cumulative.insert(o.cloudlet, (o.totals, o.stats));
+            self.cumulative.insert(o.cloudlet, o.totals);
         }
         self.run_epoch(at, &deltas, demand_of)
     }
@@ -609,7 +567,6 @@ impl AdaptiveArbiter {
                     epoch: self.epoch,
                     priority,
                     totals: o.totals,
-                    stats: o.stats,
                 };
                 let mut d = demand_of(o.cloudlet, &ctx);
                 d.cloudlet = o.cloudlet;
@@ -748,7 +705,7 @@ mod tests {
     }
 
     fn obs(id: u32, t: LaneTotals) -> EpochObservation {
-        EpochObservation::new(CloudletId(id), t, ServeStats::default())
+        EpochObservation::new(CloudletId(id), t)
     }
 
     /// Demand hook: everyone wants `demand` bytes at the arbiter's
@@ -1045,9 +1002,7 @@ mod tests {
         assert_eq!(ctx.epoch, 0);
         assert_eq!(ctx.priority.to_bits(), 1.0f64.to_bits());
         assert!(!ctx.observed());
-        let ctx = ctx
-            .with_priority(0.5)
-            .with_telemetry(totals(10, 5, 0, 100), ServeStats::default());
+        let ctx = ctx.with_priority(0.5).with_telemetry(totals(10, 5, 0, 100));
         assert!(ctx.observed());
         assert!((ctx.priority - 0.5).abs() < f64::EPSILON);
     }

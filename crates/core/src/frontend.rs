@@ -850,7 +850,7 @@ impl Frontend {
         let observations: Vec<EpochObservation> = telemetry
             .lanes
             .iter()
-            .map(|l| EpochObservation::new(CloudletId(l.lane as u32), l.totals, l.stats))
+            .map(|l| EpochObservation::new(CloudletId(l.lane as u32), l.totals))
             .collect();
         Some(arbiter.observe_cumulative(now, &observations, |id, ctx| {
             self.lanes[id.0 as usize]
@@ -1185,7 +1185,11 @@ fn select_percentiles(values: &mut [u64], lo: f64, hi: f64) -> (SimDuration, Sim
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+    use crate::arbiter::DemandContext;
+    use crate::coordination::BudgetDemand;
     use proptest::prelude::*;
 
     /// A toy replica service: keys below `cached_below` hit (100 ms),
@@ -1660,6 +1664,99 @@ mod tests {
         // Same instant again: the boundary has advanced, nothing fires.
         assert_eq!(fe.arbitrate(&mut arbiter, now), None);
         assert_eq!(arbiter.decisions().len(), 1);
+    }
+
+    /// A [`ToyLane`] whose demand hook records the telemetry the
+    /// arbiter hands it.
+    struct DemandRecording {
+        lane: ToyLane,
+        seen: Arc<Mutex<Vec<LaneTotals>>>,
+    }
+
+    impl CloudletService for DemandRecording {
+        fn name(&self) -> &'static str {
+            self.lane.name()
+        }
+
+        fn serve(&mut self, request: &ServiceRequest) -> Result<ServeOutcome, CloudletError> {
+            self.lane.serve(request)
+        }
+
+        fn try_serve_hit(&self, request: &ServiceRequest) -> Option<ServeOutcome> {
+            self.lane.try_serve_hit(request)
+        }
+
+        fn service_stats(&self) -> ServeStats {
+            self.lane.service_stats()
+        }
+
+        fn cache_bytes(&self) -> u64 {
+            self.lane.cache_bytes()
+        }
+
+        fn budget_demand(&self, cloudlet: CloudletId, ctx: &DemandContext) -> BudgetDemand {
+            self.seen.lock().expect("recording lock").push(ctx.totals);
+            BudgetDemand {
+                cloudlet,
+                demand_bytes: 1024,
+                priority: ctx.priority,
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrate_hands_each_lane_its_epoch_totals() {
+        use crate::arbiter::ArbiterConfig;
+
+        let seen: Vec<Arc<Mutex<Vec<LaneTotals>>>> =
+            (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+        let lanes = seen
+            .iter()
+            .map(|seen| {
+                Box::new(DemandRecording {
+                    lane: ToyLane {
+                        cached_below: 100,
+                        stats: ServeStats::default(),
+                    },
+                    seen: Arc::clone(seen),
+                }) as Box<dyn CloudletService + Send + Sync>
+            })
+            .collect();
+        let config = FrontendConfig::builder()
+            .hit_path(HitPathMode::SharedRead)
+            .build();
+        let fe = Frontend::new(vec![lanes], config);
+        let mut arbiter = AdaptiveArbiter::new(
+            ArbiterConfig::new(10_000).with_epoch_length(SimDuration::from_secs(1)),
+        );
+        // Hits (keys below 100) ride the fast path, misses take the
+        // queue, and the repeated key 2 coalesces.
+        let epochs: [&[u64]; 2] = [&[0, 1, 2, 2, 200, 201], &[3, 4, 5, 202, 203, 205]];
+        let mut before = fe.telemetry();
+        for (epoch, keys) in epochs.iter().enumerate() {
+            fe.serve_batch(&zero_batch(keys)).expect("toy batch");
+            let now = SimInstant::ZERO + SimDuration::from_secs(epoch as u64 + 1);
+            fe.arbitrate(&mut arbiter, now)
+                .expect("epoch boundary crossed");
+            let after = fe.telemetry();
+            for (lane, seen) in seen.iter().enumerate() {
+                let delta = after.lanes[lane]
+                    .totals
+                    .delta_since(&before.lanes[lane].totals);
+                let stats_hits = after.lanes[lane].stats.hits - before.lanes[lane].stats.hits;
+                assert_eq!(
+                    seen.lock().expect("recording lock")[epoch],
+                    delta,
+                    "lane {lane}, epoch {epoch}"
+                );
+                assert!(delta.hits > 0, "lane {lane} saw hits in epoch {epoch}");
+                assert_eq!(stats_hits, 0, "fast-path hits never reach ServeStats");
+            }
+            before = after;
+        }
+        assert!(seen
+            .iter()
+            .all(|s| s.lock().expect("recording lock").len() == 2));
     }
 
     /// Two user-routed lanes with different inventories: lane 1 caches

@@ -323,60 +323,6 @@ impl ServeStats {
         self.busy += outcome.service;
     }
 
-    /// Requests the cloudlet actually attempted (serves minus skipped).
-    pub fn attempted(&self) -> u64 {
-        self.serves - self.skipped
-    }
-
-    /// Pure-hit rate over attempted requests (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        if self.attempted() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.attempted() as f64
-        }
-    }
-
-    /// Locally-served rate (hits + stale hits) over attempted requests.
-    pub fn local_rate(&self) -> f64 {
-        if self.attempted() == 0 {
-            0.0
-        } else {
-            (self.hits + self.stale_hits) as f64 / self.attempted() as f64
-        }
-    }
-
-    /// Peer-served rate over attempted requests (0 when none) — the
-    /// fraction of this lane's answers a cooperative peer produced.
-    pub fn peer_rate(&self) -> f64 {
-        if self.attempted() == 0 {
-            0.0
-        } else {
-            self.peer_hits as f64 / self.attempted() as f64
-        }
-    }
-
-    /// The counters accumulated since `earlier` was snapshotted, as a
-    /// field-wise saturating difference. Both snapshots must come from
-    /// the same monotone counter set for the delta to be meaningful;
-    /// the adaptive arbiter uses this to turn cumulative lane stats
-    /// into per-epoch observations.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &ServeStats) -> ServeStats {
-        ServeStats {
-            serves: self.serves.saturating_sub(earlier.serves),
-            hits: self.hits.saturating_sub(earlier.hits),
-            stale_hits: self.stale_hits.saturating_sub(earlier.stale_hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            skipped: self.skipped.saturating_sub(earlier.skipped),
-            recovered: self.recovered.saturating_sub(earlier.recovered),
-            peer_hits: self.peer_hits.saturating_sub(earlier.peer_hits),
-            peer_bytes: self.peer_bytes.saturating_sub(earlier.peer_bytes),
-            radio_bytes: self.radio_bytes.saturating_sub(earlier.radio_bytes),
-            busy: self.busy.saturating_sub(earlier.busy),
-        }
-    }
-
     /// Adds another counter set into this one.
     pub fn merge(&mut self, other: &ServeStats) {
         self.serves += other.serves;
@@ -611,7 +557,6 @@ mod tests {
             SimDuration::from_micros(5 * 5 + 4 * 50),
             "busy sums per-outcome service time"
         );
-        assert!((stats.hit_rate() - 5.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -622,12 +567,9 @@ mod tests {
         stats.record(&ServeOutcome::skipped());
         assert_eq!(stats.stale_hits, 1);
         assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.attempted(), 2);
         assert_eq!(stats.radio_bytes, 64);
         assert!(ServeOutcome::stale_hit(64).radio_slept());
         assert!(!ServeOutcome::skipped().radio_slept());
-        assert!((stats.local_rate() - 1.0).abs() < 1e-12);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -661,26 +603,20 @@ mod tests {
         assert_eq!(stats.peer_hits, 1);
         assert_eq!(stats.peer_bytes, 512);
         assert_eq!(stats.recovered, 1);
-        assert!((stats.peer_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn delta_since_and_merge_cover_peer_counters() {
+    fn merge_covers_peer_counters() {
         let mut a = ServeStats::default();
         a.record(&ServeOutcome::hit());
-        let earlier = a;
         a.record(&ServeOutcome::peer_hit(256));
-        let delta = a.delta_since(&earlier);
-        assert_eq!(delta.serves, 1);
-        assert_eq!(delta.peer_hits, 1);
-        assert_eq!(delta.peer_bytes, 256);
-
         let mut b = ServeStats::default();
         b.record(&ServeOutcome::miss(10).with_service(SimDuration::from_micros(3)));
         a.merge(&b);
         assert_eq!(a.serves, 3);
         assert_eq!(a.hits, 2);
         assert_eq!(a.peer_hits, 1);
+        assert_eq!(a.peer_bytes, 256);
         assert_eq!(a.misses, 1);
         assert_eq!(a.radio_bytes, 10);
         assert_eq!(a.busy, SimDuration::from_micros(3));

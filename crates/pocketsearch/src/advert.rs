@@ -183,18 +183,10 @@ impl cloudlet_core::service::CloudletService for AdCloudlet {
         cloudlet: cloudlet_core::coordination::CloudletId,
         ctx: &cloudlet_core::arbiter::DemandContext,
     ) -> cloudlet_core::coordination::BudgetDemand {
-        let (serves, skipped) = if ctx.totals.events > 0 {
-            let served = ctx
-                .totals
-                .events
-                .saturating_sub(ctx.totals.rejected)
-                .saturating_sub(ctx.totals.errors);
-            (served, ctx.totals.skipped)
-        } else {
-            (ctx.stats.serves, ctx.stats.skipped)
-        };
+        let t = &ctx.totals;
+        let serves = t.events.saturating_sub(t.rejected).saturating_sub(t.errors);
         let priority = if serves > 0 {
-            let consult_rate = serves.saturating_sub(skipped) as f64 / serves as f64;
+            let consult_rate = serves.saturating_sub(t.skipped) as f64 / serves as f64;
             (ctx.priority * consult_rate).max(cloudlet_core::arbiter::PRIORITY_FLOOR)
         } else {
             ctx.priority

@@ -135,6 +135,7 @@ mod tests {
     use super::*;
     use crate::policy::RefreshPolicy;
     use crate::world::WorldConfig;
+    use cloudlet_core::frontend::LaneTotals;
     use cloudlet_core::service::ServeKind;
     use mobsim::time::{SimDuration, SimInstant};
 
@@ -224,8 +225,12 @@ mod tests {
         assert_eq!(idle.demand_bytes as u64, svc.cache_bytes());
         assert!(idle.demand_bytes > 0, "one page is cached");
         // Epoch 1 with traffic: full budget again.
-        let busy_ctx = DemandContext::equal_priority(1)
-            .with_telemetry(Default::default(), svc.service_stats());
+        let traffic = LaneTotals {
+            events: 1,
+            misses: 1,
+            ..LaneTotals::default()
+        };
+        let busy_ctx = DemandContext::equal_priority(1).with_telemetry(traffic);
         let busy = svc.budget_demand(CloudletId(1), &busy_ctx);
         assert_eq!(busy.demand_bytes as u64, PocketWeb::DEFAULT_FLASH_BUDGET);
     }

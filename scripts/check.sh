@@ -31,9 +31,6 @@ cargo test -q --offline --manifest-path pipeline-bench/Cargo.toml
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo bench --no-run (benches must compile)"
-cargo bench --no-run --quiet
-
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 

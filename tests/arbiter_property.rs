@@ -13,7 +13,6 @@ use pocket_cloudlets::core::arbiter::{
 };
 use pocket_cloudlets::core::coordination::{BudgetDemand, CloudletBudgets, CloudletId};
 use pocket_cloudlets::core::frontend::LaneTotals;
-use pocket_cloudlets::core::service::ServeStats;
 use pocket_cloudlets::mobsim::time::SimInstant;
 
 /// Lane telemetry with `hits = events · hit_permille / 1000`, the rest
@@ -30,7 +29,7 @@ fn totals(events: u64, hit_permille: u64, radio_bytes: u64) -> LaneTotals {
 }
 
 fn obs(id: u32, t: LaneTotals) -> EpochObservation {
-    EpochObservation::new(CloudletId(id), t, ServeStats::default())
+    EpochObservation::new(CloudletId(id), t)
 }
 
 proptest! {
