@@ -61,18 +61,18 @@
 //!   (`BENCH_peers.json`).
 //!
 //! An unknown study id prints the valid ids and exits with code 2
-//! before any study runs, and so does `--out` with more than one study
-//! (`all` counts as many): every JSON-writing study writes to that one
-//! path.
+//! before any study runs, and so do a malformed `--scale`/`--seed` and
+//! `--out` with more than one study (`all` counts as many): every
+//! JSON-writing study writes to that one path. The studies share one
+//! study world, built at most once per run.
 
 use std::process::ExitCode;
 
 use baselines::{CacheRequest, LfuQueryCache, LruQueryCache, QueryCache};
 use cloudlet_core::arbiter::{AdaptiveArbiter, ArbiterConfig, EpochObservation};
 use cloudlet_core::cache::CacheMode;
-use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
+use cloudlet_core::contentgen::AdmissionPolicy;
 use cloudlet_core::coordination::{BudgetDemand, CloudletBudgets, CloudletId};
-use cloudlet_core::corpus::UniverseCorpus;
 use cloudlet_core::frontend::{
     Frontend, FrontendConfig, HitPathMode, LaneTotals, OverflowPolicy, RouteBy,
 };
@@ -85,9 +85,9 @@ use mobsim::flash::{AllocPolicy, WearModel, WearSummary};
 use mobsim::memory::{IndexPlacement, TieredMemory};
 use mobsim::time::{SimDuration, SimInstant};
 use pocket_bench::{
-    fleet_workload, frontend_workload, full_scale_study_inputs, materialized_month_requests,
-    peer_cell_workload, population_requests, population_world, skewed_arbiter_workload,
-    test_scale_study_inputs, PeerWorkload, PopulationWorld, StudyInputs, Table,
+    fleet_workload, frontend_workload, materialized_month_requests, peer_cell_workload,
+    population_requests, population_world, skewed_arbiter_workload, PeerWorkload, PopulationWorld,
+    RunContext, Sections, StudyInputs, Table,
 };
 use pocketsearch::config::PocketSearchConfig;
 use pocketsearch::engine::{PocketSearch, RecoveryStats};
@@ -96,130 +96,66 @@ use pocketsearch::experiment::{
 };
 use pocketsearch::fleet::search_frontend;
 use pocketsearch::replay::replay_population;
-use querylog::generator::{GeneratorConfig, LogGenerator};
+use querylog::generator::LogGenerator;
 use querylog::log::LogEntry;
 use querylog::stream::{EventStream, StreamConfig};
 
-/// Every study id, in the order `all` runs them.
-const STUDIES: &[&str] = &[
-    "lambda",
-    "admission",
-    "tiers",
-    "freshness",
-    "maps",
-    "battery",
-    "suggest",
-    "radios",
-    "offload",
-    "fleet",
-    "frontend",
-    "arbiter",
-    "wear",
-    "population",
-    "peers",
-];
-
-struct Options {
-    studies: Vec<String>,
-    full_scale: bool,
-    seed: u64,
-    out: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut studies = Vec::new();
-    let mut full_scale = true;
-    let mut seed = 2011;
-    let mut out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--study" => studies.push(args.next().expect("--study needs a value")),
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            "--scale" => {
-                full_scale = match args.next().expect("--scale needs a value").as_str() {
-                    "full" => true,
-                    "test" => false,
-                    other => panic!("unknown scale {other:?}, expected test|full"),
-                }
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be a number")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    if studies.is_empty() || studies.iter().any(|s| s == "all") {
-        studies = STUDIES.iter().map(|s| (*s).to_owned()).collect();
-    }
-    Options {
-        studies,
-        full_scale,
-        seed,
-        out,
-    }
-}
+const SECTIONS: Sections = Sections {
+    flag: "--study",
+    noun: "study",
+    ids: &[
+        "lambda",
+        "admission",
+        "tiers",
+        "freshness",
+        "maps",
+        "battery",
+        "suggest",
+        "radios",
+        "offload",
+        "fleet",
+        "frontend",
+        "arbiter",
+        "wear",
+        "population",
+        "peers",
+    ],
+    takes_out: true,
+};
 
 fn main() -> ExitCode {
-    let opts = parse_args();
-    if let Some(unknown) = opts.studies.iter().find(|s| !STUDIES.contains(&s.as_str())) {
-        eprintln!(
-            "unknown study {unknown:?}, expected one of: {} all",
-            STUDIES.join(" ")
-        );
-        return ExitCode::from(2);
-    }
-    if opts.out.is_some() && opts.studies.len() > 1 {
-        eprintln!(
-            "--out takes one study, got {}: each study would overwrite the same file",
-            opts.studies.len()
-        );
-        return ExitCode::from(2);
-    }
-    println!(
-        "# Pocket Cloudlets ablations ({} scale, seed {})\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed
-    );
-    for study in &opts.studies {
+    let ctx = match RunContext::from_env(&SECTIONS) {
+        Ok(ctx) => ctx,
+        Err(code) => return code,
+    };
+    ctx.print_header("ablations");
+    for study in &ctx.ids {
         match study.as_str() {
-            "lambda" => lambda_sweep(&opts),
-            "admission" => admission_sweep(&opts),
-            "tiers" => tier_study(&opts),
-            "freshness" => freshness_study(&opts),
-            "maps" => maps_study(&opts),
+            "lambda" => lambda_sweep(&ctx),
+            "admission" => admission_sweep(&ctx),
+            "tiers" => tier_study(&ctx),
+            "freshness" => freshness_study(&ctx),
+            "maps" => maps_study(&ctx),
             "battery" => battery_study(),
-            "suggest" => suggest_study(&opts),
-            "radios" => radios_study(&opts),
-            "offload" => offload_study(&opts),
-            "fleet" => fleet_study(&opts),
-            "frontend" => frontend_study(&opts),
-            "arbiter" => arbiter_study(&opts),
-            "wear" => wear_study(&opts),
-            "population" => population_study(&opts),
-            "peers" => peers_study(&opts),
-            other => unreachable!("study {other:?} was validated above"),
+            "suggest" => suggest_study(&ctx),
+            "radios" => radios_study(&ctx),
+            "offload" => offload_study(&ctx),
+            "fleet" => fleet_study(&ctx),
+            "frontend" => frontend_study(&ctx),
+            "arbiter" => arbiter_study(&ctx),
+            "wear" => wear_study(&ctx),
+            "population" => population_study(&ctx),
+            "peers" => peers_study(&ctx),
+            other => unreachable!("study {other:?} was validated by the parser"),
         }
     }
     ExitCode::SUCCESS
 }
 
-fn base_config(opts: &Options) -> HitRateConfig {
-    if opts.full_scale {
-        HitRateConfig::full_scale(opts.seed)
-    } else {
-        HitRateConfig::test_scale(opts.seed)
-    }
-}
-
 /// §5.3 decay-constant sweep. λ = 0 never forgets (stale favourites keep
 /// outranking fresh ones); very large λ forgets everything but the last
 /// click. The shipped default sits in between.
-fn lambda_sweep(opts: &Options) {
+fn lambda_sweep(ctx: &RunContext) {
     let mut table = Table::new(
         "Ablation: ranking decay constant λ (§5.3)",
         &["lambda", "avg hit rate", "top-rank accuracy"],
@@ -227,9 +163,9 @@ fn lambda_sweep(opts: &Options) {
     for lambda in [0.0, 0.01, 0.05, 0.2, 1.0] {
         let config = HitRateConfig {
             ranking: RankingPolicy::new(lambda, 0.01),
-            ..base_config(opts)
+            ..ctx.hit_rate_config()
         };
-        let study = run_hit_rate_study(&config, &[CacheMode::Full]);
+        let study = run_hit_rate_study(ctx.world(), &config, &[CacheMode::Full]);
         let mode = &study.modes[0];
         let accuracy = mode
             .summaries
@@ -250,13 +186,9 @@ fn lambda_sweep(opts: &Options) {
 }
 
 /// §5.1 admission vs generic caches at matched DRAM budgets.
-fn admission_sweep(opts: &Options) {
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
-    let per_class = if opts.full_scale { 100 } else { 20 };
+fn admission_sweep(ctx: &RunContext) {
+    let inputs = ctx.world();
+    let per_class = ctx.by_scale(100, 20);
     let streams = select_streams(&inputs.replay_month, per_class);
     let total_queries: usize = streams.iter().map(Vec::len).sum();
 
@@ -264,22 +196,17 @@ fn admission_sweep(opts: &Options) {
         "Ablation: admission policy at matched DRAM budgets (§5.1, volume-weighted hit rate)",
         &["DRAM budget", "volume-ranked + personal", "LRU", "LFU"],
     );
-    let corpus = UniverseCorpus::new(&inputs.universe);
     for budget in [20_000usize, 50_000, 100_000, 200_000] {
         // PocketSearch: community contents under a DRAM threshold.
-        let contents = CacheContents::generate(
-            &inputs.triplets,
-            &corpus,
-            AdmissionPolicy::DramThreshold { bytes: budget },
-        );
+        let contents = inputs.mine(AdmissionPolicy::DramThreshold { bytes: budget });
         let engine = PocketSearch::build(&contents, &inputs.catalog, PocketSearchConfig::default());
         let outcomes = replay_population(&engine, &inputs.catalog, &streams, None);
         let pocket_hits: u32 = outcomes.iter().map(|o| o.hits).sum();
 
         // Baselines sized to the same budget (entries of 2 pairs each).
         let capacity = (budget / QueryHashTable::layout_bytes(2)).max(1);
-        let lru_hits = run_baseline(|| Box::new(LruQueryCache::new(capacity)), &inputs, &streams);
-        let lfu_hits = run_baseline(|| Box::new(LfuQueryCache::new(capacity)), &inputs, &streams);
+        let lru_hits = run_baseline(|| Box::new(LruQueryCache::new(capacity)), inputs, &streams);
+        let lfu_hits = run_baseline(|| Box::new(LfuQueryCache::new(capacity)), inputs, &streams);
 
         let pct = |hits: u32| format!("{:.1}%", f64::from(hits) / total_queries as f64 * 100.0);
         table.row(&[
@@ -321,20 +248,16 @@ fn run_baseline(
 }
 
 /// §3.2 web-content freshness policies.
-fn freshness_study(opts: &Options) {
+fn freshness_study(ctx: &RunContext) {
     use pocketweb::policy::{replay_visits, synthetic_visits, PolicyReport, RefreshPolicy};
     use pocketweb::world::{WebWorld, WorldConfig};
 
     let world = WebWorld::generate(
-        if opts.full_scale {
-            WorldConfig::full_scale()
-        } else {
-            WorldConfig::test_scale()
-        },
-        opts.seed,
+        ctx.by_scale(WorldConfig::full_scale(), WorldConfig::test_scale()),
+        ctx.seed,
     );
-    let users = if opts.full_scale { 100 } else { 20 };
-    let streams = synthetic_visits(&world, users, 7, 25, opts.seed);
+    let users = ctx.by_scale(100, 20);
+    let streams = synthetic_visits(&world, users, 7, 25, ctx.seed);
 
     let mut table = Table::new(
         "Ablation: web-content refresh policy (§3.2), one week per user",
@@ -378,20 +301,11 @@ fn freshness_study(opts: &Options) {
 
 /// Figure 1's auto-suggest box: keystrokes until the intended query tops
 /// the suggestion list.
-fn suggest_study(opts: &Options) {
-    use pocketsearch::engine::PocketSearch;
+fn suggest_study(ctx: &RunContext) {
     use pocketsearch::suggest::SuggestIndex;
 
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
-    let engine = PocketSearch::build(
-        &inputs.contents,
-        &inputs.catalog,
-        PocketSearchConfig::default(),
-    );
+    let inputs = ctx.world();
+    let engine = inputs.engine(PocketSearchConfig::default());
     let texts: Vec<String> = inputs
         .contents
         .pairs()
@@ -441,17 +355,11 @@ fn suggest_study(opts: &Options) {
 
 /// Whole-month service cost by miss radio (the Figure 15 ratios at the
 /// workload level, weighted by the real hit rate).
-fn radios_study(opts: &Options) {
+fn radios_study(ctx: &RunContext) {
     use mobsim::radio::RadioKind;
-    use pocketsearch::engine::PocketSearch;
-    use pocketsearch::replay::replay_population;
 
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
-    let per_class = if opts.full_scale { 50 } else { 15 };
+    let inputs = ctx.world();
+    let per_class = ctx.by_scale(50, 15);
     let streams = select_streams(&inputs.replay_month, per_class);
     let total_queries: usize = streams.iter().map(Vec::len).sum();
 
@@ -464,7 +372,7 @@ fn radios_study(opts: &Options) {
             miss_radio: radio,
             ..PocketSearchConfig::default()
         };
-        let engine = PocketSearch::build(&inputs.contents, &inputs.catalog, config);
+        let engine = inputs.engine(config);
         let outcomes = replay_population(&engine, &inputs.catalog, &streams, None);
         let time: f64 = outcomes.iter().map(|o| o.time.as_secs_f64()).sum();
         let energy: f64 = outcomes.iter().map(|o| o.energy.joules()).sum();
@@ -480,22 +388,11 @@ fn radios_study(opts: &Options) {
 /// §7's backend relief: "Pocketsearch prevents 66% of the query volume
 /// across all users from hitting the cellular radio and the search engine
 /// servers, mitigating pressure on both cellular links and datacenters."
-fn offload_study(opts: &Options) {
-    use pocketsearch::engine::PocketSearch;
-    use pocketsearch::replay::replay_population;
-
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
-    let per_class = if opts.full_scale { 100 } else { 20 };
+fn offload_study(ctx: &RunContext) {
+    let inputs = ctx.world();
+    let per_class = ctx.by_scale(100, 20);
     let streams = select_streams(&inputs.replay_month, per_class);
-    let engine = PocketSearch::build(
-        &inputs.contents,
-        &inputs.catalog,
-        PocketSearchConfig::default(),
-    );
+    let engine = inputs.engine(PocketSearchConfig::default());
     let outcomes = replay_population(&engine, &inputs.catalog, &streams, None);
 
     let days = outcomes
@@ -596,12 +493,12 @@ fn battery_study() {
 
 /// The §2/§7 mapping cloudlet: tile hit rate and radio traffic across
 /// prefetch policies and flash budgets.
-fn maps_study(opts: &Options) {
+fn maps_study(ctx: &RunContext) {
     use pocketmaps::cloudlet::{PocketMaps, PrefetchPolicy};
     use pocketmaps::grid::TileGrid;
     use pocketmaps::movement::CommuterModel;
 
-    let users = if opts.full_scale { 60 } else { 15 };
+    let users = ctx.by_scale(60, 15);
     let model = CommuterModel::default();
     let grid = TileGrid::paper_default();
 
@@ -635,7 +532,7 @@ fn maps_study(opts: &Options) {
         let mut hit = 0.0;
         let mut radio = 0.0;
         for u in 0..users {
-            let (anchors, trace) = model.generate(14, opts.seed + u as u64);
+            let (anchors, trace) = model.generate(14, ctx.seed + u as u64);
             let mut maps = PocketMaps::new(grid, budget);
             let stats = maps.replay_trace(policy, anchors[0], &trace);
             instant += stats.instant_rate();
@@ -657,14 +554,9 @@ fn maps_study(opts: &Options) {
 
 /// §3.3 index placement: two-tier (DRAM reloaded from NAND) vs three-tier
 /// (PCM-resident) as the cloudlet fleet grows.
-fn tier_study(opts: &Options) {
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
+fn tier_study(ctx: &RunContext) {
     let mem = TieredMemory::default();
-    let index_per_cloudlet = inputs.contents.dram_bytes() as u64;
+    let index_per_cloudlet = ctx.world().contents.dram_bytes() as u64;
 
     let mut table = Table::new(
         "Ablation: index placement across the memory tiers (§3.3)",
@@ -705,23 +597,11 @@ fn tier_study(opts: &Options) {
 /// re-routes work, it never changes an outcome); the makespan — the
 /// busiest lane's simulated busy time — is what shrinks, and with it
 /// the batch's effective serving throughput.
-fn fleet_study(opts: &Options) {
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
-    let engine = PocketSearch::build(
-        &inputs.contents,
-        &inputs.catalog,
-        PocketSearchConfig::default(),
-    );
-    let (users, n_events) = if opts.full_scale {
-        (1_000, 50_000)
-    } else {
-        (64, 4_000)
-    };
-    let requests = fleet_workload(&inputs, users, n_events, opts.seed ^ 0xf1ee7);
+fn fleet_study(ctx: &RunContext) {
+    let inputs = ctx.world();
+    let engine = inputs.engine(PocketSearchConfig::default());
+    let (users, n_events) = ctx.by_scale((1_000, 50_000), (64, 4_000));
+    let requests = fleet_workload(inputs, users, n_events, ctx.seed ^ 0xf1ee7);
 
     let mut table = Table::new(
         format!("Ablation: sharded serving fleet ({n_events} Zipf events, {users} users)"),
@@ -763,24 +643,12 @@ struct FrontendPoint {
 /// is *exactly* invariant across the sweep — the only thing that moves
 /// is when work runs, which is what simulated qps and queue wait
 /// measure.
-fn frontend_study(opts: &Options) {
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
-    let engine = PocketSearch::build(
-        &inputs.contents,
-        &inputs.catalog,
-        PocketSearchConfig::default(),
-    );
-    let (users, n_events) = if opts.full_scale {
-        (1_000, 50_000)
-    } else {
-        (64, 4_000)
-    };
+fn frontend_study(ctx: &RunContext) {
+    let inputs = ctx.world();
+    let engine = inputs.engine(PocketSearchConfig::default());
+    let (users, n_events) = ctx.by_scale((1_000, 50_000), (64, 4_000));
     let shards = 8usize;
-    let requests = frontend_workload(&inputs, users, n_events, opts.seed ^ 0xf407);
+    let requests = frontend_workload(inputs, users, n_events, ctx.seed ^ 0xf407);
 
     let parked =
         |queue_depth: usize, coalescing: bool, hit_path: HitPathMode, work_stealing: bool| {
@@ -899,17 +767,13 @@ fn frontend_study(opts: &Options) {
     println!("{}", shed_table.render());
     println!("bounded admission trades completeness for tail latency: shallower queues shed\nmore of the burst but cap how long anything admitted can wait.\n");
 
-    if let Some(path) = &opts.out {
-        let json = frontend_json(opts, users, n_events, shards, &points);
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}\n");
-    }
+    ctx.write_out(|| frontend_json(ctx, users, n_events, shards, &points));
 }
 
 /// Hand-rolled JSON for the front-end sweep (the workspace has no JSON
 /// dependency, and the schema is flat enough not to want one).
 fn frontend_json(
-    opts: &Options,
+    ctx: &RunContext,
     users: u64,
     n_events: usize,
     shards: usize,
@@ -949,8 +813,8 @@ fn frontend_json(
         "{{\n  \"bench\": \"frontend\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
          \"users\": {},\n  \"events\": {},\n  \"lanes\": {},\n  \"workload\": \
          \"duplicate-heavy two-segment Zipf\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed,
+        ctx.scale(),
+        ctx.seed,
         users,
         n_events,
         shards,
@@ -983,25 +847,19 @@ struct ArbiterEpoch {
 /// epoch. Aggregate hit ratio is the scoreboard: capacity that follows
 /// the traffic must strictly beat capacity that ignores it, even paying
 /// the EWMA lag at the flip.
-fn arbiter_study(opts: &Options) {
-    let inputs: StudyInputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
-    let corpus = UniverseCorpus::new(&inputs.universe);
+fn arbiter_study(ctx: &RunContext) {
+    let inputs = ctx.world();
     // The contended budget: exactly one standard community cache, so an
     // equal split truncates both caches while a skew-following split can
     // keep the hot cloudlet's cache nearly whole.
     let total = inputs.contents.dram_bytes();
     let epochs = 8usize;
-    let n_events = if opts.full_scale { 50_000 } else { 4_000 };
+    let n_events = ctx.by_scale(50_000, 4_000);
     const HOT_SHARE: f64 = 0.9;
     /// Radio bytes charged per miss (Table 2's ~2 KB result page); only
     /// the cross-cloudlet *ratio* matters to the arbiter's utility.
     const MISS_RADIO_BYTES: u64 = 2_000;
-    let schedule =
-        skewed_arbiter_workload(&inputs, n_events, epochs, HOT_SHARE, opts.seed ^ 0xa6b1);
+    let schedule = skewed_arbiter_workload(inputs, n_events, epochs, HOT_SHARE, ctx.seed ^ 0xa6b1);
 
     // The uniform-telemetry anchor, asserted here so the committed
     // BENCH_arbiter.json is witness that the adaptive path degenerates
@@ -1045,11 +903,7 @@ fn arbiter_study(opts: &Options) {
     // Serves one epoch's keys with a community cache regenerated at the
     // granted byte budget, returning the lane telemetry.
     let serve = |grant: usize, keys: &[u64]| -> LaneTotals {
-        let contents = CacheContents::generate(
-            &inputs.triplets,
-            &corpus,
-            AdmissionPolicy::DramThreshold { bytes: grant },
-        );
+        let contents = inputs.mine(AdmissionPolicy::DramThreshold { bytes: grant });
         let mut engine =
             PocketSearch::build(&contents, &inputs.catalog, PocketSearchConfig::default());
         let mut totals = LaneTotals::default();
@@ -1183,25 +1037,23 @@ fn arbiter_study(opts: &Options) {
         "adaptive arbitration must beat the static equal split: {adaptive_ratio:.4} vs {static_ratio:.4}"
     );
 
-    if let Some(path) = &opts.out {
-        let json = arbiter_json(
-            opts,
+    ctx.write_out(|| {
+        arbiter_json(
+            ctx,
             total,
             n_events,
             HOT_SHARE,
             static_ratio,
             adaptive_ratio,
             &rows,
-        );
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}\n");
-    }
+        )
+    });
 }
 
 /// Hand-rolled JSON for the arbiter run (same no-dependency schema
 /// style as [`frontend_json`]).
 fn arbiter_json(
-    opts: &Options,
+    ctx: &RunContext,
     total: usize,
     n_events: usize,
     hot_share: f64,
@@ -1242,8 +1094,8 @@ fn arbiter_json(
          \"workload\": \"two-segment Zipf, 90/10 skew flipping at half-time\",\n  \
          \"static_hit_ratio\": {:.6},\n  \"adaptive_hit_ratio\": {:.6},\n  \
          \"epochs\": [\n{}\n  ]\n}}\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed,
+        ctx.scale(),
+        ctx.seed,
         total,
         n_events,
         hot_share,
@@ -1280,13 +1132,7 @@ impl WearRun {
 /// repair pass — on a device whose flash runs the given wear model and
 /// allocation policy. Deterministic in the inputs.
 fn wear_month(inputs: &StudyInputs, wear: Option<WearModel>, alloc: AllocPolicy) -> WearRun {
-    let corpus = UniverseCorpus::new(&inputs.universe);
-    let admission = AdmissionPolicy::CumulativeShare { share: 0.55 };
-    let mut engine = PocketSearch::build(
-        &inputs.contents,
-        &inputs.catalog,
-        PocketSearchConfig::default(),
-    );
+    let mut engine = inputs.engine(PocketSearchConfig::default());
     if let Some(wear) = wear {
         engine.device_mut().flash_mut().set_wear(wear);
     }
@@ -1327,14 +1173,7 @@ fn wear_month(inputs: &StudyInputs, wear: Option<WearModel>, alloc: AllocPolicy)
 
         // Nightly patch against a 28-day sliding-window server (§6.2.2),
         // the erase-heavy churn that wears blocks out.
-        let server = sliding_window_server(
-            &inputs.build_month,
-            &inputs.replay_month,
-            day,
-            &corpus,
-            admission,
-            RankingPolicy::default(),
-        );
+        let server = sliding_window_server(inputs, day, RankingPolicy::default());
         if engine.nightly_update(&server, &inputs.catalog).is_err() {
             run.update_failures += 1;
         }
@@ -1348,12 +1187,7 @@ fn wear_month(inputs: &StudyInputs, wear: Option<WearModel>, alloc: AllocPolicy)
 /// §5.4 under failing NAND: sweep the safe-erase threshold (plus a
 /// wear-off control) across both allocation policies and report how hit
 /// ratio, corruption sheds, and re-fetch radio cost respond.
-fn wear_study(opts: &Options) {
-    let inputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
-    };
+fn wear_study(ctx: &RunContext) {
     // Thresholds chosen around the observed month of churn (~40 max
     // erases per block under leveling): `off` is the control, 24 grazes
     // the tail, 12 puts most of the rotation pool past its safe life,
@@ -1371,9 +1205,9 @@ fn wear_study(opts: &Options) {
                 enabled: true,
                 safe_erase_cycles,
                 bit_failure_every: 2,
-                seed: opts.seed,
+                seed: ctx.seed,
             });
-            let run = wear_month(&inputs, wear, policy);
+            let run = wear_month(ctx.world(), wear, policy);
             let label = threshold.map_or_else(|| "off".to_owned(), |t| t.to_string());
             rows.push((policy_name.to_owned(), label, run));
         }
@@ -1441,16 +1275,12 @@ fn wear_study(opts: &Options) {
         );
     }
 
-    if let Some(path) = &opts.out {
-        let json = wear_json(opts, &rows);
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}\n");
-    }
+    ctx.write_out(|| wear_json(ctx, &rows));
 }
 
 /// Hand-rolled JSON for the wear sweep (same no-dependency schema style
 /// as [`frontend_json`]).
-fn wear_json(opts: &Options, rows: &[(String, String, WearRun)]) -> String {
+fn wear_json(ctx: &RunContext, rows: &[(String, String, WearRun)]) -> String {
     let entries: Vec<String> = rows
         .iter()
         .map(|(policy, threshold, run)| {
@@ -1489,8 +1319,8 @@ fn wear_json(opts: &Options, rows: &[(String, String, WearRun)]) -> String {
         "{{\n  \"bench\": \"wear\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
          \"workload\": \"month of daily serves+clicks with nightly sliding-window patches\",\n  \
          \"bit_failure_every\": 2,\n  \"runs\": [\n{}\n  ]\n}}\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed,
+        ctx.scale(),
+        ctx.seed,
         entries.join(",\n")
     )
 }
@@ -1570,13 +1400,9 @@ fn population_miss_energy_mj() -> f64 {
 /// scales with the population, not with the month of events, which the
 /// study asserts via the stream's peak-resident-entry counter and the
 /// lanes' live delta-byte telemetry.
-fn population_study(opts: &Options) {
-    let config = if opts.full_scale {
-        GeneratorConfig::full_scale()
-    } else {
-        GeneratorConfig::test_scale()
-    };
-    let world = population_world(config, opts.seed, 0.55);
+fn population_study(ctx: &RunContext) {
+    let config = ctx.generator();
+    let world = population_world(config, ctx.seed, 0.55);
 
     // Equivalence proof at generator scale, re-asserted on every run so
     // the committed artifact is witness: driving the front-end from the
@@ -1584,10 +1410,10 @@ fn population_study(opts: &Options) {
     // bit for bit — same per-lane totals, serve stats, and delta bytes.
     {
         let baseline = population_frontend(&world, 4);
-        let requests = materialized_month_requests(&LogGenerator::new(config, opts.seed));
+        let requests = materialized_month_requests(&LogGenerator::new(config, ctx.seed));
         baseline.serve_batch(&requests).expect("materialized batch");
         let streamed = population_frontend(&world, 4);
-        let mut generator = LogGenerator::new(config, opts.seed);
+        let mut generator = LogGenerator::new(config, ctx.seed);
         for batch in generator.stream_month_chunked(24) {
             let requests = population_requests(&batch);
             if !requests.is_empty() {
@@ -1604,11 +1430,7 @@ fn population_study(opts: &Options) {
     // The population day itself: a serving population decoupled from
     // (and much larger than) the build population that mined the
     // community snapshot.
-    let (users, lanes) = if opts.full_scale {
-        (1_000_000usize, 8usize)
-    } else {
-        (2_000, 4)
-    };
+    let (users, lanes) = ctx.by_scale((1_000_000usize, 8usize), (2_000, 4));
     let epochs_per_day = 24u16;
     let frontend = population_frontend(&world, lanes);
     let mut arbiter = AdaptiveArbiter::new(
@@ -1625,7 +1447,7 @@ fn population_study(opts: &Options) {
     let mut stream = EventStream::new(
         &world.universe,
         config.behavior,
-        opts.seed ^ 0x0b5e_55ed,
+        ctx.seed ^ 0x0b5e_55ed,
         users,
         config.days_per_month,
         StreamConfig {
@@ -1749,9 +1571,9 @@ fn population_study(opts: &Options) {
     );
     assert!(delta_bytes > 0, "clicks must materialize deltas");
 
-    if let Some(path) = &opts.out {
-        let json = population_json(
-            opts,
+    ctx.write_out(|| {
+        population_json(
+            ctx,
             users,
             lanes,
             &rows,
@@ -1759,17 +1581,15 @@ fn population_study(opts: &Options) {
             [community_bytes, pair_bytes, delta_bytes],
             peak_entries,
             arbitrations,
-        );
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}\n");
-    }
+        )
+    });
 }
 
 /// Hand-rolled JSON for the population run (same no-dependency schema
 /// style as [`frontend_json`]).
 #[allow(clippy::too_many_arguments)]
 fn population_json(
-    opts: &Options,
+    ctx: &RunContext,
     users: usize,
     lanes: usize,
     rows: &[PopulationEpochRow],
@@ -1807,8 +1627,8 @@ fn population_json(
          {},\n    \"pair_table_bytes\": {},\n    \"personal_delta_bytes\": {},\n    \
          \"delta_bytes_per_user\": {:.2},\n    \"peak_stream_entries\": {},\n    \
          \"peak_stream_entries_per_user\": {:.3}\n  }},\n  \"epochs\": [\n{}\n  ]\n}}\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed,
+        ctx.scale(),
+        ctx.seed,
         users,
         lanes,
         rows.len(),
@@ -1903,18 +1723,9 @@ fn peers_arm(
 /// of one reproduces solo telemetry bit for bit, and every miss the
 /// baseline suffers but a pooled arm avoids is accounted for by
 /// exactly one peer serve.
-fn peers_study(opts: &Options) {
-    let config = if opts.full_scale {
-        GeneratorConfig::full_scale()
-    } else {
-        GeneratorConfig::test_scale()
-    };
-    let world = population_world(config, opts.seed, 0.55);
-    let (devices, pool, per_device) = if opts.full_scale {
-        (24usize, 24usize, 400usize)
-    } else {
-        (12, 8, 120)
-    };
+fn peers_study(ctx: &RunContext) {
+    let world = population_world(ctx.generator(), ctx.seed, 0.55);
+    let (devices, pool, per_device) = ctx.by_scale((24usize, 24usize, 400usize), (12, 8, 120));
     let cell_sweep = [2usize, 4, 8];
     let bits_sweep = [64usize, 1024];
     let skews = [0.3, 0.7];
@@ -1925,7 +1736,7 @@ fn peers_study(opts: &Options) {
     // — lane totals, serve stats, and delta bytes — from one with no
     // fabric at all.
     {
-        let workload = peer_cell_workload(&world, devices, pool, per_device, skews[0], opts.seed);
+        let workload = peer_cell_workload(&world, devices, pool, per_device, skews[0], ctx.seed);
         let solo = population_frontend(&world, devices);
         solo.serve_batch(&workload.warmup).expect("solo warm-up");
         solo.serve_batch(&workload.measure).expect("solo measure");
@@ -1963,7 +1774,7 @@ fn peers_study(opts: &Options) {
     );
     let mut rows: Vec<PeersRow> = Vec::new();
     for &skew in &skews {
-        let workload = peer_cell_workload(&world, devices, pool, per_device, skew, opts.seed);
+        let workload = peer_cell_workload(&world, devices, pool, per_device, skew, ctx.seed);
         let baseline = peers_arm(
             &world,
             &workload,
@@ -2033,18 +1844,14 @@ fn peers_study(opts: &Options) {
          Bloom width, because a claimed key is verified against the peer's exact set.\n"
     );
 
-    if let Some(path) = &opts.out {
-        let json = peers_json(opts, devices, pool, per_device, &rows);
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}\n");
-    }
+    ctx.write_out(|| peers_json(ctx, devices, pool, per_device, &rows));
 }
 
 /// Hand-rolled JSON for the peers sweep (same no-dependency schema
 /// style as [`frontend_json`]). `cell == 1` rows are the solo
 /// baselines the pooled arms of the same skew are asserted against.
 fn peers_json(
-    opts: &Options,
+    ctx: &RunContext,
     devices: usize,
     pool: usize,
     per_device: usize,
@@ -2083,8 +1890,8 @@ fn peers_json(
          \"devices\": {},\n  \"pool_per_device\": {},\n  \"requests_per_device\": {},\n  \
          \"baseline\": \"cell_size 1 (solo; bit-identical to a fabric-free front-end)\",\n  \
          \"arms\": [\n{}\n  ]\n}}\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed,
+        ctx.scale(),
+        ctx.seed,
         devices,
         pool,
         per_device,

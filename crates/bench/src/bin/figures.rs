@@ -8,22 +8,23 @@
 //! Each section prints the measured series next to what the paper
 //! reports, so the output reads as a reproduction report. `--scale full`
 //! (default) uses the paper-scale synthetic logs; `--scale test` runs a
-//! miniature world in a couple of seconds.
+//! miniature world in a couple of seconds. An unknown id or a malformed
+//! flag exits 2 before any output.
+
+use std::cell::OnceCell;
+use std::process::ExitCode;
 
 use cloudlet_core::cache::CacheMode;
-use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
-use cloudlet_core::corpus::UniverseCorpus;
+use cloudlet_core::contentgen::AdmissionPolicy;
 use cloudlet_core::hashtable::QueryHashTable;
 use flashdb::{DbConfig, ResultDb};
 use mobsim::flash::{FlashModel, FlashStore};
 use mobsim::power::Power;
 use mobsim::time::SimDuration;
 use nvmscale::{CapacityProjection, DeviceTier, ScalingTechnique, ScalingTrends};
-use pocket_bench::{
-    ascii_chart, full_scale_study_inputs, test_scale_study_inputs, StudyInputs, Table,
-};
+use pocket_bench::{ascii_chart, RunContext, Sections, StudyInputs, Table};
 use pocketsearch::experiment::{
-    figure15_points, figure16_traces, run_hit_rate_study, HitRateConfig,
+    figure15_points, figure16_traces, run_hit_rate_study, HitRateConfig, HitRateStudy,
 };
 use querylog::analysis::cdf::{query_volume_cdf, result_volume_cdf};
 use querylog::analysis::repeat::new_query_probabilities;
@@ -31,64 +32,29 @@ use querylog::log::DeviceClass;
 use querylog::universe::QueryKind;
 use querylog::users::UserClass;
 
-struct Options {
-    figs: Vec<String>,
-    full_scale: bool,
-    seed: u64,
-}
+const SECTIONS: Sections = Sections {
+    flag: "--fig",
+    noun: "figure",
+    ids: &[
+        "2", "4", "5", "7", "8", "11", "12", "15a", "15b", "16", "17", "18", "19", "daily",
+    ],
+    takes_out: false,
+};
 
-fn parse_args() -> Options {
-    let mut figs = Vec::new();
-    let mut full_scale = true;
-    let mut seed = 2011;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fig" => figs.push(args.next().expect("--fig needs a value")),
-            "--scale" => {
-                full_scale = match args.next().expect("--scale needs a value").as_str() {
-                    "full" => true,
-                    "test" => false,
-                    other => panic!("unknown scale {other:?}, expected test|full"),
-                }
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be a number")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    if figs.is_empty() || figs.iter().any(|f| f == "all") {
-        figs = [
-            "2", "4", "5", "7", "8", "11", "12", "15a", "15b", "16", "17", "18", "19", "daily",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-    }
-    Options {
-        figs,
-        full_scale,
-        seed,
-    }
-}
+/// The three cache modes Figures 17–19 compare.
+const MODES: [CacheMode; 3] = [
+    CacheMode::Full,
+    CacheMode::CommunityOnly,
+    CacheMode::PersonalizationOnly,
+];
 
-fn main() {
-    let opts = parse_args();
-    let inputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
+fn main() -> ExitCode {
+    let ctx = match RunContext::from_env(&SECTIONS) {
+        Ok(ctx) => ctx,
+        Err(code) => return code,
     };
-    println!(
-        "# Pocket Cloudlets figure reproduction ({} scale, seed {})\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed
-    );
+    let inputs = ctx.world();
+    ctx.print_header("figure reproduction");
     println!(
         "workload: {} build-month entries, {} replay-month entries, {} cached pairs ({} results)\n",
         inputs.build_month.len(),
@@ -97,23 +63,31 @@ fn main() {
         inputs.contents.distinct_results()
     );
 
-    for fig in &opts.figs {
+    // Figures 17, 18 and 19 read one three-mode replay.
+    let three_modes = OnceCell::new();
+    for fig in &ctx.ids {
         match fig.as_str() {
             "2" => figure2(),
-            "4" => figure4(&inputs),
-            "5" => figure5(&inputs),
-            "7" => figure7(&inputs),
-            "8" => figure8(&inputs),
-            "11" => figure11(&inputs),
-            "12" => figure12(&inputs),
+            "4" => figure4(inputs),
+            "5" => figure5(inputs),
+            "7" => figure7(inputs),
+            "8" => figure8(inputs),
+            "11" => figure11(inputs),
+            "12" => figure12(inputs),
             "15a" => figure15a(),
             "15b" => figure15b(),
             "16" => figure16(),
-            "17" | "18" | "19" => figures_17_18_19(&opts, fig),
-            "daily" => daily_updates(&opts),
-            other => eprintln!("unknown figure id {other:?}"),
+            "17" | "18" | "19" => figures_17_18_19(
+                inputs,
+                three_modes
+                    .get_or_init(|| run_hit_rate_study(inputs, &ctx.hit_rate_config(), &MODES)),
+                fig,
+            ),
+            "daily" => daily_updates(&ctx),
+            other => unreachable!("figure {other:?} was validated by the parser"),
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn figure2() {
@@ -263,17 +237,12 @@ fn figure7(inputs: &StudyInputs) {
 }
 
 fn figure8(inputs: &StudyInputs) {
-    let corpus = UniverseCorpus::new(&inputs.universe);
     let mut table = Table::new(
         "Figure 8: cache footprint vs aggregate volume (paper at 55%: ~200 KB DRAM, ~1 MB flash)",
         &["share", "pairs", "results", "DRAM KB", "flash KB"],
     );
     for share in [0.1, 0.2, 0.3, 0.4, 0.5, 0.55, 0.6, 0.65] {
-        let c = CacheContents::generate(
-            &inputs.triplets,
-            &corpus,
-            AdmissionPolicy::CumulativeShare { share },
-        );
+        let c = inputs.mine(AdmissionPolicy::CumulativeShare { share });
         table.row(&[
             format!("{share:.2}"),
             c.len().to_string(),
@@ -326,12 +295,11 @@ fn figure12(inputs: &StudyInputs) {
         .collect();
     for n_files in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
         let mut flash = FlashStore::new(FlashModel::default());
-        let records = inputs
-            .contents
-            .pairs()
-            .iter()
-            .filter_map(|p| inputs.catalog.record_by_hash(p.result_hash));
-        let db = ResultDb::build(records, DbConfig::with_files(n_files), &mut flash);
+        let db = ResultDb::build(
+            inputs.community_records(),
+            DbConfig::with_files(n_files),
+            &mut flash,
+        );
         let (_, time) = db
             .get_many(sample.iter().copied(), &flash)
             .expect("sampled results are stored");
@@ -403,26 +371,7 @@ fn figure16() {
     }
 }
 
-fn hit_rate_config(opts: &Options) -> HitRateConfig {
-    if opts.full_scale {
-        HitRateConfig {
-            seed: opts.seed,
-            ..HitRateConfig::full_scale(opts.seed)
-        }
-    } else {
-        HitRateConfig::test_scale(opts.seed)
-    }
-}
-
-fn figures_17_18_19(opts: &Options, which: &str) {
-    let study = run_hit_rate_study(
-        &hit_rate_config(opts),
-        &[
-            CacheMode::Full,
-            CacheMode::CommunityOnly,
-            CacheMode::PersonalizationOnly,
-        ],
-    );
+fn figures_17_18_19(inputs: &StudyInputs, study: &HitRateStudy, which: &str) {
     match which {
         "17" => {
             let mut table = Table::new(
@@ -449,10 +398,10 @@ fn figures_17_18_19(opts: &Options, which: &str) {
             println!("{}", table.render());
             println!(
                 "cache: {} pairs, {} results, {:.0} KB DRAM, {:.0} KB flash (paper: ~2,500 results, ~200 KB, ~1 MB)\n",
-                study.cached_pairs,
-                study.cached_results,
-                study.dram_bytes as f64 / 1_000.0,
-                study.flash_bytes as f64 / 1_000.0,
+                inputs.contents.len(),
+                inputs.contents.distinct_results(),
+                inputs.contents.dram_bytes() as f64 / 1_000.0,
+                inputs.contents.flash_bytes() as f64 / 1_000.0,
             );
         }
         "18" => {
@@ -492,14 +441,14 @@ fn figures_17_18_19(opts: &Options, which: &str) {
     }
 }
 
-fn daily_updates(opts: &Options) {
-    let base = hit_rate_config(opts);
+fn daily_updates(ctx: &RunContext) {
+    let base = ctx.hit_rate_config();
     let nightly = HitRateConfig {
         daily_updates: true,
         ..base
     };
-    let without = run_hit_rate_study(&base, &[CacheMode::Full]);
-    let with = run_hit_rate_study(&nightly, &[CacheMode::Full]);
+    let without = run_hit_rate_study(ctx.world(), &base, &[CacheMode::Full]);
+    let with = run_hit_rate_study(ctx.world(), &nightly, &[CacheMode::Full]);
     let mut table = Table::new(
         "§6.2.2: daily community updates (paper: 66% vs 65% — a ~1.5% gain)",
         &["configuration", "average hit rate"],

@@ -4,6 +4,10 @@
 //! tables [--table <id>] [--scale test|full] [--seed N]
 //!   ids: 1 2 3 4 5 6 dedup all
 //! ```
+//!
+//! An unknown id or a malformed flag exits 2 before any output.
+
+use std::process::ExitCode;
 
 use mobsim::browser::{BrowserModel, PageWeight};
 use mobsim::device::Device;
@@ -11,79 +15,37 @@ use mobsim::flash::FlashModel;
 use mobsim::radio::RadioKind;
 use mobsim::time::SimDuration;
 use nvmscale::{CloudletBudget, ScalingTrends};
-use pocket_bench::{full_scale_study_inputs, test_scale_study_inputs, StudyInputs, Table};
+use pocket_bench::{RunContext, Sections, StudyInputs, Table};
 use pocketsearch::navigation::{navigation_speedup, navigation_time};
 use querylog::analysis::stats::LogStats;
 use querylog::users::UserClass;
 
-struct Options {
-    tables: Vec<String>,
-    full_scale: bool,
-    seed: u64,
-}
+const SECTIONS: Sections = Sections {
+    flag: "--table",
+    noun: "table",
+    ids: &["1", "2", "3", "4", "5", "6", "dedup"],
+    takes_out: false,
+};
 
-fn parse_args() -> Options {
-    let mut tables = Vec::new();
-    let mut full_scale = true;
-    let mut seed = 2011;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--table" => tables.push(args.next().expect("--table needs a value")),
-            "--scale" => {
-                full_scale = match args.next().expect("--scale needs a value").as_str() {
-                    "full" => true,
-                    "test" => false,
-                    other => panic!("unknown scale {other:?}, expected test|full"),
-                }
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be a number")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    if tables.is_empty() || tables.iter().any(|t| t == "all") {
-        tables = ["1", "2", "3", "4", "5", "6", "dedup"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-    }
-    Options {
-        tables,
-        full_scale,
-        seed,
-    }
-}
-
-fn main() {
-    let opts = parse_args();
-    let inputs = if opts.full_scale {
-        full_scale_study_inputs(opts.seed)
-    } else {
-        test_scale_study_inputs(opts.seed)
+fn main() -> ExitCode {
+    let ctx = match RunContext::from_env(&SECTIONS) {
+        Ok(ctx) => ctx,
+        Err(code) => return code,
     };
-    println!(
-        "# Pocket Cloudlets table reproduction ({} scale, seed {})\n",
-        if opts.full_scale { "full" } else { "test" },
-        opts.seed
-    );
-    for t in &opts.tables {
+    ctx.print_header("table reproduction");
+    for t in &ctx.ids {
         match t.as_str() {
             "1" => table1(),
             "2" => table2(),
-            "3" => table3(&inputs),
-            "4" => table4(&inputs),
+            "3" => table3(ctx.world()),
+            "4" => table4(ctx.world()),
             "5" => table5(),
-            "6" => table6(&inputs),
-            "dedup" => dedup(&inputs),
-            other => eprintln!("unknown table id {other:?}"),
+            "6" => table6(ctx.world()),
+            "dedup" => dedup(ctx.world()),
+            other => unreachable!("table {other:?} was validated by the parser"),
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn table1() {
@@ -168,12 +130,11 @@ fn table3(inputs: &StudyInputs) {
 fn table4(inputs: &StudyInputs) {
     // Measure the real fetch time from the evaluation-size database.
     let mut flash = mobsim::flash::FlashStore::new(FlashModel::default());
-    let records = inputs
-        .contents
-        .pairs()
-        .iter()
-        .filter_map(|p| inputs.catalog.record_by_hash(p.result_hash));
-    let db = flashdb::ResultDb::build(records, flashdb::DbConfig::default(), &mut flash);
+    let db = flashdb::ResultDb::build(
+        inputs.community_records(),
+        flashdb::DbConfig::default(),
+        &mut flash,
+    );
 
     // Like the paper: average the fetch over 100 random cached queries
     // (each displaying its top-two results).
@@ -296,22 +257,14 @@ fn dedup(inputs: &StudyInputs) {
     // Compare the real database against the naive one-file-per-pair layout.
     let model = FlashModel::default();
     let mut flash = mobsim::flash::FlashStore::new(model);
-    let records: Vec<std::sync::Arc<flashdb::ResultRecord>> = inputs
-        .contents
-        .pairs()
+    let records: Vec<_> = inputs.community_records().collect();
+    let per_pair_naive: u64 = records
         .iter()
-        .filter_map(|p| inputs.catalog.record_by_hash(p.result_hash))
-        .collect();
-    let db = flashdb::ResultDb::build(records.clone(), flashdb::DbConfig::default(), &mut flash);
-    let aggregated = db.stats(&flash).allocated_bytes;
-
-    let per_pair_naive: u64 = inputs
-        .contents
-        .pairs()
-        .iter()
-        .filter_map(|p| inputs.catalog.record_by_hash(p.result_hash))
         .map(|r| model.allocated_bytes(r.encoded_len() as u64))
         .sum();
+    let db = flashdb::ResultDb::build(records, flashdb::DbConfig::default(), &mut flash);
+    let aggregated = db.stats(&flash).allocated_bytes;
+
     println!(
         "aggregated store-once database: {:.0} KB; one file per query-result pair: {:.0} KB; savings {:.1}x (paper: ~8x)\n",
         aggregated as f64 / 1_000.0,

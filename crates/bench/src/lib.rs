@@ -4,17 +4,20 @@
 //! `pipeline-bench` package) lean on this crate for consistent workload
 //! construction and plain-text rendering: every experiment prints the
 //! paper's reported value next to the measured one, so a run reads as a
-//! reproduction report. [`wallclock`] holds the workspace's one host
-//! timer.
+//! reproduction report. [`cli`] is the three binaries' one command line
+//! and run context, which builds each run's study world at most once.
+//! [`wallclock`] holds the workspace's one host timer.
 
 // The crate does not inherit the workspace lint table (see its
 // Cargo.toml), so it asks for docs coverage here.
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod render;
 pub mod wallclock;
 pub mod workloads;
 
+pub use cli::{RunContext, Sections};
 pub use render::{ascii_chart, Table};
 pub use wallclock::{measure, Measurement};
 pub use workloads::{

@@ -5,71 +5,34 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use cloudlet_core::cache::{CacheMode, CommunityCache, PocketCache};
-use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
-use cloudlet_core::corpus::UniverseCorpus;
+use cloudlet_core::contentgen::CacheContents;
 use cloudlet_core::frontend::ServeRequest;
 use cloudlet_core::population::PairTable;
 use cloudlet_core::ranking::RankingPolicy;
 use mobsim::time::SimInstant;
 use pocketsearch::engine::Catalog;
+pub use pocketsearch::experiment::StudyInputs;
 use querylog::generator::{GeneratorConfig, LogGenerator};
 use querylog::ids::UserId;
-use querylog::log::{LogEntry, SearchLog};
+use querylog::log::LogEntry;
 use querylog::stream::{EpochBatch, MICROS_PER_DAY};
-use querylog::triplets::TripletTable;
 use querylog::universe::Universe;
 use querylog::zipf::{TwoSegmentZipf, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Everything the experiments need from one generated world: the
-/// cache-construction month, the replay month, the extracted triplets,
-/// the community cache contents, and the hash catalog.
-#[derive(Debug, Clone)]
-pub struct StudyInputs {
-    /// The universe behind both months.
-    pub universe: Universe,
-    /// Month used to build the community cache.
-    pub build_month: SearchLog,
-    /// Month whose per-user streams are replayed.
-    pub replay_month: SearchLog,
-    /// Volume-sorted triplets of the build month.
-    pub triplets: TripletTable,
-    /// Community cache generated at the given share.
-    pub contents: CacheContents,
-    /// Precomputed hash catalog.
-    pub catalog: Catalog,
-}
-
-fn study_inputs(config: GeneratorConfig, seed: u64, share: f64) -> StudyInputs {
-    let mut generator = LogGenerator::new(config, seed);
-    let build_month = generator.generate_month();
-    let replay_month = generator.generate_month();
-    let triplets = TripletTable::from_log(&build_month);
-    let contents = CacheContents::generate(
-        &triplets,
-        &UniverseCorpus::new(generator.universe()),
-        AdmissionPolicy::CumulativeShare { share },
-    );
-    let catalog = Catalog::new(generator.universe());
-    StudyInputs {
-        universe: generator.universe().clone(),
-        build_month,
-        replay_month,
-        triplets,
-        contents,
-        catalog,
-    }
-}
-
-/// Paper-scale inputs (used by the figure/table binaries).
+/// The paper-scale study world, mined at the paper's 55% share. This and
+/// [`test_scale_study_inputs`] are the two callers of the one world
+/// builder, [`StudyInputs::build`]; [`population_world`] reuses its
+/// build-month half, and the report binaries reach it through
+/// [`crate::RunContext::world`].
 pub fn full_scale_study_inputs(seed: u64) -> StudyInputs {
-    study_inputs(GeneratorConfig::full_scale(), seed, 0.55)
+    StudyInputs::build(GeneratorConfig::full_scale(), seed, 0.55)
 }
 
-/// Small, fast inputs (used by tests and the test-scale studies).
+/// The test-scale study world (tests and `--scale test`), mined at 55%.
 pub fn test_scale_study_inputs(seed: u64) -> StudyInputs {
-    study_inputs(GeneratorConfig::test_scale(), seed, 0.55)
+    StudyInputs::build(GeneratorConfig::test_scale(), seed, 0.55)
 }
 
 /// A search request (service group 0) stamped at the simulation epoch.
@@ -206,20 +169,15 @@ pub struct PopulationWorld {
 }
 
 /// Builds the frozen world of a population study: a *sampled* build
-/// population (`config.n_users`) generates one month, the update server
-/// mines it into community contents at `share`, and the snapshot plus
-/// pair directory are frozen for `Arc`-sharing across lanes. The
+/// population (`config.n_users`) generates one month, the study-world
+/// miner ([`StudyInputs::mine_build_month`]) turns it into community
+/// contents at `share` (no replay month is generated), and the snapshot
+/// plus pair directory are frozen for `Arc`-sharing across lanes. The
 /// streamed serving population is then chosen independently (it can be
 /// a million users over the same universe).
 pub fn population_world(config: GeneratorConfig, seed: u64, share: f64) -> PopulationWorld {
     let mut generator = LogGenerator::new(config, seed);
-    let build_month = generator.generate_month();
-    let triplets = TripletTable::from_log(&build_month);
-    let contents = CacheContents::generate(
-        &triplets,
-        &UniverseCorpus::new(generator.universe()),
-        AdmissionPolicy::CumulativeShare { share },
-    );
+    let (_, _, contents) = StudyInputs::mine_build_month(&mut generator, share);
     let catalog = Catalog::new(generator.universe());
     let mut installed = PocketCache::new(CacheMode::Full, RankingPolicy::default());
     installed.install_contents(&contents);
@@ -448,6 +406,16 @@ mod tests {
         // Every mined community query resolves through the pair table.
         let (qh, _) = world.pairs.get(0).unwrap();
         assert!(qh != 0);
+    }
+
+    #[test]
+    fn population_world_mines_what_the_study_world_mines() {
+        for seed in [4, 9] {
+            assert_eq!(
+                population_world(GeneratorConfig::test_scale(), seed, 0.55).contents,
+                test_scale_study_inputs(seed).contents
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,26 @@
-//! Argument checks of the `ablations` binary that must fire before any
-//! study runs.
+//! Argument checks of the `ablations`, `figures` and `tables` binaries
+//! that must fire before any section runs.
 
 use std::process::Command;
 
-/// Runs `ablations` with `args`, returning its exit code and stderr.
-fn ablations(args: &[&str]) -> (Option<i32>, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_ablations"))
+/// Runs the binary at `exe` with `args`, returning its exit code, stdout
+/// and stderr.
+fn run(exe: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let output = Command::new(exe)
         .args(args)
         .output()
-        .expect("ablations runs");
+        .expect("the binary runs");
     (
         output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// Runs `ablations` with `args`, returning its exit code and stderr.
+fn ablations(args: &[&str]) -> (Option<i32>, String) {
+    let (code, _, stderr) = run(env!("CARGO_BIN_EXE_ablations"), args);
+    (code, stderr)
 }
 
 #[test]
@@ -37,4 +45,28 @@ fn unknown_study_exits_2() {
     let (code, stderr) = ablations(&["--study", "hotpath"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown study \"hotpath\""), "{stderr}");
+}
+
+#[test]
+fn bad_ids_and_flag_values_exit_2_before_any_output() {
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let tables = env!("CARGO_BIN_EXE_tables");
+    let ablations = env!("CARGO_BIN_EXE_ablations");
+    for (exe, args, message) in [
+        (figures, &["--fig", "99"][..], "unknown figure \"99\""),
+        (tables, &["--table", "7"][..], "unknown table \"7\""),
+        (ablations, &["--seed", "x"][..], "--seed needs a number"),
+        (tables, &["--seed"][..], "--seed needs a value"),
+        (figures, &["--scale", "huge"][..], "unknown scale \"huge\""),
+        (
+            ablations,
+            &["--study", "fleet", "--scale"][..],
+            "--scale needs a value",
+        ),
+    ] {
+        let (code, stdout, stderr) = run(exe, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout:?}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }

@@ -6,18 +6,27 @@
 //! * [`figure15_points`] — per-query response time and energy for
 //!   PocketSearch vs 3G / EDGE / 802.11g.
 //! * [`figure16_traces`] — power-over-time for ten consecutive queries.
+//! * [`StudyInputs`] — the §6.2 study world: month 1 of the community
+//!   logs mined into a community cache, and month 2 to replay against it.
+//!   [`StudyInputs::build`] is the one builder; the population studies,
+//!   which replay no month, stop at its [`StudyInputs::mine_build_month`]
+//!   half.
 //! * [`run_hit_rate_study`] — Figures 17/18/19 and the §6.2.2 daily-update
-//!   variant: build the cache from one month of community logs, replay the
-//!   next month's per-user streams per class and cache mode.
+//!   variant: replay a world's month-2 per-user streams per class and
+//!   cache mode. It borrows the world, so several studies (the λ arms,
+//!   Figures 17–19) share one build.
 //! * [`sliding_window_server`] — the §6.2.2 nightly update server, mined
 //!   from a month-long window sliding from the build month into the
 //!   replay month.
+
+use std::sync::Arc;
 
 use cloudlet_core::cache::CacheMode;
 use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
 use cloudlet_core::corpus::UniverseCorpus;
 use cloudlet_core::ranking::RankingPolicy;
 use cloudlet_core::update::UpdateServer;
+use flashdb::ResultRecord;
 use mobsim::device::Device;
 use mobsim::power::Energy;
 use mobsim::radio::RadioKind;
@@ -26,6 +35,7 @@ use mobsim::timeline::PowerTimeline;
 use querylog::generator::{GeneratorConfig, LogGenerator};
 use querylog::log::{LogEntry, SearchLog};
 use querylog::triplets::TripletTable;
+use querylog::universe::Universe;
 use querylog::users::UserClass;
 use serde::{Deserialize, Serialize};
 
@@ -96,46 +106,115 @@ pub fn figure16_traces(queries: usize, fetch_time: SimDuration) -> (PowerTimelin
     (pocket.timeline().clone(), radio.timeline().clone())
 }
 
-/// Configuration of the hit-rate study (Figures 17–19, §6.2.2).
+/// One §6.2 study world: the cache-construction month, the replay
+/// month, the build month's triplets, the community cache mined from
+/// them, and the hash catalog. Read-only once built, so every study of
+/// one run can share it.
+#[derive(Debug, Clone)]
+pub struct StudyInputs {
+    /// The universe behind both months.
+    pub universe: Universe,
+    /// Month used to build the community cache.
+    pub build_month: SearchLog,
+    /// Month whose per-user streams are replayed.
+    pub replay_month: SearchLog,
+    /// Volume-sorted triplets of the build month.
+    pub triplets: TripletTable,
+    /// Cumulative-volume share the community cache was mined at (the
+    /// paper evaluates at 55%).
+    pub share: f64,
+    /// Community cache mined from `triplets` at `share`.
+    pub contents: CacheContents,
+    /// Precomputed hash catalog.
+    pub catalog: Catalog,
+}
+
+impl StudyInputs {
+    /// Builds the world of `config` and `seed`: generates two months and
+    /// mines the first into community contents at `share`.
+    pub fn build(config: GeneratorConfig, seed: u64, share: f64) -> Self {
+        let mut generator = LogGenerator::new(config, seed);
+        let (build_month, triplets, contents) = Self::mine_build_month(&mut generator, share);
+        let replay_month = generator.generate_month();
+        StudyInputs {
+            universe: generator.universe().clone(),
+            build_month,
+            replay_month,
+            triplets,
+            share,
+            contents,
+            catalog: Catalog::new(generator.universe()),
+        }
+    }
+
+    /// The community contents this world's build month yields under
+    /// `admission` (the world's own cache is `admission` at `share`).
+    pub fn mine(&self, admission: AdmissionPolicy) -> CacheContents {
+        CacheContents::generate(
+            &self.triplets,
+            &UniverseCorpus::new(&self.universe),
+            admission,
+        )
+    }
+
+    /// A PocketSearch engine installed with this world's community cache.
+    pub fn engine(&self, config: PocketSearchConfig) -> PocketSearch {
+        PocketSearch::build(&self.contents, &self.catalog, config)
+    }
+
+    /// The result records of the community cache's pairs, in pair order.
+    pub fn community_records(&self) -> impl Iterator<Item = Arc<ResultRecord>> + '_ {
+        self.contents
+            .pairs()
+            .iter()
+            .filter_map(|p| self.catalog.record_by_hash(p.result_hash))
+    }
+
+    /// The build half of [`StudyInputs::build`]: generates the next month
+    /// of `generator` and mines its triplets into community contents at
+    /// `share`.
+    pub fn mine_build_month(
+        generator: &mut LogGenerator,
+        share: f64,
+    ) -> (SearchLog, TripletTable, CacheContents) {
+        let build_month = generator.generate_month();
+        let triplets = TripletTable::from_log(&build_month);
+        let contents = CacheContents::generate(
+            &triplets,
+            &UniverseCorpus::new(generator.universe()),
+            AdmissionPolicy::CumulativeShare { share },
+        );
+        (build_month, triplets, contents)
+    }
+}
+
+/// Configuration of the hit-rate study (Figures 17–19, §6.2.2). The
+/// world it replays is the [`StudyInputs`] passed beside it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HitRateConfig {
-    /// Log generator configuration (population and universe).
-    pub generator: GeneratorConfig,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Cumulative-volume share the community cache covers (the paper
-    /// evaluates at 55%).
-    pub cache_share: f64,
     /// Users replayed per Table 6 class (the paper uses 100).
     pub users_per_class: usize,
     /// Whether to refresh the community component nightly (§6.2.2).
     pub daily_updates: bool,
     /// Ranking policy installed on every engine (λ ablations override it).
-    pub ranking: cloudlet_core::ranking::RankingPolicy,
+    pub ranking: RankingPolicy,
 }
 
 impl HitRateConfig {
     /// A fast test-scale study.
-    pub fn test_scale(seed: u64) -> Self {
+    pub fn test_scale() -> Self {
         HitRateConfig {
-            generator: GeneratorConfig::test_scale(),
-            seed,
-            cache_share: 0.55,
             users_per_class: 20,
             daily_updates: false,
-            ranking: cloudlet_core::ranking::RankingPolicy::default(),
+            ranking: RankingPolicy::default(),
         }
     }
 
     /// The paper-scale study.
-    pub fn full_scale(seed: u64) -> Self {
+    pub fn full_scale() -> Self {
         HitRateConfig {
-            generator: GeneratorConfig::full_scale(),
-            seed,
-            cache_share: 0.55,
             users_per_class: 100,
-            daily_updates: false,
-            ranking: cloudlet_core::ranking::RankingPolicy::default(),
+            ..Self::test_scale()
         }
     }
 }
@@ -157,100 +236,69 @@ pub struct ModeStudy {
 pub struct HitRateStudy {
     /// One entry per requested mode.
     pub modes: Vec<ModeStudy>,
-    /// Pairs cached by the community component.
-    pub cached_pairs: usize,
-    /// Distinct results in the community cache.
-    pub cached_results: usize,
-    /// Estimated DRAM footprint of the community hash table.
-    pub dram_bytes: usize,
-    /// Estimated flash footprint of the community database.
-    pub flash_bytes: usize,
 }
 
-/// Runs the §6.2 experiment: build the cache from month 1 of community
-/// logs, replay month 2's per-user streams (up to `users_per_class` per
-/// Table 6 class) under each cache mode.
-pub fn run_hit_rate_study(config: &HitRateConfig, modes: &[CacheMode]) -> HitRateStudy {
-    let mut generator = LogGenerator::new(config.generator, config.seed);
-    let build_month = generator.generate_month();
-    let replay_month = generator.generate_month();
-
-    let table = TripletTable::from_log(&build_month);
-    let corpus = UniverseCorpus::new(generator.universe());
-    let contents = CacheContents::generate(
-        &table,
-        &corpus,
-        AdmissionPolicy::CumulativeShare {
-            share: config.cache_share,
-        },
-    );
-    let catalog = Catalog::new(generator.universe());
-    let streams = select_streams(&replay_month, config.users_per_class);
-
+/// Runs the §6.2 experiment on `inputs`: replays month 2's per-user
+/// streams (up to `users_per_class` per Table 6 class) against the
+/// community cache mined from month 1, once under each cache mode.
+pub fn run_hit_rate_study(
+    inputs: &StudyInputs,
+    config: &HitRateConfig,
+    modes: &[CacheMode],
+) -> HitRateStudy {
+    let streams = select_streams(&inputs.replay_month, config.users_per_class);
     // §6.2.2: one update server per replay day.
     let servers: Option<Vec<UpdateServer>> = config.daily_updates.then(|| {
-        (0..replay_month.days())
-            .map(|day| {
-                sliding_window_server(
-                    &build_month,
-                    &replay_month,
-                    day,
-                    &corpus,
-                    AdmissionPolicy::CumulativeShare {
-                        share: config.cache_share,
-                    },
-                    config.ranking,
-                )
-            })
+        (0..inputs.replay_month.days())
+            .map(|day| sliding_window_server(inputs, day, config.ranking))
             .collect()
     });
 
-    let mut mode_studies = Vec::with_capacity(modes.len());
-    for &mode in modes {
-        let engine_config = PocketSearchConfig {
-            ranking: config.ranking,
-            ..PocketSearchConfig::with_mode(mode)
-        };
-        let engine = PocketSearch::build(&contents, &catalog, engine_config);
-        let outcomes = replay_population(&engine, &catalog, &streams, servers.as_deref());
-        let summaries = ClassSummary::all(&outcomes);
-        let average_hit_rate = ClassSummary::mean_hit_rate(&summaries);
-        mode_studies.push(ModeStudy {
-            mode,
-            summaries,
-            average_hit_rate,
-        });
-    }
-
-    HitRateStudy {
-        modes: mode_studies,
-        cached_pairs: contents.len(),
-        cached_results: contents.distinct_results(),
-        dram_bytes: contents.dram_bytes(),
-        flash_bytes: contents.flash_bytes(),
-    }
+    let modes = modes
+        .iter()
+        .map(|&mode| {
+            let engine_config = PocketSearchConfig {
+                ranking: config.ranking,
+                ..PocketSearchConfig::with_mode(mode)
+            };
+            let engine = inputs.engine(engine_config);
+            let outcomes =
+                replay_population(&engine, &inputs.catalog, &streams, servers.as_deref());
+            let summaries = ClassSummary::all(&outcomes);
+            ModeStudy {
+                mode,
+                average_hit_rate: ClassSummary::mean_hit_rate(&summaries),
+                summaries,
+            }
+        })
+        .collect();
+    HitRateStudy { modes }
 }
 
 /// The §6.2.2 nightly update server after replay day `day`: community
-/// contents mined at `admission` from a month-long sliding window — the
-/// build month's days after `day` plus the replay month's days up to and
-/// including it — so each night swaps one old day for one new one.
+/// contents mined at the world's share from a month-long sliding window
+/// — the build month's days after `day` plus the replay month's days up
+/// to and including it — so each night swaps one old day for one new one.
 pub fn sliding_window_server(
-    build_month: &SearchLog,
-    replay_month: &SearchLog,
+    inputs: &StudyInputs,
     day: u16,
-    corpus: &UniverseCorpus<'_>,
-    admission: AdmissionPolicy,
     ranking: RankingPolicy,
 ) -> UpdateServer {
-    let window: Vec<LogEntry> = build_month
+    let window: Vec<LogEntry> = inputs
+        .build_month
         .iter()
         .filter(|e| e.time.day > day)
-        .chain(replay_month.iter().filter(|e| e.time.day <= day))
+        .chain(inputs.replay_month.iter().filter(|e| e.time.day <= day))
         .copied()
         .collect();
-    let log = SearchLog::new(window, replay_month.days());
-    let contents = CacheContents::generate(&TripletTable::from_log(&log), corpus, admission);
+    let log = SearchLog::new(window, inputs.replay_month.days());
+    let contents = CacheContents::generate(
+        &TripletTable::from_log(&log),
+        &UniverseCorpus::new(&inputs.universe),
+        AdmissionPolicy::CumulativeShare {
+            share: inputs.share,
+        },
+    );
     UpdateServer::from_contents(&contents, ranking)
 }
 
@@ -277,6 +325,10 @@ pub fn select_streams(replay_month: &SearchLog, per_class: usize) -> Vec<Vec<Log
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn test_world(seed: u64) -> StudyInputs {
+        StudyInputs::build(GeneratorConfig::test_scale(), seed, 0.55)
+    }
 
     #[test]
     fn figure15_reproduces_the_headline_ratios() -> Result<(), String> {
@@ -324,7 +376,8 @@ mod tests {
     #[test]
     fn hit_rate_study_reproduces_figure17_shape() {
         let study = run_hit_rate_study(
-            &HitRateConfig::test_scale(21),
+            &test_world(21),
+            &HitRateConfig::test_scale(),
             &[
                 CacheMode::Full,
                 CacheMode::CommunityOnly,
@@ -371,7 +424,8 @@ mod tests {
     #[test]
     fn community_warm_start_dominates_week_one() {
         let study = run_hit_rate_study(
-            &HitRateConfig::test_scale(5),
+            &test_world(5),
+            &HitRateConfig::test_scale(),
             &[CacheMode::CommunityOnly, CacheMode::PersonalizationOnly],
         );
         let week1 = |mode: CacheMode| {
@@ -386,6 +440,25 @@ mod tests {
             week1(CacheMode::CommunityOnly),
             week1(CacheMode::PersonalizationOnly)
         );
+    }
+
+    #[test]
+    fn studies_sharing_one_world_match_studies_on_fresh_worlds() {
+        let lambda_zero = HitRateConfig {
+            ranking: RankingPolicy::new(0.0, 0.01),
+            ..HitRateConfig::test_scale()
+        };
+        let default = HitRateConfig::test_scale();
+        let modes = [CacheMode::Full, CacheMode::PersonalizationOnly];
+        let shared = test_world(8);
+        let first = run_hit_rate_study(&shared, &lambda_zero, &modes);
+        let second = run_hit_rate_study(&shared, &default, &modes);
+        assert_ne!(first, second, "the two rankings must replay differently");
+        assert_eq!(
+            first,
+            run_hit_rate_study(&test_world(8), &lambda_zero, &modes)
+        );
+        assert_eq!(second, run_hit_rate_study(&test_world(8), &default, &modes));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use pocketmaps::{CommuterModel, PocketMaps, Position, PrefetchPolicy, TileGrid};
     pub use pocketsearch::config::PocketSearchConfig;
     pub use pocketsearch::engine::{Catalog, PocketSearch};
-    pub use pocketsearch::experiment::{run_hit_rate_study, HitRateConfig};
+    pub use pocketsearch::experiment::{run_hit_rate_study, HitRateConfig, StudyInputs};
     pub use pocketsearch::fleet::{search_frontend, SearchShard};
     pub use pocketsearch::replay::{replay_population, replay_user, ClassSummary};
     pub use pocketweb::{PocketWeb, RefreshPolicy, WebService, WebWorld, WorldConfig};

@@ -1,6 +1,7 @@
 //! End-to-end integration: the full pipeline from synthetic logs to served
 //! queries, crossing every workspace crate.
 
+use pocket_bench::test_scale_study_inputs;
 use pocket_cloudlets::core::update::UpdateServer;
 use pocket_cloudlets::prelude::*;
 
@@ -137,7 +138,8 @@ fn replay_statistics_match_engine_counters() {
 #[test]
 fn modes_order_as_figure17_expects() {
     let study = run_hit_rate_study(
-        &HitRateConfig::test_scale(99),
+        &test_scale_study_inputs(99),
+        &HitRateConfig::test_scale(),
         &[
             CacheMode::Full,
             CacheMode::CommunityOnly,

@@ -4,6 +4,7 @@
 //! numbers use tolerance bands (our substrate is a calibrated simulator,
 //! not the authors' testbed); orderings and shapes are asserted strictly.
 
+use pocket_bench::test_scale_study_inputs;
 use pocket_cloudlets::nvmscale::ByteSize;
 use pocket_cloudlets::prelude::*;
 use pocket_cloudlets::querylog::analysis::cdf::{query_volume_cdf, result_volume_cdf};
@@ -141,7 +142,8 @@ fn section6_figure15_and_16() {
 #[test]
 fn section6_hit_rates_and_components() {
     let study = run_hit_rate_study(
-        &HitRateConfig::test_scale(14),
+        &test_scale_study_inputs(14),
+        &HitRateConfig::test_scale(),
         &[
             CacheMode::Full,
             CacheMode::CommunityOnly,
@@ -187,7 +189,11 @@ fn section6_table6_population() {
 fn section7_pocketsearch_relieves_the_backend() {
     // "two thirds of the query load can be eliminated" — every hit is a
     // query the search engine never sees.
-    let study = run_hit_rate_study(&HitRateConfig::test_scale(16), &[CacheMode::Full]);
+    let study = run_hit_rate_study(
+        &test_scale_study_inputs(16),
+        &HitRateConfig::test_scale(),
+        &[CacheMode::Full],
+    );
     let offloaded = study.modes[0].average_hit_rate;
     assert!(offloaded > 0.5, "cloud offload was only {offloaded}");
 }

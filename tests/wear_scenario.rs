@@ -44,15 +44,9 @@ impl MonthOutcome {
 /// the nightly update against a §6.2.2-style sliding-window server, and
 /// lets the engine re-fetch any file a serve flagged as corrupt.
 fn run_month(wear: Option<WearModel>, alloc: AllocPolicy) -> MonthOutcome {
-    let mut generator = LogGenerator::new(GeneratorConfig::test_scale(), 2011);
-    let build_month = generator.generate_month();
-    let replay_month = generator.generate_month();
-    let corpus = UniverseCorpus::new(generator.universe());
-    let admission = AdmissionPolicy::CumulativeShare { share: 0.55 };
-    let contents =
-        CacheContents::generate(&TripletTable::from_log(&build_month), &corpus, admission);
-    let catalog = Catalog::new(generator.universe());
-    let mut engine = PocketSearch::build(&contents, &catalog, PocketSearchConfig::default());
+    let world = StudyInputs::build(GeneratorConfig::test_scale(), 2011, 0.55);
+    let (replay_month, catalog) = (&world.replay_month, &world.catalog);
+    let mut engine = PocketSearch::build(&world.contents, catalog, PocketSearchConfig::default());
     if let Some(wear) = wear {
         engine.device_mut().flash_mut().set_wear(wear);
     }
@@ -97,15 +91,8 @@ fn run_month(wear: Option<WearModel>, alloc: AllocPolicy) -> MonthOutcome {
 
         // Nightly §5.4 cycle against a 28-day sliding-window server, the
         // churn that rewrites database files in place (§6.2.2).
-        let server = sliding_window_server(
-            &build_month,
-            &replay_month,
-            day,
-            &corpus,
-            admission,
-            RankingPolicy::default(),
-        );
-        match engine.nightly_update(&server, &catalog) {
+        let server = sliding_window_server(&world, day, RankingPolicy::default());
+        match engine.nightly_update(&server, catalog) {
             Ok(_) => {}
             Err(e) => {
                 // Worn media can fail a patch mid-rebuild; the failure
@@ -118,7 +105,7 @@ fn run_month(wear: Option<WearModel>, alloc: AllocPolicy) -> MonthOutcome {
             }
         }
         // Overnight repair: re-fetch whatever today's serves flagged.
-        engine.recover_corrupted(&catalog);
+        engine.recover_corrupted(catalog);
     }
     out.recovery = engine.recovery_stats();
     out.elapsed = engine.elapsed();
