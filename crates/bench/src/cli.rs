@@ -5,6 +5,7 @@
 //! so one invocation builds it at most once.
 
 use std::cell::OnceCell;
+use std::path::Path;
 use std::process::ExitCode;
 
 use pocketsearch::experiment::HitRateConfig;
@@ -78,12 +79,21 @@ impl RunContext {
         if ids.is_empty() || ids.iter().any(|id| id == "all") {
             ids = sections.ids.iter().map(|id| (*id).to_owned()).collect();
         }
-        if out.is_some() && ids.len() > 1 {
-            return Err(format!(
-                "--out takes one {}, got {}: each would overwrite the same file",
-                sections.noun,
-                ids.len()
-            ));
+        if let Some(path) = &out {
+            if ids.len() > 1 {
+                return Err(format!(
+                    "--out takes one {}, got {}: each would overwrite the same file",
+                    sections.noun,
+                    ids.len()
+                ));
+            }
+            let dir = Path::new(path).parent().unwrap_or(Path::new(""));
+            if !dir.as_os_str().is_empty() && !dir.is_dir() {
+                return Err(format!(
+                    "--out {path:?}: no such directory {:?}",
+                    dir.display()
+                ));
+            }
         }
         Ok(RunContext {
             ids,
@@ -104,9 +114,14 @@ impl RunContext {
     }
 
     /// Writes `json()` to the `--out` path, if one was given, and names it.
+    /// A failed write names the path on stderr and exits the process
+    /// with code 1.
     pub fn write_out(&self, json: impl FnOnce() -> String) {
         if let Some(path) = &self.out {
-            std::fs::write(path, json()).expect("write --out file");
+            if let Err(err) = std::fs::write(path, json()) {
+                eprintln!("cannot write --out {path:?}: {err}");
+                std::process::exit(1);
+            }
             println!("wrote {path}\n");
         }
     }

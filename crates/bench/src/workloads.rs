@@ -35,11 +35,6 @@ pub fn test_scale_study_inputs(seed: u64) -> StudyInputs {
     StudyInputs::build(GeneratorConfig::test_scale(), seed, 0.55)
 }
 
-/// A search request (service group 0) stamped at the simulation epoch.
-fn search_request(user: u64, query_hash: u64) -> ServeRequest {
-    ServeRequest::new(user, 0, query_hash, SimInstant::ZERO)
-}
-
 /// A Zipf-distributed `(user, query)` serving stream for the fleet
 /// studies: queries are ranked by their build-month volume and drawn
 /// from a two-segment Zipf over that rank, so the hot head mostly hits
@@ -70,7 +65,10 @@ pub fn fleet_workload(
     let index = WeightedIndex::new(profile.weights(ranked.len()));
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n_events)
-        .map(|_| search_request(rng.random_range(0..users), ranked[index.sample(&mut rng)]))
+        .map(|_| {
+            let user = rng.random_range(0..users);
+            ServeRequest::for_user(user, ranked[index.sample(&mut rng)], SimInstant::ZERO)
+        })
         .collect()
 }
 
@@ -106,7 +104,10 @@ pub fn frontend_workload(
     let index = WeightedIndex::new(profile.weights(ranked.len()));
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n_events)
-        .map(|_| search_request(rng.random_range(0..users), ranked[index.sample(&mut rng)]))
+        .map(|_| {
+            let user = rng.random_range(0..users);
+            ServeRequest::for_user(user, ranked[index.sample(&mut rng)], SimInstant::ZERO)
+        })
         .collect()
 }
 

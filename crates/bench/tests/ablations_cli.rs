@@ -70,3 +70,36 @@ fn bad_ids_and_flag_values_exit_2_before_any_output() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn out_into_a_missing_directory_exits_2_before_any_output() {
+    let missing = std::env::temp_dir()
+        .join(format!("ablations-cli-missing-{}", std::process::id()))
+        .join("x.json");
+    let out_arg = missing.to_str().expect("utf-8 temp path");
+    let (code, stdout, stderr) = run(
+        env!("CARGO_BIN_EXE_ablations"),
+        &["--study", "arbiter", "--scale", "test", "--out", out_arg],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "printed {stdout:?}");
+    assert!(stderr.contains("no such directory"), "{stderr}");
+}
+
+#[test]
+fn a_failed_out_write_names_the_path_and_exits_1() {
+    // The directory itself exists, so the argument checks pass; writing
+    // a file over it fails only once the study has run.
+    let dir = std::env::temp_dir();
+    let out_arg = dir.to_str().expect("utf-8 temp path");
+    let (code, stdout, stderr) = run(
+        env!("CARGO_BIN_EXE_ablations"),
+        &["--study", "arbiter", "--scale", "test", "--out", out_arg],
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!stdout.is_empty(), "the study ran before the write");
+    assert!(
+        stderr.contains(&format!("cannot write --out {out_arg:?}")),
+        "{stderr}"
+    );
+}

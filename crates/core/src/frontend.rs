@@ -46,7 +46,7 @@
 //! cloudlets) and runs a deterministic discrete-event simulation over
 //! the outcomes' simulated service times: each lane is one exclusive
 //! server draining its bounded queue FIFO; shared-read hits run on a
-//! `read_workers`-wide pool; followers complete with their leader.
+//! `READ_WORKERS`-wide (4) pool; followers complete with their leader.
 //! Every completion instant, queue wait, and the batch makespan are
 //! pure functions of the request stream and the configuration, so
 //! reports are bit-reproducible across machines. With
@@ -65,51 +65,16 @@ use crate::arbiter::{AdaptiveArbiter, BudgetDecision, EpochObservation};
 use crate::coordination::CloudletId;
 use crate::counters::CounterSet;
 use crate::peer::{PeerConfig, PeerConsult, PeerFabric};
-use crate::service::ServeRequest as ServiceRequest;
 use crate::service::{
     CloudletError, CloudletService, ServeKind, ServeOutcome, ServeSource, ServeStats,
 };
 
-/// One request to the front-end: a user asking one service for one key
-/// at a simulated instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeRequest {
-    /// The requesting user. Passed through to the cloudlet's
-    /// user-aware serve path; under [`RouteBy::User`] it also picks the
-    /// lane, giving every user a home lane for their personalization
-    /// state.
-    pub user: u64,
-    /// Service group index.
-    pub service: u32,
-    /// Service-defined key; under [`RouteBy::Key`] (the default) routes
-    /// to lane `key % group_len` within the group unless work stealing
-    /// redirects it.
-    pub key: u64,
-    /// Simulated arrival instant. Requests should be batch-ordered by
-    /// non-decreasing `at` for the queue model to be meaningful (a
-    /// batch of simultaneous arrivals — all [`SimInstant::ZERO`] — is
-    /// the common case and is fine).
-    pub at: SimInstant,
-}
+/// The one request type: the front-end routes the caller's request and
+/// hands it to the lane unchanged.
+pub use crate::service::ServeRequest;
 
-impl ServeRequest {
-    /// A request for service group `service`.
-    pub fn new(user: u64, service: u32, key: u64, at: SimInstant) -> Self {
-        ServeRequest {
-            user,
-            service,
-            key,
-            at,
-        }
-    }
-
-    /// The service-layer request this routing request dispatches as
-    /// once a lane has been picked: the service-group index is the
-    /// front-end's business and is dropped at the waist.
-    fn service_request(&self) -> ServiceRequest {
-        ServiceRequest::for_user(self.user, self.key, self.at)
-    }
-}
+/// Width of the shared-read worker pool serving fast-path hits.
+const READ_WORKERS: usize = 4;
 
 /// How the front-end treats cache hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,8 +133,6 @@ pub struct FrontendConfig {
     /// never with [`RouteBy::User`], which exists to keep a user's
     /// state on one lane.
     pub work_stealing: bool,
-    /// Width of the shared-read worker pool serving fast-path hits.
-    pub read_workers: usize,
     /// Which request field picks the home lane.
     pub route_by: RouteBy,
 }
@@ -183,7 +146,6 @@ impl Default for FrontendConfig {
             hit_path: HitPathMode::SharedRead,
             overflow: OverflowPolicy::Park,
             work_stealing: false,
-            read_workers: 4,
             route_by: RouteBy::Key,
         }
     }
@@ -200,12 +162,6 @@ impl FrontendConfig {
         }
     }
 
-    /// Re-opens this configuration as a builder, for deriving variants
-    /// from a preset (`FrontendConfig::pr3_baseline().to_builder()...`).
-    pub fn to_builder(self) -> FrontendConfigBuilder {
-        FrontendConfigBuilder { config: self }
-    }
-
     /// The plain sharded baseline: exclusive locks for everything, no
     /// coalescing, no stealing, and a queue deep enough that nothing is
     /// ever shed or parked. Under this config a batch of simultaneous
@@ -220,7 +176,6 @@ impl FrontendConfig {
             hit_path: HitPathMode::Exclusive,
             overflow: OverflowPolicy::Park,
             work_stealing: false,
-            read_workers: 1,
             route_by: RouteBy::Key,
         }
     }
@@ -228,15 +183,14 @@ impl FrontendConfig {
     fn validate(&self) {
         assert!(self.queue_depth > 0, "queue depth must be at least 1");
         assert!(self.coalesce_window > 0, "coalesce window must be >= 1");
-        assert!(self.read_workers > 0, "the read pool needs a worker");
     }
 }
 
 /// Fluent construction of a [`FrontendConfig`].
 ///
-/// Seeded from [`FrontendConfig::builder`] (defaults) or
-/// [`FrontendConfig::to_builder`] (a preset); every setter replaces one
-/// field and [`FrontendConfigBuilder::build`] validates the result.
+/// Seeded from [`FrontendConfig::builder`] (defaults); every setter
+/// replaces one field and [`FrontendConfigBuilder::build`] validates the
+/// result.
 ///
 /// ```
 /// use cloudlet_core::frontend::{FrontendConfig, OverflowPolicy};
@@ -296,13 +250,6 @@ impl FrontendConfigBuilder {
         self
     }
 
-    /// Sets the width of the shared-read worker pool.
-    #[must_use]
-    pub fn read_workers(mut self, read_workers: usize) -> Self {
-        self.config.read_workers = read_workers;
-        self
-    }
-
     /// Sets which request field picks the home lane.
     #[must_use]
     pub fn route_by(mut self, route_by: RouteBy) -> Self {
@@ -314,8 +261,8 @@ impl FrontendConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is invalid (zero queue depth,
-    /// window, or read pool).
+    /// Panics when the configuration is invalid (zero queue depth or
+    /// window).
     pub fn build(self) -> FrontendConfig {
         self.config.validate();
         self.config
@@ -689,7 +636,7 @@ impl Frontend {
     /// # Panics
     ///
     /// Panics when any group is empty or the configuration is invalid
-    /// (zero queue depth, window, or read pool).
+    /// (zero queue depth or window).
     pub fn new(
         groups: Vec<Vec<Box<dyn CloudletService + Send + Sync>>>,
         config: FrontendConfig,
@@ -896,11 +843,10 @@ impl Frontend {
         request: &ServeRequest,
         probed: bool,
     ) -> (Result<ServeOutcome, CloudletError>, bool) {
-        let service_request = request.service_request();
         if self.config.hit_path == HitPathMode::SharedRead && !probed {
             let fast = {
                 let service = self.lanes[lane].service.read();
-                service.try_serve_hit(&service_request)
+                service.try_serve_hit(request)
             };
             if let Some(outcome) = fast {
                 return (Ok(outcome), true);
@@ -908,7 +854,7 @@ impl Frontend {
         }
         let result = {
             let mut service = self.lanes[lane].service.write();
-            service.serve(&service_request)
+            service.serve(request)
         };
         (self.consult_peers(lane, request.key, result), false)
     }
@@ -998,7 +944,7 @@ impl Frontend {
             .collect::<Result<_, _>>()?;
 
         let mut sims = vec![LaneSim::default(); self.lanes.len()];
-        let mut read_pool = vec![SimInstant::ZERO; self.config.read_workers];
+        let mut read_pool = [SimInstant::ZERO; READ_WORKERS];
         // Each key's leader in this window, as an index into `served`.
         let mut in_flight: HashMap<(u32, u64), usize> = HashMap::new();
         let mut window = 0usize;
@@ -1038,7 +984,7 @@ impl Frontend {
                 if self.config.hit_path == HitPathMode::SharedRead {
                     let fast = {
                         let service = self.lanes[home].service.read();
-                        service.try_serve_hit(&request.service_request())
+                        service.try_serve_hit(request)
                     };
                     if let Some(outcome) = fast {
                         let worker = (0..read_pool.len())
@@ -1222,7 +1168,7 @@ mod tests {
             "toy"
         }
 
-        fn serve(&mut self, request: &ServiceRequest) -> Result<ServeOutcome, CloudletError> {
+        fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
             if request.key == 7 {
                 return Err(CloudletError::UnknownKey { key: request.key });
             }
@@ -1231,7 +1177,7 @@ mod tests {
             Ok(outcome)
         }
 
-        fn try_serve_hit(&self, request: &ServiceRequest) -> Option<ServeOutcome> {
+        fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
             (request.key != 7 && request.key < self.cached_below).then(|| self.outcome(request.key))
         }
 
@@ -1289,7 +1235,6 @@ mod tests {
     fn shared_read_hits_bypass_the_exclusive_queue() {
         let mut config = FrontendConfig::pr3_baseline();
         config.hit_path = HitPathMode::SharedRead;
-        config.read_workers = 2;
         let fe = frontend(1, config);
         // One slow miss plus two hits: hits ride the read pool, so the
         // makespan is the miss alone, not miss + hits.
@@ -1298,6 +1243,8 @@ mod tests {
             .expect("toy batch");
         assert_eq!(batch.report.makespan, SimDuration::from_secs(1));
         assert!(batch.served[1].fast_path && batch.served[2].fast_path);
+        // The pool has a worker for each simultaneous hit: neither waits.
+        assert_eq!(batch.served[2].queue_wait, SimDuration::ZERO);
         assert_eq!(batch.report.totals().hits, 2);
         // The exclusive lane only saw the miss.
         let telemetry = fe.telemetry();
@@ -1435,11 +1382,11 @@ mod tests {
             self.lane.name()
         }
 
-        fn serve(&mut self, request: &ServiceRequest) -> Result<ServeOutcome, CloudletError> {
+        fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
             self.lane.serve(request)
         }
 
-        fn try_serve_hit(&self, request: &ServiceRequest) -> Option<ServeOutcome> {
+        fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
             self.probes
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             self.lane.try_serve_hit(request)
@@ -1594,7 +1541,6 @@ mod tests {
             .hit_path(HitPathMode::Exclusive)
             .overflow(OverflowPolicy::Reject)
             .work_stealing(true)
-            .read_workers(2)
             .build();
         assert_eq!(
             config,
@@ -1605,14 +1551,8 @@ mod tests {
                 hit_path: HitPathMode::Exclusive,
                 overflow: OverflowPolicy::Reject,
                 work_stealing: true,
-                read_workers: 2,
                 route_by: RouteBy::Key,
             }
-        );
-        // Presets re-open into builders without drifting.
-        assert_eq!(
-            FrontendConfig::pr3_baseline().to_builder().build(),
-            FrontendConfig::pr3_baseline()
         );
     }
 
@@ -1678,11 +1618,11 @@ mod tests {
             self.lane.name()
         }
 
-        fn serve(&mut self, request: &ServiceRequest) -> Result<ServeOutcome, CloudletError> {
+        fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
             self.lane.serve(request)
         }
 
-        fn try_serve_hit(&self, request: &ServiceRequest) -> Option<ServeOutcome> {
+        fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
             self.lane.try_serve_hit(request)
         }
 
@@ -1757,6 +1697,163 @@ mod tests {
         assert!(seen
             .iter()
             .all(|s| s.lock().expect("recording lock").len() == 2));
+    }
+
+    /// Every request a lane's serve paths received, tagged with the
+    /// lane's global index, in arrival order.
+    type RequestLog = Arc<Mutex<Vec<(usize, ServeRequest)>>>;
+
+    /// A [`ToyLane`] that logs every request `serve` and `try_serve_hit`
+    /// receive.
+    struct RequestRecording {
+        lane: ToyLane,
+        index: usize,
+        log: RequestLog,
+    }
+
+    impl RequestRecording {
+        fn record(&self, request: &ServeRequest) {
+            self.log
+                .lock()
+                .expect("request log")
+                .push((self.index, *request));
+        }
+    }
+
+    impl CloudletService for RequestRecording {
+        fn name(&self) -> &'static str {
+            self.lane.name()
+        }
+
+        fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
+            self.record(request);
+            self.lane.serve(request)
+        }
+
+        fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
+            self.record(request);
+            self.lane.try_serve_hit(request)
+        }
+
+        fn service_stats(&self) -> ServeStats {
+            self.lane.service_stats()
+        }
+
+        fn cache_bytes(&self) -> u64 {
+            self.lane.cache_bytes()
+        }
+    }
+
+    /// A front-end of recording lanes (keys below 100 hit), one group
+    /// per entry of `group_sizes`, sharing one log.
+    fn recording_frontend(group_sizes: &[usize], config: FrontendConfig) -> (Frontend, RequestLog) {
+        let log = RequestLog::default();
+        let mut groups = Vec::new();
+        let mut index = 0;
+        for &size in group_sizes {
+            let mut group: Vec<Box<dyn CloudletService + Send + Sync>> = Vec::new();
+            for _ in 0..size {
+                group.push(Box::new(RequestRecording {
+                    lane: ToyLane {
+                        cached_below: 100,
+                        stats: ServeStats::default(),
+                    },
+                    index,
+                    log: Arc::clone(&log),
+                }));
+                index += 1;
+            }
+            groups.push(group);
+        }
+        (Frontend::new(groups, config), log)
+    }
+
+    /// Drains the log.
+    fn drain(log: &RequestLog) -> Vec<(usize, ServeRequest)> {
+        std::mem::take(&mut *log.lock().expect("request log"))
+    }
+
+    /// What the log holds after a shared-read batch with no coalescing
+    /// or stealing: each request on its home lane, a hit probed once, a
+    /// miss probed and then served.
+    fn probed_then_served(fe: &Frontend, requests: &[ServeRequest]) -> Vec<(usize, ServeRequest)> {
+        requests
+            .iter()
+            .flat_map(|r| {
+                let lane = fe.lane_of(r).expect("routed");
+                vec![(lane, *r); if r.key < 100 { 1 } else { 2 }]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lanes_receive_the_callers_request_unchanged() {
+        let at = SimInstant::from_micros;
+
+        // A key-routed batch on service group 1 (lanes 1 and 2): the
+        // group index and the arrival instant reach the lane.
+        let (fe, log) = recording_frontend(&[1, 2], FrontendConfig::default());
+        let requests = [
+            ServeRequest::new(7, 1, 3, at(10)),
+            ServeRequest::new(8, 1, 200, at(20)),
+            ServeRequest::new(9, 1, 5, at(30)),
+        ];
+        fe.serve_batch(&requests).expect("key-routed batch");
+        let seen = drain(&log);
+        assert_eq!(seen, probed_then_served(&fe, &requests));
+        assert_eq!(
+            seen.iter().map(|&(lane, _)| lane).collect::<Vec<_>>(),
+            [2, 1, 1, 2]
+        );
+
+        // A user-routed batch: the user picks the lane and is passed on.
+        let config = FrontendConfig::builder()
+            .route_by(RouteBy::User)
+            .coalescing(false)
+            .build();
+        let (fe, log) = recording_frontend(&[2], config);
+        let requests: Vec<ServeRequest> = (0..6u64)
+            .map(|i| ServeRequest::new(10 + i, 0, i * 60, at(i)))
+            .collect();
+        fe.serve_batch(&requests).expect("user-routed batch");
+        assert_eq!(drain(&log), probed_then_served(&fe, &requests));
+
+        // A coalesced batch: only the leader reaches the lane; its
+        // followers (other users, later instants) never do.
+        let (fe, log) = recording_frontend(&[1], FrontendConfig::default());
+        let requests = [
+            ServeRequest::new(1, 0, 200, at(0)),
+            ServeRequest::new(2, 0, 200, at(5)),
+            ServeRequest::new(3, 0, 200, at(9)),
+        ];
+        let batch = fe.serve_batch(&requests).expect("coalesced batch");
+        assert!(batch.served[1].coalesced && batch.served[2].coalesced);
+        assert_eq!(drain(&log), [(0, requests[0]), (0, requests[0])]);
+
+        // A stolen request: both misses home on lane 0; the second finds
+        // its queue full and is probed and served on lane 1 unchanged.
+        let config = FrontendConfig::builder()
+            .queue_depth(1)
+            .coalescing(false)
+            .work_stealing(true)
+            .build();
+        let (fe, log) = recording_frontend(&[2], config);
+        let requests = [
+            ServeRequest::new(4, 0, 200, at(0)),
+            ServeRequest::new(5, 0, 202, at(1)),
+        ];
+        let batch = fe.serve_batch(&requests).expect("stealing batch");
+        assert!(batch.served[1].stolen);
+        assert_eq!(
+            drain(&log),
+            [
+                (0, requests[0]),
+                (0, requests[0]),
+                (0, requests[1]),
+                (1, requests[1]),
+                (1, requests[1]),
+            ]
+        );
     }
 
     /// Two user-routed lanes with different inventories: lane 1 caches

@@ -30,7 +30,7 @@
 //!   split, logging every [`arbiter::BudgetDecision`].
 //! * [`service`] — the unified serving waist of §7: the
 //!   [`CloudletService`] trait with its two-method
-//!   `serve`/`try_serve_hit` surface over [`service::ServeRequest`],
+//!   `serve`/`try_serve_hit` surface over the one [`ServeRequest`],
 //!   the shared [`ServeOutcome`]/[`ServeStats`] taxonomy (what
 //!   happened × who answered × condition flags), and the
 //!   workspace-level [`CloudletError`].
@@ -110,19 +110,15 @@ pub use counters::CounterSet;
 pub use error::CoreError;
 pub use frontend::{
     Frontend, FrontendConfig, FrontendReport, FrontendTelemetry, HitPathMode, OverflowPolicy,
-    RouteBy, ServeRequest,
+    RouteBy,
 };
 pub use hashtable::frozen::FrozenTable;
 pub use hashtable::{QueryHashTable, ScoredResult, SLOTS_PER_ENTRY};
 pub use peer::{BloomSummary, PeerConfig, PeerConsult, PeerFabric, PeerFabricStats};
 pub use population::{PairTable, PopulationConfig, PopulationLane, PopulationResidency};
 pub use ranking::RankingPolicy;
-// `service::ServeRequest` is deliberately not re-exported here: the
-// root `ServeRequest` stays the front-end's *routing* request (which
-// also carries the service-group index); the service-layer request is
-// reached as `service::ServeRequest`.
 pub use service::{
-    CloudletError, CloudletService, ServeKind, ServeOutcome, ServeSource, ServeStats,
+    CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest, ServeSource, ServeStats,
 };
 pub use shard::ShardedTable;
 pub use update::{UpdateBundle, UpdateServer};

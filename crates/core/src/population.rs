@@ -215,11 +215,9 @@ impl CloudletService for PopulationLane {
 
     /// Serves one clicked event: answer from the requesting user's
     /// delta-then-community view, then fold the click into their delta.
-    /// Anonymous requests ([`ServeRequest::user`] `None`) attribute to
-    /// user 0.
     fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
         let key = request.key;
-        let user = request.user_or_default();
+        let user = request.user;
         let (query_hash, result_hash) = self
             .pairs
             .get(key)
@@ -401,10 +399,7 @@ mod tests {
         let fast = lane.try_serve_hit(&at(1, 0)).expect("community hit");
         let slow = lane.serve(&at(1, 0)).unwrap();
         assert_eq!(fast, slow);
-        assert_eq!(
-            lane.try_serve_hit(&ServeRequest::new(0, SimInstant::ZERO)),
-            Some(fast)
-        );
+        assert_eq!(lane.try_serve_hit(&at(0, 0)), Some(fast));
         // Misses and unknown keys decline to the write path.
         assert_eq!(lane.try_serve_hit(&at(1, 3)), None);
         assert_eq!(lane.try_serve_hit(&at(1, 99)), None);

@@ -14,8 +14,9 @@
 //!   simulated time, and the capacity hooks (`cache_bytes`,
 //!   `capacity_bytes`, `budget_demand`) let the §7 budget arbiter
 //!   inspect heterogeneous cloudlets uniformly.
-//! * [`ServeRequest`] — the one request shape both serve paths take:
-//!   `{ user: Option<u64>, key, now }`.
+//! * [`ServeRequest`] — the one request type of the whole serve stack,
+//!   `{ user, service, key, at }`: the front-end routes it and hands
+//!   every lane the caller's request unchanged.
 //! * [`ServeOutcome`] / [`ServeKind`] / [`ServeSource`] / [`ServeFlags`]
 //!   — the outcome taxonomy that subsumes the per-crate vocabularies:
 //!   *what* happened (`{Hit, StaleHit, Miss, Skipped}`), *who* answered
@@ -37,12 +38,6 @@
 //! packed tile coordinate for maps. The front-end in [`crate::frontend`]
 //! routes `(service, key)` pairs onto `dyn CloudletService` lanes
 //! without knowing which cloudlet is behind each lane.
-//!
-//! (Note: [`crate::frontend`] has its own routing `ServeRequest` that
-//! additionally carries the service-group index; it converts to this
-//! module's request at the lane boundary. This module's struct is
-//! deliberately *not* re-exported at the crate root to keep the two
-//! distinct.)
 
 use mobsim::time::{SimDuration, SimInstant};
 use serde::{Deserialize, Serialize};
@@ -51,50 +46,52 @@ use crate::arbiter::DemandContext;
 use crate::coordination::{BudgetDemand, CloudletId};
 use crate::error::CoreError;
 
-/// One keyed request through the unified serve surface.
+/// One request through the serve stack: a user asking one service
+/// group for one key at a simulated instant.
 ///
-/// Both trait methods take this by reference: the exclusive
+/// The front-end ([`crate::frontend`]) routes it by `service` and then
+/// `key` or `user`, and hands the lane the caller's request unchanged;
+/// both trait methods take it by reference — the exclusive
 /// [`CloudletService::serve`] path and the read-only
-/// [`CloudletService::try_serve_hit`] fast path. `user` is optional
-/// because most cloudlets hold one device's state and never look at it;
-/// population-scale lanes ([`crate::population`]) use it to pick whose
+/// [`CloudletService::try_serve_hit`] fast path. Most cloudlets hold
+/// one device's state and read only `key` and `at`; population-scale
+/// lanes ([`crate::population`]) use `user` to pick whose
 /// personalization delta a request reads and whose click folds in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ServeRequest {
-    /// The requesting user, when the caller knows one. `None` means
-    /// "anonymous / single-user device"; user-aware cloudlets treat it
-    /// as user 0, matching the old keyless `serve(key, now)` surface.
-    pub user: Option<u64>,
-    /// The service-defined key (query hash, page index, tile coord…).
+    /// The requesting user; 0 on a single-user device. Under
+    /// [`crate::frontend::RouteBy::User`] it also picks the lane, giving
+    /// every user a home lane for their personalization state.
+    pub user: u64,
+    /// Service group index within the front-end.
+    pub service: u32,
+    /// The service-defined key (query hash, page index, tile coord…);
+    /// under [`crate::frontend::RouteBy::Key`] (the default) it routes to
+    /// lane `key % group_len` within the group unless work stealing
+    /// redirects it.
     pub key: u64,
-    /// Simulated instant the request arrives.
-    pub now: SimInstant,
+    /// Simulated arrival instant. A batch should be ordered by
+    /// non-decreasing `at` for the front-end's queue model to be
+    /// meaningful (a batch of simultaneous arrivals — all
+    /// [`SimInstant::ZERO`] — is the common case and is fine).
+    pub at: SimInstant,
 }
 
 impl ServeRequest {
-    /// An anonymous request (no user identity attached).
-    pub fn new(key: u64, now: SimInstant) -> Self {
+    /// A request for service group `service`.
+    pub fn new(user: u64, service: u32, key: u64, at: SimInstant) -> Self {
         ServeRequest {
-            user: None,
+            user,
+            service,
             key,
-            now,
+            at,
         }
     }
 
-    /// A request on behalf of a known user.
-    pub fn for_user(user: u64, key: u64, now: SimInstant) -> Self {
-        ServeRequest {
-            user: Some(user),
-            key,
-            now,
-        }
-    }
-
-    /// The user identity, defaulting anonymous requests to user 0, so a
-    /// user-aware cloudlet treats an anonymous request as the device's
-    /// single user.
-    pub fn user_or_default(&self) -> u64 {
-        self.user.unwrap_or(0)
+    /// A request on service group 0 — the whole front-end when it hosts
+    /// one group, and the only group a bare cloudlet serves.
+    pub fn for_user(user: u64, key: u64, at: SimInstant) -> Self {
+        Self::new(user, 0, key, at)
     }
 }
 
@@ -536,7 +533,7 @@ mod tests {
             stats: ServeStats::default(),
         };
         for key in 0..10 {
-            let request = ServeRequest::new(key, SimInstant::ZERO);
+            let request = ServeRequest::for_user(0, key, SimInstant::ZERO);
             if key == 7 {
                 assert_eq!(
                     svc.serve(&request),
@@ -623,15 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_requests_default_to_user_zero() {
-        assert_eq!(ServeRequest::new(9, SimInstant::ZERO).user_or_default(), 0);
-        assert_eq!(
-            ServeRequest::for_user(5, 9, SimInstant::ZERO).user_or_default(),
-            5
-        );
-    }
-
-    #[test]
     fn fast_path_declines_by_default() {
         let svc = ToyService {
             stats: ServeStats::default(),
@@ -639,11 +627,11 @@ mod tests {
         // Even keys would hit through `serve`, but the default read-only
         // fast path always punts to the exclusive path.
         assert_eq!(
-            svc.try_serve_hit(&ServeRequest::new(2, SimInstant::ZERO)),
+            svc.try_serve_hit(&ServeRequest::for_user(0, 2, SimInstant::ZERO)),
             None
         );
         assert_eq!(
-            svc.try_serve_hit(&ServeRequest::new(7, SimInstant::ZERO)),
+            svc.try_serve_hit(&ServeRequest::for_user(0, 7, SimInstant::ZERO)),
             None
         );
         // And the default peer-summary inventory opts out.

@@ -101,7 +101,7 @@ mod tests {
     use mobsim::time::SimInstant;
 
     fn at(key: u64) -> ServeRequest {
-        ServeRequest::new(key, SimInstant::ZERO)
+        ServeRequest::for_user(0, key, SimInstant::ZERO)
     }
 
     #[test]

@@ -6,7 +6,9 @@ use std::sync::Arc;
 use cloudlet_core::cache::{CacheMode, PocketCache};
 use cloudlet_core::contentgen::CacheContents;
 use cloudlet_core::error::CoreError;
-use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, ServeStats};
+use cloudlet_core::service::{
+    CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
+};
 use cloudlet_core::update::{apply_update, UpdateServer, UploadPayload};
 use flashdb::patch::{apply_patch, DbPatch, PatchReport};
 use flashdb::{DbError, ResultDb, ResultRecord};
@@ -410,10 +412,7 @@ impl CloudletService for PocketSearch {
     /// through this trait accumulate into [`CloudletService::
     /// service_stats`]; direct [`PocketSearch::serve`] calls keep their
     /// own [`ServiceReport`]s, unchanged.
-    fn serve(
-        &mut self,
-        request: &cloudlet_core::service::ServeRequest,
-    ) -> Result<ServeOutcome, CloudletError> {
+    fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
         let served = PocketSearch::serve(self, request.key);
         let outcome = if served.hit {
             ServeOutcome::hit()

@@ -24,7 +24,9 @@ use std::sync::Arc;
 use cloudlet_core::arbiter::DemandContext;
 use cloudlet_core::coordination::CloudletId;
 use cloudlet_core::frontend::{Frontend, FrontendConfig};
-use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, ServeStats};
+use cloudlet_core::service::{
+    CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
+};
 use cloudlet_core::shard::ShardedTable;
 use flashdb::ResultDb;
 use mobsim::time::SimDuration;
@@ -111,24 +113,12 @@ impl CloudletService for SearchShard {
         "search"
     }
 
-    fn serve(
-        &mut self,
-        request: &cloudlet_core::service::ServeRequest,
-    ) -> Result<ServeOutcome, CloudletError> {
-        let top: Option<Vec<u64>> = self
-            .table
-            .lookup(request.key)
-            .map(|results| results.iter().take(2).map(|r| r.result_hash).collect());
-        let outcome = match top {
-            Some(top) => match self.db.get_many(top, &self.flash) {
-                Ok((_, fetch_time)) => ServeOutcome::hit()
-                    .with_service(self.costs.lookup + fetch_time + self.costs.render_and_misc),
-                Err(_) => {
-                    ServeOutcome::miss(self.costs.miss_bytes).with_service(self.costs.miss_total)
-                }
-            },
-            None => ServeOutcome::miss(self.costs.miss_bytes).with_service(self.costs.miss_total),
-        };
+    /// Answers with the one hit rule, [`CloudletService::try_serve_hit`];
+    /// anything it declines is a radio miss.
+    fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
+        let outcome = self.try_serve_hit(request).unwrap_or_else(|| {
+            ServeOutcome::miss(self.costs.miss_bytes).with_service(self.costs.miss_total)
+        });
         self.stats.record(&outcome);
         Ok(outcome)
     }
@@ -138,10 +128,7 @@ impl CloudletService for SearchShard {
     /// whole hit path runs under a shared lock. Misses (and index
     /// entries whose records are gone from the database) decline to the
     /// exclusive path, which also keeps miss accounting in one place.
-    fn try_serve_hit(
-        &self,
-        request: &cloudlet_core::service::ServeRequest,
-    ) -> Option<ServeOutcome> {
+    fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
         let top: Vec<u64> = self
             .table
             .lookup(request.key)?
@@ -211,7 +198,6 @@ mod tests {
     use crate::engine::{Catalog, PocketSearch};
     use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
     use cloudlet_core::corpus::UniverseCorpus;
-    use cloudlet_core::frontend::ServeRequest;
     use mobsim::time::SimInstant;
     use querylog::generator::{GeneratorConfig, LogGenerator};
     use querylog::triplets::TripletTable;

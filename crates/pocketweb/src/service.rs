@@ -74,7 +74,7 @@ impl CloudletService for WebService {
             .filter(|&p| (p as usize) < self.world.pages().len())
             .map(PageId)
             .ok_or(CloudletError::UnknownKey { key: request.key })?;
-        Ok(match self.web.visit(&self.world, page, request.now) {
+        Ok(match self.web.visit(&self.world, page, request.at) {
             VisitOutcome::InstantHit => ServeOutcome::hit(),
             VisitOutcome::StaleRefetch { bytes } => ServeOutcome::stale_hit(bytes),
             VisitOutcome::Miss { bytes } => ServeOutcome::miss(bytes),
@@ -92,7 +92,7 @@ impl CloudletService for WebService {
             .filter(|&p| (p as usize) < self.world.pages().len())
             .map(PageId)?;
         self.web
-            .peek_instant(&self.world, page, request.now)
+            .peek_instant(&self.world, page, request.at)
             .then(ServeOutcome::hit)
     }
 
@@ -146,7 +146,7 @@ mod tests {
     }
 
     fn at(key: u64, now: SimInstant) -> ServeRequest {
-        ServeRequest::new(key, now)
+        ServeRequest::for_user(0, key, now)
     }
 
     #[test]

@@ -25,8 +25,8 @@ scripts/bench.sh --check
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> pipeline-bench tests (the end-to-end benchmark package builds and runs)"
-cargo test -q --offline --manifest-path pipeline-bench/Cargo.toml
+echo "==> pipeline-bench tests (the end-to-end benchmark package builds and runs; --locked fails if its Cargo.lock would change)"
+cargo test -q --locked --offline --manifest-path pipeline-bench/Cargo.toml
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

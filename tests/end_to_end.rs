@@ -122,7 +122,7 @@ fn replay_statistics_match_engine_counters() {
     let mut hits = 0;
     for entry in &stream {
         let qh = catalog.query_hash(entry.query);
-        let request = pocket_cloudlets::core::service::ServeRequest::new(qh, SimInstant::ZERO);
+        let request = ServeRequest::for_user(0, qh, SimInstant::ZERO);
         if CloudletService::serve(&mut check, &request).unwrap().kind == ServeKind::Hit {
             hits += 1;
         }

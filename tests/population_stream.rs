@@ -16,7 +16,7 @@ use pocket_cloudlets::core::frontend::{
 use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable, ScoredResult};
 use pocket_cloudlets::core::population::{PairTable, PopulationConfig, PopulationLane};
 use pocket_cloudlets::core::ranking::RankingPolicy;
-use pocket_cloudlets::core::service::{self, CloudletService, ServeKind};
+use pocket_cloudlets::core::service::{CloudletService, ServeKind};
 use pocket_cloudlets::mobsim::time::SimInstant;
 use pocket_cloudlets::querylog::generator::{GeneratorConfig, LogGenerator};
 use pocket_cloudlets::querylog::ids::UserId;
@@ -168,7 +168,7 @@ proptest! {
                     &split_view(&lane, USER, q), &expected,
                     "view diverged before click {} ({:?})", step, mode
                 );
-                let request = service::ServeRequest::for_user(USER, step as u64, SimInstant::ZERO);
+                let request = ServeRequest::for_user(USER, step as u64, SimInstant::ZERO);
                 let served = lane.serve(&request).expect("every script key resolves");
                 prop_assert_eq!(
                     served.kind == ServeKind::Hit, expected.is_some(),

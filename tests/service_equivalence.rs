@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
-use pocket_cloudlets::core::frontend::{self, Frontend, FrontendConfig};
+use pocket_cloudlets::core::frontend::{Frontend, FrontendConfig};
 use pocket_cloudlets::core::service::{CloudletService, ServeOutcome, ServeRequest, ServeStats};
 use pocket_cloudlets::mobsim::time::{SimDuration, SimInstant};
 use pocket_cloudlets::pocketmaps::grid::TileGrid;
@@ -95,7 +95,7 @@ proptest! {
 
         let mut unified = engine.clone();
         for &key in &keys {
-            CloudletService::serve(&mut unified, &ServeRequest::new(key, SimInstant::ZERO))
+            CloudletService::serve(&mut unified, &ServeRequest::for_user(0, key, SimInstant::ZERO))
                 .expect("search serve is infallible on valid state");
         }
         prop_assert_eq!(unified.service_stats(), expected);
@@ -132,7 +132,7 @@ proptest! {
         );
         for &(page, at) in &visits {
             unified
-                .serve(&ServeRequest::new(WebService::key_of(page), at))
+                .serve(&ServeRequest::for_user(0, WebService::key_of(page), at))
                 .expect("in-range page keys serve");
         }
 
@@ -160,7 +160,7 @@ proptest! {
 
         let mut unified = PocketMaps::new(grid, 10_000_000);
         for &tile in &tiles {
-            CloudletService::serve(&mut unified, &ServeRequest::new(tile.to_key(), SimInstant::ZERO))
+            CloudletService::serve(&mut unified, &ServeRequest::for_user(0, tile.to_key(), SimInstant::ZERO))
                 .expect("every u64 is a tile");
         }
 
@@ -199,7 +199,7 @@ proptest! {
             }
         }
         for &query in &queries {
-            CloudletService::serve(&mut unified, &ServeRequest::new(query, SimInstant::ZERO))
+            CloudletService::serve(&mut unified, &ServeRequest::for_user(0, query, SimInstant::ZERO))
                 .expect("ad serve is infallible");
         }
 
@@ -238,34 +238,19 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
                 } else {
                     cached[(i as usize * 7) % cached.len()]
                 };
-                events.push(frontend::ServeRequest::new(
-                    i,
-                    SEARCH,
-                    key,
-                    SimInstant::ZERO,
-                ));
+                events.push(ServeRequest::new(i, SEARCH, key, SimInstant::ZERO));
             }
             1 => {
                 let page = PageId((i % world.pages().len() as u64) as u32);
                 let at = SimInstant::ZERO + SimDuration::from_secs(i * 30);
-                events.push(frontend::ServeRequest::new(
-                    i,
-                    WEB,
-                    WebService::key_of(page),
-                    at,
-                ));
+                events.push(ServeRequest::new(i, WEB, WebService::key_of(page), at));
             }
             _ => {
                 let tile = TileId {
                     x: (i % 11) as i32 - 5,
                     y: (i % 7) as i32 - 3,
                 };
-                events.push(frontend::ServeRequest::new(
-                    i,
-                    MAPS,
-                    tile.to_key(),
-                    SimInstant::ZERO,
-                ));
+                events.push(ServeRequest::new(i, MAPS, tile.to_key(), SimInstant::ZERO));
             }
         }
     }
