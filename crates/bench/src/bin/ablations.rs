@@ -633,7 +633,6 @@ struct FrontendPoint {
     hit_ratio: f64,
     p99_wait_ms: f64,
     coalesced: u64,
-    stolen: u64,
 }
 
 /// The pipelined serve front-end: a duplicate-heavy Zipf batch against
@@ -650,40 +649,25 @@ fn frontend_study(ctx: &RunContext) {
     let shards = 8usize;
     let requests = frontend_workload(inputs, users, n_events, ctx.seed ^ 0xf407);
 
-    let parked =
-        |queue_depth: usize, coalescing: bool, hit_path: HitPathMode, work_stealing: bool| {
-            FrontendConfig::builder()
-                .queue_depth(queue_depth)
-                .coalescing(coalescing)
-                .hit_path(hit_path)
-                .overflow(OverflowPolicy::Park)
-                .work_stealing(work_stealing)
-                .build()
-        };
+    let parked = |queue_depth: usize, coalescing: bool, hit_path: HitPathMode| {
+        FrontendConfig::builder()
+            .queue_depth(queue_depth)
+            .coalescing(coalescing)
+            .hit_path(hit_path)
+            .overflow(OverflowPolicy::Park)
+            .build()
+    };
     let deep = usize::MAX;
     let sweep: Vec<(&'static str, FrontendConfig)> = vec![
         ("baseline (PR 3 router)", FrontendConfig::pr3_baseline()),
-        (
-            "+coalescing",
-            parked(deep, true, HitPathMode::Exclusive, false),
-        ),
+        ("+coalescing", parked(deep, true, HitPathMode::Exclusive)),
         (
             "+shared-read hits",
-            parked(deep, false, HitPathMode::SharedRead, false),
+            parked(deep, false, HitPathMode::SharedRead),
         ),
-        ("+both", parked(deep, true, HitPathMode::SharedRead, false)),
-        (
-            "+both, depth 4",
-            parked(4, true, HitPathMode::SharedRead, false),
-        ),
-        (
-            "+both, depth 16",
-            parked(16, true, HitPathMode::SharedRead, false),
-        ),
-        (
-            "+both, depth 4 + stealing",
-            parked(4, true, HitPathMode::SharedRead, true),
-        ),
+        ("+both", parked(deep, true, HitPathMode::SharedRead)),
+        ("+both, depth 4", parked(4, true, HitPathMode::SharedRead)),
+        ("+both, depth 16", parked(16, true, HitPathMode::SharedRead)),
     ];
 
     let mut table = Table::new(
@@ -695,7 +679,6 @@ fn frontend_study(ctx: &RunContext) {
             "config",
             "hit rate",
             "coalesced",
-            "stolen",
             "p99 wait (sim)",
             "sim qps",
             "speedup",
@@ -716,7 +699,6 @@ fn frontend_study(ctx: &RunContext) {
             name.to_owned(),
             format!("{:.4}", totals.hit_rate()),
             totals.coalesced.to_string(),
-            totals.stolen.to_string(),
             format!("{p99_ms:.0} ms"),
             format!("{qps:.1}"),
             format!("{:.2}x", qps / base),
@@ -728,7 +710,6 @@ fn frontend_study(ctx: &RunContext) {
             hit_ratio: totals.hit_rate(),
             p99_wait_ms: p99_ms,
             coalesced: totals.coalesced,
-            stolen: totals.stolen,
         });
     }
     println!("{}", table.render());
@@ -790,9 +771,9 @@ fn frontend_json(
             format!(
                 "    {{\n      \"config\": \"{}\",\n      \"queue_depth\": {},\n      \
                  \"coalescing\": {},\n      \"hit_path\": \"{}\",\n      \
-                 \"work_stealing\": {},\n      \"sim_qps\": {:.2},\n      \
+                 \"sim_qps\": {:.2},\n      \
                  \"hit_ratio\": {:.6},\n      \"p99_queue_wait_ms\": {:.2},\n      \
-                 \"coalesced\": {},\n      \"stolen\": {}\n    }}",
+                 \"coalesced\": {}\n    }}",
                 p.name,
                 depth,
                 p.config.coalescing,
@@ -800,12 +781,10 @@ fn frontend_json(
                     HitPathMode::Exclusive => "exclusive",
                     HitPathMode::SharedRead => "shared_read",
                 },
-                p.config.work_stealing,
                 p.sim_qps,
                 p.hit_ratio,
                 p.p99_wait_ms,
                 p.coalesced,
-                p.stolen,
             )
         })
         .collect();
@@ -1359,13 +1338,12 @@ fn diurnal_phase(hour: u16) -> &'static str {
 /// A user-routed front-end over `lanes` population lanes, every lane
 /// sharing the study's `Arc`'d community snapshot and pair directory.
 /// Routing by user pins each user's delta to exactly one lane;
-/// coalescing and stealing are off so a request's lane — and with it the
-/// serve order any one user observes — is a pure function of the input.
+/// coalescing is off so the serve order any one user observes is a pure
+/// function of the input.
 fn population_frontend(world: &PopulationWorld, lanes: usize) -> Frontend {
     let config = FrontendConfig::builder()
         .route_by(RouteBy::User)
         .coalescing(false)
-        .work_stealing(false)
         .overflow(OverflowPolicy::Park)
         .build();
     let services: Vec<Box<dyn CloudletService + Send + Sync>> = (0..lanes)

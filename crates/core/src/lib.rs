@@ -40,8 +40,7 @@
 //!   WiFi-direct fetch latency/energy.
 //! * [`frontend`] — the pipelined serving front-end: bounded per-lane
 //!   queues with typed admission/backpressure, duplicate-key
-//!   coalescing, a shared-lock read path for hits, and work stealing
-//!   between replica lanes.
+//!   coalescing, and a shared-lock read path for hits.
 //! * [`population`] — population-scale serving, the one runtime form of
 //!   the §4 two-part split: one frozen [`cache::CommunityCache`]
 //!   snapshot plus per-user [`cache::PersonalDelta`]s behind a

@@ -67,8 +67,7 @@ pub struct ServeRequest {
     pub service: u32,
     /// The service-defined key (query hash, page index, tile coord…);
     /// under [`crate::frontend::RouteBy::Key`] (the default) it routes to
-    /// lane `key % group_len` within the group unless work stealing
-    /// redirects it.
+    /// lane `key % group_len` within the group.
     pub key: u64,
     /// Simulated arrival instant. A batch should be ordered by
     /// non-decreasing `at` for the front-end's queue model to be

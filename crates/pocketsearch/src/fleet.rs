@@ -172,7 +172,7 @@ impl CloudletService for SearchShard {
 /// Builds a pipelined [`Frontend`] of `n_shards` search lanes over one
 /// shared sharded index. Search lanes are replicas — the sharded table
 /// routes any key to its owning shard internally — so every front-end
-/// feature (coalescing, work stealing, the shared-lock hit path) is
+/// feature (coalescing, the shared-lock hit path, either routing) is
 /// semantics-preserving here.
 ///
 /// # Panics
@@ -286,14 +286,17 @@ mod tests {
     fn served_request_lands_on_its_modulo_lane() {
         let (engine, cached) = test_engine();
         let (_, frontend) = search_frontend(&engine, 4, FrontendConfig::pr3_baseline());
-        let served = frontend
-            .serve_one(ServeRequest::new(1, 0, cached[0], SimInstant::ZERO))
-            .expect("search serve");
+        let batch = frontend
+            .serve_batch(&[ServeRequest::new(1, 0, cached[0], SimInstant::ZERO)])
+            .expect("search batch");
+        let served = &batch.served[0];
         assert!(served.hit());
         assert_eq!(served.lane, (cached[0] % 4) as usize);
-        assert_eq!(served.completed_at, SimInstant::ZERO);
-        let outcome = served.outcome.expect("served");
+        let outcome = served.outcome.as_ref().expect("served");
         assert!(outcome.service > SimDuration::ZERO);
+        // Under the baseline the lone hit runs on its idle lane at once.
+        assert_eq!(served.completed_at, SimInstant::ZERO + outcome.service);
+        assert_eq!(served.queue_wait, SimDuration::ZERO);
         assert_eq!(frontend.lane_name(served.lane), "search");
     }
 

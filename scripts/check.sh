@@ -28,6 +28,9 @@ cargo test -q
 echo "==> pipeline-bench tests (the end-to-end benchmark package builds and runs; --locked fails if its Cargo.lock would change)"
 cargo test -q --locked --offline --manifest-path pipeline-bench/Cargo.toml
 
+echo "==> pipeline --workload all (full-size correctness: exits 1 if an input digest or population-day's pinned event count or hit ratio moves)"
+cargo run --release --quiet --offline --locked --manifest-path pipeline-bench/Cargo.toml --bin pipeline -- --workload all --seed 2011 --seconds 1 --trace 0 >/dev/null
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

@@ -1,9 +1,10 @@
 //! Concurrency smoke tests for sharded search serving: many threads
-//! hammering [`Frontend::serve_one`] over the baseline configuration
-//! must never lose a counter update, and sharding must buy real
-//! simulated throughput without moving the hit ratio.
+//! hammering [`Frontend::serve_batch`] with one-request batches over the
+//! baseline configuration must never lose a counter update, and
+//! sharding must buy real simulated throughput without moving the hit
+//! ratio.
 //!
-//! [`Frontend::serve_one`]: pocket_cloudlets::core::frontend::Frontend::serve_one
+//! [`Frontend::serve_batch`]: pocket_cloudlets::core::frontend::Frontend::serve_batch
 
 use std::thread;
 
@@ -28,14 +29,16 @@ fn eight_threads_lose_no_counter_updates() {
     let (_, frontend) = search_frontend(&engine, 8, FrontendConfig::pr3_baseline());
 
     // Each thread drains a disjoint slice of the stream through the
-    // shared front-end; every serve_one picks its lane from the hash, so
-    // all threads contend on all lanes.
+    // shared front-end; every one-request batch picks its lane from the
+    // hash, so all threads contend on all lanes.
     let frontend = &frontend;
     thread::scope(|scope| {
         for lane in requests.chunks(EVENTS_PER_THREAD) {
             scope.spawn(move || {
-                for &request in lane {
-                    frontend.serve_one(request).expect("serve");
+                for request in lane {
+                    frontend
+                        .serve_batch(std::slice::from_ref(request))
+                        .expect("serve");
                 }
             });
         }
@@ -60,7 +63,7 @@ fn eight_threads_lose_no_counter_updates() {
 }
 
 #[test]
-fn serve_one_and_serve_batch_agree_under_contention() {
+fn single_request_batches_and_one_batch_agree_under_contention() {
     let inputs = test_scale_study_inputs(53);
     let engine = PocketSearch::build(
         &inputs.contents,
@@ -76,14 +79,16 @@ fn serve_one_and_serve_batch_agree_under_contention() {
         .expect("fleet batch")
         .report;
 
-    // The same stream hammered thread-per-chunk through serve_one.
+    // The same stream hammered thread-per-chunk as one-request batches.
     let (_, frontend) = search_frontend(&engine, 4, FrontendConfig::pr3_baseline());
     let frontend = &frontend;
     thread::scope(|scope| {
         for lane in requests.chunks(requests.len() / THREADS + 1) {
             scope.spawn(move || {
-                for &request in lane {
-                    frontend.serve_one(request).expect("serve");
+                for request in lane {
+                    frontend
+                        .serve_batch(std::slice::from_ref(request))
+                        .expect("serve");
                 }
             });
         }

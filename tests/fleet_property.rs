@@ -77,7 +77,7 @@ proptest! {
         let report = frontend.serve_batch(&requests).expect("fleet batch").report;
         let mut observed: Vec<(u64, bool)> = requests
             .iter()
-            .map(|&r| (r.key, frontend.serve_one(r).expect("serve").hit()))
+            .map(|&r| (r.key, frontend.serve_batch(&[r]).expect("serve").served[0].hit()))
             .collect();
 
         expected.sort_unstable();

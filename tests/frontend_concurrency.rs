@@ -1,13 +1,18 @@
 //! Concurrency smoke tests for the serve front-end: `serve_batch` keeps
 //! all simulation state local to the call and lanes behind `RwLock`s,
 //! so any number of OS threads may drive the same [`Frontend`] — with
-//! work stealing on — and the cumulative counters must add up exactly.
+//! bounded queues shedding load — and the cumulative counters must add
+//! up exactly.
+//!
+//! [`Frontend`]: pocket_cloudlets::core::frontend::Frontend
 
 use std::sync::OnceLock;
 
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
-use pocket_cloudlets::core::frontend::{FrontendConfig, ServeRequest};
+use pocket_cloudlets::core::frontend::{
+    FrontServed, FrontendConfig, LaneTotals, OverflowPolicy, ServeRequest,
+};
 use pocket_cloudlets::mobsim::time::SimInstant;
 use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
 use pocket_cloudlets::pocketsearch::engine::{Catalog, PocketSearch};
@@ -35,7 +40,7 @@ fn shared_engine() -> &'static (PocketSearch, Vec<u64>) {
 }
 
 /// A hot-lane burst: every key is aligned to a multiple of `shards`, so
-/// all of them home on lane 0 and work stealing has something to move.
+/// all of them home on lane 0 and its bounded queue overflows.
 /// (Aligning changes the hash, so most keys are misses — the expensive
 /// kind of traffic, which is exactly what piles a queue up.)
 fn hot_lane_burst(cached: &[u64], shards: u64, n: u64) -> Vec<ServeRequest> {
@@ -51,19 +56,20 @@ fn hot_lane_burst(cached: &[u64], shards: u64, n: u64) -> Vec<ServeRequest> {
         .collect()
 }
 
-/// Eight OS threads hammer one work-stealing front-end with the same
-/// hot-lane batch; every batch must steal, none may shed, and the
-/// cumulative lane counters must equal exactly eight single batches.
+/// Eight OS threads hammer one `Reject` front-end at depth 2 with the
+/// same hot-lane burst; every batch must shed exactly what one
+/// reference batch sheds, and the cumulative lane counters must equal
+/// eight reference batches exactly, rejections included.
 #[test]
-fn eight_threads_steal_work_without_losing_counts() {
-    const THREADS: u64 = 8;
+fn eight_threads_shed_exactly_what_one_batch_sheds() {
+    const THREADS: usize = 8;
     let (engine, cached) = shared_engine();
     let shards = 4usize;
     let requests = hot_lane_burst(cached, shards as u64, 64);
 
     let config = FrontendConfig::builder()
         .queue_depth(2)
-        .work_stealing(true)
+        .overflow(OverflowPolicy::Reject)
         .build();
     let (_, frontend) = search_frontend(engine, shards, config);
 
@@ -71,33 +77,40 @@ fn eight_threads_steal_work_without_losing_counts() {
     let (_, reference) = search_frontend(engine, shards, config);
     let single = reference.serve_batch(&requests).expect("reference batch");
     let expected = single.report.totals();
-    assert!(expected.stolen > 0, "the hot lane must overflow");
-    assert_eq!(expected.rejected, 0, "stealing absorbs the burst");
+    assert!(expected.rejected > 0, "the hot lane must overflow");
+    let shed = |served: &[FrontServed]| -> Vec<bool> {
+        served.iter().map(|s| s.outcome.is_err()).collect()
+    };
 
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             scope.spawn(|| {
                 let batch = frontend.serve_batch(&requests).expect("threaded batch");
-                let totals = batch.report.totals();
-                assert_eq!(totals.events, requests.len() as u64);
-                assert_eq!(totals.rejected, 0);
-                assert_eq!(totals.hits, expected.hits);
+                assert_eq!(shed(&batch.served), shed(&single.served));
+                assert_eq!(batch.report.lanes, single.report.lanes);
             });
         }
     });
 
-    let totals = frontend.telemetry().aggregate();
-    assert_eq!(totals.events, THREADS * requests.len() as u64);
-    assert_eq!(totals.hits, THREADS * expected.hits);
-    assert_eq!(totals.misses, THREADS * expected.misses);
-    assert_eq!(totals.rejected, 0);
-    assert_eq!(totals.errors, 0);
+    let lanes: Vec<LaneTotals> = frontend
+        .telemetry()
+        .lanes
+        .iter()
+        .map(|l| l.totals)
+        .collect();
+    for (lane, reference) in lanes.iter().zip(&single.report.lanes) {
+        assert_eq!(*lane, LaneTotals::aggregate(&[*reference; THREADS]));
+    }
+    assert_eq!(
+        LaneTotals::aggregate(&lanes).rejected,
+        THREADS as u64 * expected.rejected
+    );
 }
 
-/// `serve_one` from many threads: hits ride the shared read lock, and
-/// the per-lane counters still add up.
+/// One-request batches from many threads: hits ride the shared read
+/// lock, and the per-lane counters still add up.
 #[test]
-fn concurrent_serve_one_counts_add_up() {
+fn concurrent_single_request_batches_count_up() {
     const THREADS: usize = 8;
     const PER_THREAD: usize = 32;
     let (engine, cached) = shared_engine();
@@ -110,9 +123,9 @@ fn concurrent_serve_one_counts_add_up() {
             scope.spawn(move || {
                 for i in 0..PER_THREAD {
                     let key = cached[(t * PER_THREAD + i) % cached.len()];
-                    let served = frontend
-                        .serve_one(ServeRequest::new(t as u64, 0, key, SimInstant::ZERO))
-                        .expect("cached keys serve");
+                    let request = ServeRequest::new(t as u64, 0, key, SimInstant::ZERO);
+                    let batch = frontend.serve_batch(&[request]).expect("cached keys serve");
+                    let served = &batch.served[0];
                     assert!(served.hit(), "community keys are hits");
                     assert!(served.fast_path, "hits take the shared-read path");
                 }

@@ -200,7 +200,6 @@ fn frontend_over(config: GeneratorConfig, seed: u64, lanes: usize) -> Frontend {
     let front = FrontendConfig::builder()
         .route_by(RouteBy::User)
         .coalescing(false)
-        .work_stealing(false)
         .overflow(OverflowPolicy::Park)
         .build();
     Frontend::new(vec![services], front)
