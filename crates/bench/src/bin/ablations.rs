@@ -60,11 +60,16 @@
 //!   is a peer serve. With `--out`, also writes the sweep as JSON
 //!   (`BENCH_peers.json`).
 //!
-//! An unknown study id prints the valid ids and exits with code 2
-//! before any study runs, and so do a malformed `--scale`/`--seed` and
-//! `--out` with more than one study (`all` counts as many): every
-//! JSON-writing study writes to that one path. The studies share one
-//! study world, built at most once per run.
+//! `--out <path>` writes the JSON artifact of exactly one of the five
+//! artifact studies (`frontend`, `arbiter`, `wear`, `population`,
+//! `peers`); each study returns its artifact and [`RunContext::write_out`]
+//! prints it through the one writer, [`pocket_bench::json`]. An unknown
+//! study id prints the valid ids and exits with code 2 before any study
+//! runs, and so do a malformed `--scale`/`--seed`, an `--out` into a
+//! missing directory, and `--out` with more than one study (`all` counts
+//! as many) or with a study that writes no artifact; none of them
+//! creates a file. The studies share one study world, built at most once
+//! per run.
 
 use std::process::ExitCode;
 
@@ -81,23 +86,22 @@ use cloudlet_core::peer::{PeerConfig, PeerFabricStats};
 use cloudlet_core::population::{PopulationConfig, PopulationLane};
 use cloudlet_core::ranking::RankingPolicy;
 use cloudlet_core::service::CloudletService;
-use mobsim::flash::{AllocPolicy, WearModel, WearSummary};
+use mobsim::flash::{AllocPolicy, WearModel};
 use mobsim::memory::{IndexPlacement, TieredMemory};
 use mobsim::time::{SimDuration, SimInstant};
 use pocket_bench::{
     fleet_workload, frontend_workload, materialized_month_requests, peer_cell_workload,
-    population_requests, population_world, skewed_arbiter_workload, PeerWorkload, PopulationWorld,
-    RunContext, Sections, StudyInputs, Table,
+    population_requests, population_world, skewed_arbiter_workload, Fields, Json, PeerWorkload,
+    PopulationWorld, RunContext, Sections, StudyInputs, Table,
 };
 use pocketsearch::config::PocketSearchConfig;
 use pocketsearch::engine::{PocketSearch, RecoveryStats};
 use pocketsearch::experiment::{
-    run_hit_rate_study, select_streams, sliding_window_server, HitRateConfig,
+    run_hit_rate_study, select_streams, wear_month, HitRateConfig, WearMonth,
 };
 use pocketsearch::fleet::search_frontend;
 use pocketsearch::replay::replay_population;
 use querylog::generator::LogGenerator;
-use querylog::log::LogEntry;
 use querylog::stream::{EventStream, StreamConfig};
 
 const SECTIONS: Sections = Sections {
@@ -120,7 +124,7 @@ const SECTIONS: Sections = Sections {
         "population",
         "peers",
     ],
-    takes_out: true,
+    out_ids: &["frontend", "arbiter", "wear", "population", "peers"],
 };
 
 fn main() -> ExitCode {
@@ -130,24 +134,30 @@ fn main() -> ExitCode {
     };
     ctx.print_header("ablations");
     for study in &ctx.ids {
-        match study.as_str() {
-            "lambda" => lambda_sweep(&ctx),
-            "admission" => admission_sweep(&ctx),
-            "tiers" => tier_study(&ctx),
-            "freshness" => freshness_study(&ctx),
-            "maps" => maps_study(&ctx),
-            "battery" => battery_study(),
-            "suggest" => suggest_study(&ctx),
-            "radios" => radios_study(&ctx),
-            "offload" => offload_study(&ctx),
-            "fleet" => fleet_study(&ctx),
+        let artifact = match study.as_str() {
             "frontend" => frontend_study(&ctx),
             "arbiter" => arbiter_study(&ctx),
             "wear" => wear_study(&ctx),
             "population" => population_study(&ctx),
             "peers" => peers_study(&ctx),
-            other => unreachable!("study {other:?} was validated by the parser"),
-        }
+            other => {
+                match other {
+                    "lambda" => lambda_sweep(&ctx),
+                    "admission" => admission_sweep(&ctx),
+                    "tiers" => tier_study(&ctx),
+                    "freshness" => freshness_study(&ctx),
+                    "maps" => maps_study(&ctx),
+                    "battery" => battery_study(),
+                    "suggest" => suggest_study(&ctx),
+                    "radios" => radios_study(&ctx),
+                    "offload" => offload_study(&ctx),
+                    "fleet" => fleet_study(&ctx),
+                    other => unreachable!("study {other:?} was validated by the parser"),
+                }
+                continue;
+            }
+        };
+        ctx.write_out(study, artifact);
     }
     ExitCode::SUCCESS
 }
@@ -435,7 +445,10 @@ fn offload_study(ctx: &RunContext) {
     }
     println!("{}", table.render());
     println!(
-        "over the month the fleet submitted {total} queries; {offloaded} ({:.0}%) never\nreached the datacenter — the paper's \"two thirds of the query load can be\neliminated\" claim, with load relief steady across days.\n",
+        r#"over the month the fleet submitted {total} queries; {offloaded} ({:.0}%) never
+reached the datacenter — the paper's "two thirds of the query load can be
+eliminated" claim, with load relief steady across days.
+"#,
         offloaded as f64 / total as f64 * 100.0,
     );
 }
@@ -625,24 +638,14 @@ fn fleet_study(ctx: &RunContext) {
     println!("hit ratio and total busy time are shard-invariant; the makespan (and so\nthroughput) scales with shards until the hottest shard's load dominates.\n");
 }
 
-/// One point of the front-end ablation sweep.
-struct FrontendPoint {
-    name: &'static str,
-    config: FrontendConfig,
-    sim_qps: f64,
-    hit_ratio: f64,
-    p99_wait_ms: f64,
-    coalesced: u64,
-}
-
 /// The pipelined serve front-end: a duplicate-heavy Zipf batch against
 /// a fixed 8-lane search fleet, sweeping queue depth × coalescing ×
 /// hit-path mode against the PR 3 per-lane-mutex baseline. Every config
 /// uses the `Park` overflow policy so nothing is shed and the hit ratio
 /// is *exactly* invariant across the sweep — the only thing that moves
 /// is when work runs, which is what simulated qps and queue wait
-/// measure.
-fn frontend_study(ctx: &RunContext) {
+/// measure. Returns the sweep as `BENCH_frontend.json`'s fields.
+fn frontend_study(ctx: &RunContext) -> Fields {
     let inputs = ctx.world();
     let engine = inputs.engine(PocketSearchConfig::default());
     let (users, n_events) = ctx.by_scale((1_000, 50_000), (64, 4_000));
@@ -703,14 +706,25 @@ fn frontend_study(ctx: &RunContext) {
             format!("{qps:.1}"),
             format!("{:.2}x", qps / base),
         ]);
-        points.push(FrontendPoint {
-            name,
-            config,
-            sim_qps: qps,
-            hit_ratio: totals.hit_rate(),
-            p99_wait_ms: p99_ms,
-            coalesced: totals.coalesced,
-        });
+        let hit_path = match config.hit_path {
+            HitPathMode::Exclusive => "exclusive",
+            HitPathMode::SharedRead => "shared_read",
+        };
+        points.push(Json::Object(vec![
+            ("config", name.into()),
+            (
+                "queue_depth",
+                (config.queue_depth != usize::MAX)
+                    .then_some(config.queue_depth)
+                    .into(),
+            ),
+            ("coalescing", config.coalescing.into()),
+            ("hit_path", hit_path.into()),
+            ("sim_qps", Json::Fixed(qps, 2)),
+            ("hit_ratio", Json::Fixed(totals.hit_rate(), 6)),
+            ("p99_queue_wait_ms", Json::Fixed(p99_ms, 2)),
+            ("coalesced", totals.coalesced.into()),
+        ]));
     }
     println!("{}", table.render());
     println!("hit ratio is exactly invariant under Park: the front-end changes *when* work\nruns, never its outcome. Coalescing collapses duplicate radio misses and the\nshared-read pool takes hits off the serial lanes. Parked FIFO start times do\nnot depend on depth — depth matters when the overflow policy sheds (below).\n");
@@ -748,73 +762,13 @@ fn frontend_study(ctx: &RunContext) {
     println!("{}", shed_table.render());
     println!("bounded admission trades completeness for tail latency: shallower queues shed\nmore of the burst but cap how long anything admitted can wait.\n");
 
-    ctx.write_out(|| frontend_json(ctx, users, n_events, shards, &points));
-}
-
-/// Hand-rolled JSON for the front-end sweep (the workspace has no JSON
-/// dependency, and the schema is flat enough not to want one).
-fn frontend_json(
-    ctx: &RunContext,
-    users: u64,
-    n_events: usize,
-    shards: usize,
-    points: &[FrontendPoint],
-) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let depth = if p.config.queue_depth == usize::MAX {
-                "null".to_owned()
-            } else {
-                p.config.queue_depth.to_string()
-            };
-            format!(
-                "    {{\n      \"config\": \"{}\",\n      \"queue_depth\": {},\n      \
-                 \"coalescing\": {},\n      \"hit_path\": \"{}\",\n      \
-                 \"sim_qps\": {:.2},\n      \
-                 \"hit_ratio\": {:.6},\n      \"p99_queue_wait_ms\": {:.2},\n      \
-                 \"coalesced\": {}\n    }}",
-                p.name,
-                depth,
-                p.config.coalescing,
-                match p.config.hit_path {
-                    HitPathMode::Exclusive => "exclusive",
-                    HitPathMode::SharedRead => "shared_read",
-                },
-                p.sim_qps,
-                p.hit_ratio,
-                p.p99_wait_ms,
-                p.coalesced,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"frontend\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
-         \"users\": {},\n  \"events\": {},\n  \"lanes\": {},\n  \"workload\": \
-         \"duplicate-heavy two-segment Zipf\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        ctx.scale(),
-        ctx.seed,
-        users,
-        n_events,
-        shards,
-        rows.join(",\n")
-    )
-}
-
-/// One epoch of the arbiter study, for one arm.
-struct ArbiterEpoch {
-    epoch: usize,
-    /// Which cloudlet the workload favoured this epoch.
-    hot: usize,
-    /// Bytes each cloudlet's cache was sized to while serving.
-    grants: [usize; 2],
-    /// Per-cloudlet `(hits, serves)` over the epoch.
-    counts: [(u64, u64); 2],
-    /// Water-filling priorities behind the *next* epoch's grants
-    /// (`None` for the static arm, which never re-arbitrates).
-    priorities: Option<[f64; 2]>,
-    /// Whether hysteresis held the previous priorities.
-    held: bool,
+    vec![
+        ("users", users.into()),
+        ("events", n_events.into()),
+        ("lanes", shards.into()),
+        ("workload", "duplicate-heavy two-segment Zipf".into()),
+        ("points", Json::Array(points)),
+    ]
 }
 
 /// §7's adaptive budget arbitration, closed-loop: two search cloudlets
@@ -825,8 +779,9 @@ struct ArbiterEpoch {
 /// (`AdmissionPolicy::DramThreshold` at the granted bytes) for the next
 /// epoch. Aggregate hit ratio is the scoreboard: capacity that follows
 /// the traffic must strictly beat capacity that ignores it, even paying
-/// the EWMA lag at the flip.
-fn arbiter_study(ctx: &RunContext) {
+/// the EWMA lag at the flip. Returns the run as `BENCH_arbiter.json`'s
+/// fields.
+fn arbiter_study(ctx: &RunContext) -> Fields {
     let inputs = ctx.world();
     // The contended budget: exactly one standard community cache, so an
     // equal split truncates both caches while a skew-following split can
@@ -899,77 +854,6 @@ fn arbiter_study(ctx: &RunContext) {
     };
 
     let equal_split = [total / 2, total - total / 2];
-    let mut rows: Vec<(ArbiterEpoch, ArbiterEpoch)> = Vec::with_capacity(epochs);
-    let mut arbiter = AdaptiveArbiter::new(ArbiterConfig::new(total));
-    let mut adaptive_grants = equal_split;
-    let mut static_counts = (0u64, 0u64);
-    let mut adaptive_counts = (0u64, 0u64);
-    for (epoch, keys) in schedule.iter().enumerate() {
-        let hot = usize::from(epoch >= epochs / 2);
-
-        let static_totals = [
-            serve(equal_split[0], &keys[0]),
-            serve(equal_split[1], &keys[1]),
-        ];
-        let adaptive_totals = [
-            serve(adaptive_grants[0], &keys[0]),
-            serve(adaptive_grants[1], &keys[1]),
-        ];
-        for c in 0..2 {
-            static_counts.0 += static_totals[c].hits;
-            static_counts.1 += static_totals[c].events;
-            adaptive_counts.0 += adaptive_totals[c].hits;
-            adaptive_counts.1 += adaptive_totals[c].events;
-        }
-
-        // Close the loop: this epoch's telemetry prices the next one.
-        let decision = arbiter.run_epoch(
-            SimInstant::from_micros((epoch as u64 + 1) * 60_000_000),
-            &[
-                EpochObservation::new(CloudletId(0), adaptive_totals[0]),
-                EpochObservation::new(CloudletId(1), adaptive_totals[1]),
-            ],
-            |cloudlet, ctx| BudgetDemand {
-                cloudlet,
-                demand_bytes: total,
-                priority: ctx.priority,
-            },
-        );
-
-        rows.push((
-            ArbiterEpoch {
-                epoch,
-                hot,
-                grants: equal_split,
-                counts: [
-                    (static_totals[0].hits, static_totals[0].events),
-                    (static_totals[1].hits, static_totals[1].events),
-                ],
-                priorities: None,
-                held: false,
-            },
-            ArbiterEpoch {
-                epoch,
-                hot,
-                grants: adaptive_grants,
-                counts: [
-                    (adaptive_totals[0].hits, adaptive_totals[0].events),
-                    (adaptive_totals[1].hits, adaptive_totals[1].events),
-                ],
-                priorities: Some([decision.entries[0].priority, decision.entries[1].priority]),
-                held: decision.held,
-            },
-        ));
-        adaptive_grants = [
-            decision.granted(CloudletId(0)).expect("cloudlet 0 decided"),
-            decision.granted(CloudletId(1)).expect("cloudlet 1 decided"),
-        ];
-    }
-
-    let ratio = |(hits, serves): (u64, u64)| hits as f64 / serves.max(1) as f64;
-    let static_ratio = ratio(static_counts);
-    let adaptive_ratio = ratio(adaptive_counts);
-
     let mut table = Table::new(
         format!(
             "Ablation: adaptive budget arbitration (§7 closed-loop, {n_events} events, \
@@ -988,22 +872,88 @@ fn arbiter_study(ctx: &RunContext) {
             "held",
         ],
     );
-    for (st, ad) in &rows {
-        let arm_ratio = |e: &ArbiterEpoch| {
-            let hits = e.counts[0].0 + e.counts[1].0;
-            let serves = e.counts[0].1 + e.counts[1].1;
-            ratio((hits, serves))
-        };
+    let ratio = |(hits, serves): (u64, u64)| hits as f64 / serves.max(1) as f64;
+    // One arm's `(hits, serves)` over both cloudlets, and its JSON counts.
+    let arm_counts = |t: &[LaneTotals; 2]| (t[0].hits + t[1].hits, t[0].events + t[1].events);
+    let arm_json = |t: &[LaneTotals; 2]| -> Fields {
+        vec![
+            ("hits", [t[0].hits, t[1].hits].into()),
+            ("serves", [t[0].events, t[1].events].into()),
+        ]
+    };
+    let mut epoch_log = Vec::with_capacity(epochs);
+    let mut arbiter = AdaptiveArbiter::new(ArbiterConfig::new(total));
+    let mut adaptive_grants = equal_split;
+    let mut static_counts = (0u64, 0u64);
+    let mut adaptive_counts = (0u64, 0u64);
+    for (epoch, keys) in schedule.iter().enumerate() {
+        let hot = usize::from(epoch >= epochs / 2);
+
+        let static_totals = [
+            serve(equal_split[0], &keys[0]),
+            serve(equal_split[1], &keys[1]),
+        ];
+        let adaptive_totals = [
+            serve(adaptive_grants[0], &keys[0]),
+            serve(adaptive_grants[1], &keys[1]),
+        ];
+        let (static_epoch, adaptive_epoch) =
+            (arm_counts(&static_totals), arm_counts(&adaptive_totals));
+        static_counts.0 += static_epoch.0;
+        static_counts.1 += static_epoch.1;
+        adaptive_counts.0 += adaptive_epoch.0;
+        adaptive_counts.1 += adaptive_epoch.1;
+
+        // Close the loop: this epoch's telemetry prices the next one.
+        let decision = arbiter.run_epoch(
+            SimInstant::from_micros((epoch as u64 + 1) * 60_000_000),
+            &[
+                EpochObservation::new(CloudletId(0), adaptive_totals[0]),
+                EpochObservation::new(CloudletId(1), adaptive_totals[1]),
+            ],
+            |cloudlet, ctx| BudgetDemand {
+                cloudlet,
+                demand_bytes: total,
+                priority: ctx.priority,
+            },
+        );
+
         table.row(&[
-            st.epoch.to_string(),
-            ad.hot.to_string(),
-            format!("{:.4}", arm_ratio(st)),
-            format!("{:.4}", arm_ratio(ad)),
-            format!("{} KB", ad.grants[0] / 1_000),
-            format!("{} KB", ad.grants[1] / 1_000),
-            if ad.held { "yes" } else { "no" }.to_owned(),
+            epoch.to_string(),
+            hot.to_string(),
+            format!("{:.4}", ratio(static_epoch)),
+            format!("{:.4}", ratio(adaptive_epoch)),
+            format!("{} KB", adaptive_grants[0] / 1_000),
+            format!("{} KB", adaptive_grants[1] / 1_000),
+            if decision.held { "yes" } else { "no" }.to_owned(),
         ]);
+        let mut adaptive = arm_json(&adaptive_totals);
+        adaptive.extend([
+            ("grants", adaptive_grants.into()),
+            (
+                "priorities",
+                [
+                    Json::Fixed(decision.entries[0].priority, 6),
+                    Json::Fixed(decision.entries[1].priority, 6),
+                ]
+                .into(),
+            ),
+            ("held", decision.held.into()),
+        ]);
+        epoch_log.push(Json::Object(vec![
+            ("epoch", epoch.into()),
+            ("hot", hot.into()),
+            ("static", Json::Object(arm_json(&static_totals))),
+            ("adaptive", Json::Object(adaptive)),
+        ]));
+        adaptive_grants = [
+            decision.granted(CloudletId(0)).expect("cloudlet 0 decided"),
+            decision.granted(CloudletId(1)).expect("cloudlet 1 decided"),
+        ];
     }
+
+    let static_ratio = ratio(static_counts);
+    let adaptive_ratio = ratio(adaptive_counts);
     println!("{}", table.render());
     println!(
         "aggregate hit ratio: static {static_ratio:.4} vs adaptive {adaptive_ratio:.4}. \
@@ -1016,179 +966,50 @@ fn arbiter_study(ctx: &RunContext) {
         "adaptive arbitration must beat the static equal split: {adaptive_ratio:.4} vs {static_ratio:.4}"
     );
 
-    ctx.write_out(|| {
-        arbiter_json(
-            ctx,
-            total,
-            n_events,
-            HOT_SHARE,
-            static_ratio,
-            adaptive_ratio,
-            &rows,
-        )
-    });
-}
-
-/// Hand-rolled JSON for the arbiter run (same no-dependency schema
-/// style as [`frontend_json`]).
-fn arbiter_json(
-    ctx: &RunContext,
-    total: usize,
-    n_events: usize,
-    hot_share: f64,
-    static_ratio: f64,
-    adaptive_ratio: f64,
-    rows: &[(ArbiterEpoch, ArbiterEpoch)],
-) -> String {
-    let epochs: Vec<String> = rows
-        .iter()
-        .map(|(st, ad)| {
-            let priorities = ad.priorities.expect("adaptive rows carry priorities");
-            format!(
-                "    {{\n      \"epoch\": {},\n      \"hot\": {},\n      \
-                 \"static\": {{\"hits\": [{}, {}], \"serves\": [{}, {}]}},\n      \
-                 \"adaptive\": {{\"hits\": [{}, {}], \"serves\": [{}, {}], \
-                 \"grants\": [{}, {}], \"priorities\": [{:.6}, {:.6}], \"held\": {}}}\n    }}",
-                st.epoch,
-                ad.hot,
-                st.counts[0].0,
-                st.counts[1].0,
-                st.counts[0].1,
-                st.counts[1].1,
-                ad.counts[0].0,
-                ad.counts[1].0,
-                ad.counts[0].1,
-                ad.counts[1].1,
-                ad.grants[0],
-                ad.grants[1],
-                priorities[0],
-                priorities[1],
-                ad.held,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"arbiter\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
-         \"total_bytes\": {},\n  \"events\": {},\n  \"hot_share\": {:.2},\n  \
-         \"workload\": \"two-segment Zipf, 90/10 skew flipping at half-time\",\n  \
-         \"static_hit_ratio\": {:.6},\n  \"adaptive_hit_ratio\": {:.6},\n  \
-         \"epochs\": [\n{}\n  ]\n}}\n",
-        ctx.scale(),
-        ctx.seed,
-        total,
-        n_events,
-        hot_share,
-        static_ratio,
-        adaptive_ratio,
-        epochs.join(",\n")
-    )
-}
-
-/// One month-long wear run's observable outcome.
-struct WearRun {
-    serves: u64,
-    hits: u64,
-    /// Serves whose cache hit degraded to the radio on a corruption error.
-    shed: u64,
-    /// Nightly §5.4 cycles that returned a typed error.
-    update_failures: u64,
-    recovery: RecoveryStats,
-    summary: WearSummary,
-}
-
-impl WearRun {
-    fn hit_ratio(&self) -> f64 {
-        self.hits as f64 / self.serves.max(1) as f64
-    }
-
-    fn shed_ratio(&self) -> f64 {
-        self.shed as f64 / self.serves.max(1) as f64
-    }
-}
-
-/// Replays a month of §5.4 life — up to 40 served queries plus clicks a
-/// day, a sliding-window nightly patch, and an overnight corruption
-/// repair pass — on a device whose flash runs the given wear model and
-/// allocation policy. Deterministic in the inputs.
-fn wear_month(inputs: &StudyInputs, wear: Option<WearModel>, alloc: AllocPolicy) -> WearRun {
-    let mut engine = inputs.engine(PocketSearchConfig::default());
-    if let Some(wear) = wear {
-        engine.device_mut().flash_mut().set_wear(wear);
-    }
-    engine.device_mut().flash_mut().set_alloc_policy(alloc);
-
-    let days = inputs.replay_month.days();
-    let mut run = WearRun {
-        serves: 0,
-        hits: 0,
-        shed: 0,
-        update_failures: 0,
-        recovery: RecoveryStats::default(),
-        summary: WearSummary::default(),
-    };
-    for day in 0..days {
-        let today: Vec<LogEntry> = inputs
-            .replay_month
-            .iter()
-            .filter(|e| e.time.day == day)
-            .take(40)
-            .copied()
-            .collect();
-        for entry in &today {
-            let served = engine.serve(inputs.catalog.query_hash(entry.query));
-            run.serves += 1;
-            if served.hit {
-                run.hits += 1;
-            }
-            if served.degraded.as_ref().is_some_and(|e| e.is_corruption()) {
-                run.shed += 1;
-            }
-            engine.click(
-                inputs.catalog.query_hash(entry.query),
-                inputs.catalog.result_hash(entry.result),
-                || inputs.catalog.record(entry.result),
-            );
-        }
-
-        // Nightly patch against a 28-day sliding-window server (§6.2.2),
-        // the erase-heavy churn that wears blocks out.
-        let server = sliding_window_server(inputs, day, RankingPolicy::default());
-        if engine.nightly_update(&server, &inputs.catalog).is_err() {
-            run.update_failures += 1;
-        }
-        engine.recover_corrupted(&inputs.catalog);
-    }
-    run.recovery = engine.recovery_stats();
-    run.summary = engine.device().flash().wear_summary();
-    run
+    vec![
+        ("total_bytes", total.into()),
+        ("events", n_events.into()),
+        ("hot_share", Json::Fixed(HOT_SHARE, 2)),
+        (
+            "workload",
+            "two-segment Zipf, 90/10 skew flipping at half-time".into(),
+        ),
+        ("static_hit_ratio", Json::Fixed(static_ratio, 6)),
+        ("adaptive_hit_ratio", Json::Fixed(adaptive_ratio, 6)),
+        ("epochs", Json::Array(epoch_log)),
+    ]
 }
 
 /// §5.4 under failing NAND: sweep the safe-erase threshold (plus a
 /// wear-off control) across both allocation policies and report how hit
-/// ratio, corruption sheds, and re-fetch radio cost respond.
-fn wear_study(ctx: &RunContext) {
+/// ratio, corruption sheds, and re-fetch radio cost respond. Each run is
+/// one [`wear_month`]. Returns the sweep as `BENCH_wear.json`'s fields.
+fn wear_study(ctx: &RunContext) -> Fields {
     // Thresholds chosen around the observed month of churn (~40 max
-    // erases per block under leveling): `off` is the control, 24 grazes
-    // the tail, 12 puts most of the rotation pool past its safe life,
-    // and 6 is deep into degradation.
+    // erases per block under leveling): `None` is the wear-off control,
+    // 24 grazes the tail, 12 puts most of the rotation pool past its
+    // safe life, and 6 is deep into degradation.
     let thresholds: [Option<u64>; 4] = [None, Some(24), Some(12), Some(6)];
+    let bit_failure_every = 2u64;
     let policies: [(&str, AllocPolicy); 2] = [
         ("lowest-id", AllocPolicy::LowestId),
         ("least-worn", AllocPolicy::LeastWorn { spares: 16 }),
     ];
 
-    let mut rows: Vec<(String, String, WearRun)> = Vec::new();
+    let mut rows: Vec<(&str, Option<u64>, WearMonth)> = Vec::new();
     for (policy_name, policy) in policies {
         for threshold in thresholds {
             let wear = threshold.map(|safe_erase_cycles| WearModel {
                 enabled: true,
                 safe_erase_cycles,
-                bit_failure_every: 2,
+                bit_failure_every,
                 seed: ctx.seed,
             });
-            let run = wear_month(ctx.world(), wear, policy);
-            let label = threshold.map_or_else(|| "off".to_owned(), |t| t.to_string());
-            rows.push((policy_name.to_owned(), label, run));
+            rows.push((
+                policy_name,
+                threshold,
+                wear_month(ctx.world(), wear, policy),
+            ));
         }
     }
 
@@ -1207,19 +1028,57 @@ fn wear_study(ctx: &RunContext) {
             "erase spread",
         ],
     );
+    let mut runs = Vec::with_capacity(rows.len());
     for (policy, threshold, run) in &rows {
         table.row(&[
-            policy.clone(),
-            threshold.clone(),
+            (*policy).to_owned(),
+            threshold.map_or_else(|| "off".to_owned(), |t| t.to_string()),
             format!("{:.4}", run.hit_ratio()),
             format!("{:.4}", run.shed_ratio()),
             format!("{:.1}", run.recovery.refetch_bytes as f64 / 1_000.0),
             format!("{:.1}", run.recovery.refetch_energy.millijoules()),
-            run.update_failures.to_string(),
-            run.summary.worn_blocks.to_string(),
-            run.summary.stuck_bits.to_string(),
-            run.summary.erase_spread().to_string(),
+            run.update_errors.len().to_string(),
+            run.wear.worn_blocks.to_string(),
+            run.wear.stuck_bits.to_string(),
+            run.wear.erase_spread().to_string(),
         ]);
+        let recovery = &run.recovery;
+        runs.push(Json::Object(vec![
+            ("alloc", (*policy).into()),
+            ("safe_erase_cycles", (*threshold).into()),
+            ("serves", run.serves.into()),
+            ("hits", run.hits.into()),
+            ("hit_ratio", Json::Fixed(run.hit_ratio(), 6)),
+            ("shed", run.corrupt_degraded.into()),
+            ("shed_ratio", Json::Fixed(run.shed_ratio(), 6)),
+            ("update_failures", run.update_errors.len().into()),
+            (
+                "refetch",
+                Json::Object(vec![
+                    ("files", recovery.files_repaired.into()),
+                    ("records", recovery.records_refetched.into()),
+                    ("bytes", recovery.refetch_bytes.into()),
+                    (
+                        "time_ms",
+                        Json::Fixed(recovery.refetch_time.as_millis_f64(), 3),
+                    ),
+                    (
+                        "energy_mj",
+                        Json::Fixed(recovery.refetch_energy.millijoules(), 3),
+                    ),
+                ]),
+            ),
+            (
+                "wear",
+                Json::Object(vec![
+                    ("tracked_blocks", run.wear.tracked_blocks.into()),
+                    ("total_erases", run.wear.total_erases.into()),
+                    ("worn_blocks", run.wear.worn_blocks.into()),
+                    ("stuck_bits", run.wear.stuck_bits.into()),
+                    ("erase_spread", run.wear.erase_spread().into()),
+                ]),
+            ),
+        ]));
     }
     println!("{}", table.render());
     println!(
@@ -1232,15 +1091,15 @@ fn wear_study(ctx: &RunContext) {
     // The committed artifact is witness to two invariants: the wear-off
     // control never sheds, and every wear-on run kept serving hits.
     for (policy, threshold, run) in &rows {
-        if threshold == "off" {
-            assert_eq!(run.shed, 0, "wear off must not shed ({policy})");
+        if threshold.is_none() {
+            assert_eq!(run.corrupt_degraded, 0, "wear off must not shed ({policy})");
             assert_eq!(
                 run.recovery,
                 RecoveryStats::default(),
                 "wear off must not repair anything ({policy})"
             );
         }
-        assert!(run.hits > 0, "serving never stops ({policy}/{threshold})");
+        assert!(run.hits > 0, "serving never stops ({policy}/{threshold:?})");
     }
     // And the headline claim: at every wear-on threshold, wear-leveling
     // sheds no more and hits no less than naive lowest-id allocation.
@@ -1248,80 +1107,30 @@ fn wear_study(ctx: &RunContext) {
     for (naive, leveled) in rows[..half].iter().zip(&rows[half..]) {
         assert_eq!(naive.1, leveled.1, "rows pair up by threshold");
         assert!(
-            leveled.2.shed <= naive.2.shed && leveled.2.hit_ratio() >= naive.2.hit_ratio(),
-            "least-worn must dominate lowest-id at threshold {}",
+            leveled.2.corrupt_degraded <= naive.2.corrupt_degraded
+                && leveled.2.hit_ratio() >= naive.2.hit_ratio(),
+            "least-worn must dominate lowest-id at threshold {:?}",
             naive.1
         );
     }
 
-    ctx.write_out(|| wear_json(ctx, &rows));
+    vec![
+        (
+            "workload",
+            "month of daily serves+clicks with nightly sliding-window patches".into(),
+        ),
+        ("bit_failure_every", bit_failure_every.into()),
+        ("runs", Json::Array(runs)),
+    ]
 }
 
-/// Hand-rolled JSON for the wear sweep (same no-dependency schema style
-/// as [`frontend_json`]).
-fn wear_json(ctx: &RunContext, rows: &[(String, String, WearRun)]) -> String {
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|(policy, threshold, run)| {
-            format!(
-                "    {{\n      \"alloc\": \"{}\",\n      \"safe_erase_cycles\": {},\n      \
-                 \"serves\": {},\n      \"hits\": {},\n      \"hit_ratio\": {:.6},\n      \
-                 \"shed\": {},\n      \"shed_ratio\": {:.6},\n      \"update_failures\": {},\n      \
-                 \"refetch\": {{\"files\": {}, \"records\": {}, \"bytes\": {}, \
-                 \"time_ms\": {:.3}, \"energy_mj\": {:.3}}},\n      \
-                 \"wear\": {{\"tracked_blocks\": {}, \"total_erases\": {}, \"worn_blocks\": {}, \
-                 \"stuck_bits\": {}, \"erase_spread\": {}}}\n    }}",
-                policy,
-                threshold
-                    .parse::<u64>()
-                    .map_or_else(|_| "null".to_owned(), |t| t.to_string()),
-                run.serves,
-                run.hits,
-                run.hit_ratio(),
-                run.shed,
-                run.shed_ratio(),
-                run.update_failures,
-                run.recovery.files_repaired,
-                run.recovery.records_refetched,
-                run.recovery.refetch_bytes,
-                run.recovery.refetch_time.as_millis_f64(),
-                run.recovery.refetch_energy.millijoules(),
-                run.summary.tracked_blocks,
-                run.summary.total_erases,
-                run.summary.worn_blocks,
-                run.summary.stuck_bits,
-                run.summary.erase_spread(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"wear\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
-         \"workload\": \"month of daily serves+clicks with nightly sliding-window patches\",\n  \
-         \"bit_failure_every\": 2,\n  \"runs\": [\n{}\n  ]\n}}\n",
-        ctx.scale(),
-        ctx.seed,
-        entries.join(",\n")
-    )
-}
-
-/// One epoch of the population study's diurnal time series.
+/// One epoch of the population study's diurnal time series, as the
+/// phase table reads it.
 struct PopulationEpochRow {
-    epoch: u32,
-    hour: u16,
     phase: &'static str,
     /// The epoch's front-end totals (a telemetry delta).
     totals: LaneTotals,
     radio_energy_mj: f64,
-}
-
-impl PopulationEpochRow {
-    fn hit_ratio(&self) -> f64 {
-        self.totals.hits as f64 / self.totals.events.max(1) as f64
-    }
-
-    fn shed_ratio(&self) -> f64 {
-        self.totals.rejected as f64 / self.totals.events.max(1) as f64
-    }
 }
 
 /// Diurnal phase of an hour-of-day (the Carlsson & Eager load shape the
@@ -1377,8 +1186,9 @@ fn population_miss_energy_mj() -> f64 {
 /// and per-user state is a compact click delta — so resident memory
 /// scales with the population, not with the month of events, which the
 /// study asserts via the stream's peak-resident-entry counter and the
-/// lanes' live delta-byte telemetry.
-fn population_study(ctx: &RunContext) {
+/// lanes' live delta-byte telemetry. Returns the run as
+/// `BENCH_population.json`'s fields.
+fn population_study(ctx: &RunContext) -> Fields {
     let config = ctx.generator();
     let world = population_world(config, ctx.seed, 0.55);
 
@@ -1434,6 +1244,7 @@ fn population_study(ctx: &RunContext) {
         },
     );
     let mut rows: Vec<PopulationEpochRow> = Vec::with_capacity(usize::from(epochs_per_day));
+    let mut epochs = Vec::with_capacity(usize::from(epochs_per_day));
     let mut prev = frontend.telemetry().aggregate();
     for _ in 0..epochs_per_day {
         let Some(batch) = stream.next() else { break };
@@ -1447,13 +1258,26 @@ fn population_study(ctx: &RunContext) {
         }
         let cum = frontend.telemetry().aggregate();
         let totals = cum.delta_since(&prev);
-        rows.push(PopulationEpochRow {
-            epoch: batch.epoch,
-            hour: batch.epoch_of_day,
+        let row = PopulationEpochRow {
             phase: diurnal_phase(batch.epoch_of_day),
             totals,
             radio_energy_mj: totals.misses as f64 * miss_energy_mj,
-        });
+        };
+        let per_event = |count: u64| Json::Fixed(count as f64 / totals.events.max(1) as f64, 6);
+        epochs.push(Json::Object(vec![
+            ("epoch", batch.epoch.into()),
+            ("hour", batch.epoch_of_day.into()),
+            ("phase", row.phase.into()),
+            ("events", totals.events.into()),
+            ("hits", totals.hits.into()),
+            ("misses", totals.misses.into()),
+            ("shed", totals.rejected.into()),
+            ("hit_ratio", per_event(totals.hits)),
+            ("shed_ratio", per_event(totals.rejected)),
+            ("radio_bytes", totals.radio_bytes.into()),
+            ("radio_energy_mj", Json::Fixed(row.radio_energy_mj, 1)),
+        ]));
+        rows.push(row);
         prev = cum;
     }
 
@@ -1549,77 +1373,31 @@ fn population_study(ctx: &RunContext) {
     );
     assert!(delta_bytes > 0, "clicks must materialize deltas");
 
-    ctx.write_out(|| {
-        population_json(
-            ctx,
-            users,
-            lanes,
-            &rows,
-            hit_ratio,
-            [community_bytes, pair_bytes, delta_bytes],
-            peak_entries,
-            arbitrations,
-        )
-    });
-}
-
-/// Hand-rolled JSON for the population run (same no-dependency schema
-/// style as [`frontend_json`]).
-#[allow(clippy::too_many_arguments)]
-fn population_json(
-    ctx: &RunContext,
-    users: usize,
-    lanes: usize,
-    rows: &[PopulationEpochRow],
-    hit_ratio: f64,
-    [community_bytes, pair_bytes, delta_bytes]: [u64; 3],
-    peak_entries: usize,
-    arbitrations: u32,
-) -> String {
-    let epochs: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"epoch\": {},\n      \"hour\": {},\n      \"phase\": \
-                 \"{}\",\n      \"events\": {},\n      \"hits\": {},\n      \"misses\": \
-                 {},\n      \"shed\": {},\n      \"hit_ratio\": {:.6},\n      \"shed_ratio\": \
-                 {:.6},\n      \"radio_bytes\": {},\n      \"radio_energy_mj\": {:.1}\n    }}",
-                r.epoch,
-                r.hour,
-                r.phase,
-                r.totals.events,
-                r.totals.hits,
-                r.totals.misses,
-                r.totals.rejected,
-                r.hit_ratio(),
-                r.shed_ratio(),
-                r.totals.radio_bytes,
-                r.radio_energy_mj,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"population\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
-         \"users\": {},\n  \"lanes\": {},\n  \"epochs_per_day\": {},\n  \"hit_ratio\": \
-         {:.6},\n  \"arbitrations\": {},\n  \"residency\": {{\n    \"community_bytes\": \
-         {},\n    \"pair_table_bytes\": {},\n    \"personal_delta_bytes\": {},\n    \
-         \"delta_bytes_per_user\": {:.2},\n    \"peak_stream_entries\": {},\n    \
-         \"peak_stream_entries_per_user\": {:.3}\n  }},\n  \"epochs\": [\n{}\n  ]\n}}\n",
-        ctx.scale(),
-        ctx.seed,
-        users,
-        lanes,
-        rows.len(),
-        hit_ratio,
-        arbitrations,
-        community_bytes,
-        pair_bytes,
-        delta_bytes,
-        delta_bytes as f64 / users as f64,
-        peak_entries,
-        peak_entries as f64 / users as f64,
-        epochs.join(",\n")
-    )
+    vec![
+        ("users", users.into()),
+        ("lanes", lanes.into()),
+        ("epochs_per_day", epochs.len().into()),
+        ("hit_ratio", Json::Fixed(hit_ratio, 6)),
+        ("arbitrations", arbitrations.into()),
+        (
+            "residency",
+            Json::Object(vec![
+                ("community_bytes", community_bytes.into()),
+                ("pair_table_bytes", pair_bytes.into()),
+                ("personal_delta_bytes", delta_bytes.into()),
+                (
+                    "delta_bytes_per_user",
+                    Json::Fixed(delta_bytes as f64 / users as f64, 2),
+                ),
+                ("peak_stream_entries", peak_entries.into()),
+                (
+                    "peak_stream_entries_per_user",
+                    Json::Fixed(peak_entries as f64 / users as f64, 3),
+                ),
+            ]),
+        ),
+        ("epochs", Json::Array(epochs)),
+    ]
 }
 
 /// One arm of the peers sweep: a cell size × summary width point of one
@@ -1700,8 +1478,10 @@ fn peers_arm(
 /// per-user radio energy strictly below — the solo baseline's, a cell
 /// of one reproduces solo telemetry bit for bit, and every miss the
 /// baseline suffers but a pooled arm avoids is accounted for by
-/// exactly one peer serve.
-fn peers_study(ctx: &RunContext) {
+/// exactly one peer serve. Returns the sweep as `BENCH_peers.json`'s
+/// fields; its `cell_size` 1 arms are the solo baselines the pooled arms
+/// of the same skew are asserted against.
+fn peers_study(ctx: &RunContext) -> Fields {
     let world = population_world(ctx.generator(), ctx.seed, 0.55);
     let (devices, pool, per_device) = ctx.by_scale((24usize, 24usize, 400usize), (12, 8, 120));
     let cell_sweep = [2usize, 4, 8];
@@ -1750,7 +1530,7 @@ fn peers_study(ctx: &RunContext) {
             "peer mJ/user",
         ],
     );
-    let mut rows: Vec<PeersRow> = Vec::new();
+    let mut rows = Vec::new();
     for &skew in &skews {
         let workload = peer_cell_workload(&world, devices, pool, per_device, skew, ctx.seed);
         let baseline = peers_arm(
@@ -1802,6 +1582,8 @@ fn peers_study(ctx: &RunContext) {
             }
         }
         for row in &arms {
+            let radio_mj_per_user = row.radio_energy_mj / devices as f64;
+            let peer_mj_per_user = row.peer_energy_mj / devices as f64;
             table.row(&[
                 format!("{:.1}", row.skew),
                 row.bits.to_string(),
@@ -1809,11 +1591,29 @@ fn peers_study(ctx: &RunContext) {
                 format!("{:.4}", row.hit_ratio()),
                 row.fabric.peer_hits.to_string(),
                 row.fabric.false_positives.to_string(),
-                format!("{:.1}", row.radio_energy_mj / devices as f64),
-                format!("{:.2}", row.peer_energy_mj / devices as f64),
+                format!("{radio_mj_per_user:.1}"),
+                format!("{peer_mj_per_user:.2}"),
             ]);
+            rows.push(Json::Object(vec![
+                ("skew", Json::Fixed(row.skew, 2)),
+                ("summary_bits", row.bits.into()),
+                ("cell_size", row.cell.into()),
+                ("events", row.totals.events.into()),
+                ("hits", row.totals.hits.into()),
+                ("misses", row.totals.misses.into()),
+                ("hit_ratio", Json::Fixed(row.hit_ratio(), 6)),
+                ("peer_hits", row.fabric.peer_hits.into()),
+                ("consults", row.fabric.consults.into()),
+                ("false_positives", row.fabric.false_positives.into()),
+                ("radio_bytes", row.totals.radio_bytes.into()),
+                ("peer_bytes", row.totals.peer_bytes.into()),
+                (
+                    "radio_energy_mj_per_user",
+                    Json::Fixed(radio_mj_per_user, 3),
+                ),
+                ("peer_energy_mj_per_user", Json::Fixed(peer_mj_per_user, 3)),
+            ]));
         }
-        rows.extend(arms);
     }
     println!("{}", table.render());
     println!(
@@ -1822,57 +1622,14 @@ fn peers_study(ctx: &RunContext) {
          Bloom width, because a claimed key is verified against the peer's exact set.\n"
     );
 
-    ctx.write_out(|| peers_json(ctx, devices, pool, per_device, &rows));
-}
-
-/// Hand-rolled JSON for the peers sweep (same no-dependency schema
-/// style as [`frontend_json`]). `cell == 1` rows are the solo
-/// baselines the pooled arms of the same skew are asserted against.
-fn peers_json(
-    ctx: &RunContext,
-    devices: usize,
-    pool: usize,
-    per_device: usize,
-    rows: &[PeersRow],
-) -> String {
-    let arms: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"skew\": {:.2},\n      \"summary_bits\": {},\n      \
-                 \"cell_size\": {},\n      \"events\": {},\n      \"hits\": {},\n      \
-                 \"misses\": {},\n      \"hit_ratio\": {:.6},\n      \"peer_hits\": {},\n      \
-                 \"consults\": {},\n      \"false_positives\": {},\n      \
-                 \"radio_bytes\": {},\n      \"peer_bytes\": {},\n      \
-                 \"radio_energy_mj_per_user\": {:.3},\n      \
-                 \"peer_energy_mj_per_user\": {:.3}\n    }}",
-                r.skew,
-                r.bits,
-                r.cell,
-                r.totals.events,
-                r.totals.hits,
-                r.totals.misses,
-                r.hit_ratio(),
-                r.fabric.peer_hits,
-                r.fabric.consults,
-                r.fabric.false_positives,
-                r.totals.radio_bytes,
-                r.totals.peer_bytes,
-                r.radio_energy_mj / devices as f64,
-                r.peer_energy_mj / devices as f64,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"peers\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
-         \"devices\": {},\n  \"pool_per_device\": {},\n  \"requests_per_device\": {},\n  \
-         \"baseline\": \"cell_size 1 (solo; bit-identical to a fabric-free front-end)\",\n  \
-         \"arms\": [\n{}\n  ]\n}}\n",
-        ctx.scale(),
-        ctx.seed,
-        devices,
-        pool,
-        per_device,
-        arms.join(",\n")
-    )
+    vec![
+        ("devices", devices.into()),
+        ("pool_per_device", pool.into()),
+        ("requests_per_device", per_device.into()),
+        (
+            "baseline",
+            "cell_size 1 (solo; bit-identical to a fabric-free front-end)".into(),
+        ),
+        ("arms", Json::Array(rows)),
+    ]
 }

@@ -38,7 +38,7 @@ const SECTIONS: Sections = Sections {
     ids: &[
         "2", "4", "5", "7", "8", "11", "12", "15a", "15b", "16", "17", "18", "19", "daily",
     ],
-    takes_out: false,
+    out_ids: &[],
 };
 
 /// The three cache modes Figures 17–19 compare.

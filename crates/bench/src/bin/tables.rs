@@ -24,7 +24,7 @@ const SECTIONS: Sections = Sections {
     flag: "--table",
     noun: "table",
     ids: &["1", "2", "3", "4", "5", "6", "dedup"],
-    takes_out: false,
+    out_ids: &[],
 };
 
 fn main() -> ExitCode {

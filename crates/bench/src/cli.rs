@@ -3,6 +3,11 @@
 //! section ids included, before any section runs (the binaries exit 2 on
 //! its error), and [`RunContext::world`] builds the study world on first use,
 //! so one invocation builds it at most once.
+//!
+//! `--out <path>` is accepted only with exactly one section, and only when
+//! that section is one of [`Sections::out_ids`], the sections that write a
+//! JSON artifact; any other use exits 2 before any output and writes no
+//! file. [`RunContext::write_out`] writes the artifact.
 
 use std::cell::OnceCell;
 use std::path::Path;
@@ -11,6 +16,7 @@ use std::process::ExitCode;
 use pocketsearch::experiment::HitRateConfig;
 use querylog::generator::GeneratorConfig;
 
+use crate::json::{Fields, Json};
 use crate::workloads::{full_scale_study_inputs, test_scale_study_inputs, StudyInputs};
 
 /// The sections one report binary can run.
@@ -22,8 +28,10 @@ pub struct Sections {
     pub noun: &'static str,
     /// Every id, in the order `all` (or no section flag) runs them.
     pub ids: &'static [&'static str],
-    /// Whether `--out <path>` is accepted; it takes exactly one section.
-    pub takes_out: bool,
+    /// The ids that write a JSON artifact, the only ones `--out <path>`
+    /// accepts (one at a time). Empty when no section writes one, and
+    /// then `--out` is an unknown argument.
+    pub out_ids: &'static [&'static str],
 }
 
 /// One parsed invocation of a report binary, plus its lazily built world.
@@ -47,7 +55,7 @@ impl RunContext {
             let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
             match arg.as_str() {
                 flag if flag == sections.flag => ids.push(value()?),
-                "--out" if sections.takes_out => out = Some(value()?),
+                "--out" if !sections.out_ids.is_empty() => out = Some(value()?),
                 "--scale" => {
                     full_scale = match value()?.as_str() {
                         "full" => true,
@@ -87,6 +95,14 @@ impl RunContext {
                     ids.len()
                 ));
             }
+            if !sections.out_ids.contains(&ids[0].as_str()) {
+                return Err(format!(
+                    "--out: {} {:?} writes no artifact, expected one of: {}",
+                    sections.noun,
+                    ids[0],
+                    sections.out_ids.join(" ")
+                ));
+            }
             let dir = Path::new(path).parent().unwrap_or(Path::new(""));
             if !dir.as_os_str().is_empty() && !dir.is_dir() {
                 return Err(format!(
@@ -113,12 +129,19 @@ impl RunContext {
         })
     }
 
-    /// Writes `json()` to the `--out` path, if one was given, and names it.
-    /// A failed write names the path on stderr and exits the process
-    /// with code 1.
-    pub fn write_out(&self, json: impl FnOnce() -> String) {
+    /// Writes section `bench`'s artifact to the `--out` path, if one was
+    /// given, and names it: a JSON object of the `bench`/`scale`/`seed`
+    /// header followed by `fields`. A failed write names the path on
+    /// stderr and exits the process with code 1.
+    pub fn write_out(&self, bench: &str, fields: Fields) {
         if let Some(path) = &self.out {
-            if let Err(err) = std::fs::write(path, json()) {
+            let mut artifact = vec![
+                ("bench", bench.into()),
+                ("scale", self.scale().into()),
+                ("seed", self.seed.into()),
+            ];
+            artifact.extend(fields);
+            if let Err(err) = std::fs::write(path, Json::Object(artifact).render()) {
                 eprintln!("cannot write --out {path:?}: {err}");
                 std::process::exit(1);
             }

@@ -6,6 +6,7 @@
 //! paper's reported value next to the measured one, so a run reads as a
 //! reproduction report. [`cli`] is the three binaries' one command line
 //! and run context, which builds each run's study world at most once.
+//! [`json`] is the one writer of the `BENCH_*.json` artifacts.
 //! [`wallclock`] holds the workspace's one host timer.
 
 // The crate does not inherit the workspace lint table (see its
@@ -13,11 +14,13 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod json;
 pub mod render;
 pub mod wallclock;
 pub mod workloads;
 
 pub use cli::{RunContext, Sections};
+pub use json::{Fields, Json};
 pub use render::{ascii_chart, Table};
 pub use wallclock::{measure, Measurement};
 pub use workloads::{

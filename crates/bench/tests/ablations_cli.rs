@@ -41,6 +41,25 @@ fn out_with_more_than_one_study_exits_2_and_writes_nothing() {
 }
 
 #[test]
+fn out_with_a_study_that_writes_no_artifact_exits_2_and_writes_nothing() {
+    let out = std::env::temp_dir().join(format!("ablations-cli-none-{}.json", std::process::id()));
+    let out_arg = out.to_str().expect("utf-8 temp path");
+    for study in ["lambda", "fleet"] {
+        let (code, stdout, stderr) = run(
+            env!("CARGO_BIN_EXE_ablations"),
+            &["--study", study, "--scale", "test", "--out", out_arg],
+        );
+        assert_eq!(code, Some(2), "{study}: {stderr}");
+        assert!(stdout.is_empty(), "{study} printed {stdout:?}");
+        assert!(
+            stderr.contains(&format!("study \"{study}\" writes no artifact")),
+            "{stderr}"
+        );
+        assert!(!out.exists(), "{study} wrote {}", out.display());
+    }
+}
+
+#[test]
 fn unknown_study_exits_2() {
     let (code, stderr) = ablations(&["--study", "hotpath"]);
     assert_eq!(code, Some(2));

@@ -23,6 +23,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -258,6 +259,32 @@ impl WearSummary {
     }
 }
 
+/// One stored file: its bytes and the physical blocks backing them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct FlashFile {
+    data: Vec<u8>,
+    /// Physical blocks backing `data`, in logical order.
+    blocks: Vec<u64>,
+}
+
+impl FlashFile {
+    /// `[offset, offset + len)` as indices into `data`: the one bounds
+    /// check behind reads and in-place writes. `name` names the file in
+    /// the error.
+    fn range(&self, name: &str, offset: u64, len: u64) -> Result<Range<usize>, FlashError> {
+        let size = self.data.len() as u64;
+        match offset.checked_add(len) {
+            Some(end) if end <= size => Ok(offset as usize..end as usize),
+            _ => Err(FlashError::ReadPastEnd {
+                file: name.to_owned(),
+                size,
+                offset,
+                len,
+            }),
+        }
+    }
+}
+
 /// SplitMix64 finalizer: the deterministic hash behind stuck-bit draws.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -285,11 +312,9 @@ fn mix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlashStore {
     model: FlashModel,
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, FlashFile>,
     /// Wear state per physical block id.
     blocks: BTreeMap<u64, BlockState>,
-    /// Physical blocks backing each file, in logical order.
-    file_blocks: BTreeMap<String, Vec<u64>>,
     /// Blocks released by rewrites/removals, available for reuse.
     free: BTreeSet<u64>,
     /// Next never-used physical block id.
@@ -305,7 +330,6 @@ impl FlashStore {
             model,
             files: BTreeMap::new(),
             blocks: BTreeMap::new(),
-            file_blocks: BTreeMap::new(),
             free: BTreeSet::new(),
             next_block: 0,
             total_erases: 0,
@@ -334,19 +358,19 @@ impl FlashStore {
 
     /// Logical size of a file, if it exists.
     pub fn file_size(&self, name: &str) -> Option<u64> {
-        self.files.get(name).map(|d| d.len() as u64)
+        self.files.get(name).map(|f| f.data.len() as u64)
     }
 
     /// Sum of logical file sizes.
     pub fn logical_bytes(&self) -> u64 {
-        self.files.values().map(|d| d.len() as u64).sum()
+        self.files.values().map(|f| f.data.len() as u64).sum()
     }
 
     /// Sum of block-rounded file sizes (what the flash actually loses).
     pub fn allocated_bytes(&self) -> u64 {
         self.files
             .values()
-            .map(|d| self.model.allocated_bytes(d.len() as u64))
+            .map(|f| self.model.allocated_bytes(f.data.len() as u64))
             .sum()
     }
 
@@ -378,7 +402,7 @@ impl FlashStore {
 
     /// Physical blocks backing a file, in logical order.
     pub fn file_block_ids(&self, name: &str) -> Option<&[u64]> {
-        self.file_blocks.get(name).map(Vec::as_slice)
+        self.files.get(name).map(|f| f.blocks.as_slice())
     }
 
     /// Per-block wear telemetry: `(block id, erase cycles, stuck bits)`.
@@ -482,21 +506,13 @@ impl FlashStore {
         block
     }
 
-    /// Returns a file's blocks to the free pool (no erase: blocks are
-    /// erased when next programmed).
-    fn release_blocks(&mut self, name: &str) {
-        if let Some(ids) = self.file_blocks.remove(name) {
-            self.free.extend(ids);
-        }
-    }
-
     /// Physical block ids covering the byte range `[offset, offset+len)`
     /// of a file.
     fn blocks_in_range(&self, name: &str, offset: u64, len: u64) -> Vec<u64> {
         if len == 0 {
             return Vec::new();
         }
-        let Some(ids) = self.file_blocks.get(name) else {
+        let Some(file) = self.files.get(name) else {
             return Vec::new();
         };
         let block_bytes = self.model.block_bytes.max(1);
@@ -504,22 +520,19 @@ impl FlashStore {
         let last = offset.saturating_add(len - 1) / block_bytes;
         (first..=last)
             .filter_map(|i| usize::try_from(i).ok())
-            .filter_map(|i| ids.get(i).copied())
+            .filter_map(|i| file.blocks.get(i).copied())
             .collect()
     }
 
-    /// What a read of `stored` (the file's bytes at `offset`) returns:
-    /// the stored bytes, borrowed, unless a stuck bit from a worn block
-    /// lies in the range — then an owned copy with every such bit
-    /// overlaid. Always borrowed unless wear injection is enabled.
-    fn overlay_stuck_bits<'a>(&self, name: &str, offset: u64, stored: &'a [u8]) -> Cow<'a, [u8]> {
+    /// What a read of `stored` (the bytes at `offset` of the file backed
+    /// by `ids`) returns: the stored bytes, borrowed, unless a stuck bit
+    /// from a worn block lies in the range — then an owned copy with every
+    /// such bit overlaid. Always borrowed unless wear injection is enabled.
+    fn overlay_stuck_bits<'a>(&self, ids: &[u64], offset: u64, stored: &'a [u8]) -> Cow<'a, [u8]> {
         let mut data = Cow::Borrowed(stored);
         if !self.model.wear.enabled || stored.is_empty() {
             return data;
         }
-        let Some(ids) = self.file_blocks.get(name) else {
-            return data;
-        };
         let block_bytes = self.model.block_bytes.max(1);
         let len = stored.len() as u64;
         let first = offset / block_bytes;
@@ -558,11 +571,10 @@ impl FlashStore {
     pub fn write_file(&mut self, name: impl Into<String>, data: Vec<u8>) -> SimDuration {
         let name = name.into();
         let pages = self.model.pages_touched(0, data.len() as u64);
-        self.release_blocks(&name);
+        self.remove(&name);
         let needed = self.blocks_needed(data.len() as u64);
-        let ids: Vec<u64> = (0..needed).map(|_| self.allocate_block()).collect();
-        self.file_blocks.insert(name.clone(), ids);
-        self.files.insert(name, data);
+        let blocks = (0..needed).map(|_| self.allocate_block()).collect();
+        self.files.insert(name, FlashFile { data, blocks });
         self.model.program_page * pages
     }
 
@@ -573,21 +585,15 @@ impl FlashStore {
     /// tail of the last block costs no erase (NAND programs erased cells
     /// directly).
     pub fn append(&mut self, name: &str, data: &[u8]) -> (u64, SimDuration) {
-        let file = self.files.entry(name.to_owned()).or_default();
-        let offset = file.len() as u64;
-        file.extend_from_slice(data);
-        let new_len = file.len() as u64;
-        let pages = self.model.pages_touched(offset, data.len() as u64);
-        let needed = self.blocks_needed(new_len);
-        let have = self.file_blocks.get(name).map_or(0, Vec::len) as u64;
-        for _ in have..needed {
-            let block = self.allocate_block();
-            self.file_blocks
-                .entry(name.to_owned())
-                .or_default()
-                .push(block);
+        let mut file = self.files.remove(name).unwrap_or_default();
+        let offset = file.data.len() as u64;
+        file.data.extend_from_slice(data);
+        let needed = self.blocks_needed(file.data.len() as u64);
+        while (file.blocks.len() as u64) < needed {
+            file.blocks.push(self.allocate_block());
         }
-        self.file_blocks.entry(name.to_owned()).or_default();
+        self.files.insert(name.to_owned(), file);
+        let pages = self.model.pages_touched(offset, data.len() as u64);
         (offset, self.model.program_page * pages)
     }
 
@@ -606,29 +612,13 @@ impl FlashStore {
         offset: u64,
         data: &[u8],
     ) -> Result<SimDuration, FlashError> {
-        let model = self.model;
-        let file = self
-            .files
-            .get_mut(name)
-            .ok_or_else(|| FlashError::FileNotFound(name.to_owned()))?;
-        let size = file.len() as u64;
-        let len = data.len() as u64;
-        let end = match offset.checked_add(len) {
-            Some(end) if end <= size => end,
-            _ => {
-                return Err(FlashError::ReadPastEnd {
-                    file: name.to_owned(),
-                    size,
-                    offset,
-                    len,
-                })
-            }
-        };
-        file[offset as usize..end as usize].copy_from_slice(data);
-        for block in self.blocks_in_range(name, offset, len) {
+        let time = self.program_range(name, offset, data, |cells, new| {
+            cells.copy_from_slice(new);
+        })?;
+        for block in self.blocks_in_range(name, offset, data.len() as u64) {
             self.record_erase(block);
         }
-        Ok(model.program_page * model.pages_touched(offset, len))
+        Ok(time)
     }
 
     /// Programs bytes at `offset` without an erase: NAND programming can
@@ -646,28 +636,30 @@ impl FlashStore {
         offset: u64,
         data: &[u8],
     ) -> Result<SimDuration, FlashError> {
-        let model = self.model;
+        self.program_range(name, offset, data, |cells, new| {
+            for (cell, programmed) in cells.iter_mut().zip(new) {
+                *cell &= programmed;
+            }
+        })
+    }
+
+    /// Writes `data` over the stored bytes at `offset` with `write` (no
+    /// erase accounting), returning the program time of the pages touched.
+    fn program_range(
+        &mut self,
+        name: &str,
+        offset: u64,
+        data: &[u8],
+        write: impl FnOnce(&mut [u8], &[u8]),
+    ) -> Result<SimDuration, FlashError> {
         let file = self
             .files
             .get_mut(name)
             .ok_or_else(|| FlashError::FileNotFound(name.to_owned()))?;
-        let size = file.len() as u64;
         let len = data.len() as u64;
-        let end = match offset.checked_add(len) {
-            Some(end) if end <= size => end,
-            _ => {
-                return Err(FlashError::ReadPastEnd {
-                    file: name.to_owned(),
-                    size,
-                    offset,
-                    len,
-                })
-            }
-        };
-        for (cell, programmed) in file[offset as usize..end as usize].iter_mut().zip(data) {
-            *cell &= programmed;
-        }
-        Ok(model.program_page * model.pages_touched(offset, len))
+        let range = file.range(name, offset, len)?;
+        write(&mut file.data[range], data);
+        Ok(self.model.program_page * self.model.pages_touched(offset, len))
     }
 
     /// Reads `len` bytes at `offset`, charging page-granular read time.
@@ -688,19 +680,8 @@ impl FlashStore {
             .files
             .get(name)
             .ok_or_else(|| FlashError::FileNotFound(name.to_owned()))?;
-        let size = file.len() as u64;
-        let end = match offset.checked_add(len) {
-            Some(end) if end <= size => end,
-            _ => {
-                return Err(FlashError::ReadPastEnd {
-                    file: name.to_owned(),
-                    size,
-                    offset,
-                    len,
-                })
-            }
-        };
-        let data = self.overlay_stuck_bits(name, offset, &file[offset as usize..end as usize]);
+        let range = file.range(name, offset, len)?;
+        let data = self.overlay_stuck_bits(&file.blocks, offset, &file.data[range]);
         let time = self.model.read_page * self.model.pages_touched(offset, len);
         Ok(TimedRead { data, time })
     }
@@ -708,8 +689,13 @@ impl FlashStore {
     /// Removes a file, returning whether it existed. Its blocks return to
     /// the free pool without an erase.
     pub fn remove(&mut self, name: &str) -> bool {
-        self.release_blocks(name);
-        self.files.remove(name).is_some()
+        match self.files.remove(name) {
+            Some(file) => {
+                self.free.extend(file.blocks);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -813,9 +799,10 @@ mod tests {
     /// overlay every stuck bit of the file's blocks that lands in it.
     /// Returns the bytes and whether any stuck bit landed.
     fn copying_read(fs: &FlashStore, name: &str, offset: u64, len: u64) -> (Vec<u8>, bool) {
-        let mut data = fs.files[name][offset as usize..(offset + len) as usize].to_vec();
+        let file = &fs.files[name];
+        let mut data = file.data[offset as usize..(offset + len) as usize].to_vec();
         let mut stuck_in_range = false;
-        for (index, id) in fs.file_blocks[name].iter().enumerate() {
+        for (index, id) in file.blocks.iter().enumerate() {
             for bit in fs.blocks.get(id).map_or(&[][..], |s| &s.stuck) {
                 let position = index as u64 * fs.model.block_bytes + u64::from(bit.offset);
                 if (offset..offset + len).contains(&position) {

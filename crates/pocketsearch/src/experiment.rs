@@ -18,6 +18,9 @@
 //! * [`sliding_window_server`] — the §6.2.2 nightly update server, mined
 //!   from a month-long window sliding from the build month into the
 //!   replay month.
+//! * [`wear_month`] — a month of §5.4 device life (serves, clicks, the
+//!   nightly sliding-window update and the overnight corruption repair)
+//!   on flash running a given wear model and allocation policy.
 
 use std::sync::Arc;
 
@@ -28,6 +31,7 @@ use cloudlet_core::ranking::RankingPolicy;
 use cloudlet_core::update::UpdateServer;
 use flashdb::ResultRecord;
 use mobsim::device::Device;
+use mobsim::flash::{AllocPolicy, WearModel, WearSummary};
 use mobsim::power::Energy;
 use mobsim::radio::RadioKind;
 use mobsim::time::SimDuration;
@@ -40,7 +44,7 @@ use querylog::users::UserClass;
 use serde::{Deserialize, Serialize};
 
 use crate::config::PocketSearchConfig;
-use crate::engine::{Catalog, PocketSearch};
+use crate::engine::{Catalog, EngineError, PocketSearch, RecoveryStats};
 use crate::replay::{replay_population, ClassSummary};
 
 /// One bar of Figure 15: a service path with its time and energy.
@@ -300,6 +304,104 @@ pub fn sliding_window_server(
         },
     );
     UpdateServer::from_contents(&contents, ranking)
+}
+
+/// Everything observable about one [`wear_month`] run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WearMonth {
+    /// Queries served.
+    pub serves: u64,
+    /// Serves answered from the cache.
+    pub hits: u64,
+    /// Serves whose cache hit degraded to the radio on a typed database
+    /// error.
+    pub degraded: u64,
+    /// The subset of `degraded` carrying a corruption error (not a
+    /// consistency miss like `NotFound` after a failed patch).
+    pub corrupt_degraded: u64,
+    /// The error of each nightly §5.4 cycle that failed, in night order.
+    /// The engine stays usable after each one.
+    pub update_errors: Vec<EngineError>,
+    /// The engine's corruption-recovery telemetry at month end.
+    pub recovery: RecoveryStats,
+    /// The flash wear telemetry at month end.
+    pub wear: WearSummary,
+    /// Simulated time the engine spent over the month.
+    pub elapsed: SimDuration,
+    /// Energy the engine spent over the month.
+    pub energy: Energy,
+}
+
+impl WearMonth {
+    /// Hits per serve.
+    pub fn hit_ratio(&self) -> f64 {
+        self.hits as f64 / self.serves.max(1) as f64
+    }
+
+    /// Corruption-degraded serves per serve.
+    pub fn shed_ratio(&self) -> f64 {
+        self.corrupt_degraded as f64 / self.serves.max(1) as f64
+    }
+}
+
+/// Replays a month of §5.4 life on a device whose flash runs `wear` (the
+/// store's default when `None`) and `alloc`. Each replay day serves (at
+/// most 40) logged queries and records their clicks (inserting novel
+/// records, the erase-heavy write path), then runs the nightly update
+/// against [`sliding_window_server`], the churn that rewrites database
+/// files in place, and finally re-fetches any file a serve flagged as
+/// corrupt. Deterministic in the inputs.
+pub fn wear_month(inputs: &StudyInputs, wear: Option<WearModel>, alloc: AllocPolicy) -> WearMonth {
+    let catalog = &inputs.catalog;
+    let mut engine = inputs.engine(PocketSearchConfig::default());
+    if let Some(wear) = wear {
+        engine.device_mut().flash_mut().set_wear(wear);
+    }
+    engine.device_mut().flash_mut().set_alloc_policy(alloc);
+
+    let (mut serves, mut hits, mut degraded, mut corrupt_degraded) = (0, 0, 0, 0);
+    let mut update_errors = Vec::new();
+    for day in 0..inputs.replay_month.days() {
+        let today = inputs
+            .replay_month
+            .iter()
+            .filter(|e| e.time.day == day)
+            .take(40);
+        for entry in today {
+            let served = engine.serve(catalog.query_hash(entry.query));
+            serves += 1;
+            if served.hit {
+                hits += 1;
+            }
+            if let Some(e) = &served.degraded {
+                degraded += 1;
+                if e.is_corruption() {
+                    corrupt_degraded += 1;
+                }
+            }
+            engine.click(
+                catalog.query_hash(entry.query),
+                catalog.result_hash(entry.result),
+                || catalog.record(entry.result),
+            );
+        }
+        let server = sliding_window_server(inputs, day, RankingPolicy::default());
+        if let Err(e) = engine.nightly_update(&server, catalog) {
+            update_errors.push(e);
+        }
+        engine.recover_corrupted(catalog);
+    }
+    WearMonth {
+        serves,
+        hits,
+        degraded,
+        corrupt_degraded,
+        update_errors,
+        recovery: engine.recovery_stats(),
+        wear: engine.device().flash().wear_summary(),
+        elapsed: engine.elapsed(),
+        energy: engine.energy(),
+    }
 }
 
 /// Picks up to `per_class` user streams per Table 6 class from a replay

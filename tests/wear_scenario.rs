@@ -7,110 +7,26 @@
 //! behavior.
 
 use pocket_cloudlets::mobsim::flash::{AllocPolicy, WearModel};
-use pocket_cloudlets::mobsim::power::Energy;
 use pocket_cloudlets::pocketsearch::engine::EngineError;
-use pocket_cloudlets::pocketsearch::experiment::sliding_window_server;
+use pocket_cloudlets::pocketsearch::experiment::{wear_month, WearMonth};
 use pocket_cloudlets::pocketsearch::RecoveryStats;
 use pocket_cloudlets::prelude::*;
-use pocket_cloudlets::querylog::log::LogEntry;
 
-/// Everything observable about one month-long run; compared wholesale
-/// (including simulated time and energy) for the bit-identical control.
-#[derive(Debug, Clone, PartialEq)]
-struct MonthOutcome {
-    serves: u64,
-    hits: u64,
-    /// Serves whose cache hit degraded to the radio on a typed `DbError`.
-    degraded: u64,
-    /// The subset of `degraded` carrying a corruption error (not a
-    /// consistency miss like `NotFound` after a failed patch).
-    corrupt_degraded: u64,
-    /// Nightly §5.4 cycles that returned a typed error instead of
-    /// completing. The engine must stay usable after each one.
-    update_failures: u64,
-    recovery: RecoveryStats,
-    elapsed: SimDuration,
-    energy: Energy,
-}
-
-impl MonthOutcome {
-    fn hit_ratio(&self) -> f64 {
-        self.hits as f64 / self.serves.max(1) as f64
-    }
-}
-
-/// Runs the month: each day serves (at most 40) logged queries, records
-/// the clicks (inserting novel records, the erase-heavy write path), runs
-/// the nightly update against a §6.2.2-style sliding-window server, and
-/// lets the engine re-fetch any file a serve flagged as corrupt.
-fn run_month(wear: Option<WearModel>, alloc: AllocPolicy) -> MonthOutcome {
+/// Runs the test-scale month (see [`wear_month`]) and checks that every
+/// nightly failure is a typed database error: worn media can fail a patch
+/// mid-rebuild, but never with a panic or a cache-layer error. The
+/// outcome is compared wholesale (including simulated time and energy)
+/// for the bit-identical control.
+fn run_month(wear: Option<WearModel>, alloc: AllocPolicy) -> WearMonth {
     let world = StudyInputs::build(GeneratorConfig::test_scale(), 2011, 0.55);
-    let (replay_month, catalog) = (&world.replay_month, &world.catalog);
-    let mut engine = PocketSearch::build(&world.contents, catalog, PocketSearchConfig::default());
-    if let Some(wear) = wear {
-        engine.device_mut().flash_mut().set_wear(wear);
+    let month = wear_month(&world, wear, alloc);
+    for e in &month.update_errors {
+        assert!(
+            matches!(e, EngineError::Db(_)),
+            "nightly failure must come from the database layer: {e}"
+        );
     }
-    engine.device_mut().flash_mut().set_alloc_policy(alloc);
-
-    let days = replay_month.days();
-    let mut out = MonthOutcome {
-        serves: 0,
-        hits: 0,
-        degraded: 0,
-        corrupt_degraded: 0,
-        update_failures: 0,
-        recovery: RecoveryStats::default(),
-        elapsed: SimDuration::ZERO,
-        energy: Energy::ZERO,
-    };
-    for day in 0..days {
-        let today: Vec<LogEntry> = replay_month
-            .iter()
-            .filter(|e| e.time.day == day)
-            .take(40)
-            .copied()
-            .collect();
-        for entry in &today {
-            let served = engine.serve(catalog.query_hash(entry.query));
-            out.serves += 1;
-            if served.hit {
-                out.hits += 1;
-            }
-            if let Some(e) = &served.degraded {
-                out.degraded += 1;
-                if e.is_corruption() {
-                    out.corrupt_degraded += 1;
-                }
-            }
-            engine.click(
-                catalog.query_hash(entry.query),
-                catalog.result_hash(entry.result),
-                || catalog.record(entry.result),
-            );
-        }
-
-        // Nightly §5.4 cycle against a 28-day sliding-window server, the
-        // churn that rewrites database files in place (§6.2.2).
-        let server = sliding_window_server(&world, day, RankingPolicy::default());
-        match engine.nightly_update(&server, catalog) {
-            Ok(_) => {}
-            Err(e) => {
-                // Worn media can fail a patch mid-rebuild; the failure
-                // must be a typed database error, never a panic.
-                assert!(
-                    matches!(e, EngineError::Db(_)),
-                    "nightly failure must come from the database layer: {e}"
-                );
-                out.update_failures += 1;
-            }
-        }
-        // Overnight repair: re-fetch whatever today's serves flagged.
-        engine.recover_corrupted(catalog);
-    }
-    out.recovery = engine.recovery_stats();
-    out.elapsed = engine.elapsed();
-    out.energy = engine.energy();
-    out
+    month
 }
 
 /// A wear model aggressive enough that a month of daily churn pushes
@@ -136,7 +52,7 @@ fn month_under_wear_degrades_gracefully_and_keeps_serving() {
 
     // The control month never sees corruption.
     assert_eq!(control.degraded, 0);
-    assert_eq!(control.update_failures, 0);
+    assert!(control.update_errors.is_empty());
     assert_eq!(control.recovery, RecoveryStats::default());
 
     // The worn month hits corruption — and survives it. Reaching this
