@@ -200,16 +200,13 @@ impl FrozenTable {
         }
     }
 
-    /// All results linked to a query, best score first, or `None` on a
-    /// cache miss — bit-identical to [`QueryHashTable::lookup`] over the
-    /// imaged table, `accessed` bits included.
-    pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
-        let mut out = Vec::new();
+    /// Feeds every result linked to `query_hash` to `f`, in chain order.
+    fn each_result(&self, query_hash: u64, mut f: impl FnMut(ScoredResult)) {
         let mut salt = 0u32;
         while let Some((last, bucket)) = self.find(query_hash, salt) {
             for i in 0..SLOTS_PER_ENTRY {
                 if bucket.present & (1 << i) != 0 {
-                    out.push(ScoredResult {
+                    f(ScoredResult {
                         result_hash: bucket.result_hashes[i],
                         score: bucket.scores[i],
                         accessed: bucket.flags & (1 << i) != 0,
@@ -221,11 +218,38 @@ impl FrozenTable {
             }
             salt += 1;
         }
+    }
+
+    /// All results linked to a query, best score first, or `None` on a
+    /// cache miss — bit-identical to [`QueryHashTable::lookup`] over the
+    /// imaged table, `accessed` bits included.
+    pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
+        let mut out = Vec::new();
+        self.each_result(query_hash, |r| out.push(r));
         if out.is_empty() {
             return None;
         }
         out.sort_by(ScoredResult::rank_order);
         Some(out)
+    }
+
+    /// The first two results [`lookup`](Self::lookup) returns — the
+    /// best, and the runner-up when there is one — or `None` on a miss.
+    /// One pass over the chain in [`ScoredResult::rank_order`], with no
+    /// allocation and no sort: what a hit that displays two results
+    /// needs.
+    pub fn top_two(&self, query_hash: u64) -> Option<(ScoredResult, Option<ScoredResult>)> {
+        let mut top: Option<(ScoredResult, Option<ScoredResult>)> = None;
+        self.each_result(query_hash, |r| {
+            let ahead = |other: &ScoredResult| ScoredResult::rank_order(&r, other).is_lt();
+            top = Some(match top {
+                None => (r, None),
+                Some((best, _)) if ahead(&best) => (r, Some(best)),
+                Some((best, second)) if second.as_ref().is_none_or(ahead) => (best, Some(r)),
+                Some(kept) => kept,
+            });
+        });
+        top
     }
 
     /// Whether the index holds any result for `query_hash`.
@@ -285,6 +309,13 @@ mod tests {
             assert_eq!(index.footprint_bytes(), table.footprint_bytes());
             for q in 0..queries + 5 {
                 assert_eq!(index.lookup(q), table.lookup(q), "query {q}");
+                assert_eq!(
+                    index.top_two(q).map(|(a, b)| [Some(a), b]),
+                    table
+                        .lookup(q)
+                        .map(|rs| [rs.first().copied(), rs.get(1).copied()]),
+                    "query {q}"
+                );
                 assert_eq!(index.contains_query(q), table.contains_query(q));
             }
         }

@@ -84,6 +84,12 @@ impl ShardedTable {
         self.shards[self.shard_of(query_hash)].lookup(query_hash)
     }
 
+    /// The first two results of [`lookup`](Self::lookup), without
+    /// allocating: [`FrozenTable::top_two`] on the owning shard.
+    pub fn top_two(&self, query_hash: u64) -> Option<(ScoredResult, Option<ScoredResult>)> {
+        self.shards[self.shard_of(query_hash)].top_two(query_hash)
+    }
+
     /// Total cached (query, result) pairs across shards.
     pub fn pair_count(&self) -> usize {
         self.shards.iter().map(FrozenTable::pair_count).sum()

@@ -58,7 +58,7 @@ pub fn wear_report(db: &ResultDb, flash: &FlashStore) -> DbWearReport {
                 file: i,
                 ..FileWear::default()
             };
-            let ids = flash.file_block_ids(&db.file_name_of(i)).unwrap_or(&[]);
+            let ids = flash.file_block_ids(db.file_id(i)).unwrap_or(&[]);
             wear.blocks = ids.len();
             for id in ids {
                 let (cycles, stuck) = per_block.get(id).copied().unwrap_or((0, 0));
@@ -116,7 +116,7 @@ mod tests {
     use super::*;
     use crate::db::DbConfig;
     use crate::record::ResultRecord;
-    use mobsim::flash::{AllocPolicy, FlashModel};
+    use mobsim::flash::{AllocPolicy, FileId, FlashError, FlashModel};
 
     fn record(hash: u64) -> ResultRecord {
         ResultRecord::new(hash, format!("T{hash}"), format!("u{hash}.com"), "s")
@@ -152,8 +152,8 @@ mod tests {
     #[test]
     fn rotation_migrates_files_off_worn_blocks_under_least_worn() {
         let (mut db, mut flash) = build(AllocPolicy::LeastWorn { spares: 8 });
-        let name = db.file_name_of(0);
-        let old_blocks: Vec<u64> = flash.file_block_ids(&name).unwrap().to_vec();
+        let file = db.file_id(0);
+        let old_blocks: Vec<u64> = flash.file_block_ids(file).unwrap().to_vec();
         for &b in &old_blocks {
             flash.age_block(b, 50);
         }
@@ -161,7 +161,7 @@ mod tests {
         let report = rotate_worn_files(&mut db, &mut flash, 25).unwrap();
         assert_eq!(report.rotated, vec![0]);
         assert!(report.flash_time > SimDuration::ZERO);
-        let new_blocks = flash.file_block_ids(&name).unwrap();
+        let new_blocks = flash.file_block_ids(file).unwrap();
         assert!(
             new_blocks.iter().all(|b| !old_blocks.contains(b)),
             "least-worn allocation moved the file: {old_blocks:?} -> {new_blocks:?}"
@@ -180,5 +180,47 @@ mod tests {
         let (mut db, mut flash) = build(AllocPolicy::LowestId);
         let report = rotate_worn_files(&mut db, &mut flash, 1_000).unwrap();
         assert_eq!(report, RotationReport::default());
+    }
+
+    #[test]
+    fn file_ids_survive_rewrite_restore_and_rotation() {
+        let (mut db, mut flash) = build(AllocPolicy::LeastWorn { spares: 8 });
+        let ids: Vec<FileId> = (0..4).map(|i| db.file_id(i)).collect();
+        let same_handles = |db: &ResultDb, flash: &FlashStore| {
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(db.file_id(i), id);
+                assert_eq!(flash.file_name(id), format!("psdb-{i:03}"));
+            }
+            assert_eq!(flash.files().map(|(id, _)| id).collect::<Vec<_>>(), ids);
+        };
+
+        db.rewrite_file(1, &mut flash).unwrap();
+        same_handles(&db, &flash);
+        db.restore_file(2, (0..12).map(record), &mut flash);
+        same_handles(&db, &flash);
+        for b in flash.file_block_ids(ids[0]).unwrap().to_vec() {
+            flash.age_block(b, 50);
+        }
+        assert_eq!(
+            rotate_worn_files(&mut db, &mut flash, 25).unwrap().rotated,
+            vec![0]
+        );
+        same_handles(&db, &flash);
+        for h in 0..12 {
+            assert_eq!(db.get(h, &flash).unwrap().0, record(h));
+        }
+
+        // A removed file's handle names it and reads nothing else.
+        assert!(flash.remove(ids[3]));
+        assert_eq!(
+            db.get(3, &flash),
+            Err(DbError::Flash(FlashError::FileNotFound(
+                "psdb-003".to_owned()
+            )))
+        );
+        assert_eq!(db.get(2, &flash).unwrap().0, record(2));
+        db.restore_file(3, (0..12).map(record), &mut flash);
+        assert_eq!(db.file_id(3), ids[3]);
+        assert_eq!(db.get(3, &flash).unwrap().0, record(3));
     }
 }

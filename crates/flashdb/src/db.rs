@@ -4,11 +4,11 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use bytes::{Buf, BufMut, BytesMut};
-use mobsim::flash::{FlashError, FlashStore};
+use mobsim::flash::{FileId, FlashError, FlashStore};
 use mobsim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::record::{DecodeError, ResultRecord};
+use crate::record::{DecodeError, RecordView, ResultRecord};
 
 /// Bytes of one header index entry: a 64-bit hash and a 32-bit offset.
 const HEADER_ENTRY_BYTES: u64 = 12;
@@ -77,6 +77,15 @@ pub enum DbError {
         /// The record whose bytes were short.
         result_hash: u64,
     },
+    /// The bytes at a record's slot decoded to a good record with
+    /// another hash: a stale or aliased offset, or a file rewritten
+    /// behind the mirror's back.
+    WrongRecord {
+        /// The hash that was asked for.
+        result_hash: u64,
+        /// The hash of the record found in its place.
+        found: u64,
+    },
 }
 
 impl DbError {
@@ -103,6 +112,10 @@ impl std::fmt::Display for DbError {
             DbError::TruncatedRecord { result_hash } => {
                 write!(f, "truncated record for hash {result_hash:#018x}")
             }
+            DbError::WrongRecord { result_hash, found } => write!(
+                f,
+                "the slot for hash {result_hash:#018x} holds the record of {found:#018x}"
+            ),
         }
     }
 }
@@ -174,9 +187,9 @@ impl FileState {
 pub struct ResultDb {
     config: DbConfig,
     files: Vec<FileState>,
-    /// On-flash name of each file (`psdb-NNN`), formatted once at build
-    /// so that no read formats one.
-    names: Vec<String>,
+    /// Flash handle of each file (named `psdb-NNN`), created once at
+    /// build so that no read looks up a name.
+    ids: Vec<FileId>,
 }
 
 impl ResultDb {
@@ -199,11 +212,9 @@ impl ResultDb {
                 buckets[(hash % config.n_files as u64) as usize].push(r);
             }
         }
-        let names: Vec<String> = (0..config.n_files)
-            .map(|i| format!("psdb-{i:03}"))
-            .collect();
         let mut files = Vec::with_capacity(config.n_files);
-        for (bucket, name) in buckets.into_iter().zip(&names) {
+        let mut ids = Vec::with_capacity(config.n_files);
+        for (i, bucket) in buckets.into_iter().enumerate() {
             let capacity = bucket
                 .len()
                 .saturating_mul(2)
@@ -215,14 +226,12 @@ impl ResultDb {
                 dead_bytes: 0,
             };
             let bytes = Self::serialize_file(&bucket, capacity, &mut state);
-            flash.write_file(name.clone(), bytes);
+            let id = flash.create(&format!("psdb-{i:03}"));
+            flash.write_file(id, bytes);
             files.push(state);
+            ids.push(id);
         }
-        ResultDb {
-            config,
-            files,
-            names,
-        }
+        ResultDb { config, files, ids }
     }
 
     /// The database configuration.
@@ -237,18 +246,19 @@ impl ResultDb {
         self.file_for(result_hash)
     }
 
-    /// The on-flash name of database file `index`.
+    /// The flash handle of database file `index`. It stays the file's
+    /// handle through every rewrite, restore and rotation.
     ///
     /// # Panics
     ///
     /// Panics when `index >= n_files`.
-    pub fn file_name_of(&self, index: usize) -> String {
+    pub fn file_id(&self, index: usize) -> FileId {
         assert!(
             index < self.config.n_files,
             "file index {index} out of range ({} files)",
             self.config.n_files
         );
-        self.names[index].clone()
+        self.ids[index]
     }
 
     fn file_for(&self, result_hash: u64) -> usize {
@@ -284,7 +294,7 @@ impl ResultDb {
         records: impl IntoIterator<Item = R>,
         flash: &mut FlashStore,
     ) -> SimDuration {
-        let name = self.file_name_of(index);
+        let file = self.file_id(index);
         let mut bucket: Vec<R> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for r in records {
@@ -300,7 +310,7 @@ impl ResultDb {
             .max(self.config.initial_header_capacity);
         let mut state = FileState::default();
         let bytes = Self::serialize_file(&bucket, capacity, &mut state);
-        let time = flash.write_file(name, bytes);
+        let time = flash.write_file(file, bytes);
         self.files[index] = state;
         time
     }
@@ -373,25 +383,79 @@ impl ResultDb {
     ///
     /// # Errors
     ///
-    /// [`DbError::NotFound`] when no record has this hash;
-    /// [`DbError::CorruptHeader`] when the on-flash header preamble
-    /// disagrees with the in-memory mirror; [`DbError::TruncatedRecord`]
-    /// when the record's bytes end early; flash or decode errors
-    /// otherwise.
+    /// As [`fetch_time`](Self::fetch_time).
     pub fn get(
         &self,
         result_hash: u64,
         flash: &FlashStore,
     ) -> Result<(ResultRecord, SimDuration), DbError> {
+        self.with_record(result_hash, flash, |view| view.to_owned())
+    }
+
+    /// Retrieves several records (e.g. the two results of a hash-table
+    /// entry), summing their retrieval times.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first missing or corrupt record.
+    pub fn get_many(
+        &self,
+        hashes: impl IntoIterator<Item = u64>,
+        flash: &FlashStore,
+    ) -> Result<(Vec<ResultRecord>, SimDuration), DbError> {
+        let mut out = Vec::new();
+        let mut total = SimDuration::ZERO;
+        for h in hashes {
+            let (r, t) = self.get(h, flash)?;
+            out.push(r);
+            total += t;
+        }
+        Ok((out, total))
+    }
+
+    /// The time [`get_many`](Self::get_many) would take to fetch these
+    /// records, with every check it makes, but without copying a record
+    /// out: each one is checked in place.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first record that fails: [`DbError::NotFound`] when
+    /// no record has its hash; [`DbError::CorruptHeader`] when the
+    /// on-flash header preamble disagrees with the in-memory mirror;
+    /// [`DbError::TruncatedRecord`] when the record's bytes end early;
+    /// [`DbError::WrongRecord`] when they hold a good record with
+    /// another hash; flash or decode errors otherwise.
+    pub fn fetch_time(
+        &self,
+        hashes: impl IntoIterator<Item = u64>,
+        flash: &FlashStore,
+    ) -> Result<SimDuration, DbError> {
+        let mut total = SimDuration::ZERO;
+        for h in hashes {
+            total += self.with_record(h, flash, |_| ())?.1;
+        }
+        Ok(total)
+    }
+
+    /// Reads and checks the record stored for `result_hash` — the
+    /// header preamble against the mirror, then the record's bounds,
+    /// UTF-8, CRC-32 and hash — and hands its in-place view to `f`,
+    /// returning `f`'s result and the simulated time of the fetch.
+    fn with_record<T>(
+        &self,
+        result_hash: u64,
+        flash: &FlashStore,
+        f: impl FnOnce(RecordView<'_>) -> T,
+    ) -> Result<(T, SimDuration), DbError> {
         let file_idx = self.file_for(result_hash);
         let state = &self.files[file_idx];
-        let name = &self.names[file_idx];
+        let file = self.ids[file_idx];
 
         let mut time = flash.open_cost();
 
         // Read and parse the header region. The read borrows the stored
         // header and is charged in full; only its preamble is checked.
-        let header = flash.read(name, 0, state.header_bytes())?;
+        let header = flash.read(file, 0, state.header_bytes())?;
         time += header.time;
         time += self.config.header_parse_per_entry * state.index.len() as u64;
         Self::check_preamble(file_idx, &header.data, state)?;
@@ -401,14 +465,24 @@ impl ResultDb {
             .get(&result_hash)
             .ok_or(DbError::NotFound { result_hash })?;
 
-        let record_read = flash.read(name, u64::from(offset), u64::from(len))?;
-        time += record_read.time;
-        let record = match ResultRecord::decode(&mut &*record_read.data) {
-            Ok(record) => record,
-            Err(DecodeError::Truncated) => return Err(DbError::TruncatedRecord { result_hash }),
-            Err(e) => return Err(DbError::Corrupt(e)),
-        };
-        Ok((record, time))
+        let record = flash.read(file, u64::from(offset), u64::from(len))?;
+        time += record.time;
+        let view = Self::check_record(result_hash, &record.data)?;
+        Ok((f(view), time))
+    }
+
+    /// Decodes the bytes stored for `result_hash` and checks that they
+    /// hold that record.
+    fn check_record(result_hash: u64, bytes: &[u8]) -> Result<RecordView<'_>, DbError> {
+        match RecordView::decode(bytes) {
+            Ok(view) if view.result_hash == result_hash => Ok(view),
+            Ok(view) => Err(DbError::WrongRecord {
+                result_hash,
+                found: view.result_hash,
+            }),
+            Err(DecodeError::Truncated) => Err(DbError::TruncatedRecord { result_hash }),
+            Err(e) => Err(DbError::Corrupt(e)),
+        }
     }
 
     /// Checks a freshly read header preamble against the in-memory
@@ -437,27 +511,6 @@ impl ResultDb {
         Ok(())
     }
 
-    /// Retrieves several records (e.g. the two results of a hash-table
-    /// entry), summing their retrieval times.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first missing or corrupt record.
-    pub fn get_many(
-        &self,
-        hashes: impl IntoIterator<Item = u64>,
-        flash: &FlashStore,
-    ) -> Result<(Vec<ResultRecord>, SimDuration), DbError> {
-        let mut out = Vec::new();
-        let mut total = SimDuration::ZERO;
-        for h in hashes {
-            let (r, t) = self.get(h, flash)?;
-            out.push(r);
-            total += t;
-        }
-        Ok((out, total))
-    }
-
     /// Inserts a record: appends it to its file and augments the header in
     /// place (Figure 13's add path). A record whose hash is already stored
     /// is left untouched. Accepts owned, borrowed, or shared records; the
@@ -482,9 +535,9 @@ impl ResultDb {
             return self.rebuild_file_with(file_idx, Some(record.clone()), flash);
         }
 
-        let name = &self.names[file_idx];
+        let file = self.ids[file_idx];
         let encoded = record.encode();
-        let (offset, append_time) = flash.append(name, &encoded);
+        let (offset, append_time) = flash.append(file, &encoded)?;
         let mut time = append_time;
 
         // Augment the header: bump the live count and fill the next slot.
@@ -494,13 +547,13 @@ impl ResultDb {
         slot_bytes.put_u64_le(record.result_hash);
         slot_bytes.put_u32_le(offset as u32);
         time += flash.overwrite(
-            name,
+            file,
             HEADER_PREAMBLE_BYTES + slot * HEADER_ENTRY_BYTES,
             &slot_bytes,
         )?;
         let mut count_bytes = BytesMut::with_capacity(4);
         count_bytes.put_u32_le(state.index.len() as u32 + 1);
-        time += flash.overwrite(name, 4, &count_bytes)?;
+        time += flash.overwrite(file, 4, &count_bytes)?;
 
         state
             .index
@@ -547,8 +600,8 @@ impl ResultDb {
     pub fn stats(&self, flash: &FlashStore) -> DbStats {
         let mut logical = 0u64;
         let mut allocated = 0u64;
-        for name in &self.names {
-            let size = flash.file_size(name).unwrap_or(0);
+        for &file in &self.ids {
+            let size = flash.file_size(file).unwrap_or(0);
             logical += size;
             allocated += flash.model().allocated_bytes(size);
         }
@@ -571,8 +624,8 @@ impl ResultDb {
     /// disagrees with the mirror; flash errors when a file cannot be
     /// read.
     pub fn verify(&self, flash: &FlashStore) -> Result<(), DbError> {
-        for (i, (state, name)) in self.files.iter().zip(&self.names).enumerate() {
-            let header = flash.read(name, 0, state.header_bytes())?;
+        for (i, (state, &file)) in self.files.iter().zip(&self.ids).enumerate() {
+            let header = flash.read(file, 0, state.header_bytes())?;
             Self::check_preamble(i, &header.data, state)?;
             let mut buf = &header.data[HEADER_PREAMBLE_BYTES as usize..];
             for slot in 0..state.index.len() {
@@ -617,7 +670,7 @@ impl ResultDb {
             out.put_u32_le(offset);
         }
         out.resize(state.header_bytes() as usize, 0);
-        Ok(flash.overwrite(&self.names[file_idx], 0, &out)?)
+        Ok(flash.overwrite(self.ids[file_idx], 0, &out)?)
     }
 
     fn rebuild_file_with(
@@ -626,7 +679,7 @@ impl ResultDb {
         extra: Option<ResultRecord>,
         flash: &mut FlashStore,
     ) -> Result<SimDuration, DbError> {
-        let name = &self.names[file_idx];
+        let file = self.ids[file_idx];
         // Read back every live record.
         let mut live = Vec::with_capacity(self.files[file_idx].index.len() + 1);
         let mut time = flash.open_cost();
@@ -635,10 +688,10 @@ impl ResultDb {
             let mut entries: Vec<(u64, (u32, u32))> =
                 state.index.iter().map(|(&h, &v)| (h, v)).collect();
             entries.sort_unstable_by_key(|&(_, (o, _))| o);
-            for (_, (offset, len)) in entries {
-                let read = flash.read(name, u64::from(offset), u64::from(len))?;
+            for (hash, (offset, len)) in entries {
+                let read = flash.read(file, u64::from(offset), u64::from(len))?;
                 time += read.time;
-                live.push(ResultRecord::decode(&mut &*read.data)?);
+                live.push(Self::check_record(hash, &read.data)?.to_owned());
             }
         }
         if let Some(r) = extra {
@@ -651,7 +704,7 @@ impl ResultDb {
             .max(self.config.initial_header_capacity);
         let mut state = FileState::default();
         let bytes = Self::serialize_file(&live, capacity, &mut state);
-        time += flash.write_file(self.names[file_idx].clone(), bytes);
+        time += flash.write_file(file, bytes);
         self.files[file_idx] = state;
         Ok(time)
     }

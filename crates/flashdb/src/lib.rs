@@ -41,4 +41,4 @@ pub mod record;
 pub use allocator::{DbWearReport, FileWear, RotationReport};
 pub use db::{DbConfig, DbError, DbStats, ResultDb};
 pub use patch::{DbPatch, PatchReport};
-pub use record::ResultRecord;
+pub use record::{RecordView, ResultRecord};

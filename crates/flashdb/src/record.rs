@@ -11,14 +11,14 @@ use serde::{Deserialize, Serialize};
 /// The reflected IEEE 802.3 CRC-32 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Slice-by-8 lookup tables. `CRC32_TABLES[0][b]` is the CRC of the
+/// Slice-by-16 lookup tables. `CRC32_TABLES[0][b]` is the CRC of the
 /// single byte `b`; `CRC32_TABLES[k][b]` is the CRC of `b` followed by
-/// `k` zero bytes, so eight input bytes fold into the state with eight
-/// independent lookups instead of sixty-four shift/xor steps.
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+/// `k` zero bytes, so sixteen input bytes fold into the state with
+/// sixteen independent lookups instead of 128 shift/xor steps.
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut byte = 0;
     while byte < 256 {
         let mut crc = byte as u32;
@@ -35,7 +35,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         byte += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut byte = 0;
         while byte < 256 {
             let prev = tables[k - 1][byte];
@@ -70,25 +70,34 @@ impl Crc32 {
         Crc32 { state: !0 }
     }
 
-    /// Feeds bytes into the checksum, eight at a time through the
-    /// slice-by-8 tables and the tail one byte at a time.
+    /// Feeds bytes into the checksum, sixteen at a time through the
+    /// slice-by-16 tables and the tail one byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
         let t = &CRC32_TABLES;
         let mut crc = self.state;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let x = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]])
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        for b in blocks {
+            let lo = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
                 ^ u64::from(crc);
-            crc = t[7][x as u8 as usize]
-                ^ t[6][(x >> 8) as u8 as usize]
-                ^ t[5][(x >> 16) as u8 as usize]
-                ^ t[4][(x >> 24) as u8 as usize]
-                ^ t[3][(x >> 32) as u8 as usize]
-                ^ t[2][(x >> 40) as u8 as usize]
-                ^ t[1][(x >> 48) as u8 as usize]
-                ^ t[0][(x >> 56) as usize];
+            let hi = u64::from_le_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]);
+            crc = t[15][lo as u8 as usize]
+                ^ t[14][(lo >> 8) as u8 as usize]
+                ^ t[13][(lo >> 16) as u8 as usize]
+                ^ t[12][(lo >> 24) as u8 as usize]
+                ^ t[11][(lo >> 32) as u8 as usize]
+                ^ t[10][(lo >> 40) as u8 as usize]
+                ^ t[9][(lo >> 48) as u8 as usize]
+                ^ t[8][(lo >> 56) as usize]
+                ^ t[7][hi as u8 as usize]
+                ^ t[6][(hi >> 8) as u8 as usize]
+                ^ t[5][(hi >> 16) as u8 as usize]
+                ^ t[4][(hi >> 24) as u8 as usize]
+                ^ t[3][(hi >> 32) as u8 as usize]
+                ^ t[2][(hi >> 40) as u8 as usize]
+                ^ t[1][(hi >> 48) as u8 as usize]
+                ^ t[0][(hi >> 56) as usize];
         }
-        for &byte in words.remainder() {
+        for &byte in tail {
             crc = (crc >> 8) ^ t[0][(crc as u8 ^ byte) as usize];
         }
         self.state = crc;
@@ -153,6 +162,50 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// One record decoded in place: its text fields borrow the bytes it
+/// was decoded from, so a reader that only needs to know the record is
+/// good (or needs a field or two) copies nothing.
+///
+/// [`RecordView::decode`] is the one record decoder: it checks the
+/// bounds of every field, UTF-8, and the CRC-32, and
+/// [`ResultRecord::decode`] is this decoder plus [`RecordView::to_owned`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// Stable hash of the result URL; the record's database key.
+    pub result_hash: u64,
+    /// Title text (the tappable hyperlink).
+    pub title: &'a str,
+    /// Human-readable form of the hyperlink.
+    pub display_url: &'a str,
+    /// Short description of the landing page.
+    pub snippet: &'a str,
+}
+
+impl<'a> RecordView<'a> {
+    /// Decodes the record at the front of `bytes`, verifying its CRC-32;
+    /// bytes past the record are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Truncated`] when `bytes` is too short,
+    /// [`DecodeError::InvalidUtf8`] for corrupt text fields, and
+    /// [`DecodeError::ChecksumMismatch`] when the bytes parsed but do not
+    /// match the stored checksum.
+    pub fn decode(bytes: &'a [u8]) -> Result<RecordView<'a>, DecodeError> {
+        Reader { bytes, pos: 0 }.view()
+    }
+
+    /// An owned copy of the record.
+    pub fn to_owned(&self) -> ResultRecord {
+        ResultRecord {
+            result_hash: self.result_hash,
+            title: self.title.to_owned(),
+            display_url: self.display_url.to_owned(),
+            snippet: self.snippet.to_owned(),
+        }
+    }
+}
+
 /// A cursor over one contiguous record encoding. `pos` counts the bytes
 /// consumed so far, and an error leaves it just past the last field that
 /// was read whole — the length prefix of a short field, the bytes of a
@@ -183,7 +236,7 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::InvalidUtf8)
     }
 
-    fn record(&mut self) -> Result<ResultRecord, DecodeError> {
+    fn view(&mut self) -> Result<RecordView<'a>, DecodeError> {
         let result_hash = u64::from_le_bytes(self.array()?);
         let title = self.text()?;
         let display_url = self.text()?;
@@ -195,11 +248,11 @@ impl<'a> Reader<'a> {
         if stored != computed {
             return Err(DecodeError::ChecksumMismatch { stored, computed });
         }
-        Ok(ResultRecord {
+        Ok(RecordView {
             result_hash,
-            title: title.to_owned(),
-            display_url: display_url.to_owned(),
-            snippet: snippet.to_owned(),
+            title,
+            display_url,
+            snippet,
         })
     }
 }
@@ -255,29 +308,25 @@ impl ResultRecord {
         buf.freeze()
     }
 
-    /// Decodes one record from the front of `buf`, verifying its CRC-32.
-    ///
-    /// The record is parsed in place from the contiguous
-    /// [`Buf::chunk`]: lengths and UTF-8 are checked on borrowed
-    /// sub-slices, the checksum is one pass over the record's bytes, and
-    /// the text is copied out only once the record is known good. `buf`
-    /// advances past the record, or on an error past the fields read
-    /// before it. A record split across chunks reads as truncated; every
-    /// `Buf` this crate decodes from is a single chunk.
+    /// Decodes one record from the front of `buf`, verifying its CRC-32:
+    /// [`RecordView::decode`] over the contiguous [`Buf::chunk`], then
+    /// [`RecordView::to_owned`], so the text is copied out only once the
+    /// record is known good. `buf` advances past the record, or on an
+    /// error past the fields read before it. A record split across
+    /// chunks reads as truncated; every `Buf` this crate decodes from is
+    /// a single chunk.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::Truncated`] when `buf` is too short,
-    /// [`DecodeError::InvalidUtf8`] for corrupt text fields, and
-    /// [`DecodeError::ChecksumMismatch`] when the bytes parsed but do not
-    /// match the stored checksum.
+    /// As [`RecordView::decode`].
     pub fn decode(buf: &mut impl Buf) -> Result<ResultRecord, DecodeError> {
         let mut reader = Reader {
             bytes: buf.chunk(),
             pos: 0,
         };
-        let record = reader.record();
+        let view = reader.view();
         let consumed = reader.pos;
+        let record = view.map(|v| v.to_owned());
         buf.advance(consumed);
         record
     }
@@ -526,6 +575,33 @@ mod tests {
             ],
         ) {
             assert_matches_reference(&bytes);
+        }
+
+        #[test]
+        fn view_decoder_and_to_owned_match_the_reference_on_hostile_bytes(
+            r in record(),
+            edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            keep in any::<usize>(),
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            from_noise in any::<bool>(),
+        ) {
+            // Either pure noise, or a good encoding with a few bytes
+            // overwritten and a random cut.
+            let bytes = if from_noise {
+                noise
+            } else {
+                let mut bytes = r.encode().to_vec();
+                for (at, value) in edits {
+                    let at = at % bytes.len();
+                    bytes[at] = value;
+                }
+                bytes.truncate(keep % (bytes.len() + 1));
+                bytes
+            };
+            prop_assert_eq!(
+                RecordView::decode(&bytes).map(|v| v.to_owned()),
+                reference_decode(&mut bytes.as_slice())
+            );
         }
 
         #[test]

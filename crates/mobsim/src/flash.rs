@@ -259,6 +259,19 @@ impl WearSummary {
     }
 }
 
+/// A handle to one named file of a [`FlashStore`], issued by
+/// [`FlashStore::create`].
+///
+/// The handle is the file's slot in the store's file table. A slot
+/// belongs to one name for the life of the store: rewriting, removing
+/// and re-creating a file keeps its handle, and no other file ever takes
+/// the slot. A handle of a removed file therefore reads as
+/// [`FlashError::FileNotFound`] naming that file, never as another
+/// file's bytes. A handle means nothing to a store that did not issue it
+/// (or to a clone taken before it was issued).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct FileId(u32);
+
 /// One stored file: its bytes and the physical blocks backing them.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct FlashFile {
@@ -285,6 +298,26 @@ impl FlashFile {
     }
 }
 
+/// One slot of the file table: the name it was created under, and the
+/// file while it exists.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct FileSlot {
+    name: String,
+    file: Option<FlashFile>,
+}
+
+/// Indices of the blocks covering `[offset, offset + len)` of a file,
+/// for blocks of `block_bytes` (at least 1): empty for a zero-length
+/// range. The end saturates instead of overflowing `u64`, which can
+/// only drop a block index no file reaches.
+fn block_span(block_bytes: u64, offset: u64, len: u64) -> Range<u64> {
+    if len == 0 {
+        return 0..0;
+    }
+    let last = offset.saturating_add(len - 1) / block_bytes;
+    offset / block_bytes..last.saturating_add(1)
+}
+
 /// SplitMix64 finalizer: the deterministic hash behind stuck-bit draws.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -296,13 +329,19 @@ fn mix64(mut x: u64) -> u64 {
 /// A simulated flash file store with block-granular allocation accounting
 /// and a NAND wear model (per-block erase cycles, stuck-bit failures).
 ///
+/// Files are addressed by [`FileId`] handles. A name maps to its handle
+/// once, at [`create`](Self::create); every read and write after that
+/// indexes the file table directly, and the name is kept only for
+/// display and error messages.
+///
 /// # Example
 ///
 /// ```
 /// use mobsim::flash::{FlashModel, FlashStore};
 ///
 /// let mut flash = FlashStore::new(FlashModel::default());
-/// flash.write_file("db-00", vec![0u8; 500]);
+/// let db = flash.create("db-00");
+/// flash.write_file(db, vec![0u8; 500]);
 /// // A 500-byte file still occupies one whole 4 KiB block.
 /// assert_eq!(flash.allocated_bytes(), 4_096);
 /// assert_eq!(flash.fragmentation_bytes(), 3_596);
@@ -312,7 +351,13 @@ fn mix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlashStore {
     model: FlashModel,
-    files: BTreeMap<String, FlashFile>,
+    /// The file table, indexed by [`FileId`]; slots are never reused.
+    slots: Vec<FileSlot>,
+    /// Every name ever created, to its slot.
+    ids: BTreeMap<String, FileId>,
+    /// Slots holding a file: the population [`open_cost`](Self::open_cost)
+    /// charges for.
+    live_files: u64,
     /// Wear state per physical block id.
     blocks: BTreeMap<u64, BlockState>,
     /// Blocks released by rewrites/removals, available for reuse.
@@ -328,11 +373,7 @@ impl FlashStore {
     pub fn new(model: FlashModel) -> Self {
         FlashStore {
             model,
-            files: BTreeMap::new(),
-            blocks: BTreeMap::new(),
-            free: BTreeSet::new(),
-            next_block: 0,
-            total_erases: 0,
+            ..FlashStore::default()
         }
     }
 
@@ -351,25 +392,70 @@ impl FlashStore {
         self.model.alloc = alloc;
     }
 
-    /// Names of all files, in sorted order.
-    pub fn file_names(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
+    /// The handle of the file called `name`, creating it empty when no
+    /// such file exists. A name keeps one handle for the life of the
+    /// store, so calling this again — even after the file was removed —
+    /// returns the same handle.
+    pub fn create(&mut self, name: &str) -> FileId {
+        let id = match self.ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = FileId(self.slots.len() as u32);
+                self.slots.push(FileSlot {
+                    name: name.to_owned(),
+                    file: None,
+                });
+                self.ids.insert(name.to_owned(), id);
+                id
+            }
+        };
+        let slot = &mut self.slots[id.0 as usize];
+        if slot.file.is_none() {
+            slot.file = Some(FlashFile::default());
+            self.live_files += 1;
+        }
+        id
+    }
+
+    /// The handles and names of all files, in name order.
+    pub fn files(&self) -> impl Iterator<Item = (FileId, &str)> {
+        self.ids
+            .iter()
+            .filter(|(_, id)| self.slot(**id).file.is_some())
+            .map(|(name, id)| (*id, name.as_str()))
+    }
+
+    /// The name `file` was created under.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
+    pub fn file_name(&self, file: FileId) -> &str {
+        &self.slot(file).name
     }
 
     /// Logical size of a file, if it exists.
-    pub fn file_size(&self, name: &str) -> Option<u64> {
-        self.files.get(name).map(|f| f.data.len() as u64)
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
+    pub fn file_size(&self, file: FileId) -> Option<u64> {
+        self.slot(file).file.as_ref().map(|f| f.data.len() as u64)
+    }
+
+    /// The existing files.
+    fn live(&self) -> impl Iterator<Item = &FlashFile> {
+        self.slots.iter().filter_map(|s| s.file.as_ref())
     }
 
     /// Sum of logical file sizes.
     pub fn logical_bytes(&self) -> u64 {
-        self.files.values().map(|f| f.data.len() as u64).sum()
+        self.live().map(|f| f.data.len() as u64).sum()
     }
 
     /// Sum of block-rounded file sizes (what the flash actually loses).
     pub fn allocated_bytes(&self) -> u64 {
-        self.files
-            .values()
+        self.live()
             .map(|f| self.model.allocated_bytes(f.data.len() as u64))
             .sum()
     }
@@ -381,7 +467,22 @@ impl FlashStore {
 
     /// Cost of opening any file given the current file population.
     pub fn open_cost(&self) -> SimDuration {
-        self.model.file_open + self.model.dir_lookup_per_file * self.files.len() as u64
+        self.model.file_open + self.model.dir_lookup_per_file * self.live_files
+    }
+
+    /// The slot behind a handle.
+    fn slot(&self, file: FileId) -> &FileSlot {
+        &self.slots[file.0 as usize]
+    }
+
+    /// The file behind a handle, or [`FlashError::FileNotFound`] naming
+    /// it when it was removed.
+    fn file(&self, file: FileId) -> Result<(&str, &FlashFile), FlashError> {
+        let slot = self.slot(file);
+        match &slot.file {
+            Some(f) => Ok((&slot.name, f)),
+            None => Err(FlashError::FileNotFound(slot.name.clone())),
+        }
     }
 
     // ---- wear accounting ------------------------------------------------
@@ -401,8 +502,12 @@ impl FlashStore {
     }
 
     /// Physical blocks backing a file, in logical order.
-    pub fn file_block_ids(&self, name: &str) -> Option<&[u64]> {
-        self.files.get(name).map(|f| f.blocks.as_slice())
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
+    pub fn file_block_ids(&self, file: FileId) -> Option<&[u64]> {
+        self.slot(file).file.as_ref().map(|f| f.blocks.as_slice())
     }
 
     /// Per-block wear telemetry: `(block id, erase cycles, stuck bits)`.
@@ -506,38 +611,18 @@ impl FlashStore {
         block
     }
 
-    /// Physical block ids covering the byte range `[offset, offset+len)`
-    /// of a file.
-    fn blocks_in_range(&self, name: &str, offset: u64, len: u64) -> Vec<u64> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let Some(file) = self.files.get(name) else {
-            return Vec::new();
-        };
-        let block_bytes = self.model.block_bytes.max(1);
-        let first = offset / block_bytes;
-        let last = offset.saturating_add(len - 1) / block_bytes;
-        (first..=last)
-            .filter_map(|i| usize::try_from(i).ok())
-            .filter_map(|i| file.blocks.get(i).copied())
-            .collect()
-    }
-
     /// What a read of `stored` (the bytes at `offset` of the file backed
     /// by `ids`) returns: the stored bytes, borrowed, unless a stuck bit
     /// from a worn block lies in the range — then an owned copy with every
     /// such bit overlaid. Always borrowed unless wear injection is enabled.
     fn overlay_stuck_bits<'a>(&self, ids: &[u64], offset: u64, stored: &'a [u8]) -> Cow<'a, [u8]> {
         let mut data = Cow::Borrowed(stored);
-        if !self.model.wear.enabled || stored.is_empty() {
+        if !self.model.wear.enabled {
             return data;
         }
         let block_bytes = self.model.block_bytes.max(1);
         let len = stored.len() as u64;
-        let first = offset / block_bytes;
-        let last = offset.saturating_add(len - 1) / block_bytes;
-        for index in first..=last {
+        for index in block_span(block_bytes, offset, len) {
             let Some(state) = usize::try_from(index)
                 .ok()
                 .and_then(|i| ids.get(i))
@@ -563,38 +648,54 @@ impl FlashStore {
 
     // ---- file operations ------------------------------------------------
 
-    /// Creates or replaces a file, returning the simulated program time.
+    /// Replaces a file's contents, returning the simulated program time.
+    /// A removed file comes back under its name and handle.
     ///
-    /// Replacing a file releases its old blocks and erases freshly
-    /// allocated ones (one erase per block the new content needs), which
-    /// is what makes rewrite-heavy update protocols wear the media.
-    pub fn write_file(&mut self, name: impl Into<String>, data: Vec<u8>) -> SimDuration {
-        let name = name.into();
+    /// The old blocks return to the free pool and the new content lands
+    /// on freshly allocated ones (one erase per block it needs), which is
+    /// what makes rewrite-heavy update protocols wear the media.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
+    pub fn write_file(&mut self, file: FileId, data: Vec<u8>) -> SimDuration {
         let pages = self.model.pages_touched(0, data.len() as u64);
-        self.remove(&name);
+        self.remove(file);
         let needed = self.blocks_needed(data.len() as u64);
         let blocks = (0..needed).map(|_| self.allocate_block()).collect();
-        self.files.insert(name, FlashFile { data, blocks });
+        self.slots[file.0 as usize].file = Some(FlashFile { data, blocks });
+        self.live_files += 1;
         self.model.program_page * pages
     }
 
-    /// Appends to a file (creating it if absent), returning `(offset at
-    /// which the data landed, simulated program time)`.
+    /// Appends to a file, returning `(offset at which the data landed,
+    /// simulated program time)`.
     ///
     /// Only newly allocated blocks are erased; programming into the free
     /// tail of the last block costs no erase (NAND programs erased cells
     /// directly).
-    pub fn append(&mut self, name: &str, data: &[u8]) -> (u64, SimDuration) {
-        let mut file = self.files.remove(name).unwrap_or_default();
-        let offset = file.data.len() as u64;
-        file.data.extend_from_slice(data);
-        let needed = self.blocks_needed(file.data.len() as u64);
-        while (file.blocks.len() as u64) < needed {
-            file.blocks.push(self.allocate_block());
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::FileNotFound`] for a removed file.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
+    pub fn append(&mut self, file: FileId, data: &[u8]) -> Result<(u64, SimDuration), FlashError> {
+        let slot = &mut self.slots[file.0 as usize];
+        let Some(mut stored) = slot.file.take() else {
+            return Err(FlashError::FileNotFound(slot.name.clone()));
+        };
+        let offset = stored.data.len() as u64;
+        stored.data.extend_from_slice(data);
+        let needed = self.blocks_needed(stored.data.len() as u64);
+        while (stored.blocks.len() as u64) < needed {
+            stored.blocks.push(self.allocate_block());
         }
-        self.files.insert(name.to_owned(), file);
+        self.slots[file.0 as usize].file = Some(stored);
         let pages = self.model.pages_touched(offset, data.len() as u64);
-        (offset, self.model.program_page * pages)
+        Ok((offset, self.model.program_page * pages))
     }
 
     /// Overwrites bytes at `offset` in place (a managed-NAND
@@ -604,19 +705,30 @@ impl FlashStore {
     ///
     /// # Errors
     ///
-    /// Returns [`FlashError::FileNotFound`] for unknown names and
+    /// Returns [`FlashError::FileNotFound`] for a removed file and
     /// [`FlashError::ReadPastEnd`] when the range exceeds the file.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
     pub fn overwrite(
         &mut self,
-        name: &str,
+        file: FileId,
         offset: u64,
         data: &[u8],
     ) -> Result<SimDuration, FlashError> {
-        let time = self.program_range(name, offset, data, |cells, new| {
+        let time = self.program_range(file, offset, data, |cells, new| {
             cells.copy_from_slice(new);
         })?;
-        for block in self.blocks_in_range(name, offset, data.len() as u64) {
-            self.record_erase(block);
+        let block_bytes = self.model.block_bytes.max(1);
+        for index in block_span(block_bytes, offset, data.len() as u64) {
+            let block = self
+                .file_block_ids(file)
+                .and_then(|ids| ids.get(usize::try_from(index).ok()?))
+                .copied();
+            if let Some(block) = block {
+                self.record_erase(block);
+            }
         }
         Ok(time)
     }
@@ -628,15 +740,19 @@ impl FlashStore {
     ///
     /// # Errors
     ///
-    /// Returns [`FlashError::FileNotFound`] for unknown names and
+    /// Returns [`FlashError::FileNotFound`] for a removed file and
     /// [`FlashError::ReadPastEnd`] when the range exceeds the file.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
     pub fn program(
         &mut self,
-        name: &str,
+        file: FileId,
         offset: u64,
         data: &[u8],
     ) -> Result<SimDuration, FlashError> {
-        self.program_range(name, offset, data, |cells, new| {
+        self.program_range(file, offset, data, |cells, new| {
             for (cell, programmed) in cells.iter_mut().zip(new) {
                 *cell &= programmed;
             }
@@ -647,18 +763,19 @@ impl FlashStore {
     /// erase accounting), returning the program time of the pages touched.
     fn program_range(
         &mut self,
-        name: &str,
+        file: FileId,
         offset: u64,
         data: &[u8],
         write: impl FnOnce(&mut [u8], &[u8]),
     ) -> Result<SimDuration, FlashError> {
-        let file = self
-            .files
-            .get_mut(name)
-            .ok_or_else(|| FlashError::FileNotFound(name.to_owned()))?;
+        let slot = &mut self.slots[file.0 as usize];
+        let stored = slot
+            .file
+            .as_mut()
+            .ok_or_else(|| FlashError::FileNotFound(slot.name.clone()))?;
         let len = data.len() as u64;
-        let range = file.range(name, offset, len)?;
-        write(&mut file.data[range], data);
+        let range = stored.range(&slot.name, offset, len)?;
+        write(&mut stored.data[range], data);
         Ok(self.model.program_page * self.model.pages_touched(offset, len))
     }
 
@@ -673,25 +790,31 @@ impl FlashStore {
     ///
     /// # Errors
     ///
-    /// Returns [`FlashError::FileNotFound`] for unknown names and
+    /// Returns [`FlashError::FileNotFound`] for a removed file and
     /// [`FlashError::ReadPastEnd`] when the range exceeds the file.
-    pub fn read(&self, name: &str, offset: u64, len: u64) -> Result<TimedRead<'_>, FlashError> {
-        let file = self
-            .files
-            .get(name)
-            .ok_or_else(|| FlashError::FileNotFound(name.to_owned()))?;
-        let range = file.range(name, offset, len)?;
-        let data = self.overlay_stuck_bits(&file.blocks, offset, &file.data[range]);
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
+    pub fn read(&self, file: FileId, offset: u64, len: u64) -> Result<TimedRead<'_>, FlashError> {
+        let (name, stored) = self.file(file)?;
+        let range = stored.range(name, offset, len)?;
+        let data = self.overlay_stuck_bits(&stored.blocks, offset, &stored.data[range]);
         let time = self.model.read_page * self.model.pages_touched(offset, len);
         Ok(TimedRead { data, time })
     }
 
     /// Removes a file, returning whether it existed. Its blocks return to
-    /// the free pool without an erase.
-    pub fn remove(&mut self, name: &str) -> bool {
-        match self.files.remove(name) {
-            Some(file) => {
-                self.free.extend(file.blocks);
+    /// the free pool without an erase; its handle stays its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `file` was not issued by this store.
+    pub fn remove(&mut self, file: FileId) -> bool {
+        match self.slots[file.0 as usize].file.take() {
+            Some(stored) => {
+                self.free.extend(stored.blocks);
+                self.live_files -= 1;
                 true
             }
             None => false,
@@ -759,19 +882,20 @@ mod tests {
     #[test]
     fn bounds_checks_do_not_overflow() {
         let mut fs = FlashStore::new(FlashModel::default());
-        fs.write_file("f", vec![0u8; 16]);
+        let f = fs.create("f");
+        fs.write_file(f, vec![0u8; 16]);
         // offset + len wraps u64 — must be an error, not a successful
         // read through a wrapped bounds check.
         assert!(matches!(
-            fs.read("f", u64::MAX, 2),
+            fs.read(f, u64::MAX, 2),
             Err(FlashError::ReadPastEnd { .. })
         ));
         assert!(matches!(
-            fs.overwrite("f", u64::MAX, &[1, 2]),
+            fs.overwrite(f, u64::MAX, &[1, 2]),
             Err(FlashError::ReadPastEnd { .. })
         ));
         assert!(matches!(
-            fs.program("f", u64::MAX, &[1, 2]),
+            fs.program(f, u64::MAX, &[1, 2]),
             Err(FlashError::ReadPastEnd { .. })
         ));
     }
@@ -779,8 +903,9 @@ mod tests {
     #[test]
     fn write_read_round_trip() {
         let mut fs = FlashStore::new(FlashModel::default());
-        fs.write_file("f", b"hello flash".to_vec());
-        let r = fs.read("f", 6, 5).unwrap();
+        let f = fs.create("f");
+        fs.write_file(f, b"hello flash".to_vec());
+        let r = fs.read(f, 6, 5).unwrap();
         assert_eq!(r.data, Cow::Borrowed(b"flash".as_slice()));
         assert_eq!(r.time, FlashModel::default().read_page);
     }
@@ -788,18 +913,19 @@ mod tests {
     #[test]
     fn reads_borrow_the_stored_bytes_when_wear_is_off() {
         let mut fs = FlashStore::new(FlashModel::default());
+        let f = fs.create("f");
         for _ in 0..500 {
-            fs.write_file("f", b"hello flash".to_vec());
+            fs.write_file(f, b"hello flash".to_vec());
         }
-        let r = fs.read("f", 0, 11).unwrap();
+        let r = fs.read(f, 0, 11).unwrap();
         assert!(matches!(r.data, Cow::Borrowed(b"hello flash")));
     }
 
     /// The copying read the borrowing one replaced: copy the range, then
     /// overlay every stuck bit of the file's blocks that lands in it.
     /// Returns the bytes and whether any stuck bit landed.
-    fn copying_read(fs: &FlashStore, name: &str, offset: u64, len: u64) -> (Vec<u8>, bool) {
-        let file = &fs.files[name];
+    fn copying_read(fs: &FlashStore, file: FileId, offset: u64, len: u64) -> (Vec<u8>, bool) {
+        let file = fs.file(file).unwrap().1;
         let mut data = file.data[offset as usize..(offset + len) as usize].to_vec();
         let mut stuck_in_range = false;
         for (index, id) in file.blocks.iter().enumerate() {
@@ -826,15 +952,16 @@ mod tests {
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
-        fs.write_file("f", (0..8_192u32).map(|i| (i * 7) as u8).collect());
-        let second = fs.file_block_ids("f").unwrap()[1];
+        let f = fs.create("f");
+        fs.write_file(f, (0..8_192u32).map(|i| (i * 7) as u8).collect());
+        let second = fs.file_block_ids(f).unwrap()[1];
         fs.age_block(second, 400);
         assert!(fs.wear_summary().stuck_bits > 0);
 
         let (mut borrowed, mut owned) = (0, 0);
         for offset in (0..8_192 - 600).step_by(250) {
-            let read = fs.read("f", offset, 600).unwrap();
-            let (expected, stuck_in_range) = copying_read(&fs, "f", offset, 600);
+            let read = fs.read(f, offset, 600).unwrap();
+            let (expected, stuck_in_range) = copying_read(&fs, f, offset, 600);
             assert_eq!(read.data, expected, "overlay at offset {offset}");
             match read.data {
                 Cow::Owned(_) => owned += 1,
@@ -855,13 +982,16 @@ mod tests {
     #[test]
     fn read_errors_are_specific() {
         let mut fs = FlashStore::new(FlashModel::default());
-        fs.write_file("f", vec![0; 10]);
+        let f = fs.create("f");
+        let missing = fs.create("missing");
+        fs.remove(missing);
+        fs.write_file(f, vec![0; 10]);
         assert!(matches!(
-            fs.read("missing", 0, 1),
+            fs.read(missing, 0, 1),
             Err(FlashError::FileNotFound(_))
         ));
         assert!(matches!(
-            fs.read("f", 8, 5),
+            fs.read(f, 8, 5),
             Err(FlashError::ReadPastEnd { size: 10, .. })
         ));
     }
@@ -869,10 +999,11 @@ mod tests {
     #[test]
     fn append_returns_offset_and_extends() {
         let mut fs = FlashStore::new(FlashModel::default());
-        let (off0, _) = fs.append("log", b"aaaa");
-        let (off1, _) = fs.append("log", b"bb");
+        let log = fs.create("log");
+        let (off0, _) = fs.append(log, b"aaaa").unwrap();
+        let (off1, _) = fs.append(log, b"bb").unwrap();
         assert_eq!((off0, off1), (0, 4));
-        assert_eq!(fs.file_size("log"), Some(6));
+        assert_eq!(fs.file_size(log), Some(6));
     }
 
     #[test]
@@ -880,11 +1011,13 @@ mod tests {
         let model = FlashModel::default();
         let payload = vec![0u8; 10_000];
         let mut one = FlashStore::new(model);
-        one.write_file("all", payload.clone());
+        let all = one.create("all");
+        one.write_file(all, payload.clone());
 
         let mut many = FlashStore::new(model);
         for (i, chunk) in payload.chunks(100).enumerate() {
-            many.write_file(format!("f{i}"), chunk.to_vec());
+            let f = many.create(&format!("f{i}"));
+            many.write_file(f, chunk.to_vec());
         }
         assert_eq!(one.logical_bytes(), many.logical_bytes());
         assert!(many.fragmentation_bytes() > one.fragmentation_bytes());
@@ -895,7 +1028,8 @@ mod tests {
         let mut fs = FlashStore::new(FlashModel::default());
         let empty = fs.open_cost();
         for i in 0..100 {
-            fs.write_file(format!("f{i}"), vec![0]);
+            let f = fs.create(&format!("f{i}"));
+            fs.write_file(f, vec![0]);
         }
         assert_eq!(
             fs.open_cost(),
@@ -906,24 +1040,71 @@ mod tests {
     #[test]
     fn overwrite_modifies_in_place_and_charges_pages() {
         let mut fs = FlashStore::new(FlashModel::default());
-        fs.write_file("f", vec![0u8; 100]);
-        let t = fs.overwrite("f", 10, b"xyz").unwrap();
+        let f = fs.create("f");
+        let missing = fs.create("missing");
+        fs.remove(missing);
+        fs.write_file(f, vec![0u8; 100]);
+        let t = fs.overwrite(f, 10, b"xyz").unwrap();
         assert_eq!(t, FlashModel::default().program_page);
-        assert_eq!(*fs.read("f", 10, 3).unwrap().data, *b"xyz");
-        assert_eq!(fs.file_size("f"), Some(100), "size unchanged");
+        assert_eq!(*fs.read(f, 10, 3).unwrap().data, *b"xyz");
+        assert_eq!(fs.file_size(f), Some(100), "size unchanged");
         assert!(
-            fs.overwrite("f", 99, b"ab").is_err(),
+            fs.overwrite(f, 99, b"ab").is_err(),
             "cannot grow via overwrite"
         );
-        assert!(fs.overwrite("missing", 0, b"a").is_err());
+        assert!(fs.overwrite(missing, 0, b"a").is_err());
+    }
+
+    #[test]
+    fn a_name_keeps_its_handle_and_a_removed_handle_reads_nothing_else() {
+        let mut fs = FlashStore::new(FlashModel::default());
+        let a = fs.create("a");
+        fs.write_file(a, b"first".to_vec());
+        let b = fs.create("b");
+        fs.write_file(b, b"other".to_vec());
+        assert_ne!(a, b);
+        fs.write_file(a, b"rewritten".to_vec());
+        assert_eq!(fs.create("a"), a, "a rewrite keeps the handle");
+        assert_eq!(fs.file_name(a), "a");
+
+        assert!(fs.remove(a));
+        assert_eq!(
+            fs.open_cost(),
+            fs.model().file_open + fs.model().dir_lookup_per_file
+        );
+        let c = fs.create("c");
+        fs.write_file(c, b"newer".to_vec());
+        assert_ne!(c, a, "a new name never takes a removed file's slot");
+        assert_eq!(
+            fs.read(a, 0, 5),
+            Err(FlashError::FileNotFound("a".to_owned())),
+            "the removed file's handle names it and reads no other bytes"
+        );
+        assert_eq!(fs.file_size(a), None);
+        assert_eq!(
+            fs.files()
+                .map(|(id, name)| (id, name.to_owned()))
+                .collect::<Vec<_>>(),
+            vec![(b, "b".to_owned()), (c, "c".to_owned())]
+        );
+
+        // Writing the handle again brings the file back under it.
+        fs.write_file(a, b"restored".to_vec());
+        assert_eq!(fs.create("a"), a);
+        assert_eq!(*fs.read(a, 0, 8).unwrap().data, *b"restored");
+        assert_eq!(
+            fs.open_cost(),
+            fs.model().file_open + fs.model().dir_lookup_per_file * 3
+        );
     }
 
     #[test]
     fn remove_frees_allocation() {
         let mut fs = FlashStore::new(FlashModel::default());
-        fs.write_file("f", vec![0; 100]);
-        assert!(fs.remove("f"));
-        assert!(!fs.remove("f"));
+        let f = fs.create("f");
+        fs.write_file(f, vec![0; 100]);
+        assert!(fs.remove(f));
+        assert!(!fs.remove(f));
         assert_eq!(fs.allocated_bytes(), 0);
     }
 
@@ -939,22 +1120,24 @@ mod tests {
     #[test]
     fn erase_cycles_count_per_operation() {
         let mut fs = FlashStore::new(FlashModel::default());
+        let f = fs.create("f");
+        let g = fs.create("g");
         // Fresh two-block file: one erase per block.
-        fs.write_file("f", vec![0u8; 8_192]);
+        fs.write_file(f, vec![0u8; 8_192]);
         assert_eq!(fs.wear_summary().total_erases, 2);
         // In-place overwrite inside one block: one more erase on that block.
-        fs.overwrite("f", 0, &[1, 2, 3]).unwrap();
+        fs.overwrite(f, 0, &[1, 2, 3]).unwrap();
         assert_eq!(fs.wear_summary().total_erases, 3);
         // Overwrite straddling both blocks: two erases.
-        fs.overwrite("f", 4_090, &[0u8; 12]).unwrap();
+        fs.overwrite(f, 4_090, &[0u8; 12]).unwrap();
         assert_eq!(fs.wear_summary().total_erases, 5);
         // Append within the last block's free space: no erase...
-        fs.write_file("g", vec![0u8; 100]);
+        fs.write_file(g, vec![0u8; 100]);
         let erases = fs.wear_summary().total_erases;
-        fs.append("g", &[7; 10]);
+        fs.append(g, &[7; 10]).unwrap();
         assert_eq!(fs.wear_summary().total_erases, erases);
         // ...but growing past the block allocates (and erases) a new one.
-        fs.append("g", &vec![7u8; 4_096]);
+        fs.append(g, &vec![7u8; 4_096]).unwrap();
         assert_eq!(fs.wear_summary().total_erases, erases + 1);
     }
 
@@ -965,15 +1148,16 @@ mod tests {
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
-        fs.write_file("f", vec![0xAA; 64]);
-        let block = fs.file_block_ids("f").unwrap()[0];
+        let f = fs.create("f");
+        fs.write_file(f, vec![0xAA; 64]);
+        let block = fs.file_block_ids(f).unwrap()[0];
         fs.age_block(block, 500);
         let before = fs.wear_summary();
         assert!(before.stuck_bits > 0, "aging injected failures");
 
-        let t = fs.overwrite("f", 0, &[]).unwrap();
+        let t = fs.overwrite(f, 0, &[]).unwrap();
         assert_eq!(t, SimDuration::ZERO);
-        let (off, t) = fs.append("f", &[]);
+        let (off, t) = fs.append(f, &[]).unwrap();
         assert_eq!((off, t), (64, SimDuration::ZERO));
         assert_eq!(
             fs.wear_summary(),
@@ -981,18 +1165,19 @@ mod tests {
             "zero-len writes cost no erases and inject nothing"
         );
         // Zero-length reads of a worn file are legal and empty.
-        assert_eq!(fs.read("f", 64, 0).unwrap().data, Vec::<u8>::new());
+        assert_eq!(fs.read(f, 64, 0).unwrap().data, Vec::<u8>::new());
     }
 
     #[test]
     fn wear_disabled_reads_are_clean_even_after_heavy_rewrites() {
         let mut fs = FlashStore::new(FlashModel::default());
+        let f = fs.create("f");
         for _ in 0..1_000 {
-            fs.write_file("f", vec![0x5A; 256]);
+            fs.write_file(f, vec![0x5A; 256]);
         }
         assert!(fs.wear_summary().max_erase_cycles >= 1_000);
         assert_eq!(fs.wear_summary().stuck_bits, 0, "injection is off");
-        assert_eq!(fs.read("f", 0, 256).unwrap().data, vec![0x5A; 256]);
+        assert_eq!(fs.read(f, 0, 256).unwrap().data, vec![0x5A; 256]);
     }
 
     #[test]
@@ -1008,26 +1193,27 @@ mod tests {
                 ..FlashModel::default()
             };
             let mut fs = FlashStore::new(model);
-            fs.write_file("f", vec![0x00; 4_096]);
+            let f = fs.create("f");
+            fs.write_file(f, vec![0x00; 4_096]);
             for _ in 0..29 {
-                fs.write_file("f", vec![0x00; 4_096]);
+                fs.write_file(f, vec![0x00; 4_096]);
             }
-            fs
+            (fs, f)
         };
-        let a = build();
-        let b = build();
+        let (a, f) = build();
+        let (b, _) = build();
         // 30 erases, threshold 10, cadence 2 -> draws at cycles 12,14,...,30.
         assert!(a.wear_summary().stuck_bits > 0);
         assert!(a.wear_summary().stuck_bits <= 10);
         assert_eq!(a, b, "identical history => identical wear state");
         assert_eq!(
-            a.read("f", 0, 4_096).unwrap().data,
-            b.read("f", 0, 4_096).unwrap().data,
+            a.read(f, 0, 4_096).unwrap().data,
+            b.read(f, 0, 4_096).unwrap().data,
             "corruption is deterministic in the seed"
         );
         // Stored zeros read back with every stuck-at-1 cell set.
         let ones: usize = a
-            .read("f", 0, 4_096)
+            .read(f, 0, 4_096)
             .unwrap()
             .data
             .iter()
@@ -1054,11 +1240,12 @@ mod tests {
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
-        fs.write_file("f", vec![0xFF; 4_096]);
-        let block = fs.file_block_ids("f").unwrap()[0];
+        let f = fs.create("f");
+        fs.write_file(f, vec![0xFF; 4_096]);
+        let block = fs.file_block_ids(f).unwrap()[0];
         fs.age_block(block, 64);
         let zeros: usize = fs
-            .read("f", 0, 4_096)
+            .read(f, 0, 4_096)
             .unwrap()
             .data
             .iter()
@@ -1077,7 +1264,7 @@ mod tests {
         // The stored bytes themselves are untouched: disabling wear
         // makes the file read clean again (cells lie only on the way out).
         fs.set_wear(WearModel::default());
-        assert_eq!(fs.read("f", 0, 4_096).unwrap().data, vec![0xFF; 4_096]);
+        assert_eq!(fs.read(f, 0, 4_096).unwrap().data, vec![0xFF; 4_096]);
     }
 
     #[test]
@@ -1087,23 +1274,27 @@ mod tests {
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
-        fs.write_file("f", vec![0x00; 8_192]);
-        let second = fs.file_block_ids("f").unwrap()[1];
+        let f = fs.create("f");
+        fs.write_file(f, vec![0x00; 8_192]);
+        let second = fs.file_block_ids(f).unwrap()[1];
         fs.age_block(second, 400);
         assert!(fs.wear_summary().stuck_bits > 0);
         // Block 0 is healthy; reads confined to it stay clean.
-        assert_eq!(fs.read("f", 0, 4_096).unwrap().data, vec![0x00; 4_096]);
+        assert_eq!(fs.read(f, 0, 4_096).unwrap().data, vec![0x00; 4_096]);
     }
 
     #[test]
     fn program_is_bitwise_and_without_erase() {
         let mut fs = FlashStore::new(FlashModel::default());
-        fs.write_file("f", vec![0b1111_0000; 4]);
+        let f = fs.create("f");
+        let missing = fs.create("missing");
+        fs.remove(missing);
+        fs.write_file(f, vec![0b1111_0000; 4]);
         let erases = fs.wear_summary().total_erases;
-        let t = fs.program("f", 0, &[0b1010_1010; 4]).unwrap();
+        let t = fs.program(f, 0, &[0b1010_1010; 4]).unwrap();
         assert_eq!(t, FlashModel::default().program_page);
         assert_eq!(
-            fs.read("f", 0, 4).unwrap().data,
+            fs.read(f, 0, 4).unwrap().data,
             vec![0b1010_0000; 4],
             "program can only clear bits"
         );
@@ -1112,17 +1303,18 @@ mod tests {
             erases,
             "programming erased nothing"
         );
-        assert!(fs.program("missing", 0, &[0]).is_err());
+        assert!(fs.program(missing, 0, &[0]).is_err());
     }
 
     #[test]
     fn lowest_id_policy_concentrates_wear() {
         let mut fs = FlashStore::new(FlashModel::default());
+        let f = fs.create("f");
         for _ in 0..50 {
-            fs.write_file("f", vec![0u8; 100]);
+            fs.write_file(f, vec![0u8; 100]);
         }
         // The naive allocator reuses block 0 every time.
-        assert_eq!(fs.file_block_ids("f"), Some(&[0u64][..]));
+        assert_eq!(fs.file_block_ids(f), Some(&[0u64][..]));
         assert_eq!(fs.erase_cycles(0), 50);
         assert_eq!(fs.wear_summary().tracked_blocks, 1);
     }
@@ -1134,8 +1326,9 @@ mod tests {
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
+        let f = fs.create("f");
         for _ in 0..50 {
-            fs.write_file("f", vec![0u8; 100]);
+            fs.write_file(f, vec![0u8; 100]);
         }
         let summary = fs.wear_summary();
         assert!(
@@ -1152,13 +1345,16 @@ mod tests {
     #[test]
     fn removed_files_release_blocks_for_reuse() {
         let mut fs = FlashStore::new(FlashModel::default());
-        fs.write_file("a", vec![0u8; 100]);
-        fs.write_file("b", vec![0u8; 100]);
-        assert_eq!(fs.file_block_ids("b"), Some(&[1u64][..]));
-        fs.remove("a");
-        fs.write_file("c", vec![0u8; 100]);
+        let a = fs.create("a");
+        let b = fs.create("b");
+        fs.write_file(a, vec![0u8; 100]);
+        fs.write_file(b, vec![0u8; 100]);
+        assert_eq!(fs.file_block_ids(b), Some(&[1u64][..]));
+        fs.remove(a);
+        let c = fs.create("c");
+        fs.write_file(c, vec![0u8; 100]);
         assert_eq!(
-            fs.file_block_ids("c"),
+            fs.file_block_ids(c),
             Some(&[0u64][..]),
             "lowest-id reuses the freed block"
         );

@@ -609,12 +609,12 @@ mod tests {
         // Smash the whole file storing the displayed record (header
         // included), the worst case a worn block can produce.
         let victim = engine.db().file_index(top_hash);
-        let name = engine.db().file_name_of(victim);
-        let size = engine.device().flash().file_size(&name).expect("file");
+        let file = engine.db().file_id(victim);
+        let size = engine.device().flash().file_size(file).expect("file");
         engine
             .device_mut()
             .flash_mut()
-            .overwrite(&name, 0, &vec![0xFF; size as usize])
+            .overwrite(file, 0, &vec![0xFF; size as usize])
             .expect("in bounds");
 
         let broken = engine.serve(qh);

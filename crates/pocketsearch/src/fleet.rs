@@ -46,6 +46,14 @@ struct ServeCosts {
     miss_bytes: u64,
 }
 
+/// The flash database every lane of a fleet reads: one copy, shared.
+/// Search hits only read it, so the lanes share it by `Arc`.
+#[derive(Debug)]
+struct SharedStore {
+    db: ResultDb,
+    flash: FlashStore,
+}
+
 /// One shard of the search cloudlet as a [`CloudletService`] lane: a
 /// slice of the sharded DRAM index plus the shared flash database.
 ///
@@ -56,8 +64,7 @@ struct ServeCosts {
 pub struct SearchShard {
     table: Arc<ShardedTable>,
     shard: usize,
-    db: ResultDb,
-    flash: FlashStore,
+    store: Arc<SharedStore>,
     costs: ServeCosts,
     stats: ServeStats,
 }
@@ -89,12 +96,15 @@ impl SearchShard {
             miss_bytes: config.request_bytes + config.response_bytes,
         };
         let table = Arc::new(ShardedTable::from_table(engine.cache().table(), n_shards));
+        let store = Arc::new(SharedStore {
+            db: engine.db().clone(),
+            flash: device.flash().clone(),
+        });
         let shards = (0..n_shards)
             .map(|shard| SearchShard {
                 table: Arc::clone(&table),
                 shard,
-                db: engine.db().clone(),
-                flash: device.flash().clone(),
+                store: Arc::clone(&store),
                 costs,
                 stats: ServeStats::default(),
             })
@@ -128,15 +138,14 @@ impl CloudletService for SearchShard {
     /// whole hit path runs under a shared lock. Misses (and index
     /// entries whose records are gone from the database) decline to the
     /// exclusive path, which also keeps miss accounting in one place.
+    ///
+    /// The hit copies nothing: the index yields the top two results
+    /// without building a list, and the database checks both records in
+    /// place ([`ResultDb::fetch_time`]) for the time the fetch takes.
     fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
-        let top: Vec<u64> = self
-            .table
-            .lookup(request.key)?
-            .iter()
-            .take(2)
-            .map(|r| r.result_hash)
-            .collect();
-        let (_, fetch_time) = self.db.get_many(top, &self.flash).ok()?;
+        let (best, second) = self.table.top_two(request.key)?;
+        let top = std::iter::once(best).chain(second).map(|r| r.result_hash);
+        let fetch_time = self.store.db.fetch_time(top, &self.store.flash).ok()?;
         Some(
             ServeOutcome::hit()
                 .with_service(self.costs.lookup + fetch_time + self.costs.render_and_misc),

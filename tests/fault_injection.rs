@@ -3,7 +3,7 @@
 //! wrong results.
 
 use pocket_cloudlets::flashdb::{DbConfig, DbError, ResultDb, ResultRecord};
-use pocket_cloudlets::mobsim::flash::{FlashError, FlashModel, FlashStore};
+use pocket_cloudlets::mobsim::flash::{FileId, FlashError, FlashModel, FlashStore};
 use pocket_cloudlets::prelude::*;
 
 fn record(hash: u64) -> ResultRecord {
@@ -25,16 +25,12 @@ fn small_db() -> (ResultDb, FlashStore) {
 fn corrupted_record_bytes_are_detected() {
     let (db, mut flash) = small_db();
     // Smash the data region of one file with garbage.
-    let name = flash
-        .file_names()
-        .next()
-        .expect("database wrote files")
-        .to_owned();
-    let size = flash.file_size(&name).expect("file exists");
+    let (file, _) = flash.files().next().expect("database wrote files");
+    let size = flash.file_size(file).expect("file exists");
     // Overwrite the record area (past the header) with invalid UTF-8.
     let garbage = vec![0xFFu8; 64];
     flash
-        .overwrite(&name, size - 64, &garbage)
+        .overwrite(file, size - 64, &garbage)
         .expect("overwrite within bounds");
 
     // Some record in that file now fails to decode with a typed error;
@@ -48,6 +44,7 @@ fn corrupted_record_bytes_are_detected() {
                 DbError::Corrupt(_)
                 | DbError::Flash(_)
                 | DbError::TruncatedRecord { .. }
+                | DbError::WrongRecord { .. }
                 | DbError::CorruptHeader { .. },
             ) => corrupt_seen = true,
             Err(DbError::NotFound { .. }) => panic!("records were all inserted"),
@@ -63,8 +60,8 @@ fn corrupted_record_bytes_are_detected() {
 #[test]
 fn deleted_database_file_degrades_to_errors_not_panics() {
     let (db, mut flash) = small_db();
-    let victim = flash.file_names().next().unwrap().to_owned();
-    assert!(flash.remove(&victim));
+    let (victim, _) = flash.files().next().unwrap();
+    assert!(flash.remove(victim));
     let mut missing = 0;
     for h in 0..20u64 {
         if matches!(
@@ -97,14 +94,9 @@ fn engine_degrades_a_broken_hit_into_a_radio_miss() {
     let mut engine = PocketSearch::build(&contents, &catalog, PocketSearchConfig::default());
 
     // Vaporize the whole database behind the engine's back.
-    let names: Vec<String> = engine
-        .device()
-        .flash()
-        .file_names()
-        .map(str::to_owned)
-        .collect();
-    for name in names {
-        engine.device_mut().flash_mut().remove(&name);
+    let files: Vec<FileId> = engine.device().flash().files().map(|(id, _)| id).collect();
+    for file in files {
+        engine.device_mut().flash_mut().remove(file);
     }
 
     let served = engine.serve(contents.pairs()[0].query_hash);
@@ -119,9 +111,9 @@ fn engine_degrades_a_broken_hit_into_a_radio_miss() {
 #[test]
 fn header_corruption_fails_verification() {
     let (db, mut flash) = small_db();
-    let name = flash.file_names().next().unwrap().to_owned();
+    let (file, _) = flash.files().next().unwrap();
     // Flip the live-count field in the header preamble.
-    flash.overwrite(&name, 4, &u32::MAX.to_le_bytes()).unwrap();
+    flash.overwrite(file, 4, &u32::MAX.to_le_bytes()).unwrap();
     assert!(matches!(
         db.verify(&flash),
         Err(DbError::CorruptHeader { .. })
@@ -132,8 +124,8 @@ fn header_corruption_fails_verification() {
 fn header_preamble_corruption_is_a_typed_get_error() {
     let (db, mut flash) = small_db();
     // Hash 0 lives in file 0 under the `hash % n_files` placement rule.
-    let name = db.file_name_of(0);
-    flash.overwrite(&name, 4, &u32::MAX.to_le_bytes()).unwrap();
+    let file = db.file_id(0);
+    flash.overwrite(file, 4, &u32::MAX.to_le_bytes()).unwrap();
 
     match db.get(0, &flash) {
         Err(DbError::CorruptHeader { file, detail }) => {
@@ -161,8 +153,8 @@ fn smashed_length_prefix_is_a_truncated_record_error() {
     // header: 8 bytes of result hash, then the title's 16-bit length
     // prefix. Derive its offset from the file size and the known record
     // encoding so the test does not hard-code the header capacity.
-    let name = db.file_name_of(0);
-    let size = flash.file_size(&name).expect("file exists");
+    let file = db.file_id(0);
+    let size = flash.file_size(file).expect("file exists");
     let data_bytes: u64 = (0..20u64)
         .filter(|h| h % 4 == 0)
         .map(|h| record(h).encoded_len() as u64)
@@ -171,7 +163,7 @@ fn smashed_length_prefix_is_a_truncated_record_error() {
 
     // A 0xFFFF length prefix claims a 64 KB title in a ~1 KB file.
     flash
-        .overwrite(&name, first_record_offset + 8, &[0xFF, 0xFF])
+        .overwrite(file, first_record_offset + 8, &[0xFF, 0xFF])
         .expect("overwrite within bounds");
 
     assert_eq!(
@@ -184,16 +176,116 @@ fn smashed_length_prefix_is_a_truncated_record_error() {
     assert!(db.get(4, &flash).is_ok());
 }
 
+/// The offset at which `record`'s encoding sits in `file`, if it does.
+fn offset_of(flash: &FlashStore, file: FileId, record: &ResultRecord) -> Option<u64> {
+    let bytes = flash.read(file, 0, flash.file_size(file)?).ok()?;
+    let encoded = record.encode();
+    let at = bytes
+        .data
+        .windows(encoded.len())
+        .position(|w| w == encoded.as_ref())?;
+    Some(at as u64)
+}
+
+#[test]
+fn a_good_record_at_another_records_slot_is_a_typed_error() {
+    let (db, mut flash) = small_db();
+    // Hashes 4 and 8 both live in file 0 and encode to the same length,
+    // so 8's bytes fit exactly over 4's: every check but the hash passes.
+    let file = db.file_id(0);
+    assert_eq!(record(4).encoded_len(), record(8).encoded_len());
+    let at = offset_of(&flash, file, &record(4)).expect("record 4 is stored");
+    flash
+        .overwrite(file, at, &record(8).encode())
+        .expect("overwrite within bounds");
+
+    let err = db
+        .get(4, &flash)
+        .expect_err("a fetch must return the record asked for");
+    assert_eq!(
+        err,
+        DbError::WrongRecord {
+            result_hash: 4,
+            found: 8
+        }
+    );
+    assert!(err.is_corruption());
+    assert_eq!(db.fetch_time([0, 4], &flash), Err(err));
+    // Record 8 itself, and the rest of the file, still read.
+    assert_eq!(db.get(8, &flash).expect("untouched").0, record(8));
+    assert!(db.fetch_time([0, 8, 12], &flash).is_ok());
+}
+
+#[test]
+fn engine_degrades_a_hit_whose_slot_holds_another_record_and_repairs_it() {
+    let mut generator = LogGenerator::new(GeneratorConfig::test_scale(), 50);
+    let log = generator.generate_month();
+    let triplets = TripletTable::from_log(&log);
+    let contents = CacheContents::generate(
+        &triplets,
+        &UniverseCorpus::new(generator.universe()),
+        AdmissionPolicy::CumulativeShare { share: 0.55 },
+    );
+    let catalog = Catalog::new(generator.universe());
+    let mut engine = PocketSearch::build(&contents, &catalog, PocketSearchConfig::default());
+    let query = contents.pairs()[0].query_hash;
+    let first = engine.serve(query);
+    assert!(first.hit);
+    let shown = first.results[0].clone();
+
+    // Alias the shown record's slot: the same text under the hash of
+    // another record of its file, so length, UTF-8 and CRC all check.
+    let victim = engine.db().file_index(shown.result_hash);
+    let other = engine
+        .db()
+        .file_hashes(victim)
+        .into_iter()
+        .find(|&h| h != shown.result_hash)
+        .expect("the file stores another record");
+    let alias = ResultRecord::new(other, &*shown.title, &*shown.display_url, &*shown.snippet);
+    let file = engine.db().file_id(victim);
+    let at = offset_of(engine.device().flash(), file, &shown).expect("the record is stored");
+    engine
+        .device_mut()
+        .flash_mut()
+        .overwrite(file, at, &alias.encode())
+        .expect("overwrite within bounds");
+
+    let served = engine.serve(query);
+    assert!(!served.hit, "the wrong record is never shown");
+    assert!(served.results.is_empty());
+    assert!(
+        served.report.transfer.is_some(),
+        "the radio served the user"
+    );
+    assert!(
+        matches!(
+            served.degraded,
+            Some(DbError::WrongRecord { result_hash, found })
+                if result_hash == shown.result_hash && found == other
+        ),
+        "{:?}",
+        served.degraded
+    );
+    assert!(engine.pending_repairs().contains(&victim));
+
+    engine.recover_corrupted(&catalog);
+    let healed = engine.serve(query);
+    assert!(healed.hit, "the re-fetched file serves the hit again");
+    assert_eq!(healed.results[0], shown);
+}
+
 #[test]
 fn reads_past_eof_are_rejected_not_padded() {
     let mut flash = FlashStore::new(FlashModel::default());
-    flash.write_file("f", vec![1, 2, 3]);
+    let file = flash.create("f");
+    flash.write_file(file, vec![1, 2, 3]);
     assert!(matches!(
-        flash.read("f", 2, 2),
+        flash.read(file, 2, 2),
         Err(FlashError::ReadPastEnd { size: 3, .. })
     ));
     assert!(matches!(
-        flash.overwrite("f", 2, &[9, 9]),
+        flash.overwrite(file, 2, &[9, 9]),
         Err(FlashError::ReadPastEnd { .. })
     ));
 }
@@ -272,8 +364,9 @@ mod wear_properties {
                 let block = flash.model().block_bytes as usize;
                 // Pool = the file's block + `spares` free ones; rewrite
                 // `rounds`× the pool size so every block cycles often.
+                let hot = flash.create("hot");
                 for _ in 0..(u64::from(spares) + 1) * rounds {
-                    flash.write_file("hot", vec![0xA5; block]);
+                    flash.write_file(hot, vec![0xA5; block]);
                 }
                 flash.wear_summary()
             };
@@ -298,9 +391,10 @@ mod wear_properties {
             let block = naive.model().block_bytes as usize;
             // Two files so the pool holds more than one block; "cold" is
             // written once, "hot" rewritten every round.
-            naive.write_file("cold", vec![1; block]);
+            let (cold, hot) = (naive.create("cold"), naive.create("hot"));
+            naive.write_file(cold, vec![1; block]);
             for _ in 0..rounds * 4 {
-                naive.write_file("hot", vec![0xA5; block]);
+                naive.write_file(hot, vec![0xA5; block]);
             }
             let spread = naive.wear_summary().erase_spread();
             prop_assert!(

@@ -6,6 +6,8 @@
 //!
 //! * `ShardedTable::lookup` vs the flat unsharded table, for the table
 //!   as first built and for a rebuild after further random writes;
+//! * `ShardedTable::top_two` vs the flat table's lookup cut to two, on
+//!   long chains of tied scores;
 //! * `PopulationLane`'s read-only fast path vs its write path, with
 //!   the fast-path outcomes merged into external stats the way the
 //!   front-end's lane counters do it.
@@ -91,6 +93,37 @@ proptest! {
         prop_assert_eq!(rebuilt.entry_count(), flat.entry_count());
         for query in 0..44u64 {
             prop_assert_eq!(rebuilt.lookup(query), flat.lookup(query));
+        }
+    }
+
+    /// The allocation-free top-two probe returns the first two results
+    /// of the full lookup. Scores come from two values and chains run
+    /// several entries deep, so most rankings are settled by the result
+    /// hash tie-break, wherever in the chain the tied results sit.
+    #[test]
+    fn top_two_is_the_lookup_cut_to_two_under_tied_scores(
+        pairs in proptest::collection::vec((0u64..6, 0u64..10, 1u32..=2, any::<bool>()), 0..60),
+        shards in 1usize..4,
+    ) {
+        let mut flat = QueryHashTable::new();
+        for (q, r, s, accessed) in &pairs {
+            // Result hashes run against insertion order, so the chain
+            // order and the tie-break order differ.
+            let result = 1_000 - q * 10 - r;
+            flat.upsert(*q, result, *s as f32 / 4.0, ConflictPolicy::Max);
+            if *accessed {
+                flat.mark_accessed(*q, result).expect("pair was just inserted");
+            }
+        }
+        let sharded = ShardedTable::from_table(&flat, shards);
+        for query in 0..8u64 {
+            let expected = flat
+                .lookup(query)
+                .map(|rs| rs.into_iter().take(2).collect::<Vec<_>>());
+            let top = sharded
+                .top_two(query)
+                .map(|(best, second)| std::iter::once(best).chain(second).collect::<Vec<_>>());
+            prop_assert_eq!(top, expected);
         }
     }
 

@@ -6,7 +6,7 @@ use std::collections::{HashMap, HashSet};
 
 use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable};
 use pocket_cloudlets::flashdb::{DbConfig, ResultDb, ResultRecord};
-use pocket_cloudlets::mobsim::flash::{FlashModel, FlashStore};
+use pocket_cloudlets::mobsim::flash::{FileId, FlashModel, FlashStore};
 use pocket_cloudlets::querylog::ids::stable_hash64;
 use pocket_cloudlets::querylog::zipf::WeightedIndex;
 
@@ -80,26 +80,26 @@ proptest! {
         writes in proptest::collection::vec((0usize..4, proptest::collection::vec(any::<u8>(), 0..3000)), 1..12)
     ) {
         let mut flash = FlashStore::new(FlashModel::default());
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+        let mut model: HashMap<FileId, Vec<u8>> = HashMap::new();
         for (slot, data) in writes {
-            let name = format!("f{slot}");
+            let file = flash.create(&format!("f{slot}"));
             // Alternate write/append by data length parity.
             if data.len() % 2 == 0 {
-                flash.write_file(&name, data.clone());
-                model.insert(name, data);
+                flash.write_file(file, data.clone());
+                model.insert(file, data);
             } else {
-                let (off, _) = flash.append(&name, &data);
-                let entry = model.entry(name).or_default();
+                let (off, _) = flash.append(file, &data).unwrap();
+                let entry = model.entry(file).or_default();
                 prop_assert_eq!(off as usize, entry.len());
                 entry.extend_from_slice(&data);
             }
         }
         let mut logical = 0u64;
         let mut allocated = 0u64;
-        for (name, bytes) in &model {
-            prop_assert_eq!(flash.file_size(name), Some(bytes.len() as u64));
+        for (&file, bytes) in &model {
+            prop_assert_eq!(flash.file_size(file), Some(bytes.len() as u64));
             if !bytes.is_empty() {
-                let read = flash.read(name, 0, bytes.len() as u64).unwrap();
+                let read = flash.read(file, 0, bytes.len() as u64).unwrap();
                 prop_assert_eq!(&read.data, bytes);
             }
             logical += bytes.len() as u64;
