@@ -622,7 +622,7 @@ fn fleet_study(ctx: &RunContext) {
     );
     let mut baseline_qps = None;
     for shards in [1, 2, 4, 8, 16] {
-        let (_, frontend) = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
+        let frontend = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
         let report = frontend.serve_batch(&requests).expect("fleet batch").report;
         let qps = report.throughput_qps();
         let base = *baseline_qps.get_or_insert(qps);
@@ -690,7 +690,7 @@ fn frontend_study(ctx: &RunContext) -> Fields {
     let mut points = Vec::with_capacity(sweep.len());
     let mut baseline_qps = None;
     for (name, config) in sweep {
-        let (_, frontend) = search_frontend(&engine, shards, config);
+        let frontend = search_frontend(&engine, shards, config);
         let batch = frontend.serve_batch(&requests).expect("frontend batch");
         let report = &batch.report;
         let totals = report.totals();
@@ -748,7 +748,7 @@ fn frontend_study(ctx: &RunContext) -> Fields {
             .overflow(OverflowPolicy::Reject)
             .queue_depth(depth)
             .build();
-        let (_, frontend) = search_frontend(&engine, shards, config);
+        let frontend = search_frontend(&engine, shards, config);
         let batch = frontend.serve_batch(&requests).expect("frontend batch");
         let report = &batch.report;
         shed_table.row(&[

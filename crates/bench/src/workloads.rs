@@ -46,30 +46,7 @@ pub fn fleet_workload(
     n_events: usize,
     seed: u64,
 ) -> Vec<ServeRequest> {
-    assert!(users > 0, "the fleet needs at least one user");
-    // Distinct queries in descending-volume order.
-    let mut seen = HashSet::new();
-    let ranked: Vec<u64> = inputs
-        .triplets
-        .iter()
-        .filter(|t| seen.insert(t.query))
-        .map(|t| inputs.catalog.query_hash(t.query))
-        .collect();
-    assert!(ranked.len() >= 2, "workload needs at least two queries");
-    let profile = TwoSegmentZipf {
-        head_count: (ranked.len() / 10).max(1).min(ranked.len() - 1),
-        head_mass: 0.7,
-        s_head: 0.9,
-        s_tail: 0.3,
-    };
-    let index = WeightedIndex::new(profile.weights(ranked.len()));
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n_events)
-        .map(|_| {
-            let user = rng.random_range(0..users);
-            ServeRequest::for_user(user, ranked[index.sample(&mut rng)], SimInstant::ZERO)
-        })
-        .collect()
+    zipf_requests(inputs, users, n_events, seed, 10, [0.7, 0.9, 0.3])
 }
 
 /// A duplicate-heavy serving stream for the front-end studies: the same
@@ -86,7 +63,23 @@ pub fn frontend_workload(
     n_events: usize,
     seed: u64,
 ) -> Vec<ServeRequest> {
-    assert!(users > 0, "the front-end needs at least one user");
+    zipf_requests(inputs, users, n_events, seed, 20, [0.9, 1.1, 0.4])
+}
+
+/// The one Zipf request generator behind [`fleet_workload`] and
+/// [`frontend_workload`]: distinct queries in descending build-month
+/// volume, one in every `head_every` of them in the head of a
+/// [`TwoSegmentZipf`] with `[head_mass, s_head, s_tail]`, and users
+/// drawn uniformly from `0..users`.
+fn zipf_requests(
+    inputs: &StudyInputs,
+    users: u64,
+    n_events: usize,
+    seed: u64,
+    head_every: usize,
+    [head_mass, s_head, s_tail]: [f64; 3],
+) -> Vec<ServeRequest> {
+    assert!(users > 0, "the workload needs at least one user");
     let mut seen = HashSet::new();
     let ranked: Vec<u64> = inputs
         .triplets
@@ -96,10 +89,10 @@ pub fn frontend_workload(
         .collect();
     assert!(ranked.len() >= 2, "workload needs at least two queries");
     let profile = TwoSegmentZipf {
-        head_count: (ranked.len() / 20).max(1).min(ranked.len() - 1),
-        head_mass: 0.9,
-        s_head: 1.1,
-        s_tail: 0.4,
+        head_count: (ranked.len() / head_every).max(1).min(ranked.len() - 1),
+        head_mass,
+        s_head,
+        s_tail,
     };
     let index = WeightedIndex::new(profile.weights(ranked.len()));
     let mut rng = StdRng::seed_from_u64(seed);

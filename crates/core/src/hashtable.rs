@@ -49,6 +49,23 @@ impl ScoredResult {
     }
 }
 
+/// The best result of a lookup and the runner-up, when there is one:
+/// what a hit that displays two results needs.
+pub type TopTwo = (ScoredResult, Option<ScoredResult>);
+
+/// Folds `r` into `top`, the best two results seen so far in
+/// [`ScoredResult::rank_order`] — the one top-two rule behind
+/// [`QueryHashTable::top_two`] and [`frozen::FrozenTable::top_two`].
+fn keep_top_two(top: &mut Option<TopTwo>, r: ScoredResult) {
+    let ahead = |other: &ScoredResult| ScoredResult::rank_order(&r, other).is_lt();
+    *top = Some(match *top {
+        None => (r, None),
+        Some((best, _)) if ahead(&best) => (r, Some(best)),
+        Some((best, second)) if second.as_ref().is_none_or(ahead) => (best, Some(r)),
+        Some(kept) => kept,
+    });
+}
+
 /// How [`QueryHashTable::upsert`] reconciles an existing pair's score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ConflictPolicy {
@@ -202,15 +219,13 @@ impl QueryHashTable {
         true
     }
 
-    /// All results linked to a query, best score first, or `None` on a
-    /// cache miss.
-    pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
-        let mut out = Vec::new();
+    /// Feeds every result linked to `query_hash` to `f`, in chain order.
+    fn each_result(&self, query_hash: u64, mut f: impl FnMut(ScoredResult)) {
         let mut salt = 0u32;
         while let Some(entry) = self.entries.get(&(query_hash, salt)) {
             for (i, slot) in entry.slots.iter().enumerate() {
                 if let Some(slot) = slot {
-                    out.push(ScoredResult {
+                    f(ScoredResult {
                         result_hash: slot.result_hash,
                         score: slot.score,
                         accessed: entry.accessed(i),
@@ -219,11 +234,27 @@ impl QueryHashTable {
             }
             salt += 1;
         }
+    }
+
+    /// All results linked to a query, best score first, or `None` on a
+    /// cache miss.
+    pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
+        let mut out = Vec::new();
+        self.each_result(query_hash, |r| out.push(r));
         if out.is_empty() {
             return None;
         }
         out.sort_by(ScoredResult::rank_order);
         Some(out)
+    }
+
+    /// The first two results [`lookup`](Self::lookup) returns — the
+    /// best, and the runner-up when there is one — or `None` on a miss,
+    /// in one pass over the chain with no allocation and no sort.
+    pub fn top_two(&self, query_hash: u64) -> Option<TopTwo> {
+        let mut top = None;
+        self.each_result(query_hash, |r| keep_top_two(&mut top, r));
+        top
     }
 
     /// Whether the table holds any result for `query_hash`.

@@ -17,7 +17,7 @@
 //! miss semantics — `tests/hotpath_equivalence.rs` proves this over 256
 //! random tables.
 
-use super::{QueryHashTable, ScoredResult, SLOTS_PER_ENTRY};
+use super::{keep_top_two, QueryHashTable, ScoredResult, TopTwo, SLOTS_PER_ENTRY};
 
 /// Probe-array state: the bucket is empty.
 const STATE_EMPTY: u32 = 0;
@@ -235,20 +235,11 @@ impl FrozenTable {
 
     /// The first two results [`lookup`](Self::lookup) returns — the
     /// best, and the runner-up when there is one — or `None` on a miss.
-    /// One pass over the chain in [`ScoredResult::rank_order`], with no
-    /// allocation and no sort: what a hit that displays two results
-    /// needs.
-    pub fn top_two(&self, query_hash: u64) -> Option<(ScoredResult, Option<ScoredResult>)> {
-        let mut top: Option<(ScoredResult, Option<ScoredResult>)> = None;
-        self.each_result(query_hash, |r| {
-            let ahead = |other: &ScoredResult| ScoredResult::rank_order(&r, other).is_lt();
-            top = Some(match top {
-                None => (r, None),
-                Some((best, _)) if ahead(&best) => (r, Some(best)),
-                Some((best, second)) if second.as_ref().is_none_or(ahead) => (best, Some(r)),
-                Some(kept) => kept,
-            });
-        });
+    /// One pass over the chain with no allocation and no sort, folded
+    /// by the same rule as [`QueryHashTable::top_two`].
+    pub fn top_two(&self, query_hash: u64) -> Option<TopTwo> {
+        let mut top = None;
+        self.each_result(query_hash, |r| keep_top_two(&mut top, r));
         top
     }
 

@@ -47,8 +47,6 @@
 //!   [`CloudletService`] lane, with O(users) resident-memory accounting.
 //! * [`corpus`] — the small trait that ties hashes and record sizes back
 //!   to a concrete corpus (implemented for `querylog::Universe`).
-//! * [`shard`] — the query hash table partitioned into immutable
-//!   [`hashtable::frozen::FrozenTable`] shards for concurrent serving.
 //! * [`counters`] — the shared lock-free [`counters::CounterSet`]
 //!   statistics bank used by the front-end, the search fleet, and the
 //!   peer fabric.
@@ -59,16 +57,13 @@
 //! user's queries. The same cache layout also has to work when a
 //! cloudlet front-end serves many users at once — a shared community
 //! cache on an edge box, or a simulator replaying a whole population.
-//! [`shard::ShardedTable`] makes the DRAM index concurrent without
-//! changing its semantics: shard `s` of `S` owns every query with
-//! `query_hash % S == s`, including the query's whole salted overflow
-//! chain, so a lookup inside one shard returns byte-for-byte what the
-//! flat table would. Shards are immutable once built, so readers share
-//! them through an `Arc` without any lock, and the modulo
-//! layout matches the flash result database's `hash % n_files`
-//! placement so a shard's index entries and its result files can be
-//! co-located. The `pocketsearch` crate's `fleet` module builds the
-//! multi-threaded serving loop on top of this.
+//! The DRAM index serves concurrently without changing its semantics: a
+//! §5.4 refresh builds a new table, so the installed one never changes
+//! while it serves, and [`hashtable::frozen::FrozenTable`] is its
+//! immutable image. Every serving thread reads the one image through an
+//! `Arc` without any lock, and a lookup returns byte-for-byte what the
+//! mutable table would. The `pocketsearch` crate's `fleet` module builds
+//! the multi-threaded serving loop on top of this.
 //!
 //! # Example
 //!
@@ -97,7 +92,6 @@ pub mod peer;
 pub mod population;
 pub mod ranking;
 pub mod service;
-pub mod shard;
 pub mod update;
 
 pub use arbiter::{AdaptiveArbiter, ArbiterConfig, BudgetDecision, DemandContext};
@@ -119,5 +113,4 @@ pub use ranking::RankingPolicy;
 pub use service::{
     CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest, ServeSource, ServeStats,
 };
-pub use shard::ShardedTable;
 pub use update::{UpdateBundle, UpdateServer};

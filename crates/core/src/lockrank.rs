@@ -24,7 +24,7 @@
 //! # Lock-free paths (no rank consumed)
 //!
 //! The DRAM serve index takes no lock at all:
-//! [`crate::shard::ShardedTable::lookup`] and the
+//! the search fleet's lanes and the
 //! [`crate::cache::CommunityCache`] probes of `PopulationLane` and
 //! `PersonalDelta` all read a [`crate::hashtable::frozen::FrozenTable`]
 //! — an immutable image shared by `Arc`. Nothing writes a built index

@@ -168,7 +168,7 @@ impl Device {
 
     /// Lets the device sit idle for `duration` at idle power.
     pub fn idle(&mut self, duration: SimDuration) {
-        self.advance(duration, self.config.idle_power, "idle");
+        self.advance(duration, self.config.idle_power);
     }
 
     /// Serves a query from the local cache, charging the Table 4 phases:
@@ -182,10 +182,10 @@ impl Device {
             render: self.browser.render_serp,
             misc: self.browser.misc,
         };
-        self.advance(breakdown.lookup, self.config.base_power, "lookup");
-        self.advance(breakdown.fetch, self.config.base_power, "fetch");
-        self.advance(breakdown.render, self.config.base_power, "render");
-        self.advance(breakdown.misc, self.config.base_power, "misc");
+        self.advance(breakdown.lookup, self.config.base_power);
+        self.advance(breakdown.fetch, self.config.base_power);
+        self.advance(breakdown.render, self.config.base_power);
+        self.advance(breakdown.misc, self.config.base_power);
         ServiceReport {
             total_time: breakdown.total(),
             energy: self.energy_since(start_energy),
@@ -198,7 +198,7 @@ impl Device {
     /// exchange, then rendering the downloaded result page.
     pub fn serve_via_radio(&mut self, kind: RadioKind) -> ServiceReport {
         let start_energy = self.meter.total();
-        self.advance(self.config.lookup_time, self.config.base_power, "lookup");
+        self.advance(self.config.lookup_time, self.config.base_power);
 
         let (request_bytes, response_bytes) =
             (self.config.request_bytes, self.config.response_bytes);
@@ -206,10 +206,10 @@ impl Device {
         let radio = self.radio_mut(kind);
         let transfer = radio.transfer(now, request_bytes, response_bytes);
         let radio_power = self.config.base_power + transfer.active_extra_power;
-        self.advance(transfer.total_time, radio_power, format!("{kind} transfer"));
+        self.advance(transfer.total_time, radio_power);
 
-        self.advance(self.browser.render_serp, self.config.base_power, "render");
-        self.advance(self.browser.misc, self.config.base_power, "misc");
+        self.advance(self.browser.render_serp, self.config.base_power);
+        self.advance(self.browser.misc, self.config.base_power);
 
         let breakdown = ServiceBreakdown {
             lookup: self.config.lookup_time,
@@ -241,7 +241,7 @@ impl Device {
         let radio = self.radio_mut(kind);
         let transfer = radio.transfer(now, request_bytes, response_bytes);
         let radio_power = self.config.base_power + transfer.active_extra_power;
-        self.advance(transfer.total_time, radio_power, format!("{kind} fetch"));
+        self.advance(transfer.total_time, radio_power);
         let breakdown = ServiceBreakdown {
             radio: transfer.total_time,
             ..ServiceBreakdown::default()
@@ -255,11 +255,11 @@ impl Device {
     }
 
     /// Charges an arbitrary activity against the clock and energy meter.
-    pub fn advance(&mut self, duration: SimDuration, power: Power, label: impl Into<String>) {
+    pub fn advance(&mut self, duration: SimDuration, power: Power) {
         if duration == SimDuration::ZERO {
             return;
         }
-        self.timeline.push(self.clock, duration, power, label);
+        self.timeline.push(self.clock, duration, power);
         self.meter.accumulate(power, duration);
         self.clock += duration;
     }

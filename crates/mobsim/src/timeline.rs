@@ -2,7 +2,7 @@
 //!
 //! Figure 16 of the paper plots whole-device power while serving ten
 //! consecutive queries through PocketSearch (~900 mW for ~4 s) versus the
-//! 3G radio (~1500 mW for ~40 s). [`PowerTimeline`] records labelled
+//! 3G radio (~1500 mW for ~40 s). [`PowerTimeline`] records
 //! constant-power segments as the device runs and can re-sample them into
 //! exactly that kind of trace.
 
@@ -20,8 +20,6 @@ pub struct PowerSegment {
     pub end: SimInstant,
     /// Whole-device power during the segment.
     pub power: Power,
-    /// What the device was doing ("render", "3G transfer", ...).
-    pub label: String,
 }
 
 impl PowerSegment {
@@ -46,7 +44,7 @@ impl PowerSegment {
 /// use mobsim::timeline::PowerTimeline;
 ///
 /// let mut tl = PowerTimeline::new();
-/// tl.push(SimInstant::ZERO, SimDuration::from_secs(4), Power::from_milliwatts(900), "local");
+/// tl.push(SimInstant::ZERO, SimDuration::from_secs(4), Power::from_milliwatts(900));
 /// assert!((tl.total_energy().joules() - 3.6).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -66,13 +64,7 @@ impl PowerTimeline {
     ///
     /// Panics if `start` precedes the end of the last recorded segment;
     /// the timeline is strictly chronological.
-    pub fn push(
-        &mut self,
-        start: SimInstant,
-        duration: SimDuration,
-        power: Power,
-        label: impl Into<String>,
-    ) {
+    pub fn push(&mut self, start: SimInstant, duration: SimDuration, power: Power) {
         if let Some(last) = self.segments.last() {
             assert!(
                 start >= last.end,
@@ -84,7 +76,6 @@ impl PowerTimeline {
             start,
             end: start + duration,
             power,
-            label: label.into(),
         });
     }
 
@@ -158,13 +149,8 @@ mod tests {
     #[test]
     fn push_and_totals() {
         let mut tl = PowerTimeline::new();
-        tl.push(
-            SimInstant::ZERO,
-            SimDuration::from_secs(2),
-            mw(900),
-            "local",
-        );
-        tl.push(tl.end(), SimDuration::from_secs(1), mw(1_500), "radio");
+        tl.push(SimInstant::ZERO, SimDuration::from_secs(2), mw(900));
+        tl.push(tl.end(), SimDuration::from_secs(1), mw(1_500));
         assert_eq!(tl.busy_time(), SimDuration::from_secs(3));
         assert!((tl.total_energy().joules() - 3.3).abs() < 1e-9);
         assert_eq!(tl.peak_power(), Some(mw(1_500)));
@@ -178,26 +164,23 @@ mod tests {
             SimInstant::from_micros(100),
             SimDuration::from_micros(50),
             mw(1),
-            "a",
         );
         tl.push(
             SimInstant::from_micros(120),
             SimDuration::from_micros(10),
             mw(1),
-            "b",
         );
     }
 
     #[test]
     fn sample_reports_idle_in_gaps() {
         let mut tl = PowerTimeline::new();
-        tl.push(SimInstant::ZERO, SimDuration::from_secs(1), mw(900), "a");
+        tl.push(SimInstant::ZERO, SimDuration::from_secs(1), mw(900));
         // One-second gap, then another busy second.
         tl.push(
             SimInstant::from_micros(2_000_000),
             SimDuration::from_secs(1),
             mw(1_500),
-            "b",
         );
         let samples = tl.sample(SimDuration::from_millis(500), mw(100));
         let powers: Vec<u32> = samples.iter().map(|(_, p)| p.milliwatts()).collect();
@@ -217,7 +200,7 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_step_sampling_panics() {
         let mut tl = PowerTimeline::new();
-        tl.push(SimInstant::ZERO, SimDuration::from_secs(1), mw(1), "a");
+        tl.push(SimInstant::ZERO, SimDuration::from_secs(1), mw(1));
         let _ = tl.sample(SimDuration::ZERO, mw(0));
     }
 
@@ -227,7 +210,6 @@ mod tests {
             start: SimInstant::ZERO,
             end: SimInstant::from_micros(500_000),
             power: mw(1_000),
-            label: "x".into(),
         };
         assert!((seg.energy().millijoules() - 500.0).abs() < 1e-9);
     }

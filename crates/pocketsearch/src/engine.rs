@@ -261,10 +261,10 @@ impl PocketSearch {
     /// flash fetch + render path (hit) or the radio path (miss).
     pub fn serve(&mut self, query_hash: u64) -> ServedQuery {
         let mut degraded = None;
-        if let Some(ranked) = self.cache.lookup(query_hash) {
-            // Display the top two results, as in the Figure 1 GUI.
-            let top: Vec<u64> = ranked.iter().take(2).map(|r| r.result_hash).collect();
-            match self.db.get_many(top.iter().copied(), self.device.flash()) {
+        // Display the top two results, as in the Figure 1 GUI.
+        if let Some((best, second)) = self.cache.table().top_two(query_hash) {
+            let top = std::iter::once(best).chain(second).map(|r| r.result_hash);
+            match self.db.get_many(top.clone(), self.device.flash()) {
                 Ok((results, fetch_time)) => {
                     let report = self.device.serve_cache_hit(fetch_time);
                     return ServedQuery {
@@ -281,7 +281,7 @@ impl PocketSearch {
                     // results. Damaged files are queued for re-fetch.
                     if e.is_corruption() {
                         self.recovery_stats.degraded_serves += 1;
-                        for &hash in &top {
+                        for hash in top {
                             self.pending_repairs.insert(self.db.file_index(hash));
                         }
                     }
@@ -327,7 +327,7 @@ impl PocketSearch {
             pass.records_refetched += records.len() as u64;
             let flash_time = self.db.restore_file(file, records, self.device.flash_mut());
             let base = self.device.config().base_power;
-            self.device.advance(flash_time, base, "db restore");
+            self.device.advance(flash_time, base);
             pass.files_repaired += 1;
             pass.refetch_bytes += request_bytes + response_bytes;
             pass.refetch_time += fetch.total_time + flash_time;

@@ -4,18 +4,20 @@
 //! front-end — an edge box hosting the community cache, or a simulator
 //! replaying a whole population — has to serve a stream of
 //! `(user, query)` requests concurrently. This module supplies the
-//! search side of that: [`SearchShard`] is one shard of a
-//! [`ShardedTable`] over the shared flash database, serving with the
-//! exact hit/miss outcomes and simulated service times the sequential
-//! engine would produce, and [`search_frontend`] puts `S` of them
-//! behind a [`Frontend`].
+//! search side of that: [`SearchShard`] is one lane over the shared,
+//! immutable DRAM index ([`FrozenTable`]) and the shared flash
+//! database, serving with the exact hit/miss outcomes and simulated
+//! service times the sequential engine would produce, and
+//! [`search_frontend`] puts `S` of them behind a [`Frontend`].
 //!
 //! Routing, queueing, coalescing, telemetry, and the §7 budget arbiter
-//! all live in `cloudlet_core::frontend`. Under the default
-//! key routing a query lands on lane `query_hash % S`, which is exactly
-//! the sharded index's placement; [`FrontendConfig::pr3_baseline`] drains
-//! each lane serially, so a batch's makespan is the busiest lane's summed
-//! simulated service time. Every reported time is simulated
+//! all live in `cloudlet_core::frontend`. Every lane probes the one
+//! index, so any routing is exact; under the default key routing a
+//! query lands on lane `query_hash % S`, and a lane's budget demand is
+//! the footprint of the index entries that routing sends it.
+//! [`FrontendConfig::pr3_baseline`] drains each lane serially, so a
+//! batch's makespan is the busiest lane's summed simulated service
+//! time. Every reported time is simulated
 //! (`mobsim::time`), so batch reports are bit-reproducible across
 //! machines.
 
@@ -24,10 +26,11 @@ use std::sync::Arc;
 use cloudlet_core::arbiter::DemandContext;
 use cloudlet_core::coordination::CloudletId;
 use cloudlet_core::frontend::{Frontend, FrontendConfig};
+use cloudlet_core::hashtable::frozen::FrozenTable;
+use cloudlet_core::hashtable::{QueryHashTable, SLOTS_PER_ENTRY};
 use cloudlet_core::service::{
     CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
 };
-use cloudlet_core::shard::ShardedTable;
 use flashdb::ResultDb;
 use mobsim::time::SimDuration;
 use mobsim::FlashStore;
@@ -54,24 +57,27 @@ struct SharedStore {
     flash: FlashStore,
 }
 
-/// One shard of the search cloudlet as a [`CloudletService`] lane: a
-/// slice of the sharded DRAM index plus the shared flash database.
+/// One lane of the search cloudlet as a [`CloudletService`]: the shared
+/// DRAM index plus the shared flash database.
 ///
 /// Serving reproduces `PocketSearch::serve` semantics: a hit needs both
 /// an index entry and its top-two records in the database, and an index
 /// entry whose record is missing degrades into a radio miss.
 #[derive(Debug)]
 pub struct SearchShard {
-    table: Arc<ShardedTable>,
-    shard: usize,
+    index: Arc<FrozenTable>,
+    /// DRAM footprint of the index entries key routing sends this lane
+    /// (`query_hash % S == lane`): its slice of the shared index.
+    slice_bytes: usize,
     store: Arc<SharedStore>,
     costs: ServeCosts,
     stats: ServeStats,
 }
 
 impl SearchShard {
-    /// Builds the sharded index and one [`SearchShard`] per shard from
-    /// an engine's cache table, database, and device timing model.
+    /// Builds the shared index and `n_shards` [`SearchShard`] lanes over
+    /// it from an engine's cache table, database, and device timing
+    /// model.
     ///
     /// # Panics
     ///
@@ -79,7 +85,8 @@ impl SearchShard {
     pub fn fleet_of(
         engine: &PocketSearch,
         n_shards: usize,
-    ) -> (Arc<ShardedTable>, Vec<SearchShard>) {
+    ) -> (Arc<FrozenTable>, Vec<SearchShard>) {
+        assert!(n_shards > 0, "a search fleet needs at least one lane");
         let device = engine.device();
         let config = device.config();
         let browser = device.browser();
@@ -95,26 +102,27 @@ impl SearchShard {
             miss_total: config.lookup_time + exchange + render_and_misc,
             miss_bytes: config.request_bytes + config.response_bytes,
         };
-        let table = Arc::new(ShardedTable::from_table(engine.cache().table(), n_shards));
+        let table = engine.cache().table();
+        let index = Arc::new(FrozenTable::from_table(table));
+        let mut slice_entries = vec![0usize; n_shards];
+        for record in table.to_records() {
+            slice_entries[(record.query_hash % n_shards as u64) as usize] += 1;
+        }
         let store = Arc::new(SharedStore {
             db: engine.db().clone(),
             flash: device.flash().clone(),
         });
-        let shards = (0..n_shards)
-            .map(|shard| SearchShard {
-                table: Arc::clone(&table),
-                shard,
+        let shards = slice_entries
+            .into_iter()
+            .map(|entries| SearchShard {
+                index: Arc::clone(&index),
+                slice_bytes: entries * QueryHashTable::layout_bytes(SLOTS_PER_ENTRY),
                 store: Arc::clone(&store),
                 costs,
                 stats: ServeStats::default(),
             })
             .collect();
-        (table, shards)
-    }
-
-    /// The shard of the DRAM index this lane owns.
-    pub fn shard_index(&self) -> usize {
-        self.shard
+        (index, shards)
     }
 }
 
@@ -143,7 +151,7 @@ impl CloudletService for SearchShard {
     /// without building a list, and the database checks both records in
     /// place ([`ResultDb::fetch_time`]) for the time the fetch takes.
     fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
-        let (best, second) = self.table.top_two(request.key)?;
+        let (best, second) = self.index.top_two(request.key)?;
         let top = std::iter::once(best).chain(second).map(|r| r.result_hash);
         let fetch_time = self.store.db.fetch_time(top, &self.store.flash).ok()?;
         Some(
@@ -157,11 +165,11 @@ impl CloudletService for SearchShard {
     }
 
     fn cache_bytes(&self) -> u64 {
-        self.table.shard(self.shard).footprint_bytes() as u64
+        self.slice_bytes as u64
     }
 
-    /// A shard's demand is always its slice of the shared DRAM index,
-    /// telemetry or not: shards are replicas over one [`ShardedTable`],
+    /// A lane's demand is always its slice of the shared DRAM index,
+    /// telemetry or not: lanes are replicas over one [`FrozenTable`],
     /// so a lane cannot grow or shrink its slice independently — the
     /// adaptive arbiter moves capacity *between cloudlets* via the
     /// context's priority, which passes through unchanged here.
@@ -172,32 +180,27 @@ impl CloudletService for SearchShard {
     ) -> cloudlet_core::coordination::BudgetDemand {
         cloudlet_core::coordination::BudgetDemand {
             cloudlet,
-            demand_bytes: self.table.shard(self.shard).footprint_bytes(),
+            demand_bytes: self.slice_bytes,
             priority: ctx.priority,
         }
     }
 }
 
 /// Builds a pipelined [`Frontend`] of `n_shards` search lanes over one
-/// shared sharded index. Search lanes are replicas — the sharded table
-/// routes any key to its owning shard internally — so every front-end
-/// feature (coalescing, the shared-lock hit path, either routing) is
-/// semantics-preserving here.
+/// shared index. Search lanes are replicas — each probes the whole
+/// index — so every front-end feature (coalescing, the shared-lock hit
+/// path, either routing) is semantics-preserving here.
 ///
 /// # Panics
 ///
 /// Panics when `n_shards` is zero or the configuration is invalid.
-pub fn search_frontend(
-    engine: &PocketSearch,
-    n_shards: usize,
-    config: FrontendConfig,
-) -> (Arc<ShardedTable>, Frontend) {
-    let (table, shards) = SearchShard::fleet_of(engine, n_shards);
+pub fn search_frontend(engine: &PocketSearch, n_shards: usize, config: FrontendConfig) -> Frontend {
+    let (_, shards) = SearchShard::fleet_of(engine, n_shards);
     let lanes: Vec<Box<dyn CloudletService + Send + Sync>> = shards
         .into_iter()
         .map(|s| Box::new(s) as Box<dyn CloudletService + Send + Sync>)
         .collect();
-    (table, Frontend::new(vec![lanes], config))
+    Frontend::new(vec![lanes], config)
 }
 
 #[cfg(test)]
@@ -245,7 +248,7 @@ mod tests {
     fn batch_outcomes_match_sequential_engine() {
         let (engine, cached) = test_engine();
         let requests = batch(&cached, 240);
-        let (_, frontend) = search_frontend(&engine, 8, FrontendConfig::pr3_baseline());
+        let frontend = search_frontend(&engine, 8, FrontendConfig::pr3_baseline());
         let totals = frontend
             .serve_batch(&requests)
             .expect("search batch")
@@ -275,7 +278,7 @@ mod tests {
         let (engine, cached) = test_engine();
         let requests = batch(&cached, 400);
         let serve = |shards| {
-            let (_, frontend) = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
+            let frontend = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
             frontend.serve_batch(&requests).expect("batch").report
         };
         let one = serve(1);
@@ -294,7 +297,7 @@ mod tests {
     #[test]
     fn served_request_lands_on_its_modulo_lane() {
         let (engine, cached) = test_engine();
-        let (_, frontend) = search_frontend(&engine, 4, FrontendConfig::pr3_baseline());
+        let frontend = search_frontend(&engine, 4, FrontendConfig::pr3_baseline());
         let batch = frontend
             .serve_batch(&[ServeRequest::new(1, 0, cached[0], SimInstant::ZERO)])
             .expect("search batch");
@@ -312,15 +315,23 @@ mod tests {
     #[test]
     fn shard_demand_is_its_index_slice() {
         let (engine, _) = test_engine();
-        let (table, shards) = SearchShard::fleet_of(&engine, 4);
+        let (index, shards) = SearchShard::fleet_of(&engine, 4);
+        let records = engine.cache().table().to_records();
         let ctx = DemandContext::equal_priority(0);
-        for (i, shard) in shards.iter().enumerate() {
-            let footprint = table.shard(i).footprint_bytes();
-            assert_eq!(shard.shard_index(), i);
-            assert_eq!(shard.cache_bytes(), footprint as u64);
-            let demand = shard.budget_demand(CloudletId(i as u32), &ctx);
-            assert_eq!(demand.demand_bytes, footprint);
+        let mut total = 0;
+        for (lane, shard) in shards.iter().enumerate() {
+            let entries = records
+                .iter()
+                .filter(|r| r.query_hash % 4 == lane as u64)
+                .count();
+            let slice = entries * QueryHashTable::layout_bytes(2);
+            assert_eq!(shard.cache_bytes(), slice as u64);
+            let demand = shard.budget_demand(CloudletId(lane as u32), &ctx);
+            assert_eq!(demand.demand_bytes, slice);
             assert_eq!(demand.priority, ctx.priority);
+            total += slice;
         }
+        assert!(total > 0);
+        assert_eq!(total, index.footprint_bytes());
     }
 }

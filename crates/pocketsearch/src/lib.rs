@@ -14,9 +14,9 @@
 //! [`experiment`] packages the headline studies (Figure 15 latency/energy,
 //! Figure 16 power traces, Figures 17–19 hit rates, §6.2.2 daily updates).
 //! [`fleet`] scales serving beyond one device: [`fleet::search_frontend`]
-//! shards the DRAM index by `query_hash % S` and serves `(user, query)`
-//! batches through a `cloudlet_core::frontend::Frontend` with one
-//! [`fleet::SearchShard`] lane per shard.
+//! serves `(user, query)` batches through a
+//! `cloudlet_core::frontend::Frontend` of `S` [`fleet::SearchShard`]
+//! lanes, all probing one shared immutable DRAM index.
 //!
 //! # Example
 //!

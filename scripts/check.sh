@@ -19,6 +19,11 @@ cargo run -q -p cloudlet-analysis --bin lint
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples (each runs to a zero exit)"
+for example in examples/*.rs; do
+    cargo run --release --quiet --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> scripts/bench.sh --check (deterministic BENCH_*.json and results/*.txt regenerate byte-identical)"
 scripts/bench.sh --check
 

@@ -65,7 +65,6 @@ pub mod prelude {
     pub use cloudlet_core::service::{
         CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest, ServeStats,
     };
-    pub use cloudlet_core::shard::ShardedTable;
     pub use cloudlet_core::update::UpdateServer;
     pub use flashdb::{DbConfig, ResultDb, ResultRecord};
     pub use mobsim::device::Device;

@@ -26,7 +26,7 @@ fn eight_threads_lose_no_counter_updates() {
         PocketSearchConfig::default(),
     );
     let requests = fleet_workload(&inputs, 32, THREADS * EVENTS_PER_THREAD, 52);
-    let (_, frontend) = search_frontend(&engine, 8, FrontendConfig::pr3_baseline());
+    let frontend = search_frontend(&engine, 8, FrontendConfig::pr3_baseline());
 
     // Each thread drains a disjoint slice of the stream through the
     // shared front-end; every one-request batch picks its lane from the
@@ -74,13 +74,12 @@ fn single_request_batches_and_one_batch_agree_under_contention() {
 
     // Ground truth from a batched run on a fresh front-end.
     let batch_report = search_frontend(&engine, 4, FrontendConfig::pr3_baseline())
-        .1
         .serve_batch(&requests)
         .expect("fleet batch")
         .report;
 
     // The same stream hammered thread-per-chunk as one-request batches.
-    let (_, frontend) = search_frontend(&engine, 4, FrontendConfig::pr3_baseline());
+    let frontend = search_frontend(&engine, 4, FrontendConfig::pr3_baseline());
     let frontend = &frontend;
     thread::scope(|scope| {
         for lane in requests.chunks(requests.len() / THREADS + 1) {
@@ -124,7 +123,7 @@ fn sixteen_shards_at_least_double_throughput() {
     let requests = fleet_workload(&inputs, 64, 2_000, 56);
 
     let serve = |shards| {
-        let (_, frontend) = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
+        let frontend = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
         frontend.serve_batch(&requests).expect("fleet batch").report
     };
     let one = serve(1);

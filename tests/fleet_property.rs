@@ -1,5 +1,5 @@
-//! Property tests for sharded search serving: for any event mix and any
-//! shard count, a baseline [`search_frontend`] must reproduce exactly
+//! Property tests for search-fleet serving: for any event mix and any
+//! lane count, a baseline [`search_frontend`] must reproduce exactly
 //! the hit/miss outcomes of a sequential `PocketSearch::serve` loop,
 //! route every request to its modulo-owning lane, and leave the index
 //! untouched.
@@ -10,11 +10,12 @@ use proptest::prelude::*;
 
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
-use pocket_cloudlets::core::frontend::{FrontendConfig, ServeRequest};
+use pocket_cloudlets::core::frontend::{Frontend, FrontendConfig, ServeRequest};
+use pocket_cloudlets::core::service::CloudletService;
 use pocket_cloudlets::mobsim::time::SimInstant;
 use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
 use pocket_cloudlets::pocketsearch::engine::{Catalog, PocketSearch};
-use pocket_cloudlets::pocketsearch::fleet::search_frontend;
+use pocket_cloudlets::pocketsearch::fleet::{search_frontend, SearchShard};
 use pocket_cloudlets::querylog::generator::{GeneratorConfig, LogGenerator};
 use pocket_cloudlets::querylog::triplets::TripletTable;
 
@@ -73,7 +74,7 @@ proptest! {
             .map(|r| (r.key, sequential.serve(r.key).hit))
             .collect();
 
-        let (_, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
+        let frontend = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
         let report = frontend.serve_batch(&requests).expect("fleet batch").report;
         let mut observed: Vec<(u64, bool)> = requests
             .iter()
@@ -106,14 +107,15 @@ proptest! {
             lanes[(request.key % shards as u64) as usize] += 1;
         }
 
-        let (_, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
+        let frontend = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
         let report = frontend.serve_batch(&requests).expect("fleet batch").report;
         let routed: Vec<u64> = report.lanes.iter().map(|s| s.events).collect();
         prop_assert_eq!(&routed, &lanes);
     }
 
-    /// Serving is read-only: after any batch the sharded index holds
-    /// exactly the pairs the engine's table held, shard by shard.
+    /// Serving is read-only: after any batch the index every lane
+    /// shares holds exactly the pairs the engine's table holds, and
+    /// answers every served key as that table does.
     #[test]
     fn serving_leaves_pair_counts_untouched(
         raw in proptest::collection::vec((0u64..32, any::<u64>(), any::<bool>()), 1..48),
@@ -122,10 +124,18 @@ proptest! {
         let (engine, cached) = shared_engine();
         let requests = materialize(&raw, cached);
 
-        let (table, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
-        let before = table.pair_counts();
+        let (index, lanes) = SearchShard::fleet_of(engine, shards);
+        let lanes: Vec<Box<dyn CloudletService + Send + Sync>> = lanes
+            .into_iter()
+            .map(|s| Box::new(s) as Box<dyn CloudletService + Send + Sync>)
+            .collect();
+        let frontend = Frontend::new(vec![lanes], FrontendConfig::pr3_baseline());
         frontend.serve_batch(&requests).expect("fleet batch");
-        prop_assert_eq!(table.pair_counts(), before);
-        prop_assert_eq!(table.pair_count(), engine.cache().table().pair_count());
+        let table = engine.cache().table();
+        prop_assert_eq!(index.pair_count(), table.pair_count());
+        prop_assert_eq!(index.entry_count(), table.entry_count());
+        for request in &requests {
+            prop_assert_eq!(index.lookup(request.key), table.lookup(request.key));
+        }
     }
 }

@@ -71,10 +71,10 @@ fn eight_threads_shed_exactly_what_one_batch_sheds() {
         .queue_depth(2)
         .overflow(OverflowPolicy::Reject)
         .build();
-    let (_, frontend) = search_frontend(engine, shards, config);
+    let frontend = search_frontend(engine, shards, config);
 
     // One reference batch on an identical front-end.
-    let (_, reference) = search_frontend(engine, shards, config);
+    let reference = search_frontend(engine, shards, config);
     let single = reference.serve_batch(&requests).expect("reference batch");
     let expected = single.report.totals();
     assert!(expected.rejected > 0, "the hot lane must overflow");
@@ -114,7 +114,7 @@ fn concurrent_single_request_batches_count_up() {
     const THREADS: usize = 8;
     const PER_THREAD: usize = 32;
     let (engine, cached) = shared_engine();
-    let (_, frontend) = search_frontend(engine, 4, FrontendConfig::default());
+    let frontend = search_frontend(engine, 4, FrontendConfig::default());
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {

@@ -100,7 +100,7 @@ proptest! {
             .hit_path(HitPathMode::SharedRead)
             .overflow(OverflowPolicy::Park)
             .build();
-        let (_, frontend) = search_frontend(engine, shards, config);
+        let frontend = search_frontend(engine, shards, config);
         let batch = frontend.serve_batch(&events).expect("frontend batch");
 
         let observed: Vec<(u64, u64, bool)> = events
@@ -138,7 +138,7 @@ proptest! {
         let optimized = FrontendConfig::builder().queue_depth(4).build();
         let mut hits = Vec::new();
         for config in [FrontendConfig::pr3_baseline(), optimized] {
-            let (_, frontend) = search_frontend(engine, shards, config);
+            let frontend = search_frontend(engine, shards, config);
             let batch = frontend.serve_batch(&requests).expect("frontend batch");
             hits.push((batch.report.totals().hits, batch.report.totals().events));
         }
@@ -168,7 +168,7 @@ proptest! {
             .overflow(OverflowPolicy::Reject)
             .build();
         let shed = |requests: &[ServeRequest]| -> Vec<bool> {
-            let (_, frontend) = search_frontend(engine, 1, config);
+            let frontend = search_frontend(engine, 1, config);
             let batch = frontend.serve_batch(requests).expect("frontend batch");
             batch
                 .served
@@ -216,7 +216,7 @@ proptest! {
             .hit_path(if shared_read { HitPathMode::SharedRead } else { HitPathMode::Exclusive })
             .overflow(if reject { OverflowPolicy::Reject } else { OverflowPolicy::Park })
             .build();
-        let (_, frontend) = search_frontend(engine, shards, config);
+        let frontend = search_frontend(engine, shards, config);
         let lanes = || -> Vec<LaneTotals> {
             frontend.telemetry().lanes.iter().map(|l| l.totals).collect()
         };
@@ -267,7 +267,7 @@ fn baseline_frontend_reproduces_router_makespan() {
         .collect();
 
     let serve = |shards| {
-        let (_, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
+        let frontend = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
         frontend
             .serve_batch(&requests)
             .expect("frontend batch")
@@ -305,10 +305,10 @@ fn optimized_frontend_beats_baseline_qps() {
         })
         .collect();
 
-    let (_, baseline) = search_frontend(engine, 4, FrontendConfig::pr3_baseline());
+    let baseline = search_frontend(engine, 4, FrontendConfig::pr3_baseline());
     let base = baseline.serve_batch(&requests).expect("baseline batch");
 
-    let (_, optimized) = search_frontend(engine, 4, FrontendConfig::default());
+    let optimized = search_frontend(engine, 4, FrontendConfig::default());
     let opt = optimized.serve_batch(&requests).expect("optimized batch");
 
     let (opt_totals, base_totals) = (opt.report.totals(), base.report.totals());
@@ -466,7 +466,7 @@ fn golden_timing_is_pinned_across_the_config_matrix() {
                             })
                             .route_by(route_by)
                             .build();
-                        let (_, frontend) = search_frontend(engine, 4, config);
+                        let frontend = search_frontend(engine, 4, config);
                         let batch = frontend.serve_batch(&requests).expect("golden batch");
                         digest = batch.served.iter().fold(digest, fold_served);
                         digest = fold_report(digest, &batch.report);

@@ -1,4 +1,4 @@
-//! The serve path under interleaving: the immutable sharded index is
+//! The serve path under interleaving: the immutable frozen index is
 //! shared by many threads with no lock, and the peer fabric's one
 //! writer — re-registration — never lets a consult observe half of an
 //! old holding and half of a new one.
@@ -9,12 +9,13 @@
 
 use std::sync::{Arc, Barrier};
 
+use pocket_cloudlets::core::hashtable::frozen::FrozenTable;
 use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable};
 use pocket_cloudlets::core::peer::{PeerConfig, PeerConsult, PeerFabric};
-use pocket_cloudlets::core::shard::ShardedTable;
 
-/// 32 threads share one `Arc<ShardedTable>`: every lookup — results,
-/// order and `accessed` bits — equals the flat table's.
+/// 32 threads share one `Arc<FrozenTable>`, as a search fleet's lanes
+/// do: every lookup — results, order and `accessed` bits — equals the
+/// mutable table's.
 #[test]
 fn shared_sharded_index_answers_like_the_flat_table_on_every_thread() {
     const QUERIES: u64 = 256;
@@ -31,17 +32,17 @@ fn shared_sharded_index_answers_like_the_flat_table_on_every_thread() {
                 .expect("pair was just inserted");
         }
     }
-    let sharded = Arc::new(ShardedTable::from_table(&flat, 8));
+    let index = Arc::new(FrozenTable::from_table(&flat));
     let flat = Arc::new(flat);
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
-            let sharded = Arc::clone(&sharded);
+            let index = Arc::clone(&index);
             let flat = Arc::clone(&flat);
             std::thread::spawn(move || {
                 for i in 0..READS_PER_THREAD {
                     // A few keys past the cached range exercise misses.
                     let q = (i * 7 + t as u64) % (QUERIES + 16);
-                    assert_eq!(sharded.lookup(q), flat.lookup(q), "query {q}");
+                    assert_eq!(index.lookup(q), flat.lookup(q), "query {q}");
                 }
             })
         })

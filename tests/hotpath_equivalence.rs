@@ -4,10 +4,10 @@
 //! same accessed flags, same statistics. Each property runs 256 random
 //! cases:
 //!
-//! * `ShardedTable::lookup` vs the flat unsharded table, for the table
+//! * `FrozenTable::lookup` vs `QueryHashTable::lookup`, for the index
 //!   as first built and for a rebuild after further random writes;
-//! * `ShardedTable::top_two` vs the flat table's lookup cut to two, on
-//!   long chains of tied scores;
+//! * `FrozenTable::top_two` and `QueryHashTable::top_two` vs the
+//!   table's lookup cut to two, on long chains of tied scores;
 //! * `PopulationLane`'s read-only fast path vs its write path, with
 //!   the fast-path outcomes merged into external stats the way the
 //!   front-end's lane counters do it.
@@ -17,11 +17,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pocket_cloudlets::core::cache::{CacheMode, CommunityCache};
-use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable};
+use pocket_cloudlets::core::hashtable::frozen::FrozenTable;
+use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable, TopTwo};
 use pocket_cloudlets::core::population::{PairTable, PopulationConfig, PopulationLane};
 use pocket_cloudlets::core::ranking::RankingPolicy;
 use pocket_cloudlets::core::service::{CloudletService, ServeRequest, ServeStats};
-use pocket_cloudlets::core::shard::ShardedTable;
 use pocket_cloudlets::mobsim::time::SimInstant;
 
 /// One randomized table mutation.
@@ -66,29 +66,30 @@ fn apply_flat(table: &mut QueryHashTable, op: &TableOp) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The sharded index returns exactly what the flat table returns —
-    /// for the table as first built, and for a rebuild after further
-    /// random upserts and `mark_accessed` calls.
+    /// The lock-free frozen index returns exactly what the mutable
+    /// table returns — for the table as first built, and for a rebuild
+    /// after further random upserts and `mark_accessed` calls.
     #[test]
     fn sharded_lockfree_lookup_is_bit_identical_to_locked(
         initial in proptest::collection::vec(table_op(), 0..60),
         later in proptest::collection::vec(table_op(), 0..30),
-        shards in 1usize..6,
     ) {
         let mut flat = QueryHashTable::new();
         for op in &initial {
             apply_flat(&mut flat, op);
         }
-        let sharded = ShardedTable::from_table(&flat, shards);
+        let index = FrozenTable::from_table(&flat);
+        prop_assert_eq!(index.pair_count(), flat.pair_count());
+        prop_assert_eq!(index.entry_count(), flat.entry_count());
         for query in 0..44u64 {
-            prop_assert_eq!(sharded.lookup(query), flat.lookup(query));
+            prop_assert_eq!(index.lookup(query), flat.lookup(query));
         }
-        // An index is never written: further writes land in the flat
+        // An index is never written: further writes land in the mutable
         // table and a rebuild images them.
         for op in &later {
             apply_flat(&mut flat, op);
         }
-        let rebuilt = ShardedTable::from_table(&flat, shards);
+        let rebuilt = FrozenTable::from_table(&flat);
         prop_assert_eq!(rebuilt.pair_count(), flat.pair_count());
         prop_assert_eq!(rebuilt.entry_count(), flat.entry_count());
         for query in 0..44u64 {
@@ -96,14 +97,14 @@ proptest! {
         }
     }
 
-    /// The allocation-free top-two probe returns the first two results
-    /// of the full lookup. Scores come from two values and chains run
-    /// several entries deep, so most rankings are settled by the result
-    /// hash tie-break, wherever in the chain the tied results sit.
+    /// Both allocation-free top-two probes — the frozen index's and the
+    /// mutable table's — return the first two results of the full
+    /// lookup. Scores come from two values and chains run several
+    /// entries deep, so most rankings are settled by the result hash
+    /// tie-break, wherever in the chain the tied results sit.
     #[test]
     fn top_two_is_the_lookup_cut_to_two_under_tied_scores(
         pairs in proptest::collection::vec((0u64..6, 0u64..10, 1u32..=2, any::<bool>()), 0..60),
-        shards in 1usize..4,
     ) {
         let mut flat = QueryHashTable::new();
         for (q, r, s, accessed) in &pairs {
@@ -115,15 +116,16 @@ proptest! {
                 flat.mark_accessed(*q, result).expect("pair was just inserted");
             }
         }
-        let sharded = ShardedTable::from_table(&flat, shards);
+        let index = FrozenTable::from_table(&flat);
+        let listed = |top: Option<TopTwo>| {
+            top.map(|(best, second)| std::iter::once(best).chain(second).collect::<Vec<_>>())
+        };
         for query in 0..8u64 {
             let expected = flat
                 .lookup(query)
                 .map(|rs| rs.into_iter().take(2).collect::<Vec<_>>());
-            let top = sharded
-                .top_two(query)
-                .map(|(best, second)| std::iter::once(best).chain(second).collect::<Vec<_>>());
-            prop_assert_eq!(top, expected);
+            prop_assert_eq!(listed(index.top_two(query)), expected.clone());
+            prop_assert_eq!(listed(flat.top_two(query)), expected);
         }
     }
 

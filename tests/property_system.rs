@@ -134,7 +134,7 @@ proptest! {
     ) {
         let mut tl = PowerTimeline::new();
         for &(ms, mw) in &segments {
-            tl.push(tl.end(), SimDuration::from_millis(ms), Power::from_milliwatts(mw), "seg");
+            tl.push(tl.end(), SimDuration::from_millis(ms), Power::from_milliwatts(mw));
         }
         let exact = tl.total_energy().millijoules();
         prop_assert!(exact > 0.0);
