@@ -330,8 +330,7 @@ struct Signal {
 impl Signal {
     fn measure(obs: &EpochObservation) -> Self {
         let t = obs.totals;
-        let served = t.events.saturating_sub(t.rejected).saturating_sub(t.errors);
-        let attempted = served.saturating_sub(t.skipped);
+        let attempted = t.attempted();
         let unique = attempted.saturating_sub(t.coalesced);
         let local = t.hits + t.stale_hits;
         let local_rate = if attempted == 0 {

@@ -71,9 +71,7 @@ use crate::arbiter::{AdaptiveArbiter, BudgetDecision, EpochObservation};
 use crate::coordination::CloudletId;
 use crate::counters::CounterSet;
 use crate::peer::{PeerConfig, PeerConsult, PeerFabric};
-use crate::service::{
-    CloudletError, CloudletService, ServeKind, ServeOutcome, ServeSource, ServeStats,
-};
+use crate::service::{CloudletError, CloudletService, ServeKind, ServeOutcome, ServeSource};
 
 /// The one request type: the front-end routes the caller's request and
 /// hands it to the lane unchanged.
@@ -417,20 +415,32 @@ impl LaneTotals {
 
     /// Requests that actually completed (everything but rejections and
     /// errors).
+    ///
+    /// This and the counts below saturate at zero: a snapshot torn
+    /// across fields (see [`Frontend::telemetry`]) can hold a batch's
+    /// rejections without its events.
     pub fn served(&self) -> u64 {
-        self.events - self.rejected - self.errors
+        self.events
+            .saturating_sub(self.rejected)
+            .saturating_sub(self.errors)
+    }
+
+    /// Completed requests that were not declined consultations: the
+    /// denominator of every per-request rate.
+    pub fn attempted(&self) -> u64 {
+        self.served().saturating_sub(self.skipped)
     }
 
     /// Underlying serves: completed requests minus coalesced followers.
     pub fn unique_serves(&self) -> u64 {
-        self.served() - self.coalesced
+        self.served().saturating_sub(self.coalesced)
     }
 
     /// Pure-hit ratio over attempted requests (skips, rejections, and
     /// errors excluded from the denominator). Followers count with
     /// their leader's outcome, so coalescing never moves this number.
     pub fn hit_rate(&self) -> f64 {
-        let attempted = self.served() - self.skipped;
+        let attempted = self.attempted();
         if attempted == 0 {
             0.0
         } else {
@@ -520,22 +530,17 @@ pub struct FrontendBatch {
     pub report: FrontendReport,
 }
 
-/// One lane's unified telemetry: the front-end's own counters plus the
-/// cloudlet's serve-path statistics, side by side.
+/// One lane's telemetry: the front-end's serve totals and the lane's
+/// resident bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneTelemetry {
     /// Global lane index.
     pub lane: usize,
     /// The cloudlet's stable name.
     pub name: &'static str,
-    /// Cumulative front-end totals since construction (the
-    /// authoritative view — it counts fast-path hits).
+    /// Cumulative front-end totals since construction: every request
+    /// the lane was routed, fast-path hits included.
     pub totals: LaneTotals,
-    /// Serve-path statistics straight from the cloudlet. Fast-path hits
-    /// are *not* in here: `try_serve_hit` cannot touch the cloudlet's
-    /// own counters, so under [`HitPathMode::SharedRead`] these reflect
-    /// only exclusive serves.
-    pub stats: ServeStats,
     /// Bytes of device memory the lane's cloudlet occupies right now
     /// ([`CloudletService::cache_bytes`]) — the per-lane term of a
     /// population study's resident-memory accounting.
@@ -751,8 +756,8 @@ impl Frontend {
         self.lanes[lane].service.read().name()
     }
 
-    /// One unified snapshot of everything the front-end measures:
-    /// per-lane front-end totals *and* serve-path stats.
+    /// One snapshot of everything the front-end measures: per-lane
+    /// totals and resident bytes.
     ///
     /// Each [`Frontend::serve_batch`] counts its requests locally and
     /// adds them to the cumulative lane totals in one step, so it shows
@@ -771,7 +776,6 @@ impl Frontend {
                         lane,
                         name: service.name(),
                         totals: l.counters.snapshot(),
-                        stats: service.service_stats(),
                         cache_bytes: service.cache_bytes(),
                     }
                 })
@@ -1080,6 +1084,7 @@ fn select_percentiles(values: &mut [u64], lo: f64, hi: f64) -> (SimDuration, Sim
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     use super::*;
@@ -1089,18 +1094,23 @@ mod tests {
 
     /// A toy replica service: keys below `cached_below` hit (100 ms),
     /// everything else misses (1 s, 500 bytes). `key == 7` is a typed
-    /// error. Hits are served read-only through `try_serve_hit`.
+    /// error. Hits are served read-only through `try_serve_hit`;
+    /// `serves` counts the calls that reach the exclusive `serve`.
     struct ToyLane {
         cached_below: u64,
-        stats: ServeStats,
+        serves: Arc<AtomicU64>,
     }
 
     impl ToyLane {
-        fn boxed(cached_below: u64) -> Box<dyn CloudletService + Send + Sync> {
-            Box::new(ToyLane {
+        fn new(cached_below: u64) -> Self {
+            ToyLane {
                 cached_below,
-                stats: ServeStats::default(),
-            })
+                serves: Arc::default(),
+            }
+        }
+
+        fn boxed(cached_below: u64) -> Box<dyn CloudletService + Send + Sync> {
+            Box::new(ToyLane::new(cached_below))
         }
 
         fn outcome(&self, key: u64) -> ServeOutcome {
@@ -1118,20 +1128,15 @@ mod tests {
         }
 
         fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
+            self.serves.fetch_add(1, Ordering::SeqCst);
             if request.key == 7 {
                 return Err(CloudletError::UnknownKey { key: request.key });
             }
-            let outcome = self.outcome(request.key);
-            self.stats.record(&outcome);
-            Ok(outcome)
+            Ok(self.outcome(request.key))
         }
 
         fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
             (request.key != 7 && request.key < self.cached_below).then(|| self.outcome(request.key))
-        }
-
-        fn service_stats(&self) -> ServeStats {
-            self.stats
         }
 
         fn cache_bytes(&self) -> u64 {
@@ -1144,10 +1149,19 @@ mod tests {
     }
 
     fn frontend(lanes: usize, config: FrontendConfig) -> Frontend {
-        Frontend::new(
-            vec![(0..lanes).map(|_| ToyLane::boxed(100)).collect()],
-            config,
-        )
+        counted_frontend(lanes, config).0
+    }
+
+    /// A one-group front-end of toy lanes, with each lane's count of
+    /// exclusive serves.
+    fn counted_frontend(lanes: usize, config: FrontendConfig) -> (Frontend, Vec<Arc<AtomicU64>>) {
+        let lanes: Vec<ToyLane> = (0..lanes).map(|_| ToyLane::new(100)).collect();
+        let serves = lanes.iter().map(|l| Arc::clone(&l.serves)).collect();
+        let boxed = lanes
+            .into_iter()
+            .map(|l| Box::new(l) as Box<dyn CloudletService + Send + Sync>)
+            .collect();
+        (Frontend::new(vec![boxed], config), serves)
     }
 
     fn zero_batch(keys: &[u64]) -> Vec<ServeRequest> {
@@ -1190,7 +1204,7 @@ mod tests {
     fn shared_read_hits_bypass_the_exclusive_queue() {
         let mut config = FrontendConfig::pr3_baseline();
         config.hit_path = HitPathMode::SharedRead;
-        let fe = frontend(1, config);
+        let (fe, serves) = counted_frontend(1, config);
         // One slow miss plus two hits: hits ride the read pool, so the
         // makespan is the miss alone, not miss + hits.
         let batch = fe
@@ -1202,10 +1216,10 @@ mod tests {
         assert_eq!(batch.served[2].queue_wait, SimDuration::ZERO);
         assert_eq!(batch.report.totals().hits, 2);
         // The exclusive lane only saw the miss.
-        let telemetry = fe.telemetry();
-        assert_eq!(telemetry.lanes[0].stats.serves, 1);
+        assert_eq!(serves[0].load(Ordering::SeqCst), 1);
         assert_eq!(
-            telemetry.lanes[0].totals.events, 3,
+            fe.telemetry().lanes[0].totals.events,
+            3,
             "front-end counters see all"
         );
     }
@@ -1214,7 +1228,7 @@ mod tests {
     fn coalescing_charges_one_underlying_serve() {
         let mut config = FrontendConfig::pr3_baseline();
         config.coalescing = true;
-        let fe = frontend(1, config);
+        let (fe, serves) = counted_frontend(1, config);
         let batch = fe
             .serve_batch(&zero_batch(&[200, 200, 200, 200]))
             .expect("toy batch");
@@ -1228,7 +1242,7 @@ mod tests {
         assert!(batch.served[3].coalesced);
         assert_eq!(batch.served[3].queue_wait, SimDuration::from_secs(1));
         // The cloudlet itself served exactly once.
-        assert_eq!(fe.telemetry().lanes[0].stats.serves, 1);
+        assert_eq!(serves[0].load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -1250,7 +1264,7 @@ mod tests {
         let mut config = FrontendConfig::pr3_baseline();
         config.queue_depth = 2;
         config.overflow = OverflowPolicy::Reject;
-        let fe = frontend(1, config);
+        let (fe, serves) = counted_frontend(1, config);
         let mut requests = zero_batch(&[200, 201, 202, 203]);
         // A straggler arriving after the queue drained is admitted.
         requests.push(ServeRequest::new(
@@ -1275,7 +1289,7 @@ mod tests {
         );
         assert!(batch.served[4].outcome.is_ok(), "drained queue recovers");
         // Rejected requests were never served by the cloudlet.
-        assert_eq!(fe.telemetry().lanes[0].stats.serves, 3);
+        assert_eq!(serves[0].load(Ordering::SeqCst), 3);
         // Determinism: the same stream sheds the same requests.
         let again = frontend(1, config).serve_batch(&requests).expect("batch");
         let shed = |b: &FrontendBatch| -> Vec<bool> {
@@ -1300,10 +1314,26 @@ mod tests {
         assert_eq!(batch.report.queue_wait_max, SimDuration::from_secs(2));
     }
 
+    #[test]
+    fn torn_totals_saturate_instead_of_underflowing() {
+        // A snapshot torn across fields can hold a batch's rejections
+        // without its events.
+        let torn = LaneTotals {
+            events: 1,
+            rejected: 2,
+            coalesced: 1,
+            ..LaneTotals::default()
+        };
+        assert_eq!(torn.served(), 0);
+        assert_eq!(torn.attempted(), 0);
+        assert_eq!(torn.unique_serves(), 0);
+        assert_eq!(torn.hit_rate(), 0.0);
+    }
+
     /// A [`ToyLane`] that counts its fast-path probes.
     struct ProbeCounting {
         lane: ToyLane,
-        probes: Arc<std::sync::atomic::AtomicU64>,
+        probes: Arc<AtomicU64>,
     }
 
     impl CloudletService for ProbeCounting {
@@ -1316,13 +1346,8 @@ mod tests {
         }
 
         fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
-            self.probes
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.probes.fetch_add(1, Ordering::SeqCst);
             self.lane.try_serve_hit(request)
-        }
-
-        fn service_stats(&self) -> ServeStats {
-            self.lane.service_stats()
         }
 
         fn cache_bytes(&self) -> u64 {
@@ -1332,14 +1357,11 @@ mod tests {
 
     #[test]
     fn each_request_probes_the_fast_path_once_per_lane() {
-        let probes = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let probes = Arc::new(AtomicU64::new(0));
         let lanes = (0..2)
             .map(|_| {
                 Box::new(ProbeCounting {
-                    lane: ToyLane {
-                        cached_below: 100,
-                        stats: ServeStats::default(),
-                    },
+                    lane: ToyLane::new(100),
                     probes: Arc::clone(&probes),
                 }) as Box<dyn CloudletService + Send + Sync>
             })
@@ -1349,7 +1371,7 @@ mod tests {
             .overflow(OverflowPolicy::Reject)
             .build();
         let fe = Frontend::new(vec![lanes], config);
-        let count = || probes.load(std::sync::atomic::Ordering::SeqCst);
+        let count = || probes.load(Ordering::SeqCst);
         // Everything homes on lane 0: two hits, a miss that takes the
         // queue, a miss that finds it full and is shed, and a follower
         // of each leader that was answered.
@@ -1563,10 +1585,6 @@ mod tests {
             self.lane.try_serve_hit(request)
         }
 
-        fn service_stats(&self) -> ServeStats {
-            self.lane.service_stats()
-        }
-
         fn cache_bytes(&self) -> u64 {
             self.lane.cache_bytes()
         }
@@ -1587,14 +1605,14 @@ mod tests {
 
         let seen: Vec<Arc<Mutex<Vec<LaneTotals>>>> =
             (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-        let lanes = seen
-            .iter()
-            .map(|seen| {
+        let toys: Vec<ToyLane> = (0..2).map(|_| ToyLane::new(100)).collect();
+        let serves: Vec<Arc<AtomicU64>> = toys.iter().map(|t| Arc::clone(&t.serves)).collect();
+        let lanes = toys
+            .into_iter()
+            .zip(&seen)
+            .map(|(lane, seen)| {
                 Box::new(DemandRecording {
-                    lane: ToyLane {
-                        cached_below: 100,
-                        stats: ServeStats::default(),
-                    },
+                    lane,
                     seen: Arc::clone(seen),
                 }) as Box<dyn CloudletService + Send + Sync>
             })
@@ -1610,6 +1628,7 @@ mod tests {
         // queue, and the repeated key 2 coalesces.
         let epochs: [&[u64]; 2] = [&[0, 1, 2, 2, 200, 201], &[3, 4, 5, 202, 203, 205]];
         let mut before = fe.telemetry();
+        let mut served_before = [0; 2];
         for (epoch, keys) in epochs.iter().enumerate() {
             fe.serve_batch(&zero_batch(keys)).expect("toy batch");
             let now = SimInstant::ZERO + SimDuration::from_secs(epoch as u64 + 1);
@@ -1620,14 +1639,21 @@ mod tests {
                 let delta = after.lanes[lane]
                     .totals
                     .delta_since(&before.lanes[lane].totals);
-                let stats_hits = after.lanes[lane].stats.hits - before.lanes[lane].stats.hits;
+                let served = serves[lane].load(Ordering::SeqCst);
                 assert_eq!(
                     seen.lock().expect("recording lock")[epoch],
                     delta,
                     "lane {lane}, epoch {epoch}"
                 );
                 assert!(delta.hits > 0, "lane {lane} saw hits in epoch {epoch}");
-                assert_eq!(stats_hits, 0, "fast-path hits never reach ServeStats");
+                // Every miss key is distinct, so each one reaches
+                // `serve` once; fast-path hits never do.
+                assert_eq!(
+                    served - served_before[lane],
+                    delta.misses,
+                    "lane {lane}, epoch {epoch}"
+                );
+                served_before[lane] = served;
             }
             before = after;
         }
@@ -1672,10 +1698,6 @@ mod tests {
             self.lane.try_serve_hit(request)
         }
 
-        fn service_stats(&self) -> ServeStats {
-            self.lane.service_stats()
-        }
-
         fn cache_bytes(&self) -> u64 {
             self.lane.cache_bytes()
         }
@@ -1691,10 +1713,7 @@ mod tests {
             let mut group: Vec<Box<dyn CloudletService + Send + Sync>> = Vec::new();
             for _ in 0..size {
                 group.push(Box::new(RequestRecording {
-                    lane: ToyLane {
-                        cached_below: 100,
-                        stats: ServeStats::default(),
-                    },
+                    lane: ToyLane::new(100),
                     index,
                     log: Arc::clone(&log),
                 }));

@@ -31,9 +31,10 @@
 //! * [`service`] — the unified serving waist of §7: the
 //!   [`CloudletService`] trait with its two-method
 //!   `serve`/`try_serve_hit` surface over the one [`ServeRequest`],
-//!   the shared [`ServeOutcome`]/[`ServeStats`] taxonomy (what
-//!   happened × who answered × condition flags), and the
-//!   workspace-level [`CloudletError`].
+//!   the shared [`ServeOutcome`] taxonomy (what happened × who
+//!   answered × condition flags), and the workspace-level
+//!   [`CloudletError`]. The front-end's [`frontend::LaneTotals`] is the
+//!   one serve tally.
 //! * [`peer`] — the cooperative cloudlet tier between local-miss and
 //!   the radio: a per-cell [`peer::PeerFabric`] of Bloom summaries
 //!   over each device's cached keys, with modeled
@@ -111,6 +112,6 @@ pub use peer::{BloomSummary, PeerConfig, PeerConsult, PeerFabric, PeerFabricStat
 pub use population::{PairTable, PopulationConfig, PopulationLane, PopulationResidency};
 pub use ranking::RankingPolicy;
 pub use service::{
-    CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest, ServeSource, ServeStats,
+    CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest, ServeSource,
 };
 pub use update::{UpdateBundle, UpdateServer};

@@ -36,20 +36,12 @@
 use std::collections::HashSet;
 
 use analysis::sync::OrderedRwLock;
+use mobsim::mix64;
 use mobsim::radio::RadioModel;
 use mobsim::time::SimDuration;
 
 use crate::counters::CounterSet;
 use crate::service::ServeOutcome;
-
-/// The finalizer constant of splitmix64 — an empirically strong 64-bit
-/// mixer, the same family the sharded table's Fibonacci probing uses.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A hand-rolled Bloom filter over cached key hashes — the compact
 /// per-peer summary a device gossips to its cell.

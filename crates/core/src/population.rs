@@ -30,7 +30,7 @@ use std::sync::Arc;
 use mobsim::time::SimDuration;
 
 use crate::cache::{CacheMode, CommunityCache, PersonalDelta};
-use crate::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats};
+use crate::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 
 /// Accounting bytes per pair-table row: two 64-bit hashes.
 const PAIR_ROW_BYTES: usize = 16;
@@ -137,7 +137,6 @@ pub struct PopulationLane {
     community: Arc<CommunityCache>,
     pairs: Arc<PairTable>,
     deltas: HashMap<u64, PersonalDelta>,
-    stats: ServeStats,
     delta_bytes: usize,
 }
 
@@ -153,7 +152,6 @@ impl PopulationLane {
             community,
             pairs,
             deltas: HashMap::new(),
-            stats: ServeStats::default(),
             delta_bytes: 0,
         }
     }
@@ -227,7 +225,6 @@ impl CloudletService for PopulationLane {
         } else {
             ServeOutcome::miss(self.config.miss_radio_bytes).with_service(self.config.miss_service)
         };
-        self.stats.record(&outcome);
         if self.config.mode.personalization_enabled() {
             let policy = *self.community.policy();
             let community = self
@@ -246,10 +243,9 @@ impl CloudletService for PopulationLane {
     }
 
     /// Shared-access community fast path: in community-only mode a
-    /// serve has no side effects beyond statistics (which the fast-path
-    /// caller records), so a hit can be answered from the community's
-    /// immutable serve index without exclusive access — the community
-    /// probe is user-independent. In any personalization mode every
+    /// serve has no side effects, so a hit can be answered from the
+    /// community's immutable serve index without exclusive access — the
+    /// community probe is user-independent. In any personalization mode every
     /// serve must fold the click into the user's delta, so the fast
     /// path declines and the write path runs. Misses also decline: the
     /// miss click may materialize a delta.
@@ -286,10 +282,6 @@ impl CloudletService for PopulationLane {
                 self.deltas.values().any(|d| d.contains_query(query_hash))
             })
             .collect()
-    }
-
-    fn service_stats(&self) -> ServeStats {
-        self.stats
     }
 
     /// Per-user resident bytes only: the community snapshot and pair
@@ -337,8 +329,6 @@ mod tests {
         assert_eq!(lane.serve(&at(1, 3)).unwrap().kind, ServeKind::Hit);
         // A different user still misses: deltas are per user.
         assert_eq!(lane.serve(&at(2, 3)).unwrap().kind, ServeKind::Miss);
-        let s = lane.service_stats();
-        assert_eq!((s.hits, s.misses), (2, 2));
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //!   (`{Local, Peer, Radio}` — the cooperative peer tier of
 //!   [`crate::peer`] sits between the local cache and the radio), and
 //!   orthogonal condition bits (degraded-to-radio after damage) that
-//!   compose without flag combinatorics.
-//! * [`ServeStats`] — monotone counters accumulated from outcomes,
-//!   replacing the four divergent stats structs for anything that needs
-//!   to compare or aggregate across cloudlets.
+//!   compose without flag combinatorics. The front-end counts outcomes
+//!   once, in [`crate::frontend::LaneTotals`]; cloudlets keep no serve
+//!   tally of their own.
 //! * [`CloudletError`] — the workspace-level error type. Storage and
 //!   engine errors from downstream crates convert into it via `From`
 //!   impls (downstream, where the orphan rule allows them), so a
@@ -145,9 +144,6 @@ impl ServeFlags {
     /// flash record) and the cloudlet degraded gracefully to another
     /// source instead of failing the request — the §5.4 path.
     pub const DEGRADED: ServeFlags = ServeFlags(1);
-    /// The damaged state was repaired as part of answering (re-fetched
-    /// onto fresh blocks), so the next identical request will hit.
-    pub const RECOVERED: ServeFlags = ServeFlags(1 << 1);
 
     /// Whether every bit in `other` is set in `self`.
     pub const fn contains(self, other: ServeFlags) -> bool {
@@ -174,7 +170,7 @@ pub struct ServeOutcome {
     pub kind: ServeKind,
     /// Who answered it (the three-tier path: local / peer / radio).
     pub source: ServeSource,
-    /// Orthogonal condition bits (degradation, recovery).
+    /// Orthogonal condition bits (degradation).
     pub flags: ServeFlags,
     /// Radio bytes the answer cost (0 unless the radio woke).
     pub radio_bytes: u64,
@@ -266,13 +262,14 @@ impl ServeOutcome {
     }
 }
 
-/// Monotone serving counters shared by every cloudlet.
+/// Serving counters folded from outcomes by [`ServeStats::record`].
 ///
-/// `record` folds a [`ServeOutcome`] in; `merge` combines counters from
-/// independent lanes. Each legacy stats struct projects onto this one
-/// (see the per-crate `CloudletService` impls), which is what lets a
-/// heterogeneous fleet report aggregate hit ratios at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// No cloudlet in this workspace keeps them: the front-end's
+/// [`crate::frontend::LaneTotals`] is the one serve tally. The struct,
+/// `record` and the provided [`CloudletService::service_stats`] remain
+/// only because the standalone `pipeline-bench` package's `Traced`
+/// decorator forwards that method; they go when it stops.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests served (all kinds, including skipped consultations).
     pub serves: u64,
@@ -317,20 +314,6 @@ impl ServeStats {
         self.peer_bytes += outcome.peer_bytes;
         self.radio_bytes += outcome.radio_bytes;
         self.busy += outcome.service;
-    }
-
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.serves += other.serves;
-        self.hits += other.hits;
-        self.stale_hits += other.stale_hits;
-        self.misses += other.misses;
-        self.skipped += other.skipped;
-        self.recovered += other.recovered;
-        self.peer_hits += other.peer_hits;
-        self.peer_bytes += other.peer_bytes;
-        self.radio_bytes += other.radio_bytes;
-        self.busy += other.busy;
     }
 }
 
@@ -408,9 +391,9 @@ impl From<CoreError> for CloudletError {
 /// The trait is object-safe: the front-end stores
 /// `Box<dyn CloudletService + Send + Sync>` lanes and routes
 /// `(service, key)` requests onto them without knowing the concrete
-/// cloudlet. Implementors must keep `service_stats` consistent with the
-/// outcomes `serve` returned — the equivalence property tests pin each
-/// impl to its legacy serve loop.
+/// cloudlet, and counts every outcome in its own lane totals. The
+/// equivalence property tests pin each impl's outcomes to its legacy
+/// serve loop.
 ///
 /// The serve surface is two methods, both taking a [`ServeRequest`]:
 /// the exclusive `serve` and the read-only `try_serve_hit` fast path.
@@ -427,18 +410,16 @@ pub trait CloudletService {
 
     /// Read-only fast path: answers the request *only* if it is a local
     /// hit that needs no mutation at all — no cache expansion, no click
-    /// logging, no LRU touch, no stats update. Returns `None` whenever
-    /// exclusive access is required, sending the caller to
-    /// [`CloudletService::serve`].
+    /// logging, no LRU touch. Returns `None` whenever exclusive access
+    /// is required, sending the caller to [`CloudletService::serve`].
     ///
     /// This is what lets a serving front-end keep hits behind a shared
     /// (`RwLock` read) lock: ~66% of traffic is hits (§4), and a hit on
     /// a read-optimized cloudlet inspects state without changing it.
-    /// Because `&self` forbids updating `service_stats`, outcomes
-    /// returned here are counted by the *caller* (the front-end's lane
-    /// counters), not by the cloudlet; implementations must return
-    /// exactly the outcome `serve` would have produced for the same
-    /// request, minus any side effects.
+    /// The caller counts the outcome, as it counts every `serve`
+    /// outcome; implementations must return exactly the outcome `serve`
+    /// would have produced for the same request, minus any side
+    /// effects.
     ///
     /// The default declines everything, which is always correct: every
     /// cloudlet works unchanged through the exclusive path.
@@ -456,8 +437,12 @@ pub trait CloudletService {
         Vec::new()
     }
 
-    /// Counters accumulated by `serve` since construction.
-    fn service_stats(&self) -> ServeStats;
+    /// Always empty counters: no cloudlet here keeps a serve tally
+    /// (see [`ServeStats`]). Provided only so `pipeline-bench`'s
+    /// `Traced` decorator, which forwards it, still compiles.
+    fn service_stats(&self) -> ServeStats {
+        ServeStats::default()
+    }
 
     /// Bytes of device memory the cloudlet's cached state occupies now.
     fn cache_bytes(&self) -> u64;
@@ -495,9 +480,7 @@ mod tests {
 
     /// A deterministic toy service: even keys hit, key 7 is unknown,
     /// everything else misses 100 bytes.
-    struct ToyService {
-        stats: ServeStats,
-    }
+    struct ToyService;
 
     impl CloudletService for ToyService {
         fn name(&self) -> &'static str {
@@ -508,17 +491,11 @@ mod tests {
             if request.key == 7 {
                 return Err(CloudletError::UnknownKey { key: request.key });
             }
-            let outcome = if request.key.is_multiple_of(2) {
+            Ok(if request.key.is_multiple_of(2) {
                 ServeOutcome::hit().with_service(SimDuration::from_micros(5))
             } else {
                 ServeOutcome::miss(100).with_service(SimDuration::from_micros(50))
-            };
-            self.stats.record(&outcome);
-            Ok(outcome)
-        }
-
-        fn service_stats(&self) -> ServeStats {
-            self.stats
+            })
         }
 
         fn cache_bytes(&self) -> u64 {
@@ -528,9 +505,8 @@ mod tests {
 
     #[test]
     fn outcomes_fold_into_stats() {
-        let mut svc = ToyService {
-            stats: ServeStats::default(),
-        };
+        let mut svc = ToyService;
+        let mut stats = ServeStats::default();
         for key in 0..10 {
             let request = ServeRequest::for_user(0, key, SimInstant::ZERO);
             if key == 7 {
@@ -539,10 +515,9 @@ mod tests {
                     Err(CloudletError::UnknownKey { key: 7 })
                 );
             } else {
-                svc.serve(&request).expect("toy serve");
+                stats.record(&svc.serve(&request).expect("toy serve"));
             }
         }
-        let stats = svc.service_stats();
         assert_eq!(stats.serves, 9);
         assert_eq!(stats.hits, 5);
         assert_eq!(stats.misses, 4);
@@ -585,10 +560,7 @@ mod tests {
         assert_eq!(degraded.source, ServeSource::Radio);
         assert!(degraded.is_degraded());
         assert!(degraded.flags.contains(ServeFlags::DEGRADED));
-        assert!(!degraded.flags.contains(ServeFlags::RECOVERED));
-        let repaired = degraded.with_flags(ServeFlags::RECOVERED);
-        assert!(repaired.flags.contains(ServeFlags::DEGRADED));
-        assert!(repaired.flags.contains(ServeFlags::RECOVERED));
+        assert_eq!(degraded.with_flags(ServeFlags::DEGRADED), degraded);
         assert!(ServeFlags::NONE.is_empty());
 
         let mut stats = ServeStats::default();
@@ -602,27 +574,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_covers_peer_counters() {
-        let mut a = ServeStats::default();
-        a.record(&ServeOutcome::hit());
-        a.record(&ServeOutcome::peer_hit(256));
-        let mut b = ServeStats::default();
-        b.record(&ServeOutcome::miss(10).with_service(SimDuration::from_micros(3)));
-        a.merge(&b);
-        assert_eq!(a.serves, 3);
-        assert_eq!(a.hits, 2);
-        assert_eq!(a.peer_hits, 1);
-        assert_eq!(a.peer_bytes, 256);
-        assert_eq!(a.misses, 1);
-        assert_eq!(a.radio_bytes, 10);
-        assert_eq!(a.busy, SimDuration::from_micros(3));
-    }
-
-    #[test]
     fn fast_path_declines_by_default() {
-        let svc = ToyService {
-            stats: ServeStats::default(),
-        };
+        let svc = ToyService;
         // Even keys would hit through `serve`, but the default read-only
         // fast path always punts to the exclusive path.
         assert_eq!(
@@ -635,13 +588,12 @@ mod tests {
         );
         // And the default peer-summary inventory opts out.
         assert!(svc.summary_keys().is_empty());
+        assert_eq!(svc.service_stats(), ServeStats::default());
     }
 
     #[test]
     fn budget_demand_uses_capacity_and_context_priority() {
-        let svc = ToyService {
-            stats: ServeStats::default(),
-        };
+        let svc = ToyService;
         let ctx = DemandContext::equal_priority(0).with_priority(2.0);
         let demand = svc.budget_demand(CloudletId(3), &ctx);
         assert_eq!(demand.cloudlet, CloudletId(3));

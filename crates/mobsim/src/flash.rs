@@ -27,6 +27,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use crate::mix64;
 use crate::time::SimDuration;
 
 /// Media-wear parameters: when blocks start failing and how fast.
@@ -316,14 +317,6 @@ fn block_span(block_bytes: u64, offset: u64, len: u64) -> Range<u64> {
     }
     let last = offset.saturating_add(len - 1) / block_bytes;
     offset / block_bytes..last.saturating_add(1)
-}
-
-/// SplitMix64 finalizer: the deterministic hash behind stuck-bit draws.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A simulated flash file store with block-granular allocation accounting

@@ -51,3 +51,13 @@ pub use power::{Energy, EnergyMeter, Power};
 pub use radio::{Radio, RadioKind, RadioModel, RadioState, Transfer};
 pub use time::{SimDuration, SimInstant};
 pub use timeline::{PowerSegment, PowerTimeline};
+
+/// The SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation,
+/// behind [`flash`]'s stuck-bit draws and the peer tier's Bloom-summary
+/// key hashes.
+pub const fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

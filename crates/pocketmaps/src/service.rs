@@ -5,37 +5,14 @@
 //! a tile on the unbounded plane, so `serve` never sees an unknown key.
 //! A render counts as a [`ServeKind::Hit`](cloudlet_core::service::ServeKind)
 //! only when the whole 3×3 viewport came from the cache — the same
-//! instant/non-instant split [`MapsStats`] tracks.
+//! instant/non-instant split [`MapsStats`](crate::cloudlet::MapsStats) tracks.
 
 use cloudlet_core::arbiter::DemandContext;
 use cloudlet_core::coordination::{BudgetDemand, CloudletId};
-use cloudlet_core::service::{
-    CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
-};
-use mobsim::time::SimDuration;
+use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 
-use crate::cloudlet::{MapsStats, PocketMaps};
+use crate::cloudlet::PocketMaps;
 use crate::grid::TileId;
-
-impl PocketMaps {
-    /// Projects [`MapsStats`] onto the shared taxonomy: a serve is one
-    /// viewport render, a hit is an instant render, and radio bytes are
-    /// the tiles fetched on demand.
-    pub fn project_stats(stats: &MapsStats) -> ServeStats {
-        ServeStats {
-            serves: stats.renders,
-            hits: stats.instant_renders,
-            stale_hits: 0,
-            misses: stats.renders - stats.instant_renders,
-            skipped: 0,
-            recovered: 0,
-            peer_hits: 0,
-            peer_bytes: 0,
-            radio_bytes: stats.radio_bytes,
-            busy: SimDuration::ZERO,
-        }
-    }
-}
 
 impl CloudletService for PocketMaps {
     fn name(&self) -> &'static str {
@@ -56,16 +33,11 @@ impl CloudletService for PocketMaps {
 
     /// A render whose nine viewport tiles are all cached is answered
     /// read-only via [`PocketMaps::viewport_cached`]. The serve path's
-    /// side effects (hot-spot visit count, render counters) are
-    /// deferred to the caller's accounting — the front-end's lane
-    /// counters record the hit.
+    /// side effects (hot-spot visit count, render counters) are skipped;
+    /// the front-end's lane totals record the hit.
     fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
         let center = self.grid().tile_center(TileId::from_key(request.key));
         self.viewport_cached(center).then(ServeOutcome::hit)
-    }
-
-    fn service_stats(&self) -> ServeStats {
-        Self::project_stats(&self.stats())
     }
 
     fn cache_bytes(&self) -> u64 {
@@ -136,22 +108,6 @@ mod tests {
         let outcome = maps.serve(&at(far)).expect("maps serve");
         assert_eq!(outcome.kind, ServeKind::Miss);
         assert_eq!(outcome.radio_bytes, 9 * grid.tile_bytes, "3x3 cold fetch");
-    }
-
-    #[test]
-    fn stats_project_the_legacy_counters() {
-        let grid = TileGrid::paper_default();
-        let mut maps = PocketMaps::new(grid, 10_000_000);
-        for i in 0..8i32 {
-            maps.serve(&at(TileId { x: i / 2, y: i }.to_key()))
-                .expect("maps serve");
-        }
-        let legacy = maps.stats();
-        let stats = maps.service_stats();
-        assert_eq!(stats.serves, legacy.renders);
-        assert_eq!(stats.hits, legacy.instant_renders);
-        assert_eq!(stats.misses, legacy.renders - legacy.instant_renders);
-        assert_eq!(stats.radio_bytes, legacy.radio_bytes);
         assert_eq!(maps.capacity_bytes(), 10_000_000);
     }
 }

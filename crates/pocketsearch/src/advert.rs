@@ -152,21 +152,6 @@ impl cloudlet_core::service::CloudletService for AdCloudlet {
         })
     }
 
-    fn service_stats(&self) -> cloudlet_core::service::ServeStats {
-        cloudlet_core::service::ServeStats {
-            serves: self.hits + self.misses + self.skipped,
-            hits: self.hits,
-            stale_hits: 0,
-            misses: self.misses,
-            skipped: self.skipped,
-            recovered: 0,
-            peer_hits: 0,
-            peer_bytes: 0,
-            radio_bytes: 0,
-            busy: mobsim::time::SimDuration::ZERO,
-        }
-    }
-
     fn cache_bytes(&self) -> u64 {
         (self.banner_bytes() + self.table.footprint_bytes()) as u64
     }
@@ -183,10 +168,9 @@ impl cloudlet_core::service::CloudletService for AdCloudlet {
         cloudlet: cloudlet_core::coordination::CloudletId,
         ctx: &cloudlet_core::arbiter::DemandContext,
     ) -> cloudlet_core::coordination::BudgetDemand {
-        let t = &ctx.totals;
-        let serves = t.events.saturating_sub(t.rejected).saturating_sub(t.errors);
-        let priority = if serves > 0 {
-            let consult_rate = serves.saturating_sub(t.skipped) as f64 / serves as f64;
+        let (served, consulted) = (ctx.totals.served(), ctx.totals.attempted());
+        let priority = if served > 0 {
+            let consult_rate = consulted as f64 / served as f64;
             (ctx.priority * consult_rate).max(cloudlet_core::arbiter::PRIORITY_FLOOR)
         } else {
             ctx.priority

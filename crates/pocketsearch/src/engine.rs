@@ -6,9 +6,7 @@ use std::sync::Arc;
 use cloudlet_core::cache::{CacheMode, PocketCache};
 use cloudlet_core::contentgen::CacheContents;
 use cloudlet_core::error::CoreError;
-use cloudlet_core::service::{
-    CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
-};
+use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 use cloudlet_core::update::{apply_update, UpdateServer, UploadPayload};
 use flashdb::patch::{apply_patch, DbPatch, PatchReport};
 use flashdb::{DbError, ResultDb, ResultRecord};
@@ -186,7 +184,6 @@ pub struct PocketSearch {
     cache: PocketCache,
     db: ResultDb,
     device: Device,
-    serve_stats: ServeStats,
     /// Database files flagged corrupt by a serve, awaiting re-fetch.
     pending_repairs: BTreeSet<usize>,
     recovery_stats: RecoveryStats,
@@ -220,7 +217,6 @@ impl PocketSearch {
             cache,
             db,
             device,
-            serve_stats: ServeStats::default(),
             pending_repairs: BTreeSet::new(),
             recovery_stats: RecoveryStats::default(),
         }
@@ -408,10 +404,7 @@ impl CloudletService for PocketSearch {
     }
 
     /// Serves a query hash through the full engine path and projects
-    /// the [`ServedQuery`] onto the shared taxonomy. Only serves routed
-    /// through this trait accumulate into [`CloudletService::
-    /// service_stats`]; direct [`PocketSearch::serve`] calls keep their
-    /// own [`ServiceReport`]s, unchanged.
+    /// the [`ServedQuery`] onto the shared taxonomy.
     fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
         let served = PocketSearch::serve(self, request.key);
         let outcome = if served.hit {
@@ -426,12 +419,7 @@ impl CloudletService for PocketSearch {
             }
         }
         .with_service(served.report.total_time);
-        self.serve_stats.record(&outcome);
         Ok(outcome)
-    }
-
-    fn service_stats(&self) -> ServeStats {
-        self.serve_stats
     }
 
     fn cache_bytes(&self) -> u64 {

@@ -28,9 +28,7 @@ use cloudlet_core::coordination::CloudletId;
 use cloudlet_core::frontend::{Frontend, FrontendConfig};
 use cloudlet_core::hashtable::frozen::FrozenTable;
 use cloudlet_core::hashtable::{QueryHashTable, SLOTS_PER_ENTRY};
-use cloudlet_core::service::{
-    CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
-};
+use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 use flashdb::ResultDb;
 use mobsim::time::SimDuration;
 use mobsim::FlashStore;
@@ -71,7 +69,6 @@ pub struct SearchShard {
     slice_bytes: usize,
     store: Arc<SharedStore>,
     costs: ServeCosts,
-    stats: ServeStats,
 }
 
 impl SearchShard {
@@ -119,7 +116,6 @@ impl SearchShard {
                 slice_bytes: entries * QueryHashTable::layout_bytes(SLOTS_PER_ENTRY),
                 store: Arc::clone(&store),
                 costs,
-                stats: ServeStats::default(),
             })
             .collect();
         (index, shards)
@@ -134,11 +130,9 @@ impl CloudletService for SearchShard {
     /// Answers with the one hit rule, [`CloudletService::try_serve_hit`];
     /// anything it declines is a radio miss.
     fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
-        let outcome = self.try_serve_hit(request).unwrap_or_else(|| {
+        Ok(self.try_serve_hit(request).unwrap_or_else(|| {
             ServeOutcome::miss(self.costs.miss_bytes).with_service(self.costs.miss_total)
-        });
-        self.stats.record(&outcome);
-        Ok(outcome)
+        }))
     }
 
     /// Search hits are read-only end to end — the index lookup and the
@@ -158,10 +152,6 @@ impl CloudletService for SearchShard {
             ServeOutcome::hit()
                 .with_service(self.costs.lookup + fetch_time + self.costs.render_and_misc),
         )
-    }
-
-    fn service_stats(&self) -> ServeStats {
-        self.stats
     }
 
     fn cache_bytes(&self) -> u64 {
@@ -265,12 +255,6 @@ mod tests {
         assert_eq!(totals.hits, seq_hits);
         assert_eq!(totals.misses, requests.len() as u64 - seq_hits);
         assert_eq!(totals.errors, 0);
-        // Under the baseline every serve takes the exclusive path, so the
-        // shards' own stats see every request.
-        let telemetry = frontend.telemetry();
-        let stats: Vec<_> = telemetry.lanes.iter().map(|l| l.stats).collect();
-        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), totals.hits);
-        assert_eq!(stats.iter().map(|s| s.serves).sum::<u64>(), totals.events);
     }
 
     #[test]

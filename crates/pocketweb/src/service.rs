@@ -8,11 +8,9 @@
 
 use cloudlet_core::arbiter::DemandContext;
 use cloudlet_core::coordination::{BudgetDemand, CloudletId};
-use cloudlet_core::service::{
-    CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
-};
+use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 
-use crate::cloudlet::{PocketWeb, VisitOutcome, WebStats};
+use crate::cloudlet::{PocketWeb, VisitOutcome};
 use crate::world::{PageId, WebWorld};
 
 /// A [`PocketWeb`] cloudlet paired with its simulated web, servable
@@ -42,24 +40,6 @@ impl WebService {
     /// The service-layer key of a page.
     pub fn key_of(page: PageId) -> u64 {
         u64::from(page.0)
-    }
-
-    /// Projects [`WebStats`] onto the shared taxonomy: instant hits are
-    /// hits, stale refetches are stale hits, and radio bytes include
-    /// the real-time push stream.
-    pub fn project_stats(stats: &WebStats) -> ServeStats {
-        ServeStats {
-            serves: stats.visits(),
-            hits: stats.instant_hits,
-            stale_hits: stats.stale_refetches,
-            misses: stats.misses,
-            skipped: 0,
-            recovered: 0,
-            peer_hits: 0,
-            peer_bytes: 0,
-            radio_bytes: stats.radio_bytes(),
-            busy: mobsim::time::SimDuration::ZERO,
-        }
     }
 }
 
@@ -96,13 +76,6 @@ impl CloudletService for WebService {
             .then(ServeOutcome::hit)
     }
 
-    /// Derived from the cloudlet's own counters, so maintenance passes
-    /// (real-time pushes) show up in `radio_bytes` exactly as
-    /// [`WebStats::radio_bytes`] reports them.
-    fn service_stats(&self) -> ServeStats {
-        Self::project_stats(&self.web.stats())
-    }
-
     fn cache_bytes(&self) -> u64 {
         self.web.cached_bytes()
     }
@@ -137,7 +110,7 @@ mod tests {
     use crate::world::WorldConfig;
     use cloudlet_core::frontend::LaneTotals;
     use cloudlet_core::service::ServeKind;
-    use mobsim::time::{SimDuration, SimInstant};
+    use mobsim::time::SimInstant;
 
     fn service() -> WebService {
         let world = WebWorld::generate(WorldConfig::test_scale(), 4);
@@ -163,35 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_project_the_legacy_counters() {
-        let mut svc = service();
-        let t = SimInstant::ZERO;
-        for page in svc
-            .world()
-            .pages()
-            .iter()
-            .take(6)
-            .map(|p| p.id)
-            .collect::<Vec<_>>()
-        {
-            svc.serve(&at(WebService::key_of(page), t))
-                .expect("valid key");
-            svc.serve(&at(
-                WebService::key_of(page),
-                t + SimDuration::from_secs(60),
-            ))
-            .expect("valid key");
-        }
-        let legacy = svc.web().stats();
-        let stats = svc.service_stats();
-        assert_eq!(stats.serves, legacy.visits());
-        assert_eq!(stats.hits, legacy.instant_hits);
-        assert_eq!(stats.stale_hits, legacy.stale_refetches);
-        assert_eq!(stats.misses, legacy.misses);
-        assert_eq!(stats.radio_bytes, legacy.radio_bytes());
-    }
-
-    #[test]
     fn out_of_range_keys_are_typed_errors() {
         let mut svc = service();
         let beyond = svc.world().pages().len() as u64;
@@ -203,7 +147,7 @@ mod tests {
             svc.serve(&at(u64::MAX, SimInstant::ZERO)),
             Err(CloudletError::UnknownKey { key: u64::MAX })
         );
-        assert_eq!(svc.service_stats().serves, 0, "errors are not serves");
+        assert_eq!(svc.web().stats().visits(), 0, "errors are not visits");
     }
 
     #[test]

@@ -16,8 +16,8 @@ cargo fmt --check --manifest-path pipeline-bench/Cargo.toml
 echo "==> cloudlet-analysis lint (policy rules R1-R5)"
 cargo run -q -p cloudlet-analysis --bin lint
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --locked --offline"
+cargo build --release --locked --offline
 
 echo "==> examples (each runs to a zero exit)"
 for example in examples/*.rs; do
@@ -27,8 +27,8 @@ done
 echo "==> scripts/bench.sh --check (deterministic BENCH_*.json and results/*.txt regenerate byte-identical)"
 scripts/bench.sh --check
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --locked --offline"
+cargo test -q --locked --offline
 
 echo "==> pipeline-bench tests (the end-to-end benchmark package builds and runs; --locked fails if its Cargo.lock would change)"
 cargo test -q --locked --offline --manifest-path pipeline-bench/Cargo.toml
@@ -36,10 +36,10 @@ cargo test -q --locked --offline --manifest-path pipeline-bench/Cargo.toml
 echo "==> pipeline --workload all (full-size correctness: exits 1 if an input digest or population-day's pinned event count or hit ratio moves)"
 cargo run --release --quiet --offline --locked --manifest-path pipeline-bench/Cargo.toml --bin pipeline -- --workload all --seed 2011 --seconds 1 --trace 0 >/dev/null
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --all-targets --locked --offline -- -D warnings"
+cargo clippy --all-targets --locked --offline -- -D warnings
 
-echo "==> cargo doc --no-deps (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+echo "==> cargo doc --no-deps --locked --offline (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet --locked --offline
 
 echo "All checks passed."

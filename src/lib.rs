@@ -63,7 +63,7 @@ pub mod prelude {
     pub use cloudlet_core::frontend::{Frontend, FrontendConfig, FrontendReport};
     pub use cloudlet_core::ranking::RankingPolicy;
     pub use cloudlet_core::service::{
-        CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest, ServeStats,
+        CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest,
     };
     pub use cloudlet_core::update::UpdateServer;
     pub use flashdb::{DbConfig, ResultDb, ResultRecord};

@@ -16,6 +16,7 @@ use pocket_cloudlets::core::frontend::{
     ServeRequest,
 };
 use pocket_cloudlets::core::service::{CloudletError, ServeFlags, ServeKind, ServeSource};
+use pocket_cloudlets::mobsim::mix64;
 use pocket_cloudlets::mobsim::time::SimInstant;
 use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
 use pocket_cloudlets::pocketsearch::engine::{Catalog, PocketSearch};
@@ -323,13 +324,10 @@ fn optimized_frontend_beats_baseline_qps() {
     assert!(opt_totals.coalesced > 0, "duplicates must coalesce");
 }
 
-/// A hand-written mixer (the SplitMix64 finalizer over `state ^ value`):
-/// the pinned digest depends on nothing but the values folded into it.
+/// The SplitMix64 finalizer over `state ^ value`: the pinned digest
+/// depends on nothing but the values folded into it.
 fn mix(state: u64, value: u64) -> u64 {
-    let mut z = (state ^ value).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(state ^ value)
 }
 
 /// Folds every field of one disposition into `state`.
@@ -347,8 +345,7 @@ fn fold_served(mut state: u64, s: &FrontServed) -> u64 {
                 ServeSource::Peer => 1,
                 ServeSource::Radio => 2,
             };
-            let flags = u64::from(o.flags.contains(ServeFlags::DEGRADED))
-                | u64::from(o.flags.contains(ServeFlags::RECOVERED)) << 1;
+            let flags = u64::from(o.flags.contains(ServeFlags::DEGRADED));
             for v in [
                 1,
                 kind,

@@ -9,19 +9,20 @@
 //! * `FrozenTable::top_two` and `QueryHashTable::top_two` vs the
 //!   table's lookup cut to two, on long chains of tied scores;
 //! * `PopulationLane`'s read-only fast path vs its write path, with
-//!   the fast-path outcomes merged into external stats the way the
-//!   front-end's lane counters do it.
+//!   both lanes' outcomes folded into `LaneTotals` the way the
+//!   front-end counts them.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pocket_cloudlets::core::cache::{CacheMode, CommunityCache};
+use pocket_cloudlets::core::frontend::LaneTotals;
 use pocket_cloudlets::core::hashtable::frozen::FrozenTable;
 use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable, TopTwo};
 use pocket_cloudlets::core::population::{PairTable, PopulationConfig, PopulationLane};
 use pocket_cloudlets::core::ranking::RankingPolicy;
-use pocket_cloudlets::core::service::{CloudletService, ServeRequest, ServeStats};
+use pocket_cloudlets::core::service::{CloudletService, ServeRequest};
 use pocket_cloudlets::mobsim::time::SimInstant;
 
 /// One randomized table mutation.
@@ -129,9 +130,9 @@ proptest! {
         }
     }
 
-    /// The population lane's shared-access fast path, with fast-path
-    /// outcomes recorded externally (the front-end's counter pattern),
-    /// reproduces the write path's outcomes and aggregate stats.
+    /// The population lane's shared-access fast path, falling back to
+    /// its write path, reproduces the write-only lane's outcomes, its
+    /// front-end totals and its resident bytes.
     #[test]
     fn population_fast_path_plus_external_stats_matches_write_path(
         pairs in proptest::collection::vec((0u64..24, 0u64..5, 0u32..=1000), 1..30),
@@ -153,27 +154,28 @@ proptest! {
         let mut write_lane =
             PopulationLane::new(config, community.clone(), pair_table.clone());
         let mut fast_lane = PopulationLane::new(config, community, pair_table);
-        let mut external = ServeStats::default();
+        let (mut write_totals, mut fast_totals) = (LaneTotals::default(), LaneTotals::default());
         let now = SimInstant::ZERO;
         for (user, key) in &stream {
             let request = ServeRequest::for_user(*user, *key, now);
             let expected = write_lane.serve(&request);
+            write_totals.record(&expected, false);
             match fast_lane.try_serve_hit(&request) {
                 Some(outcome) => {
                     // The fast path may only answer pure hits, and must
                     // answer them exactly as the write path would.
                     prop_assert_eq!(Ok(&outcome), expected.as_ref());
                     prop_assert!(outcome.radio_slept());
-                    external.record(&outcome);
+                    fast_totals.record(&Ok(outcome), false);
                 }
                 None => {
                     let fallback = fast_lane.serve(&request);
                     prop_assert_eq!(&fallback, &expected);
+                    fast_totals.record(&fallback, false);
                 }
             }
         }
-        let mut merged = fast_lane.service_stats();
-        merged.merge(&external);
-        prop_assert_eq!(merged, write_lane.service_stats());
+        prop_assert_eq!(fast_totals, write_totals);
+        prop_assert_eq!(fast_lane.cache_bytes(), write_lane.cache_bytes());
     }
 }

@@ -17,15 +17,14 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use pocket_cloudlets::core::peer::{BloomSummary, PeerConfig, PeerConsult, PeerFabric};
+use pocket_cloudlets::mobsim::mix64;
 
 /// splitmix64, the same mixer the summary hashes with — used here only
 /// to derive deterministic, well-spread key sets from a proptest seed.
 fn splitmix(state: &mut u64) -> u64 {
+    let z = mix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 /// `count` distinct keys drawn from `seed`.

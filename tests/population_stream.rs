@@ -207,9 +207,8 @@ fn frontend_over(config: GeneratorConfig, seed: u64, lanes: usize) -> Frontend {
 
 /// The tentpole's serving-equivalence proof at 64 users: driving the
 /// population front-end epoch-by-epoch from the lazy stream produces
-/// telemetry — per-lane totals, serve-path `ServeStats`, and resident
-/// delta bytes — bit-identical to replaying the materialized month as
-/// one batch.
+/// telemetry — per-lane front-end totals and resident delta bytes —
+/// bit-identical to replaying the materialized month as one batch.
 #[test]
 fn streamed_day_reproduces_materialized_serve_stats() {
     let config = GeneratorConfig {

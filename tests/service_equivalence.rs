@@ -1,8 +1,9 @@
 //! Service-layer equivalence: for every cloudlet, serving a workload
-//! through the unified [`CloudletService`] trait must produce exactly
-//! the statistics its legacy serve loop produces on the same seeded
-//! workload — the refactor's "no observable behavior change" contract,
-//! checked property-style (256 cases per cloudlet).
+//! through the unified [`CloudletService`] trait must return, request by
+//! request, the outcome its legacy serve loop produces on the same
+//! seeded workload, and leave the cloudlet's own counters where the
+//! legacy loop leaves them — the refactor's "no observable behavior
+//! change" contract, checked property-style (256 cases per cloudlet).
 //!
 //! The file ends with the heterogeneous acceptance test: one
 //! [`Frontend`] mixing search, web, and maps lanes across eight lanes,
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
 use pocket_cloudlets::core::frontend::{Frontend, FrontendConfig};
-use pocket_cloudlets::core::service::{CloudletService, ServeOutcome, ServeRequest, ServeStats};
+use pocket_cloudlets::core::service::{CloudletService, ServeOutcome, ServeRequest};
 use pocket_cloudlets::mobsim::time::{SimDuration, SimInstant};
 use pocket_cloudlets::pocketmaps::grid::TileGrid;
 use pocket_cloudlets::pocketmaps::{PocketMaps, TileId};
@@ -25,7 +26,9 @@ use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
 use pocket_cloudlets::pocketsearch::engine::{Catalog, PocketSearch};
 use pocket_cloudlets::pocketsearch::fleet::SearchShard;
 use pocket_cloudlets::pocketweb::world::{PageId, WebWorld};
-use pocket_cloudlets::pocketweb::{PocketWeb, RefreshPolicy, WebService, WorldConfig};
+use pocket_cloudlets::pocketweb::{
+    PocketWeb, RefreshPolicy, VisitOutcome, WebService, WorldConfig,
+};
 use pocket_cloudlets::querylog::generator::{GeneratorConfig, LogGenerator};
 use pocket_cloudlets::querylog::triplets::TripletTable;
 
@@ -56,10 +59,10 @@ fn shared_world() -> &'static WebWorld {
 }
 
 proptest! {
-    /// Search: the trait path wraps the sequential engine, so its
-    /// accumulated [`ServeStats`] must equal the stats reconstructed
-    /// from a legacy `PocketSearch::serve` loop over the same keys in
-    /// the same order (radio warm-up state and all).
+    /// Search: the trait path wraps the sequential engine, so each
+    /// outcome must equal the one reconstructed from a legacy
+    /// `PocketSearch::serve` loop over the same keys in the same order
+    /// (radio warm-up state and all).
     #[test]
     fn search_trait_stats_match_legacy_serve_loop(
         raw in proptest::collection::vec((any::<u64>(), any::<bool>()), 1..24),
@@ -81,30 +84,34 @@ proptest! {
             let c = legacy.device().config();
             c.request_bytes + c.response_bytes
         };
-        let mut expected = ServeStats::default();
-        for &key in &keys {
-            let served = legacy.serve(key);
-            let outcome = if served.hit {
-                ServeOutcome::hit()
-            } else {
-                ServeOutcome::miss(miss_bytes)
-            }
-            .with_service(served.report.total_time);
-            expected.record(&outcome);
-        }
+        let expected: Vec<ServeOutcome> = keys
+            .iter()
+            .map(|&key| {
+                let served = legacy.serve(key);
+                if served.hit {
+                    ServeOutcome::hit()
+                } else {
+                    ServeOutcome::miss(miss_bytes)
+                }
+                .with_service(served.report.total_time)
+            })
+            .collect();
 
         let mut unified = engine.clone();
-        for &key in &keys {
-            CloudletService::serve(&mut unified, &ServeRequest::for_user(0, key, SimInstant::ZERO))
-                .expect("search serve is infallible on valid state");
-        }
-        prop_assert_eq!(unified.service_stats(), expected);
-        prop_assert_eq!(expected.serves, keys.len() as u64);
+        let outcomes: Vec<ServeOutcome> = keys
+            .iter()
+            .map(|&key| {
+                CloudletService::serve(&mut unified, &ServeRequest::for_user(0, key, SimInstant::ZERO))
+                    .expect("search serve is infallible on valid state")
+            })
+            .collect();
+        prop_assert_eq!(outcomes, expected);
     }
 
-    /// Web: serving page keys through [`WebService`] must leave the
-    /// cloudlet with exactly the counters a legacy `visit` loop leaves,
-    /// including stale refetches driven by simulated time.
+    /// Web: serving page keys through [`WebService`] must answer each
+    /// visit as a legacy `visit` loop does and leave the cloudlet with
+    /// exactly the counters that loop leaves, including stale refetches
+    /// driven by simulated time.
     #[test]
     fn web_trait_stats_match_legacy_visit_loop(
         raw in proptest::collection::vec((any::<u64>(), 0u64..10_000), 1..24),
@@ -122,25 +129,30 @@ proptest! {
             .collect();
 
         let mut legacy = PocketWeb::new(world, RefreshPolicy::OvernightOnly);
-        for &(page, at) in &visits {
-            legacy.visit(world, page, at);
-        }
+        let expected: Vec<ServeOutcome> = visits
+            .iter()
+            .map(|&(page, at)| match legacy.visit(world, page, at) {
+                VisitOutcome::InstantHit => ServeOutcome::hit(),
+                VisitOutcome::StaleRefetch { bytes } => ServeOutcome::stale_hit(bytes),
+                VisitOutcome::Miss { bytes } => ServeOutcome::miss(bytes),
+            })
+            .collect();
 
         let mut unified = WebService::new(
             world.clone(),
             PocketWeb::new(world, RefreshPolicy::OvernightOnly),
         );
-        for &(page, at) in &visits {
-            unified
-                .serve(&ServeRequest::for_user(0, WebService::key_of(page), at))
-                .expect("in-range page keys serve");
-        }
+        let outcomes: Vec<ServeOutcome> = visits
+            .iter()
+            .map(|&(page, at)| {
+                unified
+                    .serve(&ServeRequest::for_user(0, WebService::key_of(page), at))
+                    .expect("in-range page keys serve")
+            })
+            .collect();
 
-        prop_assert_eq!(
-            unified.service_stats(),
-            WebService::project_stats(&legacy.stats())
-        );
-        prop_assert_eq!(unified.service_stats().serves, visits.len() as u64);
+        prop_assert_eq!(outcomes, expected);
+        prop_assert_eq!(unified.web().stats(), legacy.stats());
     }
 
     /// Maps: serving packed tile keys must render exactly the viewports
@@ -154,21 +166,29 @@ proptest! {
         let tiles: Vec<TileId> = raw.iter().map(|&(x, y)| TileId { x, y }).collect();
 
         let mut legacy = PocketMaps::new(grid, 10_000_000);
-        for &tile in &tiles {
-            legacy.render_viewport(grid.tile_center(tile));
-        }
+        let expected: Vec<ServeOutcome> = tiles
+            .iter()
+            .map(|&tile| {
+                let render = legacy.render_viewport(grid.tile_center(tile));
+                if render.instant() {
+                    ServeOutcome::hit()
+                } else {
+                    ServeOutcome::miss(u64::from(render.misses) * grid.tile_bytes)
+                }
+            })
+            .collect();
 
         let mut unified = PocketMaps::new(grid, 10_000_000);
-        for &tile in &tiles {
-            CloudletService::serve(&mut unified, &ServeRequest::for_user(0, tile.to_key(), SimInstant::ZERO))
-                .expect("every u64 is a tile");
-        }
+        let outcomes: Vec<ServeOutcome> = tiles
+            .iter()
+            .map(|&tile| {
+                CloudletService::serve(&mut unified, &ServeRequest::for_user(0, tile.to_key(), SimInstant::ZERO))
+                    .expect("every u64 is a tile")
+            })
+            .collect();
 
-        prop_assert_eq!(
-            unified.service_stats(),
-            PocketMaps::project_stats(&legacy.stats())
-        );
-        prop_assert_eq!(unified.service_stats().serves, tiles.len() as u64);
+        prop_assert_eq!(outcomes, expected);
+        prop_assert_eq!(unified.stats(), legacy.stats());
     }
 
     /// Ads: the trait serve is a standalone consultation (search hit
@@ -192,24 +212,24 @@ proptest! {
         }
         let mut unified = legacy.clone();
 
-        let mut legacy_hits = 0u64;
-        for &query in &queries {
-            if matches!(legacy.serve(query, true), AdOutcome::Hit(_)) {
-                legacy_hits += 1;
-            }
-        }
-        for &query in &queries {
-            CloudletService::serve(&mut unified, &ServeRequest::for_user(0, query, SimInstant::ZERO))
-                .expect("ad serve is infallible");
-        }
+        let expected: Vec<ServeOutcome> = queries
+            .iter()
+            .map(|&query| match legacy.serve(query, true) {
+                AdOutcome::Hit(_) => ServeOutcome::hit(),
+                AdOutcome::Miss => ServeOutcome::miss(0),
+                AdOutcome::Skipped => ServeOutcome::skipped(),
+            })
+            .collect();
+        let outcomes: Vec<ServeOutcome> = queries
+            .iter()
+            .map(|&query| {
+                CloudletService::serve(&mut unified, &ServeRequest::for_user(0, query, SimInstant::ZERO))
+                    .expect("ad serve is infallible")
+            })
+            .collect();
 
-        let (hits, misses, skipped) = legacy.counters();
-        let stats = unified.service_stats();
-        prop_assert_eq!(stats.hits, hits);
-        prop_assert_eq!(stats.hits, legacy_hits);
-        prop_assert_eq!(stats.misses, misses);
-        prop_assert_eq!(stats.skipped, skipped);
-        prop_assert_eq!(stats.serves, queries.len() as u64);
+        prop_assert_eq!(outcomes, expected);
+        prop_assert_eq!(unified.counters(), legacy.counters());
     }
 }
 
