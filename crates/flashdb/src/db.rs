@@ -1,7 +1,8 @@
 //! The N-file result database over simulated flash.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::{Buf, BufMut, BytesMut};
 use mobsim::flash::{FileId, FlashError, FlashStore};
@@ -162,14 +163,58 @@ pub struct DbStats {
     pub dead_bytes: u64,
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Hashes a record-hash key with one [`mobsim::mix64`] round. The keys
+/// are result hashes that reach the database only from its own build and
+/// from the update server, which already chooses every record's
+/// content, so SipHash's resistance to crafted colliding keys guards
+/// against no one on a path probed twice per search hit.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mix64Hasher(u64);
+
+impl Hasher for Mix64Hasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mobsim::mix64(self.0 ^ key);
+    }
+}
+
+/// A file's live entries: hash → (offset, encoded length). Its
+/// iteration order is arbitrary, so every pass that writes or returns
+/// entries in order sorts them first.
+type FileIndex = HashMap<u64, (u32, u32), BuildHasherDefault<Mix64Hasher>>;
+
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct FileState {
     /// Live entries: hash → (offset, encoded length).
-    index: HashMap<u64, (u32, u32)>,
+    index: FileIndex,
     /// Header slots available before a rebuild is needed.
     capacity: usize,
     /// Bytes of dead records in the data region.
     dead_bytes: u64,
+    /// The flash [stamp](FlashStore::stamp) at which every live record
+    /// of this file decoded to its own hash, set by
+    /// [`ResultDb::mark_verified`]. Any change to the file clears it.
+    verified_at: Option<u64>,
+}
+
+/// Two file states are equal when their entries and space are: the
+/// verification mark records when the bytes were last checked, and a
+/// marked file answers every fetch as an unmarked one does.
+impl PartialEq for FileState {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index
+            && self.capacity == other.capacity
+            && self.dead_bytes == other.dead_bytes
+    }
 }
 
 impl FileState {
@@ -220,11 +265,7 @@ impl ResultDb {
                 .saturating_mul(2)
                 .next_power_of_two()
                 .max(config.initial_header_capacity);
-            let mut state = FileState {
-                index: HashMap::new(),
-                capacity,
-                dead_bytes: 0,
-            };
+            let mut state = FileState::default();
             let bytes = Self::serialize_file(&bucket, capacity, &mut state);
             let id = flash.create(&format!("psdb-{i:03}"));
             flash.write_file(id, bytes);
@@ -380,6 +421,8 @@ impl ResultDb {
 
     /// Retrieves a record, charging the full §5.2.2 path: file open,
     /// header page reads, per-entry parse time, and record page reads.
+    /// It always decodes the record, marked or not
+    /// ([`mark_verified`](Self::mark_verified)): it returns an owned copy.
     ///
     /// # Errors
     ///
@@ -389,7 +432,8 @@ impl ResultDb {
         result_hash: u64,
         flash: &FlashStore,
     ) -> Result<(ResultRecord, SimDuration), DbError> {
-        self.with_record(result_hash, flash, |view| view.to_owned())
+        let (_, bytes, time) = self.read_record(result_hash, flash)?;
+        Ok((Self::check_record(result_hash, &bytes)?.to_owned(), time))
     }
 
     /// Retrieves several records (e.g. the two results of a hash-table
@@ -417,6 +461,14 @@ impl ResultDb {
     /// records, with every check it makes, but without copying a record
     /// out: each one is checked in place.
     ///
+    /// A record of a file that [`mark_verified`](Self::mark_verified)
+    /// marked at the store's current [stamp](FlashStore::stamp) skips
+    /// only its decode (bounds, UTF-8, CRC-32 and hash): those bytes
+    /// already passed it and cannot have changed since. The header read
+    /// and its charge, the preamble check, the index lookup and the
+    /// record read (its range check and stuck-bit overlay) always run,
+    /// so the time and every error are those of an unmarked fetch.
+    ///
     /// # Errors
     ///
     /// Fails on the first record that fails: [`DbError::NotFound`] when
@@ -432,21 +484,24 @@ impl ResultDb {
     ) -> Result<SimDuration, DbError> {
         let mut total = SimDuration::ZERO;
         for h in hashes {
-            total += self.with_record(h, flash, |_| ())?.1;
+            let (file_idx, bytes, time) = self.read_record(h, flash)?;
+            if self.files[file_idx].verified_at != Some(flash.stamp()) {
+                Self::check_record(h, &bytes)?;
+            }
+            total += time;
         }
         Ok(total)
     }
 
-    /// Reads and checks the record stored for `result_hash` — the
-    /// header preamble against the mirror, then the record's bounds,
-    /// UTF-8, CRC-32 and hash — and hands its in-place view to `f`,
-    /// returning `f`'s result and the simulated time of the fetch.
-    fn with_record<T>(
+    /// Reads the bytes stored for `result_hash` along the §5.2.2 path —
+    /// file open, the header (its preamble checked against the mirror),
+    /// the index lookup, the record — without decoding them. Returns
+    /// the file's index, the bytes, and the simulated time of the read.
+    fn read_record<'f>(
         &self,
         result_hash: u64,
-        flash: &FlashStore,
-        f: impl FnOnce(RecordView<'_>) -> T,
-    ) -> Result<(T, SimDuration), DbError> {
+        flash: &'f FlashStore,
+    ) -> Result<(usize, Cow<'f, [u8]>, SimDuration), DbError> {
         let file_idx = self.file_for(result_hash);
         let state = &self.files[file_idx];
         let file = self.ids[file_idx];
@@ -467,8 +522,36 @@ impl ResultDb {
 
         let record = flash.read(file, u64::from(offset), u64::from(len))?;
         time += record.time;
-        let view = Self::check_record(result_hash, &record.data)?;
-        Ok((f(view), time))
+        Ok((file_idx, record.data, time))
+    }
+
+    /// Decodes every live record of every file in full, as a fetch
+    /// would, and marks each file whose records all decode to their own
+    /// hash as verified at `flash`'s current [stamp](FlashStore::stamp);
+    /// a file with any record that fails stays unmarked, so its fetches
+    /// keep decoding and fail as before. Returns the number of files
+    /// marked.
+    ///
+    /// The mark lets [`fetch_time`](Self::fetch_time) skip the decode
+    /// while the stamp holds, and only then: any change to the store
+    /// redraws the stamp, and any change to a file through this
+    /// database clears the file's mark. Run it on a database whose
+    /// store will be read many times without a write.
+    pub fn mark_verified(&mut self, flash: &FlashStore) -> usize {
+        let stamp = flash.stamp();
+        let mut marked = 0;
+        for file_idx in 0..self.files.len() {
+            let file = self.ids[file_idx];
+            let state = &self.files[file_idx];
+            let decodes = state.index.iter().all(|(&hash, &(offset, len))| {
+                flash
+                    .read(file, u64::from(offset), u64::from(len))
+                    .is_ok_and(|record| Self::check_record(hash, &record.data).is_ok())
+            });
+            self.files[file_idx].verified_at = decodes.then_some(stamp);
+            marked += usize::from(decodes);
+        }
+        marked
     }
 
     /// Decodes the bytes stored for `result_hash` and checks that they
@@ -537,11 +620,12 @@ impl ResultDb {
 
         let file = self.ids[file_idx];
         let encoded = record.encode();
+        let state = &mut self.files[file_idx];
+        state.verified_at = None;
         let (offset, append_time) = flash.append(file, &encoded)?;
         let mut time = append_time;
 
         // Augment the header: bump the live count and fill the next slot.
-        let state = &mut self.files[file_idx];
         let slot = state.index.len() as u64;
         let mut slot_bytes = BytesMut::with_capacity(HEADER_ENTRY_BYTES as usize);
         slot_bytes.put_u64_le(record.result_hash);
@@ -569,10 +653,12 @@ impl ResultDb {
     /// Propagates flash failures from the header rewrite.
     pub fn remove(&mut self, result_hash: u64, flash: &mut FlashStore) -> Result<bool, DbError> {
         let file_idx = self.file_for(result_hash);
-        let Some((_, len)) = self.files[file_idx].index.remove(&result_hash) else {
+        let state = &mut self.files[file_idx];
+        let Some((_, len)) = state.index.remove(&result_hash) else {
             return Ok(false);
         };
-        self.files[file_idx].dead_bytes += u64::from(len);
+        state.dead_bytes += u64::from(len);
+        state.verified_at = None;
         self.rewrite_header(file_idx, flash)?;
         Ok(true)
     }

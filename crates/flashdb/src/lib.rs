@@ -19,6 +19,17 @@
 //! "line" maps result hashes to byte offsets, and new results are appended
 //! to the end while the header is augmented in place.
 //!
+//! Every read checks what it reads: the header preamble against the
+//! in-memory mirror, then the record's bounds, UTF-8, CRC-32 and hash.
+//! The record half of that is needed once per write of the flash, not
+//! once per read: [`ResultDb::mark_verified`] decodes every record and
+//! marks each file that passes with the store's content stamp
+//! ([`FlashStore::stamp`](mobsim::flash::FlashStore::stamp)), and
+//! [`ResultDb::fetch_time`] skips the record decode only while a file's
+//! mark equals the current stamp. Any change to the store redraws the
+//! stamp, and any change to a file through the database clears its
+//! mark. [`ResultDb::get`] always decodes.
+//!
 //! # Example
 //!
 //! ```

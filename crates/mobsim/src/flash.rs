@@ -24,6 +24,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -319,6 +320,11 @@ fn block_span(block_bytes: u64, offset: u64, len: u64) -> Range<u64> {
     offset / block_bytes..last.saturating_add(1)
 }
 
+/// The source of every [`FlashStore::stamp`]: one counter for the whole
+/// process, so no two states of any two stores ever draw the same value.
+/// Starts at 1; stamp 0 belongs to a store that was never changed.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
 /// A simulated flash file store with block-granular allocation accounting
 /// and a NAND wear model (per-block erase cycles, stuck-bit failures).
 ///
@@ -326,6 +332,10 @@ fn block_span(block_bytes: u64, offset: u64, len: u64) -> Range<u64> {
 /// once, at [`create`](Self::create); every read and write after that
 /// indexes the file table directly, and the name is kept only for
 /// display and error messages.
+///
+/// Every change to the store draws a new [content stamp](Self::stamp),
+/// so a reader that checked bytes at one stamp knows they still read the
+/// same while the stamp is unchanged.
 ///
 /// # Example
 ///
@@ -341,7 +351,7 @@ fn block_span(block_bytes: u64, offset: u64, len: u64) -> Range<u64> {
 /// // And that block has been erased exactly once.
 /// assert_eq!(flash.wear_summary().total_erases, 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlashStore {
     model: FlashModel,
     /// The file table, indexed by [`FileId`]; slots are never reused.
@@ -359,6 +369,35 @@ pub struct FlashStore {
     next_block: u64,
     /// Total erase operations performed.
     total_erases: u64,
+    /// Content stamp: redrawn by every `&mut` method, kept by a clone.
+    stamp: u64,
+}
+
+/// Two stores are equal when their files, wear and model are: the
+/// [stamp](FlashStore::stamp) says when a store last changed, not what
+/// it holds, so it takes no part.
+impl PartialEq for FlashStore {
+    fn eq(&self, other: &Self) -> bool {
+        let FlashStore {
+            model,
+            slots,
+            ids,
+            live_files,
+            blocks,
+            free,
+            next_block,
+            total_erases,
+            stamp: _,
+        } = self;
+        *model == other.model
+            && *slots == other.slots
+            && *ids == other.ids
+            && *live_files == other.live_files
+            && *blocks == other.blocks
+            && *free == other.free
+            && *next_block == other.next_block
+            && *total_erases == other.total_erases
+    }
 }
 
 impl FlashStore {
@@ -375,13 +414,30 @@ impl FlashStore {
         &self.model
     }
 
+    /// The content stamp: a value that changes whenever anything a read
+    /// could return may have changed. Every `&mut` method draws a fresh
+    /// one from a process-wide counter, so a stamp names one state of
+    /// one store's history; a clone keeps the stamp, because it holds
+    /// the same bytes. Reads never change it.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Marks the store changed: the one way [`stamp`](Self::stamp) moves.
+    fn restamp(&mut self) {
+        // relaxed-ok: the stamp only has to be unique; it orders no other memory
+        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Replaces the wear model (threshold, seed, enablement) in place.
     pub fn set_wear(&mut self, wear: WearModel) {
+        self.restamp();
         self.model.wear = wear;
     }
 
     /// Replaces the block allocation policy in place.
     pub fn set_alloc_policy(&mut self, alloc: AllocPolicy) {
+        self.restamp();
         self.model.alloc = alloc;
     }
 
@@ -390,6 +446,7 @@ impl FlashStore {
     /// store, so calling this again — even after the file was removed —
     /// returns the same handle.
     pub fn create(&mut self, name: &str) -> FileId {
+        self.restamp();
         let id = match self.ids.get(name) {
             Some(&id) => id,
             None => {
@@ -536,6 +593,7 @@ impl FlashStore {
     /// past its safe life and the failure cadence fires. Deterministic in
     /// `(seed, block id, erase count)`.
     fn record_erase(&mut self, block: u64) {
+        self.restamp();
         let wear = self.model.wear;
         let block_bytes = self.model.block_bytes.max(1);
         self.total_erases += 1;
@@ -565,7 +623,7 @@ impl FlashStore {
     /// Bumps a block's erase count by `cycles` without moving any data —
     /// a test accelerant for reaching the wear threshold quickly. Each
     /// simulated cycle runs the same failure-injection draw a real erase
-    /// would.
+    /// would (and so redraws the stamp); zero cycles change nothing.
     pub fn age_block(&mut self, block: u64, cycles: u64) {
         for _ in 0..cycles {
             self.record_erase(block);
@@ -652,6 +710,7 @@ impl FlashStore {
     ///
     /// Panics when `file` was not issued by this store.
     pub fn write_file(&mut self, file: FileId, data: Vec<u8>) -> SimDuration {
+        self.restamp();
         let pages = self.model.pages_touched(0, data.len() as u64);
         self.remove(file);
         let needed = self.blocks_needed(data.len() as u64);
@@ -676,6 +735,7 @@ impl FlashStore {
     ///
     /// Panics when `file` was not issued by this store.
     pub fn append(&mut self, file: FileId, data: &[u8]) -> Result<(u64, SimDuration), FlashError> {
+        self.restamp();
         let slot = &mut self.slots[file.0 as usize];
         let Some(mut stored) = slot.file.take() else {
             return Err(FlashError::FileNotFound(slot.name.clone()));
@@ -710,6 +770,7 @@ impl FlashStore {
         offset: u64,
         data: &[u8],
     ) -> Result<SimDuration, FlashError> {
+        self.restamp();
         let time = self.program_range(file, offset, data, |cells, new| {
             cells.copy_from_slice(new);
         })?;
@@ -745,6 +806,7 @@ impl FlashStore {
         offset: u64,
         data: &[u8],
     ) -> Result<SimDuration, FlashError> {
+        self.restamp();
         self.program_range(file, offset, data, |cells, new| {
             for (cell, programmed) in cells.iter_mut().zip(new) {
                 *cell &= programmed;
@@ -804,6 +866,7 @@ impl FlashStore {
     ///
     /// Panics when `file` was not issued by this store.
     pub fn remove(&mut self, file: FileId) -> bool {
+        self.restamp();
         match self.slots[file.0 as usize].file.take() {
             Some(stored) => {
                 self.free.extend(stored.blocks);
@@ -1333,6 +1396,108 @@ mod tests {
             "least-worn keeps blocks within a couple cycles: {summary:?}"
         );
         assert_eq!(summary.total_erases, 50);
+    }
+
+    // ---- content stamp --------------------------------------------------
+
+    /// A store with wear injection on (every erase past the first draws a
+    /// stuck bit) and one 8 KiB file.
+    fn worn_store() -> (FlashStore, FileId) {
+        let model = FlashModel {
+            wear: WearModel {
+                enabled: true,
+                safe_erase_cycles: 1,
+                bit_failure_every: 1,
+                seed: 5,
+            },
+            ..FlashModel::default()
+        };
+        let mut fs = FlashStore::new(model);
+        let f = fs.create("f");
+        fs.write_file(f, vec![0x0F; 8_192]);
+        (fs, f)
+    }
+
+    #[test]
+    fn every_mutation_redraws_the_stamp_and_reads_keep_it() {
+        type Mutation = fn(&mut FlashStore, FileId);
+        let mutations: [(&str, Mutation); 12] = [
+            ("create (new name)", |fs, _| {
+                fs.create("g");
+            }),
+            ("create (existing name)", |fs, _| {
+                fs.create("f");
+            }),
+            ("write_file", |fs, f| {
+                fs.write_file(f, vec![0x0F; 8_192]);
+            }),
+            ("append", |fs, f| {
+                fs.append(f, &[1, 2, 3]).unwrap();
+            }),
+            ("overwrite", |fs, f| {
+                fs.overwrite(f, 10, &[9]).unwrap();
+            }),
+            ("program", |fs, f| {
+                fs.program(f, 20, &[0x01]).unwrap();
+            }),
+            ("program (bits already clear)", |fs, f| {
+                fs.program(f, 20, &[0xFF]).unwrap();
+            }),
+            ("age_block", |fs, f| {
+                let block = fs.file_block_ids(f).unwrap()[1];
+                fs.age_block(block, 1);
+            }),
+            ("set_wear", |fs, _| fs.set_wear(WearModel::default())),
+            ("set_alloc_policy", |fs, _| {
+                fs.set_alloc_policy(AllocPolicy::LeastWorn { spares: 2 })
+            }),
+            ("remove", |fs, f| {
+                fs.remove(f);
+            }),
+            ("remove (already gone)", |fs, f| {
+                fs.remove(f);
+            }),
+        ];
+        let (mut fs, f) = worn_store();
+        let mut seen = BTreeSet::from([fs.stamp()]);
+        for (name, mutate) in mutations {
+            let before = fs.stamp();
+            let _ = fs.read(f, 0, 64);
+            let _ = fs.file_size(f);
+            assert_eq!(fs.stamp(), before, "reads before {name} keep the stamp");
+            mutate(&mut fs, f);
+            assert!(seen.insert(fs.stamp()), "{name} drew a stamp never held");
+        }
+    }
+
+    #[test]
+    fn clones_share_the_stamp_until_one_of_them_changes() {
+        let (a, f) = worn_store();
+        let (mut b, mut c) = (a.clone(), a.clone());
+        assert_eq!((b.stamp(), c.stamp()), (a.stamp(), a.stamp()));
+        // The same change applied apart still draws two stamps.
+        b.program(f, 0, &[0x01]).unwrap();
+        c.program(f, 0, &[0x01]).unwrap();
+        assert_eq!(b, c, "same bytes");
+        let stamps = BTreeSet::from([a.stamp(), b.stamp(), c.stamp()]);
+        assert_eq!(stamps.len(), 3, "no two clones changed apart share one");
+        b.overwrite(f, 0, &[1]).unwrap();
+        c.overwrite(f, 0, &[2]).unwrap();
+        assert_ne!(b, c);
+        assert_ne!(b.stamp(), c.stamp());
+    }
+
+    #[test]
+    fn stores_with_one_history_compare_equal_whatever_their_stamps() {
+        let (mut a, f) = worn_store();
+        let (mut b, _) = worn_store();
+        for fs in [&mut a, &mut b] {
+            let block = fs.file_block_ids(f).unwrap()[0];
+            fs.age_block(block, 3);
+            fs.append(f, b"tail").unwrap();
+        }
+        assert_ne!(a.stamp(), b.stamp());
+        assert_eq!(a, b);
     }
 
     #[test]

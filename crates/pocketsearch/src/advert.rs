@@ -54,9 +54,6 @@ pub enum AdOutcome {
 pub struct AdCloudlet {
     table: QueryHashTable,
     creatives: HashMap<u64, AdRecord>,
-    hits: u64,
-    misses: u64,
-    skipped: u64,
 }
 
 impl AdCloudlet {
@@ -73,26 +70,15 @@ impl AdCloudlet {
     }
 
     /// Serves the ad slot for a query, given whether the search cache hit.
-    pub fn serve(&mut self, query_hash: u64, search_hit: bool) -> AdOutcome {
+    pub fn serve(&self, query_hash: u64, search_hit: bool) -> AdOutcome {
         if !search_hit {
-            self.skipped += 1;
             return AdOutcome::Skipped;
         }
-        let best = self
-            .table
+        self.table
             .lookup(query_hash)
             .and_then(|results| results.first().copied())
-            .and_then(|r| self.creatives.get(&r.result_hash).cloned());
-        match best {
-            Some(record) => {
-                self.hits += 1;
-                AdOutcome::Hit(record)
-            }
-            None => {
-                self.misses += 1;
-                AdOutcome::Miss
-            }
-        }
+            .and_then(|r| self.creatives.get(&r.result_hash).cloned())
+            .map_or(AdOutcome::Miss, AdOutcome::Hit)
     }
 
     /// Removes the ads linked to a query (a coordinated eviction).
@@ -117,11 +103,6 @@ impl AdCloudlet {
     /// Number of cached creatives.
     pub fn creative_count(&self) -> usize {
         self.creatives.len()
-    }
-
-    /// `(hits, misses, skipped)` counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.skipped)
     }
 
     /// Total banner bytes cached.
@@ -199,10 +180,14 @@ mod tests {
     fn hit_miss_skip_accounting() {
         let mut ads = AdCloudlet::new();
         ads.install(1, ad(10));
-        assert!(matches!(ads.serve(1, true), AdOutcome::Hit(_)));
-        assert_eq!(ads.serve(2, true), AdOutcome::Miss);
-        assert_eq!(ads.serve(1, false), AdOutcome::Skipped);
-        assert_eq!(ads.counters(), (1, 1, 1));
+        let outcomes: Vec<AdOutcome> = [(1, true), (2, true), (1, false)]
+            .into_iter()
+            .map(|(query, search_hit)| ads.serve(query, search_hit))
+            .collect();
+        assert_eq!(
+            outcomes,
+            [AdOutcome::Hit(ad(10)), AdOutcome::Miss, AdOutcome::Skipped]
+        );
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! service times the sequential engine would produce, and
 //! [`search_frontend`] puts `S` of them behind a [`Frontend`].
 //!
+//! The lanes only read the database, so [`SearchShard::fleet_of`] checks
+//! every record once, when it builds the shared copy
+//! ([`ResultDb::mark_verified`]); a hit then skips the record decode
+//! for as long as that flash store is unchanged, which is the life of
+//! the fleet. Simulated time never charged the decode, so no reported
+//! time moves.
+//!
 //! Routing, queueing, coalescing, telemetry, and the §7 budget arbiter
 //! all live in `cloudlet_core::frontend`. Every lane probes the one
 //! index, so any routing is exact; under the default key routing a
@@ -105,10 +112,12 @@ impl SearchShard {
         for record in table.to_records() {
             slice_entries[(record.query_hash % n_shards as u64) as usize] += 1;
         }
-        let store = Arc::new(SharedStore {
-            db: engine.db().clone(),
-            flash: device.flash().clone(),
-        });
+        // The lanes only read the shared store, so its records are
+        // checked once here, not on every hit.
+        let flash = device.flash().clone();
+        let mut db = engine.db().clone();
+        db.mark_verified(&flash);
+        let store = Arc::new(SharedStore { db, flash });
         let shards = slice_entries
             .into_iter()
             .map(|entries| SearchShard {
@@ -142,8 +151,11 @@ impl CloudletService for SearchShard {
     /// exclusive path, which also keeps miss accounting in one place.
     ///
     /// The hit copies nothing: the index yields the top two results
-    /// without building a list, and the database checks both records in
-    /// place ([`ResultDb::fetch_time`]) for the time the fetch takes.
+    /// without building a list, and the database reads both records in
+    /// place ([`ResultDb::fetch_time`]) for the time the fetch takes. It
+    /// decodes neither: `fleet_of` verified every record of the shared
+    /// store, and a record of a file that failed that pass is decoded
+    /// on every hit and declines to the miss path as before.
     fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
         let (best, second) = self.index.top_two(request.key)?;
         let top = std::iter::once(best).chain(second).map(|r| r.result_hash);
@@ -294,6 +306,37 @@ mod tests {
         assert_eq!(served.completed_at, SimInstant::ZERO + outcome.service);
         assert_eq!(served.queue_wait, SimDuration::ZERO);
         assert_eq!(frontend.lane_name(served.lane), "search");
+    }
+
+    #[test]
+    fn records_corrupted_before_the_fleet_builds_still_decline() {
+        let (mut engine, cached) = test_engine();
+        // Smash the tail record bytes of every database file.
+        let flash = engine.device_mut().flash_mut();
+        let files: Vec<_> = flash.files().map(|(id, _)| id).collect();
+        for file in files {
+            let size = flash.file_size(file).expect("database file");
+            flash
+                .overwrite(file, size - 64, &[0xFF; 64])
+                .expect("in range");
+        }
+        let (_, shards) = SearchShard::fleet_of(&engine, 1);
+        let (mut hits, mut declined) = (0, 0);
+        for &key in &cached {
+            let (best, second) = engine.cache().table().top_two(key).expect("cached");
+            let top = std::iter::once(best).chain(second).map(|r| r.result_hash);
+            // The engine's database is unmarked, so this fetch decodes.
+            let decodes = engine.db().fetch_time(top, engine.device().flash()).is_ok();
+            let request = ServeRequest::new(0, 0, key, SimInstant::ZERO);
+            let hit = shards[0].try_serve_hit(&request).is_some();
+            assert_eq!(hit, decodes, "query {key:#x}");
+            if hit {
+                hits += 1;
+            } else {
+                declined += 1;
+            }
+        }
+        assert!(hits > 0 && declined > 0, "{hits} hits, {declined} declined");
     }
 
     #[test]

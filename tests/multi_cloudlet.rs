@@ -47,16 +47,20 @@ fn ad_cloudlet_piggybacks_on_search_hits_only() {
     let q = contents.pairs()[0].query_hash;
     let served = search.serve(q);
     assert!(served.hit);
-    assert!(matches!(ads.serve(q, served.hit), AdOutcome::Hit(_)));
+    let shown = ads.serve(q, served.hit);
 
     // An unknown query: search misses, and §7 says don't even consult the
     // ad cache — the radio is waking anyway.
     let served = search.serve(0xBAD_F00D);
     assert!(!served.hit);
-    assert_eq!(ads.serve(0xBAD_F00D, served.hit), AdOutcome::Skipped);
+    let skipped = ads.serve(0xBAD_F00D, served.hit);
 
-    let (hits, misses, skipped) = ads.counters();
-    assert_eq!((hits, misses, skipped), (1, 0, 1));
+    // One ad shown, none missed, one consultation skipped.
+    let outcomes = [shown, skipped];
+    assert!(
+        matches!(outcomes, [AdOutcome::Hit(_), AdOutcome::Skipped]),
+        "{outcomes:?}"
+    );
 }
 
 #[test]
