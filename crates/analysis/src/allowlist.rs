@@ -7,7 +7,7 @@
 //! rule|path-prefix|needle|reason
 //! ```
 //!
-//! * `rule` — `R1`..`R5`, or `*` for any rule.
+//! * `rule` — `R1`..`R6`, or `*` for any rule.
 //! * `path-prefix` — workspace-relative path prefix the entry covers
 //!   (`crates/bench/` covers the whole crate).
 //! * `needle` — substring the offending source line must contain, or
@@ -89,7 +89,7 @@ impl Allowlist {
                     None => {
                         return Err(ParseError {
                             line,
-                            message: format!("unknown rule {:?} (want R1..R5 or *)", id),
+                            message: format!("unknown rule {:?} (want R1..R6 or *)", id),
                         });
                     }
                 },

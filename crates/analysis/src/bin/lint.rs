@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Scans every Rust source file under the workspace root, applies
-//! rules R1–R5 (see `analysis` crate docs), filters through the
+//! rules R1–R6 (see `analysis` crate docs), filters through the
 //! committed `lint.allow`, and reports what remains.
 //!
 //! * Human-readable findings go to **stderr**; `--json` additionally

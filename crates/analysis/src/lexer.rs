@@ -14,9 +14,12 @@
 //!   which is how the `// relaxed-ok:` justification rule reads its
 //!   evidence.
 //! * test spans — byte ranges covered by `#[cfg(test)]` / `#[test]` /
-//!   `#[bench]` items and `mod tests { .. }` blocks, tracked by brace
-//!   matching over the scrubbed code. Rules that exempt test code ask
-//!   [`FileScan::in_test`] instead of guessing.
+//!   `#[bench]` items (from the attribute on) and `mod tests { .. }`
+//!   blocks, tracked by brace matching over the scrubbed code. Rules
+//!   that exempt test code ask [`FileScan::in_test`] instead of
+//!   guessing.
+//! * attribute spans — the byte range of every `#[..]`, so a rule can
+//!   look through an item's attributes ([`FileScan::attribute_only_line`]).
 //!
 //! The scanner understands nested block comments, raw strings with
 //! arbitrary `#` runs, byte strings, char literals vs. lifetimes, and
@@ -36,8 +39,13 @@ pub struct FileScan {
     /// Byte offset where each 0-based line starts in `code`.
     line_starts: Vec<usize>,
     /// Byte ranges of `code` that belong to test or bench items.
-    test_spans: Vec<(usize, usize)>,
+    test_spans: Spans,
+    /// Byte ranges of `code` covered by `#[..]` attributes, in order.
+    attr_spans: Spans,
 }
+
+/// Half-open byte ranges of the scrubbed code.
+type Spans = Vec<(usize, usize)>;
 
 #[derive(Clone, Copy, PartialEq)]
 enum State {
@@ -177,7 +185,7 @@ impl FileScan {
                 line_starts.push(pos + 1);
             }
         }
-        let test_spans = find_test_spans(code.as_bytes());
+        let (test_spans, attr_spans) = find_spans(code.as_bytes());
         FileScan {
             source: source.to_owned(),
             code,
@@ -187,6 +195,7 @@ impl FileScan {
                 .collect(),
             line_starts,
             test_spans,
+            attr_spans,
         }
     }
 
@@ -239,6 +248,28 @@ impl FileScan {
         self.code.as_bytes()[start..end]
             .iter()
             .all(|b| b.is_ascii_whitespace())
+    }
+
+    /// Whether 0-based line `line` holds code, all of it inside
+    /// `#[..]` attributes (a line of a multi-line attribute counts).
+    pub fn attribute_only_line(&self, line: usize) -> bool {
+        let start = self.line_starts[line];
+        let end = self
+            .line_starts
+            .get(line + 1)
+            .copied()
+            .unwrap_or(self.code.len());
+        let mut any = false;
+        for (pos, b) in self.code.bytes().enumerate().take(end).skip(start) {
+            if b.is_ascii_whitespace() {
+                continue;
+            }
+            any = true;
+            if !self.attr_spans.iter().any(|&(s, e)| (s..e).contains(&pos)) {
+                return false;
+            }
+        }
+        any
     }
 }
 
@@ -297,21 +328,27 @@ fn char_literal_starts(bytes: &[u8], i: usize) -> bool {
     }
 }
 
-/// Finds byte ranges of test/bench items in scrubbed code: the
-/// brace-balanced body following `#[cfg(test)]` / `#[test]` /
-/// `#[bench]` attributes or a `mod tests` / `mod test` header.
-fn find_test_spans(code: &[u8]) -> Vec<(usize, usize)> {
+/// Finds byte ranges of test/bench items in scrubbed code — from a
+/// `#[cfg(test)]` / `#[test]` / `#[bench]` attribute through the
+/// brace-balanced body (or `;`) of the item it decorates, or a
+/// `mod tests` / `mod test` block — and of every `#[..]` attribute.
+fn find_spans(code: &[u8]) -> (Spans, Spans) {
     let mut spans = Vec::new();
-    let mut pending = false;
+    let mut attrs = Vec::new();
+    // Start of the test attribute whose item has not closed yet.
+    let mut pending: Option<usize> = None;
     let mut i = 0;
     while i < code.len() {
         let b = code[i];
         if b == b'#' && code.get(i + 1) == Some(&b'[') {
             let end = matching(code, i + 1, b'[', b']');
             let body = &code[i + 2..end.min(code.len())];
-            if contains_ident(body, b"test") || contains_ident(body, b"bench") {
-                pending = true;
+            if pending.is_none()
+                && (contains_ident(body, b"test") || contains_ident(body, b"bench"))
+            {
+                pending = Some(i);
             }
+            attrs.push((i, end + 1));
             i = end + 1;
             continue;
         }
@@ -327,8 +364,7 @@ fn find_test_spans(code: &[u8]) -> Vec<(usize, usize)> {
                 if name == b"tests" || name == b"test" {
                     if let Some(open) = next_nonspace_is(code, after, b'{') {
                         let close = matching(code, open, b'{', b'}');
-                        spans.push((start, close + 1));
-                        pending = false;
+                        spans.push((pending.take().unwrap_or(start), close + 1));
                         i = close + 1;
                         continue;
                     }
@@ -336,22 +372,23 @@ fn find_test_spans(code: &[u8]) -> Vec<(usize, usize)> {
             }
             continue;
         }
-        if pending {
+        if let Some(attr) = pending {
             if b == b'{' {
                 let close = matching(code, i, b'{', b'}');
-                spans.push((i, close + 1));
-                pending = false;
+                spans.push((attr, close + 1));
+                pending = None;
                 i = close + 1;
                 continue;
             }
             if b == b';' {
                 // The attribute decorated a braceless item.
-                pending = false;
+                spans.push((attr, i + 1));
+                pending = None;
             }
         }
         i += 1;
     }
-    spans
+    (spans, attrs)
 }
 
 /// Offset of the delimiter matching `open` at `at` (or end of input).

@@ -14,6 +14,10 @@
 //!   `// relaxed-ok: <reason>` justification.
 //! * **R4** — no `println!` / `eprintln!` in library code.
 //! * **R5** — the cross-function lock-acquisition graph is acyclic.
+//! * **R6** — every bare-`pub` library item has a reader outside tests
+//!   (a name token in non-test library, binary, example or bench code,
+//!   `use` lines excluded), or a `// api-ok: <reason>` justification
+//!   directly above it ([`unread`]).
 //!
 //! The **dynamic** half (`sync::OrderedRwLock`) enforces the same
 //! lock ordering at runtime in debug builds via per-lock ranks.
@@ -32,6 +36,7 @@ pub mod lockgraph;
 pub mod report;
 pub mod rules;
 pub mod sync;
+pub mod unread;
 
 use std::path::{Path, PathBuf};
 
@@ -40,6 +45,7 @@ use lexer::FileScan;
 use lockgraph::{FnSummary, LockGraph};
 use report::Finding;
 use rules::FileClass;
+use unread::UnreadApi;
 
 /// Directories never scanned: build output, vendored stubs, VCS
 /// metadata, experiment results.
@@ -62,9 +68,9 @@ impl std::fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 /// Scans every `.rs` file under `root`, applies rules R1–R4 per file
-/// and the R5 lock-graph check across the whole set, and filters the
-/// result through `allow`. Findings come back sorted by path and
-/// line.
+/// and, across the whole set, the R5 lock-graph check and the R6
+/// unread-public-API check, then filters the result through `allow`.
+/// Findings come back sorted by path and line.
 pub fn analyze_workspace(
     root: &Path,
     allow: &mut Allowlist,
@@ -75,6 +81,7 @@ pub fn analyze_workspace(
 
     let mut findings = Vec::new();
     let mut functions: Vec<FnSummary> = Vec::new();
+    let mut api = UnreadApi::default();
     for path in &files {
         let rel = workspace_rel(root, path);
         let source = std::fs::read_to_string(path).map_err(|e| AnalysisError {
@@ -87,8 +94,10 @@ pub fn analyze_workspace(
         if !matches!(class, FileClass::Test | FileClass::Bench) {
             functions.extend(lockgraph::scan_functions(&rel, &scan));
         }
+        api.add_file(&rel, class, &scan);
     }
     findings.extend(LockGraph::build(&functions).cycles());
+    findings.extend(api.findings());
 
     findings.retain(|f| !allow.permits(f));
     findings.sort_by(|a, b| {

@@ -19,6 +19,9 @@ pub enum Rule {
     StrayPrint,
     /// R5: the cross-function lock-acquisition graph must be acyclic.
     LockCycle,
+    /// R6: a bare-`pub` library item needs a reader outside tests, or a
+    /// `// api-ok: <why>` justification directly above it.
+    UnreadApi,
 }
 
 impl Rule {
@@ -30,10 +33,11 @@ impl Rule {
             Rule::UnjustifiedRelaxed => "R3",
             Rule::StrayPrint => "R4",
             Rule::LockCycle => "R5",
+            Rule::UnreadApi => "R6",
         }
     }
 
-    /// Parses an identifier as written in an allowlist (`R1`..`R5` or
+    /// Parses an identifier as written in an allowlist (`R1`..`R6` or
     /// `*` for any, which returns `None`).
     pub fn parse(id: &str) -> Option<Rule> {
         match id {
@@ -42,6 +46,7 @@ impl Rule {
             "R3" => Some(Rule::UnjustifiedRelaxed),
             "R4" => Some(Rule::StrayPrint),
             "R5" => Some(Rule::LockCycle),
+            "R6" => Some(Rule::UnreadApi),
             _ => None,
         }
     }

@@ -6,6 +6,12 @@
 //! | R2   | no host clocks: `std::time`, `Instant`, `SystemTime` | everything (bench crate allowlisted in `lint.allow`) |
 //! | R3   | `Ordering::Relaxed` needs `// relaxed-ok: <why>` | lib, bin, example code outside test regions |
 //! | R4   | no `println!` / `eprintln!` | lib code outside test regions |
+//! | R6   | a bare-`pub` item needs a reader outside tests, or `// api-ok: <why>` | lib code outside test regions, except under `pipeline-bench/` (see [`crate::unread`]) |
+//!
+//! R5 (the lock graph, [`crate::lockgraph`]) and R6 need every file at
+//! once, so [`crate::analyze_workspace`] runs them after the per-file
+//! pass. A justification marker (`relaxed-ok:`, `api-ok:`) counts only
+//! with a reason after its colon ([`marker_justifies`]).
 //!
 //! "Test regions" are what [`FileScan::in_test`] reports; whole-file
 //! classes come from [`FileClass::classify`]. The rules work on the
@@ -152,7 +158,7 @@ fn check_token(
                 && !scan.in_test(start);
             if applies
                 && preceded_by_path(code, start, b"Ordering")
-                && !relaxed_justified(scan, start)
+                && !marker_justifies(scan, scan.line_of(start), "relaxed-ok:")
             {
                 findings.push(finding(
                     Rule::UnjustifiedRelaxed,
@@ -260,22 +266,32 @@ fn preceded_by_path(code: &[u8], start: usize, ident: &[u8]) -> bool {
     &code[i..end] == ident
 }
 
-/// Whether the `Ordering::Relaxed` at `offset` has a `relaxed-ok:`
-/// comment on its line or on the contiguous comment-only lines
-/// directly above it.
-fn relaxed_justified(scan: &FileScan, offset: usize) -> bool {
-    let line = scan.line_of(offset);
-    if scan.comment_on(line).contains("relaxed-ok:") {
-        return true;
-    }
-    let mut above = line;
-    while above > 0 && scan.comment_only_line(above - 1) {
-        above -= 1;
-        if scan.comment_on(above).contains("relaxed-ok:") {
+/// Whether a `marker` comment (`relaxed-ok:`, `api-ok:`) with a
+/// non-blank reason after its colon sits on 0-based `line` or on the
+/// contiguous lines directly above it that hold only comments (doc
+/// comments included) or only attributes such as `#[must_use]`.
+pub fn marker_justifies(scan: &FileScan, line: usize, marker: &str) -> bool {
+    let mut current = line;
+    loop {
+        if reason_follows(scan.comment_on(current), marker) {
             return true;
         }
+        if current == 0 {
+            return false;
+        }
+        current -= 1;
+        if !(scan.comment_only_line(current) || scan.attribute_only_line(current)) {
+            return false;
+        }
     }
-    false
+}
+
+/// Whether `comment` holds `marker` followed by non-blank text.
+fn reason_follows(comment: &str, marker: &str) -> bool {
+    comment.match_indices(marker).any(|(at, _)| {
+        let reason = comment[at + marker.len()..].trim();
+        !reason.trim_end_matches("*/").trim().is_empty()
+    })
 }
 
 #[cfg(test)]
@@ -354,6 +370,22 @@ mod tests {
         assert!(lint("crates/x/src/lib.rs", above).is_empty());
         let far = "fn f(a: &AtomicU64) {\n    // relaxed-ok: too far away\n    let x = 1;\n    a.load(Ordering::Relaxed);\n}\n";
         assert_eq!(rules_of(&lint("crates/x/src/lib.rs", far)), vec!["R3"]);
+    }
+
+    #[test]
+    fn r3_rejects_a_marker_without_a_reason() {
+        let bare = "fn f(a: &AtomicU64) {\n    // relaxed-ok:\n    a.load(Ordering::Relaxed);\n}\n";
+        assert_eq!(rules_of(&lint("crates/x/src/lib.rs", bare)), vec!["R3"]);
+        let blank = "fn f(a: &AtomicU64) {\n    a.load(Ordering::Relaxed); // relaxed-ok:   \n}\n";
+        assert_eq!(rules_of(&lint("crates/x/src/lib.rs", blank)), vec!["R3"]);
+    }
+
+    #[test]
+    fn markers_look_through_doc_comments_and_attributes() {
+        let src = "// api-ok: read by Figure 9\n/// Docs.\n#[must_use]\n#[allow(\n    dead_code\n)]\npub fn f() {}\n";
+        let scan = FileScan::scan(src);
+        assert!(marker_justifies(&scan, 6, "api-ok:"));
+        assert!(!marker_justifies(&scan, 6, "relaxed-ok:"));
     }
 
     #[test]

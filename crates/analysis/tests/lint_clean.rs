@@ -48,6 +48,7 @@ fn seeded_violations_still_fire_end_to_end() {
             "    fn ab(&self) { let _x = self.a.read(); let _y = self.b.read(); }\n",
             "    fn ba(&self) { let _y = self.b.read(); let _x = self.a.read(); }\n",
             "}\n",
+            "pub fn never_called() {}\n",
         ),
     )
     .expect("fixture file");
@@ -57,7 +58,7 @@ fn seeded_violations_still_fire_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let ids: Vec<&str> = findings.iter().map(|f| f.rule.id()).collect();
-    for expected in ["R1", "R2", "R3", "R4", "R5"] {
+    for expected in ["R1", "R2", "R3", "R4", "R5", "R6"] {
         assert!(
             ids.contains(&expected),
             "rule {expected} did not fire on the seeded fixture; got {ids:?}"
@@ -66,7 +67,7 @@ fn seeded_violations_still_fire_end_to_end() {
 
     // Each finding renders as machine-readable JSON naming its rule.
     let json = render_json(&findings);
-    for expected in ["\"R1\"", "\"R2\"", "\"R3\"", "\"R4\"", "\"R5\""] {
+    for expected in ["\"R1\"", "\"R2\"", "\"R3\"", "\"R4\"", "\"R5\"", "\"R6\""] {
         assert!(json.contains(expected), "JSON output lacks {expected}");
     }
 }

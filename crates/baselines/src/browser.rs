@@ -21,11 +21,6 @@ impl BrowserSubstringCache {
         BrowserSubstringCache::default()
     }
 
-    /// Number of distinct URLs in the history.
-    pub fn history_len(&self) -> usize {
-        self.visited.len()
-    }
-
     fn normalize(text: &str) -> String {
         text.chars()
             .filter(|c| !c.is_whitespace())
@@ -114,7 +109,7 @@ mod tests {
         for _ in 0..5 {
             c.record_click(&req("youtube", "www.youtube.com"));
         }
-        assert_eq!(c.history_len(), 1);
+        assert_eq!(c.visited.len(), 1);
     }
 
     #[test]

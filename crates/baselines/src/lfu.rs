@@ -41,11 +41,6 @@ impl LfuQueryCache {
         self.entries.is_empty()
     }
 
-    /// The current use-count of a query, if cached.
-    pub fn frequency(&self, query_hash: u64) -> Option<u64> {
-        self.entries.get(&query_hash).map(|&(f, _)| f)
-    }
-
     fn bump(&mut self, query_hash: u64) {
         self.clock += 1;
         let e = self.entries.entry(query_hash).or_insert((0, 0));
@@ -123,7 +118,7 @@ mod tests {
             c.record_click(&req(i));
         }
         assert!(c.lookup(&req(42)), "the hot query must survive the scan");
-        assert_eq!(c.frequency(42), Some(11));
+        assert_eq!(c.entries.get(&42).map(|&(f, _)| f), Some(11));
     }
 
     #[test]
@@ -131,7 +126,7 @@ mod tests {
         let mut c = LfuQueryCache::new(2);
         c.record_click(&req(1));
         c.lookup(&req(1));
-        assert_eq!(c.frequency(1), Some(2));
+        assert_eq!(c.entries.get(&1).map(|&(f, _)| f), Some(2));
     }
 
     #[test]

@@ -110,6 +110,8 @@ pub struct DemandContext {
 }
 
 impl DemandContext {
+    // api-ok: pipeline-bench's `Traced` forwarding test asks for a
+    // demand under it; the cloudlets' unit tests build static contexts.
     /// The static, telemetry-free context: priority 1.0 for everyone,
     /// for one-shot allocations made outside an adaptive arbiter.
     pub fn equal_priority(epoch: u64) -> Self {
@@ -118,20 +120,6 @@ impl DemandContext {
             priority: 1.0,
             totals: LaneTotals::default(),
         }
-    }
-
-    /// Replaces the priority.
-    #[must_use]
-    pub fn with_priority(mut self, priority: f64) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Attaches the lane's epoch telemetry.
-    #[must_use]
-    pub fn with_telemetry(mut self, totals: LaneTotals) -> Self {
-        self.totals = totals;
-        self
     }
 
     /// Whether any traffic was actually observed in this context. A
@@ -183,27 +171,6 @@ impl ArbiterConfig {
     #[must_use]
     pub fn with_epoch_length(mut self, epoch_length: SimDuration) -> Self {
         self.epoch_length = epoch_length;
-        self
-    }
-
-    /// Replaces the EWMA weight.
-    #[must_use]
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Replaces the starvation floor.
-    #[must_use]
-    pub fn with_min_share(mut self, min_share: f64) -> Self {
-        self.min_share = min_share;
-        self
-    }
-
-    /// Replaces the hysteresis band.
-    #[must_use]
-    pub fn with_hysteresis(mut self, hysteresis: f64) -> Self {
-        self.hysteresis = hysteresis;
         self
     }
 
@@ -783,11 +750,11 @@ mod tests {
 
     #[test]
     fn ewma_smooths_a_one_epoch_spike() {
-        let mut arb = AdaptiveArbiter::new(
-            ArbiterConfig::new(10_000)
-                .with_alpha(0.5)
-                .with_hysteresis(0.0),
-        );
+        let mut arb = AdaptiveArbiter::new(ArbiterConfig {
+            alpha: 0.5,
+            hysteresis: 0.0,
+            ..ArbiterConfig::new(10_000)
+        });
         let steady = totals(100, 60, 0, 4_000);
         arb.run_epoch(
             SimInstant::from_micros(1),
@@ -810,7 +777,10 @@ mod tests {
 
     #[test]
     fn hysteresis_holds_small_drift() {
-        let mut arb = AdaptiveArbiter::new(ArbiterConfig::new(10_000).with_hysteresis(0.1));
+        let mut arb = AdaptiveArbiter::new(ArbiterConfig {
+            hysteresis: 0.1,
+            ..ArbiterConfig::new(10_000)
+        });
         let base = totals(1_000, 600, 0, 40_000);
         let d1 = arb.run_epoch(
             SimInstant::from_micros(1),
@@ -839,11 +809,11 @@ mod tests {
 
     #[test]
     fn min_share_floor_prevents_starvation() {
-        let mut arb = AdaptiveArbiter::new(
-            ArbiterConfig::new(10_000)
-                .with_min_share(0.2)
-                .with_hysteresis(0.0),
-        );
+        let mut arb = AdaptiveArbiter::new(ArbiterConfig {
+            min_share: 0.2,
+            hysteresis: 0.0,
+            ..ArbiterConfig::new(10_000)
+        });
         let decision = arb.run_epoch(
             SimInstant::from_micros(1),
             &[
@@ -861,7 +831,10 @@ mod tests {
 
     #[test]
     fn floors_cap_at_demand() {
-        let mut arb = AdaptiveArbiter::new(ArbiterConfig::new(10_000).with_min_share(0.3));
+        let mut arb = AdaptiveArbiter::new(ArbiterConfig {
+            min_share: 0.3,
+            ..ArbiterConfig::new(10_000)
+        });
         let decision = arb.run_epoch(
             SimInstant::from_micros(1),
             &[
@@ -904,7 +877,10 @@ mod tests {
 
     #[test]
     fn cumulative_snapshots_are_diffed_into_deltas() {
-        let mut arb = AdaptiveArbiter::new(ArbiterConfig::new(10_000).with_alpha(1.0));
+        let mut arb = AdaptiveArbiter::new(ArbiterConfig {
+            alpha: 1.0,
+            ..ArbiterConfig::new(10_000)
+        });
         let first = totals(100, 60, 0, 4_000);
         arb.observe_cumulative(
             SimInstant::from_micros(1),
@@ -941,7 +917,10 @@ mod tests {
 
     #[test]
     fn demand_hook_dampening_flows_into_the_allocation() {
-        let mut arb = AdaptiveArbiter::new(ArbiterConfig::new(10_000).with_min_share(0.0));
+        let mut arb = AdaptiveArbiter::new(ArbiterConfig {
+            min_share: 0.0,
+            ..ArbiterConfig::new(10_000)
+        });
         let t = totals(100, 60, 0, 4_000);
         let decision = arb.run_epoch(
             SimInstant::from_micros(1),
@@ -992,7 +971,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha")]
     fn zero_alpha_is_rejected() {
-        AdaptiveArbiter::new(ArbiterConfig::new(1_000).with_alpha(0.0));
+        AdaptiveArbiter::new(ArbiterConfig {
+            alpha: 0.0,
+            ..ArbiterConfig::new(1_000)
+        });
     }
 
     #[test]
@@ -1001,7 +983,11 @@ mod tests {
         assert_eq!(ctx.epoch, 0);
         assert_eq!(ctx.priority.to_bits(), 1.0f64.to_bits());
         assert!(!ctx.observed());
-        let ctx = ctx.with_priority(0.5).with_telemetry(totals(10, 5, 0, 100));
+        let ctx = DemandContext {
+            priority: 0.5,
+            totals: totals(10, 5, 0, 100),
+            ..ctx
+        };
         assert!(ctx.observed());
         assert!((ctx.priority - 0.5).abs() < f64::EPSILON);
     }

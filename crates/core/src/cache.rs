@@ -295,11 +295,6 @@ impl PersonalDelta {
         self.find(query_hash).is_ok()
     }
 
-    /// Queries the delta shadows.
-    pub fn query_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// `(query, result)` pairs resident in the delta.
     pub fn pair_count(&self) -> usize {
         self.entries.iter().map(|e| e.results.len()).sum()
@@ -518,12 +513,12 @@ mod tests {
         let community = community_with(&[(1, 10, 0.6), (1, 11, 0.4)]);
         let policy = *community.policy();
         let mut d = PersonalDelta::new();
-        assert_eq!(d.query_count(), 0);
+        assert_eq!(d.entries.len(), 0);
         d.record_click(&policy, Some(&community), 1, 10);
-        assert_eq!(d.query_count(), 1);
+        assert_eq!(d.entries.len(), 1);
         assert_eq!(d.pair_count(), 2, "seeded with both community results");
         d.record_click(&policy, Some(&community), 1, 10);
-        assert_eq!(d.query_count(), 1, "second click reuses the entry");
+        assert_eq!(d.entries.len(), 1, "second click reuses the entry");
     }
 
     #[test]
@@ -558,7 +553,7 @@ mod tests {
         assert_eq!(d.record_click(&policy, None, 1, 11), 0);
         assert_eq!(d.record_click(&policy, None, 2, 20), 16 + 13);
         assert_eq!(d.footprint_bytes(), 2 * 16 + 3 * 13);
-        assert_eq!(d.query_count(), 2);
+        assert_eq!(d.entries.len(), 2);
         assert_eq!(d.pair_count(), 3);
         // A new entry seeded with two community results, then a click on
         // a third result: 16 + 2·13 for the seeded entry, +13 appended.

@@ -236,6 +236,8 @@ impl CoordinatedEviction {
             .unwrap_or_default()
     }
 
+    // api-ok: §7 coordinated eviction; tests/multi_cloudlet.rs evicts
+    // the search and ad entries of one query together through it.
     /// Evicts the whole group, returning every `(cloudlet, item)` that
     /// must drop its entry.
     pub fn evict(&mut self, key: u64) -> Vec<(CloudletId, u64)> {
@@ -243,11 +245,6 @@ impl CoordinatedEviction {
             .remove(&key)
             .map(|s| s.into_iter().collect())
             .unwrap_or_default()
-    }
-
-    /// Number of registered groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
     }
 }
 
@@ -266,11 +263,6 @@ impl AccessControl {
     /// Grants `reader` access to `owner`'s cache contents.
     pub fn grant(&mut self, reader: CloudletId, owner: CloudletId) {
         self.grants.insert((reader, owner));
-    }
-
-    /// Revokes a grant, returning whether it existed.
-    pub fn revoke(&mut self, reader: CloudletId, owner: CloudletId) -> bool {
-        self.grants.remove(&(reader, owner))
     }
 
     /// Whether `reader` may read `owner`'s cache. A cloudlet always reads
@@ -429,8 +421,5 @@ mod tests {
         acl.grant(ADS, SEARCH);
         assert!(acl.can_access(ADS, SEARCH));
         assert!(!acl.can_access(SEARCH, ADS), "grants are one-way");
-        assert!(acl.revoke(ADS, SEARCH));
-        assert!(!acl.can_access(ADS, SEARCH));
-        assert!(!acl.revoke(ADS, SEARCH));
     }
 }

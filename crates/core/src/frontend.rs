@@ -431,11 +431,6 @@ impl LaneTotals {
         self.served().saturating_sub(self.skipped)
     }
 
-    /// Underlying serves: completed requests minus coalesced followers.
-    pub fn unique_serves(&self) -> u64 {
-        self.served().saturating_sub(self.coalesced)
-    }
-
     /// Pure-hit ratio over attempted requests (skips, rejections, and
     /// errors excluded from the denominator). Followers count with
     /// their leader's outcome, so coalescing never moves this number.
@@ -718,6 +713,8 @@ impl Frontend {
         cells
     }
 
+    // api-ok: ROADMAP item 10 (peer churn) refreshes the summaries by
+    // gossip each epoch through it.
     /// Re-registers every cell-attached lane's summary from its current
     /// [`CloudletService::summary_keys`] inventory — the epoch-grained
     /// refresh that keeps summaries tracking personalization churn.
@@ -735,25 +732,6 @@ impl Frontend {
     /// The active configuration.
     pub fn config(&self) -> &FrontendConfig {
         &self.config
-    }
-
-    /// Total lane count across all groups.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Number of service groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The stable name of the cloudlet behind lane `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range.
-    pub fn lane_name(&self, lane: usize) -> &'static str {
-        self.lanes[lane].service.read().name()
     }
 
     /// One snapshot of everything the front-end measures: per-lane
@@ -1236,7 +1214,7 @@ mod tests {
         assert_eq!(report.totals().events, 4);
         assert_eq!(report.totals().misses, 4, "all four get the miss outcome");
         assert_eq!(report.totals().coalesced, 3);
-        assert_eq!(report.totals().unique_serves(), 1);
+        assert_eq!(report.totals().served() - report.totals().coalesced, 1);
         assert_eq!(report.totals().radio_bytes, 500, "one radio exchange");
         assert_eq!(report.makespan, SimDuration::from_secs(1));
         assert!(batch.served[3].coalesced);
@@ -1256,7 +1234,10 @@ mod tests {
             .expect("toy batch");
         // Windows [0,1] and [2,3]: one leader + one follower each.
         assert_eq!(batch.report.totals().coalesced, 2);
-        assert_eq!(batch.report.totals().unique_serves(), 2);
+        assert_eq!(
+            batch.report.totals().served() - batch.report.totals().coalesced,
+            2
+        );
     }
 
     #[test]
@@ -1326,7 +1307,6 @@ mod tests {
         };
         assert_eq!(torn.served(), 0);
         assert_eq!(torn.attempted(), 0);
-        assert_eq!(torn.unique_serves(), 0);
         assert_eq!(torn.hit_rate(), 0.0);
     }
 
@@ -1425,7 +1405,7 @@ mod tests {
         assert!(hit.fast_path && hit.hit());
         let miss = serve_alone(&fe, ServeRequest::new(0, 0, 500, SimInstant::ZERO));
         assert!(!miss.fast_path && !miss.hit());
-        assert_eq!(fe.lane_name(0), "toy");
+        assert_eq!(fe.telemetry().lanes[0].name, "toy");
         let totals = fe.telemetry().aggregate();
         assert_eq!((totals.events, totals.hits, totals.misses), (2, 1, 1));
     }

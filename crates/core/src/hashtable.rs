@@ -138,6 +138,8 @@ impl QueryHashTable {
         QueryHashTable::default()
     }
 
+    // api-ok: tests/hotpath_equivalence.rs and tests/fleet_property.rs
+    // check the frozen image keeps exactly this §5.2 entry count.
     /// Number of physical entries (each covering up to two results).
     pub fn entry_count(&self) -> usize {
         self.entries.len()

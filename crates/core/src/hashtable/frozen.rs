@@ -248,6 +248,8 @@ impl FrozenTable {
         self.find(query_hash, 0).is_some()
     }
 
+    // api-ok: tests/hotpath_equivalence.rs and tests/fleet_property.rs
+    // check it against the source table's §5.2 entry count.
     /// Number of imaged chain entries.
     pub fn entry_count(&self) -> usize {
         self.entries

@@ -109,7 +109,7 @@ pub use frontend::{
 pub use hashtable::frozen::FrozenTable;
 pub use hashtable::{QueryHashTable, ScoredResult, SLOTS_PER_ENTRY};
 pub use peer::{BloomSummary, PeerConfig, PeerConsult, PeerFabric, PeerFabricStats};
-pub use population::{PairTable, PopulationConfig, PopulationLane, PopulationResidency};
+pub use population::{PairTable, PopulationConfig, PopulationLane};
 pub use ranking::RankingPolicy;
 pub use service::{
     CloudletError, CloudletService, ServeKind, ServeOutcome, ServeRequest, ServeSource,

@@ -126,6 +126,8 @@ impl BloomSummary {
         self.hashes
     }
 
+    // api-ok: tests/peer_fabric.rs holds measured false positives to it,
+    // and ROADMAP item 10's bits-per-key summary arm sizes by it.
     /// The textbook false-positive bound `(1 − e^{−kn/m})^k` for the
     /// current load — what the property suite holds measurements
     /// against.

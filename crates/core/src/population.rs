@@ -107,22 +107,6 @@ impl Default for PopulationConfig {
     }
 }
 
-/// Point-in-time resident-memory accounting of one lane — the numbers
-/// the population study's O(users) assertion checks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PopulationResidency {
-    /// Users with a materialized delta (clicked at least once here).
-    pub users: usize,
-    /// Queries shadowed across all deltas.
-    pub delta_queries: usize,
-    /// `(query, result)` pairs resident across all deltas.
-    pub delta_pairs: usize,
-    /// Accounted delta bytes across all deltas.
-    pub delta_bytes: usize,
-    /// Largest single user's delta, in bytes (the per-user bound).
-    pub max_user_bytes: usize,
-}
-
 /// A population-serving cloudlet lane: shared community + per-user
 /// deltas behind the [`CloudletService`] waist.
 ///
@@ -169,27 +153,6 @@ impl PopulationLane {
     /// `user`'s personalization delta, if they have clicked on this lane.
     pub fn delta(&self, user: u64) -> Option<&PersonalDelta> {
         self.deltas.get(&user)
-    }
-
-    /// Resident-memory accounting across this lane's deltas.
-    ///
-    /// `delta_bytes` is maintained incrementally on the serve path; the
-    /// per-delta breakdown here walks the map and is meant for
-    /// epoch-grained telemetry, not per-request calls.
-    pub fn residency(&self) -> PopulationResidency {
-        let mut r = PopulationResidency {
-            users: self.deltas.len(),
-            ..PopulationResidency::default()
-        };
-        for d in self.deltas.values() {
-            r.delta_queries += d.query_count();
-            r.delta_pairs += d.pair_count();
-            let bytes = d.footprint_bytes();
-            r.delta_bytes += bytes;
-            r.max_user_bytes = r.max_user_bytes.max(bytes);
-        }
-        debug_assert_eq!(r.delta_bytes, self.delta_bytes);
-        r
     }
 
     /// Whether `user`'s view of the pair's query would hit right now.
@@ -350,13 +313,14 @@ mod tests {
             let user = i % 4;
             lane.serve(&at(user, i % 3)).unwrap();
         }
-        let r = lane.residency();
-        assert_eq!(r.users, 4);
-        // Each user's delta shadows at most the two distinct queries.
-        assert!(r.delta_queries <= 8);
-        assert_eq!(r.delta_bytes as u64, lane.cache_bytes());
-        assert!(r.max_user_bytes <= r.delta_bytes);
-        assert!(r.max_user_bytes > 0);
+        assert_eq!(lane.deltas.len(), 4);
+        let bytes: Vec<usize> = lane
+            .deltas
+            .values()
+            .map(PersonalDelta::footprint_bytes)
+            .collect();
+        assert_eq!(bytes.iter().sum::<usize>() as u64, lane.cache_bytes());
+        assert!(bytes.iter().all(|&b| b > 0));
     }
 
     #[test]
@@ -370,7 +334,7 @@ mod tests {
         for key in [0u64, 3, 3, 3] {
             lane.serve(&at(1, key)).unwrap();
         }
-        assert_eq!(lane.residency().users, 0);
+        assert!(lane.deltas.is_empty());
         assert_eq!(lane.cache_bytes(), 0);
         // Query 300 never starts hitting: no personalization.
         assert_eq!(lane.serve(&at(1, 3)).unwrap().kind, ServeKind::Miss);

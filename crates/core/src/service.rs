@@ -254,12 +254,6 @@ impl ServeOutcome {
     pub fn is_degraded(&self) -> bool {
         self.flags.contains(ServeFlags::DEGRADED)
     }
-
-    /// Whether the request was answered before the radio woke — from
-    /// this device's own state *or* a cooperative peer.
-    pub fn radio_slept(&self) -> bool {
-        matches!(self.kind, ServeKind::Hit | ServeKind::StaleHit)
-    }
 }
 
 /// Serving counters folded from outcomes by [`ServeStats::record`].
@@ -539,8 +533,6 @@ mod tests {
         assert_eq!(stats.stale_hits, 1);
         assert_eq!(stats.skipped, 1);
         assert_eq!(stats.radio_bytes, 64);
-        assert!(ServeOutcome::stale_hit(64).radio_slept());
-        assert!(!ServeOutcome::skipped().radio_slept());
     }
 
     #[test]
@@ -550,7 +542,6 @@ mod tests {
         let peer = ServeOutcome::peer_hit(512);
         assert_eq!(peer.kind, ServeKind::Hit);
         assert_eq!(peer.source, ServeSource::Peer);
-        assert!(peer.radio_slept());
         assert_eq!(peer.radio_bytes, 0);
         assert_eq!(peer.peer_bytes, 512);
 
@@ -594,7 +585,10 @@ mod tests {
     #[test]
     fn budget_demand_uses_capacity_and_context_priority() {
         let svc = ToyService;
-        let ctx = DemandContext::equal_priority(0).with_priority(2.0);
+        let ctx = DemandContext {
+            priority: 2.0,
+            ..DemandContext::equal_priority(0)
+        };
         let demand = svc.budget_demand(CloudletId(3), &ctx);
         assert_eq!(demand.cloudlet, CloudletId(3));
         assert_eq!(demand.demand_bytes, 4096);

@@ -83,6 +83,8 @@ pub struct RotationReport {
     pub flash_time: SimDuration,
 }
 
+// api-ok: ROADMAP item 4's power-cut sweep covers it; it is the §5.4
+// wear-levelling rewrite that LeastWorn allocation exists for.
 /// Rewrites every database file whose worst backing block has more than
 /// `max_cycles` erases, letting the allocation policy place the new copy.
 /// Under [`mobsim::flash::AllocPolicy::LeastWorn`] this migrates hot

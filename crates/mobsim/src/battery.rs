@@ -8,14 +8,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::power::{Energy, Power};
-use crate::time::SimDuration;
+use crate::power::Energy;
 
 /// A device battery with a fixed charge capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Battery {
     capacity_mj: f64,
-    drained_mj: f64,
 }
 
 impl Battery {
@@ -35,54 +33,12 @@ impl Battery {
         Battery {
             // 1 mAh = 3.6 coulombs; times volts gives joules, times 1000 mJ.
             capacity_mj: mah * 3.6 * volts * 1_000.0,
-            drained_mj: 0.0,
         }
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> Energy {
         Energy::from_millijoules(self.capacity_mj)
-    }
-
-    /// Energy already drained.
-    pub fn drained(&self) -> Energy {
-        Energy::from_millijoules(self.drained_mj.min(self.capacity_mj))
-    }
-
-    /// Remaining charge fraction in `[0, 1]`.
-    pub fn remaining_fraction(&self) -> f64 {
-        ((self.capacity_mj - self.drained_mj) / self.capacity_mj).max(0.0)
-    }
-
-    /// Whether the battery is flat.
-    pub fn is_empty(&self) -> bool {
-        self.drained_mj >= self.capacity_mj
-    }
-
-    /// Drains `energy`, returning whether the battery survived it.
-    pub fn drain(&mut self, energy: Energy) -> bool {
-        self.drained_mj += energy.millijoules();
-        !self.is_empty()
-    }
-
-    /// Refills to full (the nightly charger).
-    pub fn recharge(&mut self) {
-        self.drained_mj = 0.0;
-    }
-
-    /// How long the battery lasts under a constant draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power` is zero.
-    pub fn lifetime_at(&self, power: Power) -> SimDuration {
-        assert!(
-            power.milliwatts() > 0,
-            "lifetime under zero draw is unbounded"
-        );
-        let secs =
-            (self.capacity_mj - self.drained_mj).max(0.0) / f64::from(power.milliwatts()) * 1.0;
-        SimDuration::from_secs_f64(secs)
     }
 
     /// How many events of `per_event` energy a full battery funds.
@@ -103,21 +59,6 @@ mod tests {
         // 1500 mAh * 3.7 V = 5.55 Wh = 19.98 kJ.
         let b = Battery::smartphone_2010();
         assert!((b.capacity().joules() - 19_980.0).abs() < 1.0);
-        assert_eq!(b.remaining_fraction(), 1.0);
-        assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn drain_and_recharge() {
-        let mut b = Battery::from_mah(100.0, 3.7);
-        let cap = b.capacity();
-        assert!(b.drain(Energy::from_millijoules(cap.millijoules() / 2.0)));
-        assert!((b.remaining_fraction() - 0.5).abs() < 1e-9);
-        assert!(!b.drain(Energy::from_millijoules(cap.millijoules())));
-        assert!(b.is_empty());
-        assert_eq!(b.remaining_fraction(), 0.0);
-        b.recharge();
-        assert_eq!(b.remaining_fraction(), 1.0);
     }
 
     #[test]
@@ -126,7 +67,7 @@ mod tests {
         // searches per charge from the pocket than over 3G.
         let b = Battery::smartphone_2010();
         let pocket = b.events_per_charge(Energy::from_millijoules(340.2));
-        let threeg = b.events_per_charge(Energy::from_joules(7.96));
+        let threeg = b.events_per_charge(Energy::from_millijoules(7_960.0));
         assert!(pocket > 55_000, "pocket queries/charge {pocket}");
         assert!(threeg < 3_000, "3G queries/charge {threeg}");
         let ratio = pocket as f64 / threeg as f64;
@@ -137,8 +78,7 @@ mod tests {
     fn lifetime_under_constant_draw() {
         let b = Battery::smartphone_2010();
         // ~20 kJ at 900 mW = ~6.2 hours of continuous active use.
-        let t = b.lifetime_at(Power::from_milliwatts(900));
-        let hours = t.as_secs_f64() / 3_600.0;
+        let hours = b.capacity().millijoules() / 900.0 / 3_600.0;
         assert!((5.5..7.0).contains(&hours), "lifetime {hours:.1} h");
     }
 

@@ -2,7 +2,8 @@
 //!
 //! [`Device`] wires together the radio models, the flash store, the browser
 //! model, and a whole-device base power draw, advancing a simulation clock
-//! and recording a [`PowerTimeline`] as queries are served. It exposes the
+//! and an [`EnergyMeter`] as queries are served; a [`Device::traced`] one
+//! also records a [`PowerTimeline`] (Figure 16). It exposes the
 //! two service paths of Figure 15: serving a query from the local cache and
 //! serving it over a radio link.
 
@@ -101,8 +102,9 @@ pub struct Device {
     flash: FlashStore,
     radios: Vec<Radio>,
     clock: SimInstant,
-    timeline: PowerTimeline,
     meter: EnergyMeter,
+    /// Every constant-power segment, kept only on a traced device.
+    timeline: Option<PowerTimeline>,
 }
 
 impl Device {
@@ -117,8 +119,17 @@ impl Device {
                 .map(|&k| Radio::new(k.default_model()))
                 .collect(),
             clock: SimInstant::ZERO,
-            timeline: PowerTimeline::new(),
             meter: EnergyMeter::new(),
+            timeline: None,
+        }
+    }
+
+    /// A default device that also records its power trace, segment by
+    /// segment, for [`Device::timeline`].
+    pub fn traced() -> Self {
+        Device {
+            timeline: Some(PowerTimeline::new()),
+            ..Device::with_defaults()
         }
     }
 
@@ -156,14 +167,15 @@ impl Device {
         self.clock
     }
 
-    /// The recorded power trace so far.
-    pub fn timeline(&self) -> &PowerTimeline {
-        &self.timeline
+    /// The recorded power trace so far; `None` unless the device was
+    /// built [`traced`](Device::traced).
+    pub fn timeline(&self) -> Option<&PowerTimeline> {
+        self.timeline.as_ref()
     }
 
-    /// Total energy dissipated so far.
-    pub fn total_energy(&self) -> Energy {
-        self.meter.total()
+    /// Energy, busy time and peak power accumulated so far.
+    pub fn meter(&self) -> &EnergyMeter {
+        &self.meter
     }
 
     /// Lets the device sit idle for `duration` at idle power.
@@ -259,7 +271,9 @@ impl Device {
         if duration == SimDuration::ZERO {
             return;
         }
-        self.timeline.push(self.clock, duration, power);
+        if let Some(timeline) = &mut self.timeline {
+            timeline.push(self.clock, duration, power);
+        }
         self.meter.accumulate(power, duration);
         self.clock += duration;
     }
@@ -377,15 +391,25 @@ mod tests {
 
     #[test]
     fn clock_and_timeline_advance_together() {
-        let mut d = Device::with_defaults();
+        let mut d = Device::traced();
         d.serve_cache_hit(FETCH);
         d.idle(SimDuration::from_secs(1));
         d.serve_via_radio(RadioKind::ThreeG);
-        assert_eq!(d.timeline().end(), d.now());
+        let timeline = d.timeline().unwrap();
+        assert_eq!(timeline.end(), d.now());
         assert_eq!(
-            d.timeline().busy_time(),
+            timeline.busy_time(),
             d.now().duration_since(SimInstant::ZERO)
         );
+        assert_eq!(d.meter().busy_time(), timeline.busy_time());
+    }
+
+    #[test]
+    fn only_a_traced_device_records_segments() {
+        let mut d = Device::with_defaults();
+        d.serve_cache_hit(FETCH);
+        assert!(d.timeline().is_none());
+        assert!(d.meter().busy_time() > SimDuration::ZERO);
     }
 
     #[test]
@@ -393,20 +417,21 @@ mod tests {
         let mut d = Device::with_defaults();
         let first = d.serve_via_radio(RadioKind::ThreeG);
         let second = d.serve_via_radio(RadioKind::ThreeG);
-        assert!(first.transfer.unwrap().was_cold());
-        assert!(!second.transfer.unwrap().was_cold());
+        assert!(first.transfer.unwrap().wakeup > SimDuration::ZERO);
+        assert_eq!(second.transfer.unwrap().wakeup, SimDuration::ZERO);
         assert!(second.total_time < first.total_time);
     }
 
     #[test]
     fn radio_power_shows_up_in_the_timeline() {
-        let mut d = Device::with_defaults();
+        let mut d = Device::traced();
         d.serve_via_radio(RadioKind::ThreeG);
-        let peak = d.timeline().peak_power().unwrap();
+        let peak = d.timeline().unwrap().peak_power().unwrap();
         assert_eq!(
             peak,
             d.config().base_power + RadioKind::ThreeG.default_model().active_extra_power
         );
+        assert_eq!(d.meter().peak_power(), Some(peak));
     }
 
     #[test]
@@ -433,6 +458,6 @@ mod tests {
         let a = d.serve_cache_hit(FETCH);
         let b = d.serve_cache_hit(FETCH);
         let sum = a.energy.millijoules() + b.energy.millijoules();
-        assert!((d.total_energy().millijoules() - sum).abs() < 1e-9);
+        assert!((d.meter().total().millijoules() - sum).abs() < 1e-9);
     }
 }

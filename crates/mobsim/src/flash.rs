@@ -63,17 +63,6 @@ impl Default for WearModel {
     }
 }
 
-impl WearModel {
-    /// An enabled wear model with the default threshold and the given seed.
-    pub fn enabled_with_seed(seed: u64) -> Self {
-        WearModel {
-            enabled: true,
-            seed,
-            ..WearModel::default()
-        }
-    }
-}
-
 /// How the store picks a physical block when a file needs one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum AllocPolicy {
@@ -620,6 +609,9 @@ impl FlashStore {
         state.stuck.push(stuck);
     }
 
+    // api-ok: the wear checks of tests/fault_injection.rs and
+    // crates/flashdb/tests/verified_reads.rs age blocks past the §5.4
+    // erase threshold with it; ROADMAP item 4's sweep will too.
     /// Bumps a block's erase count by `cycles` without moving any data —
     /// a test accelerant for reaching the wear threshold quickly. Each
     /// simulated cycle runs the same failure-injection draw a real erase
@@ -787,6 +779,9 @@ impl FlashStore {
         Ok(time)
     }
 
+    // api-ok: ROADMAP item 4's power-cut sweep leaves partly programmed
+    // pages through it; crates/flashdb/tests/verified_reads.rs programs
+    // stuck bits under a marked database with it.
     /// Programs bytes at `offset` without an erase: NAND programming can
     /// only clear cells, so each stored byte becomes `old & new`. Costs
     /// program time but no erase cycles — the cheap (and lossy) way to
@@ -1004,7 +999,11 @@ mod tests {
     #[test]
     fn worn_reads_copy_only_ranges_holding_a_stuck_bit() {
         let model = FlashModel {
-            wear: WearModel::enabled_with_seed(11),
+            wear: WearModel {
+                enabled: true,
+                seed: 11,
+                ..WearModel::default()
+            },
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
@@ -1200,7 +1199,11 @@ mod tests {
     #[test]
     fn zero_length_writes_to_worn_blocks_are_free_and_harmless() {
         let model = FlashModel {
-            wear: WearModel::enabled_with_seed(7),
+            wear: WearModel {
+                enabled: true,
+                seed: 7,
+                ..WearModel::default()
+            },
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
@@ -1326,7 +1329,11 @@ mod tests {
     #[test]
     fn stuck_bits_outside_the_read_range_do_not_corrupt_it() {
         let model = FlashModel {
-            wear: WearModel::enabled_with_seed(9),
+            wear: WearModel {
+                enabled: true,
+                seed: 9,
+                ..WearModel::default()
+            },
             ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);

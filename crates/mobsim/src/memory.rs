@@ -158,18 +158,6 @@ impl TieredMemory {
             }
         }
     }
-
-    /// Time to persist the index at shutdown (zero for non-volatile tiers,
-    /// a flash program pass for the DRAM placement).
-    pub fn shutdown_cost(&self, placement: IndexPlacement, index_bytes: u64) -> SimDuration {
-        match placement {
-            IndexPlacement::DramLoadedFromFlash => {
-                let pages = index_bytes.div_ceil(self.flash.page_bytes);
-                self.flash.program_page * pages
-            }
-            IndexPlacement::Pcm | IndexPlacement::PcmWithDramCache { .. } => SimDuration::ZERO,
-        }
-    }
 }
 
 impl Default for TieredMemory {
@@ -211,7 +199,6 @@ mod tests {
             IndexPlacement::PcmWithDramCache { hot_per_mille: 500 },
         ] {
             assert_eq!(mem.boot_cost(placement, u64::MAX), SimDuration::ZERO);
-            assert_eq!(mem.shutdown_cost(placement, u64::MAX), SimDuration::ZERO);
         }
     }
 
@@ -245,13 +232,5 @@ mod tests {
         let mem = TieredMemory::default();
         let t = mem.boot_cost(IndexPlacement::DramLoadedFromFlash, 2_000_000_000);
         assert!(t.as_secs_f64() > 120.0, "2 GB reload took only {t}");
-    }
-
-    #[test]
-    fn shutdown_cost_commits_dram_index_to_flash() {
-        let mem = TieredMemory::default();
-        let t = mem.shutdown_cost(IndexPlacement::DramLoadedFromFlash, 200_000);
-        // 200 KB / 2 KiB pages = 98 pages * 600 us = ~59 ms.
-        assert!((t.as_millis_f64() - 58.8).abs() < 1.0);
     }
 }

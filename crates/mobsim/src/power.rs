@@ -33,11 +33,6 @@ impl Power {
         self.0
     }
 
-    /// Power in watts.
-    pub fn watts(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Energy dissipated by drawing this power for `duration`.
     pub fn over(self, duration: SimDuration) -> Energy {
         // mW * us = nJ; convert to mJ.
@@ -86,11 +81,6 @@ impl Energy {
             "energy must be finite and non-negative, got {mj}"
         );
         Energy(mj)
-    }
-
-    /// Creates an energy from joules.
-    pub fn from_joules(j: f64) -> Self {
-        Energy::from_millijoules(j * 1_000.0)
     }
 
     /// Energy in millijoules.
@@ -159,6 +149,7 @@ impl fmt::Display for Energy {
 pub struct EnergyMeter {
     total: Energy,
     busy_time: SimDuration,
+    peak: Option<Power>,
 }
 
 impl EnergyMeter {
@@ -171,6 +162,7 @@ impl EnergyMeter {
     pub fn accumulate(&mut self, power: Power, duration: SimDuration) {
         self.total += power.over(duration);
         self.busy_time += duration;
+        self.peak = Some(self.peak.map_or(power, |peak| peak.max(power)));
     }
 
     /// Total energy integrated so far.
@@ -183,18 +175,10 @@ impl EnergyMeter {
         self.busy_time
     }
 
-    /// Average power over the accumulated time, or `None` if no time passed.
-    pub fn average_power(&self) -> Option<Power> {
-        if self.busy_time == SimDuration::ZERO {
-            return None;
-        }
-        let mw = self.total.millijoules() * 1_000_000.0 / self.busy_time.as_micros() as f64;
-        Some(Power::from_milliwatts(mw.round() as u32))
-    }
-
-    /// Resets the meter to zero.
-    pub fn reset(&mut self) {
-        *self = EnergyMeter::default();
+    /// The highest power accumulated, or `None` before the first
+    /// interval.
+    pub fn peak_power(&self) -> Option<Power> {
+        self.peak
     }
 }
 
@@ -223,26 +207,17 @@ mod tests {
         m.accumulate(Power::from_milliwatts(1_500), SimDuration::from_secs(1));
         assert!((m.total().joules() - 2.4).abs() < 1e-12);
         assert_eq!(m.busy_time(), SimDuration::from_secs(2));
-        assert_eq!(m.average_power(), Some(Power::from_milliwatts(1_200)));
+        assert_eq!(m.peak_power(), Some(Power::from_milliwatts(1_500)));
     }
 
     #[test]
-    fn average_power_of_idle_meter_is_none() {
-        assert_eq!(EnergyMeter::new().average_power(), None);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut m = EnergyMeter::new();
-        m.accumulate(Power::from_milliwatts(100), SimDuration::from_secs(1));
-        m.reset();
-        assert_eq!(m.total(), Energy::ZERO);
-        assert_eq!(m.busy_time(), SimDuration::ZERO);
+    fn idle_meter_has_no_peak() {
+        assert_eq!(EnergyMeter::new().peak_power(), None);
     }
 
     #[test]
     fn energy_ratio_and_sum() {
-        let a = Energy::from_joules(7.8);
+        let a = Energy::from_millijoules(7_800.0);
         let b = Energy::from_millijoules(340.0);
         let ratio = a.ratio(b).unwrap();
         assert!((ratio - 22.94).abs() < 0.01);
@@ -268,6 +243,6 @@ mod tests {
     fn display_formats() {
         assert_eq!(Power::from_milliwatts(900).to_string(), "900 mW");
         assert_eq!(Energy::from_millijoules(340.2).to_string(), "340.20 mJ");
-        assert_eq!(Energy::from_joules(7.8).to_string(), "7.80 J");
+        assert_eq!(Energy::from_millijoules(7_800.0).to_string(), "7.80 J");
     }
 }

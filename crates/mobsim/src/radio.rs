@@ -191,13 +191,6 @@ pub struct Transfer {
     pub active_extra_power: Power,
 }
 
-impl Transfer {
-    /// Whether this exchange paid the standby wakeup penalty.
-    pub fn was_cold(&self) -> bool {
-        self.wakeup > SimDuration::ZERO
-    }
-}
-
 /// A stateful radio: a [`RadioModel`] plus its activity history, which
 /// determines whether the next transfer pays the wakeup penalty.
 ///
@@ -209,11 +202,11 @@ impl Transfer {
 ///
 /// let mut radio = Radio::new(RadioKind::ThreeG.default_model());
 /// let cold = radio.transfer(SimInstant::ZERO, 800, 50_000);
-/// assert!(cold.was_cold());
+/// assert!(cold.wakeup > SimDuration::ZERO);
 ///
 /// // A follow-up inside the standby timeout rides the active radio.
 /// let warm = radio.transfer(SimInstant::ZERO + cold.total_time, 800, 50_000);
-/// assert!(!warm.was_cold());
+/// assert_eq!(warm.wakeup, SimDuration::ZERO);
 /// assert!(warm.total_time < cold.total_time);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -283,11 +276,6 @@ impl Radio {
             active_extra_power: self.model.active_extra_power,
         }
     }
-
-    /// Forces the radio back to standby (e.g. airplane-mode toggle).
-    pub fn force_standby(&mut self) {
-        self.state = RadioState::Standby;
-    }
 }
 
 #[cfg(test)]
@@ -339,9 +327,9 @@ mod tests {
     fn warm_transfer_skips_wakeup() {
         let mut r = Radio::new(RadioKind::ThreeG.default_model());
         let cold = r.transfer(SimInstant::ZERO, REQ, RESP);
-        assert!(cold.was_cold());
+        assert!(cold.wakeup > SimDuration::ZERO);
         let warm = r.transfer(SimInstant::ZERO + cold.total_time, REQ, RESP);
-        assert!(!warm.was_cold());
+        assert_eq!(warm.wakeup, SimDuration::ZERO);
         assert_eq!(warm.total_time + cold.wakeup, cold.total_time);
     }
 
@@ -355,16 +343,7 @@ mod tests {
             + SimDuration::from_millis(1);
         assert_eq!(r.state_at(idle_past_timeout), RadioState::Standby);
         let second = r.transfer(idle_past_timeout, REQ, RESP);
-        assert!(second.was_cold());
-    }
-
-    #[test]
-    fn force_standby_makes_next_transfer_cold() {
-        let mut r = Radio::new(RadioKind::Wifi80211g.default_model());
-        let t0 = r.transfer(SimInstant::ZERO, REQ, RESP);
-        r.force_standby();
-        let t1 = r.transfer(SimInstant::ZERO + t0.total_time, REQ, RESP);
-        assert!(t1.was_cold());
+        assert!(second.wakeup > SimDuration::ZERO);
     }
 
     #[test]

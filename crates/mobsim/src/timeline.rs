@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::power::{Energy, Power};
+use crate::power::Power;
 use crate::time::{SimDuration, SimInstant};
 
 /// One constant-power interval of device activity.
@@ -27,11 +27,6 @@ impl PowerSegment {
     pub fn duration(&self) -> SimDuration {
         self.end.duration_since(self.start)
     }
-
-    /// Energy dissipated during the segment.
-    pub fn energy(&self) -> Energy {
-        self.power.over(self.duration())
-    }
 }
 
 /// An append-only log of [`PowerSegment`]s.
@@ -45,7 +40,8 @@ impl PowerSegment {
 ///
 /// let mut tl = PowerTimeline::new();
 /// tl.push(SimInstant::ZERO, SimDuration::from_secs(4), Power::from_milliwatts(900));
-/// assert!((tl.total_energy().joules() - 3.6).abs() < 1e-9);
+/// assert_eq!(tl.busy_time(), SimDuration::from_secs(4));
+/// assert_eq!(tl.peak_power(), Some(Power::from_milliwatts(900)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PowerTimeline {
@@ -94,11 +90,6 @@ impl PowerTimeline {
         self.segments.last().map_or(SimInstant::ZERO, |s| s.end)
     }
 
-    /// Total energy over every recorded segment.
-    pub fn total_energy(&self) -> Energy {
-        self.segments.iter().map(PowerSegment::energy).sum()
-    }
-
     /// Sum of recorded (busy) time; gaps between segments are excluded.
     pub fn busy_time(&self) -> SimDuration {
         self.segments.iter().map(PowerSegment::duration).sum()
@@ -141,6 +132,7 @@ impl PowerTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::Energy;
 
     fn mw(p: u32) -> Power {
         Power::from_milliwatts(p)
@@ -152,7 +144,12 @@ mod tests {
         tl.push(SimInstant::ZERO, SimDuration::from_secs(2), mw(900));
         tl.push(tl.end(), SimDuration::from_secs(1), mw(1_500));
         assert_eq!(tl.busy_time(), SimDuration::from_secs(3));
-        assert!((tl.total_energy().joules() - 3.3).abs() < 1e-9);
+        let energy: Energy = tl
+            .segments()
+            .iter()
+            .map(|s| s.power.over(s.duration()))
+            .sum();
+        assert!((energy.joules() - 3.3).abs() < 1e-9);
         assert_eq!(tl.peak_power(), Some(mw(1_500)));
     }
 
@@ -211,6 +208,6 @@ mod tests {
             end: SimInstant::from_micros(500_000),
             power: mw(1_000),
         };
-        assert!((seg.energy().millijoules() - 500.0).abs() < 1e-9);
+        assert!((seg.power.over(seg.duration()).millijoules() - 500.0).abs() < 1e-9);
     }
 }

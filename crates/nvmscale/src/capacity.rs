@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn budget_is_25_point_6_gb() {
         let budget = CloudletBudget::paper_table2();
-        assert!((budget.bytes().as_gib() - 25.6).abs() < 1e-9);
+        assert!((budget.bytes().bytes() as f64 / 1_073_741_824.0 - 25.6).abs() < 1e-9);
     }
 
     #[test]
@@ -259,7 +259,7 @@ mod tests {
     fn fraction_of_device_scales_linearly() {
         let dev = ByteSize::from_gib(100.0);
         let b = CloudletBudget::fraction_of_device(dev, 0.5);
-        assert!((b.bytes().as_gib() - 50.0).abs() < 1e-9);
+        assert!((b.bytes().bytes() as f64 / 1_073_741_824.0 - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! # Example
 //!
 //! ```
-//! use nvmscale::{CapacityProjection, DeviceTier, ScalingTrends, ScalingTechnique};
+//! use nvmscale::{ByteSize, CapacityProjection, DeviceTier, ScalingTrends, ScalingTechnique};
 //!
 //! let trends = ScalingTrends::paper_table1();
 //! let projection = CapacityProjection::new(&trends, ScalingTechnique::all());
 //! let capacity_2018 = projection.capacity(DeviceTier::HighEnd, 2018).expect("year in range");
-//! assert!(capacity_2018.as_tib() >= 1.0, "high-end phones reach 1 TB by 2018");
+//! assert!(capacity_2018 >= ByteSize::from_tib(1.0), "high-end phones reach 1 TB by 2018");
 //! ```
 
 pub mod capacity;

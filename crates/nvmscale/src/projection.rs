@@ -90,12 +90,6 @@ impl ScalingTechnique {
         self
     }
 
-    /// Adds multi-level cells to the scenario.
-    pub const fn with_multi_level_cells(mut self) -> Self {
-        self.multi_level_cells = true;
-        self
-    }
-
     /// The four scenarios plotted in Figure 2, from least to most aggressive.
     pub fn figure2_scenarios() -> [ScalingTechnique; 4] {
         [
@@ -135,7 +129,7 @@ impl std::fmt::Display for ScalingTechnique {
 /// let trends = ScalingTrends::paper_table1();
 /// let proj = CapacityProjection::new(&trends, ScalingTechnique::all());
 /// let low_end_final = proj.capacity(DeviceTier::LowEnd, 2026).expect("in range");
-/// assert_eq!(low_end_final.as_gib().round() as u64, 256);
+/// assert_eq!(low_end_final.to_string(), "256.00 GiB");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CapacityProjection {

@@ -136,20 +136,6 @@ impl ScalingTrends {
         ScalingTrends { nodes }
     }
 
-    /// Builds a trend table from custom nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty or not sorted by strictly increasing year.
-    pub fn from_nodes(nodes: Vec<TechnologyNode>) -> Self {
-        assert!(!nodes.is_empty(), "a trend table needs at least one node");
-        assert!(
-            nodes.windows(2).all(|w| w[0].year < w[1].year),
-            "nodes must be sorted by strictly increasing year"
-        );
-        ScalingTrends { nodes }
-    }
-
     /// The first (baseline) node of the table.
     pub fn baseline(&self) -> &TechnologyNode {
         &self.nodes[0]
@@ -181,12 +167,6 @@ impl ScalingTrends {
     /// Whether the table is empty (never true for validated tables).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Year of the final projected node (0 only for the impossible
-    /// empty table; validation rejects empty node lists).
-    pub fn last_year(&self) -> u32 {
-        self.nodes.last().map_or(0, |node| node.year)
     }
 }
 
@@ -264,20 +244,5 @@ mod tests {
         assert_eq!(n.density_multiplier(&base, true, true, false), 1024.0);
         // + bits per cell: 1/2 = 0.5x (post-flash cells hold fewer bits).
         assert_eq!(n.density_multiplier(&base, true, true, true), 512.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn from_nodes_rejects_unsorted_years() {
-        let t = ScalingTrends::paper_table1();
-        let mut nodes: Vec<TechnologyNode> = t.iter().copied().collect();
-        nodes.swap(0, 1);
-        let _ = ScalingTrends::from_nodes(nodes);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn from_nodes_rejects_empty_tables() {
-        let _ = ScalingTrends::from_nodes(Vec::new());
     }
 }

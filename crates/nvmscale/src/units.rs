@@ -30,19 +30,9 @@ impl ByteSize {
     /// Zero bytes.
     pub const ZERO: ByteSize = ByteSize(0);
 
-    /// Creates a size from a raw byte count.
-    pub const fn from_bytes(bytes: u64) -> Self {
-        ByteSize(bytes)
-    }
-
     /// Creates a size from decimal kilobytes (1 KB = 1000 bytes).
     pub const fn from_kb(kb: u64) -> Self {
         ByteSize(kb * 1_000)
-    }
-
-    /// Creates a size from decimal megabytes (1 MB = 10^6 bytes).
-    pub const fn from_mb(mb: u64) -> Self {
-        ByteSize(mb * 1_000_000)
     }
 
     /// Creates a size from binary kibibytes (1 KiB = 1024 bytes).
@@ -70,40 +60,11 @@ impl ByteSize {
         self.0
     }
 
-    /// Size expressed in binary kibibytes.
-    pub fn as_kib(self) -> f64 {
-        self.0 as f64 / 1_024.0
-    }
-
-    /// Size expressed in binary mebibytes.
-    pub fn as_mib(self) -> f64 {
-        self.0 as f64 / 1_048_576.0
-    }
-
-    /// Size expressed in binary gibibytes.
-    pub fn as_gib(self) -> f64 {
-        self.0 as f64 / 1_073_741_824.0
-    }
-
-    /// Size expressed in binary tebibytes.
-    pub fn as_tib(self) -> f64 {
-        self.0 as f64 / 1_099_511_627_776.0
-    }
-
     /// How many items of size `item` fit fully inside `self`.
     ///
     /// Returns 0 when `item` is zero-sized, so callers never divide by zero.
     pub fn items_of(self, item: ByteSize) -> u64 {
         self.0.checked_div(item.0).unwrap_or(0)
-    }
-
-    /// The fraction `numerator / self`, or 0.0 for an empty size.
-    pub fn fraction_filled_by(self, numerator: ByteSize) -> f64 {
-        if self.0 == 0 {
-            0.0
-        } else {
-            numerator.0 as f64 / self.0 as f64
-        }
     }
 
     /// Multiplies the size by an integer factor, saturating on overflow.
@@ -194,7 +155,6 @@ mod tests {
     fn constructors_agree_on_byte_counts() {
         assert_eq!(ByteSize::from_kb(5).bytes(), 5_000);
         assert_eq!(ByteSize::from_kib(4).bytes(), 4_096);
-        assert_eq!(ByteSize::from_mb(2).bytes(), 2_000_000);
         assert_eq!(ByteSize::from_mib(1).bytes(), 1_048_576);
         assert_eq!(ByteSize::from_gib(1.0).bytes(), 1_073_741_824);
         assert_eq!(ByteSize::from_tib(1.0).bytes(), 1_099_511_627_776);
@@ -209,41 +169,34 @@ mod tests {
 
     #[test]
     fn arithmetic_saturates_instead_of_wrapping() {
-        let max = ByteSize::from_bytes(u64::MAX);
-        assert_eq!(max + ByteSize::from_bytes(1), max);
-        assert_eq!(ByteSize::ZERO - ByteSize::from_bytes(1), ByteSize::ZERO);
+        let max = ByteSize(u64::MAX);
+        assert_eq!(max + ByteSize(1), max);
+        assert_eq!(ByteSize::ZERO - ByteSize(1), ByteSize::ZERO);
         assert_eq!(max.saturating_mul(2), max);
     }
 
     #[test]
     fn display_picks_the_natural_unit() {
-        assert_eq!(ByteSize::from_bytes(512).to_string(), "512 B");
+        assert_eq!(ByteSize(512).to_string(), "512 B");
         assert_eq!(ByteSize::from_kib(2).to_string(), "2.00 KiB");
         assert_eq!(ByteSize::from_gib(25.6).to_string(), "25.60 GiB");
     }
 
     #[test]
     fn scale_rounds_to_whole_bytes() {
-        assert_eq!(ByteSize::from_bytes(10).scale(0.25).bytes(), 3);
-        assert_eq!(ByteSize::from_bytes(10).scale(0.0).bytes(), 0);
+        assert_eq!(ByteSize(10).scale(0.25).bytes(), 3);
+        assert_eq!(ByteSize(10).scale(0.0).bytes(), 0);
     }
 
     #[test]
     #[should_panic(expected = "scale factor")]
     fn scale_rejects_negative_factors() {
-        let _ = ByteSize::from_bytes(1).scale(-1.0);
+        let _ = ByteSize(1).scale(-1.0);
     }
 
     #[test]
     fn sum_accumulates() {
         let total: ByteSize = (1..=4).map(ByteSize::from_kib).sum();
         assert_eq!(total, ByteSize::from_kib(10));
-    }
-
-    #[test]
-    fn fraction_filled_by_handles_empty_budget() {
-        assert_eq!(ByteSize::ZERO.fraction_filled_by(ByteSize::from_kb(1)), 0.0);
-        let half = ByteSize::from_kb(10).fraction_filled_by(ByteSize::from_kb(5));
-        assert!((half - 0.5).abs() < 1e-12);
     }
 }

@@ -134,11 +134,6 @@ impl PocketMaps {
         self.stats
     }
 
-    /// Tiles currently cached (not counting a whole-state install).
-    pub fn cached_tiles(&self) -> usize {
-        self.cached.len()
-    }
-
     /// Flash bytes the cached tiles occupy.
     pub fn cached_bytes(&self) -> u64 {
         if self.whole_state {
@@ -299,7 +294,7 @@ mod tests {
         let budget = 20 * grid().tile_bytes; // room for 20 tiles
         let mut maps = PocketMaps::new(grid(), budget);
         maps.prefetch_region(Position::meters(0.0, 0.0), 10_000.0);
-        assert!(maps.cached_tiles() <= 20);
+        assert!(maps.cached.len() <= 20);
         assert!(maps.cached_bytes() <= budget);
     }
 

@@ -51,6 +51,8 @@ pub struct TileId {
 }
 
 impl TileId {
+    // api-ok: the §7 maps key format a caller packs requests with;
+    // tests/service_equivalence.rs builds its map requests through it.
     /// Packs the tile coordinate into a service-layer `u64` key:
     /// `x` in the high 32 bits, `y` in the low 32 (two's complement).
     pub fn to_key(self) -> u64 {
@@ -149,13 +151,6 @@ impl TileGrid {
     pub fn bytes_for(&self, n: usize) -> u64 {
         self.tile_bytes * n as u64
     }
-
-    /// Number of tiles covering a square region of `side_km` kilometres —
-    /// the Table 2 arithmetic ("5.5 million tiles cover a whole state").
-    pub fn tiles_for_region_km(&self, side_km: f64) -> u64 {
-        let per_side = (side_km * 1_000.0 / self.tile_side_m).ceil() as u64;
-        per_side * per_side
-    }
 }
 
 impl Default for TileGrid {
@@ -228,11 +223,21 @@ mod tests {
     }
 
     #[test]
+    fn distance_and_lerp() {
+        let a = Position::meters(0.0, 0.0);
+        let b = Position::meters(3.0, 4.0);
+        assert!((a.distance_to(b) - 5.0).abs() < 1e-12);
+        let mid = a.lerp(b, 0.5);
+        assert!((mid.x - 1.5).abs() < 1e-12 && (mid.y - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn table2_state_coverage_arithmetic() {
         // 5.5M tiles at 300 m cover ~sqrt(5.5e6)*0.3 km ≈ 700 km square —
         // a whole US state, as the paper says.
         let g = TileGrid::paper_default();
-        let tiles = g.tiles_for_region_km(700.0);
+        let per_side = (700_000.0 / g.tile_side_m).ceil() as u64;
+        let tiles = per_side * per_side;
         assert!(
             (5_000_000..6_000_000).contains(&tiles),
             "700 km state needs {tiles} tiles, Table 2 says ~5.5M"
@@ -242,15 +247,6 @@ mod tests {
             (25.0..30.0).contains(&(bytes as f64 / 1e9)),
             "~25.6 GB per Table 2"
         );
-    }
-
-    #[test]
-    fn distance_and_lerp() {
-        let a = Position::meters(0.0, 0.0);
-        let b = Position::meters(3.0, 4.0);
-        assert!((a.distance_to(b) - 5.0).abs() < 1e-12);
-        let mid = a.lerp(b, 0.5);
-        assert!((mid.x - 1.5).abs() < 1e-12 && (mid.y - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -62,6 +62,8 @@ impl AdCloudlet {
         AdCloudlet::default()
     }
 
+    // api-ok: the §7 ad cloudlet is filled only by its caller;
+    // tests/multi_cloudlet.rs installs the ads its eviction check clears.
     /// Installs an ad for a query.
     pub fn install(&mut self, query_hash: u64, record: AdRecord) {
         self.table
@@ -81,6 +83,8 @@ impl AdCloudlet {
             .map_or(AdOutcome::Miss, AdOutcome::Hit)
     }
 
+    // api-ok: §7 coordinated eviction; tests/multi_cloudlet.rs
+    // evicts an ad group through it.
     /// Removes the ads linked to a query (a coordinated eviction).
     pub fn evict_query(&mut self, query_hash: u64) -> usize {
         let Some(results) = self.table.lookup(query_hash) else {
@@ -92,17 +96,14 @@ impl AdCloudlet {
         self.table.retain_pairs(|q, _, _, _| q != query_hash)
     }
 
+    // api-ok: §7 coordinated eviction; tests/multi_cloudlet.rs links
+    // the ad cache into its eviction groups through it.
     /// Registers every cached query under a shared eviction key with the
     /// search cloudlet, so related entries leave together (§7).
     pub fn link_evictions(&self, eviction: &mut CoordinatedEviction, me: CloudletId) {
         for (query_hash, ad_hash, _, _) in self.table.iter_pairs() {
             eviction.link(query_hash, me, ad_hash);
         }
-    }
-
-    /// Number of cached creatives.
-    pub fn creative_count(&self) -> usize {
-        self.creatives.len()
     }
 
     /// Total banner bytes cached.
@@ -197,7 +198,7 @@ mod tests {
         ads.install(1, ad(11));
         ads.install(2, ad(20));
         assert_eq!(ads.evict_query(1), 2);
-        assert_eq!(ads.creative_count(), 1);
+        assert_eq!(ads.creatives.len(), 1);
         assert_eq!(ads.serve(1, true), AdOutcome::Miss);
         assert!(matches!(ads.serve(2, true), AdOutcome::Hit(_)));
         assert_eq!(ads.evict_query(99), 0);

@@ -232,6 +232,8 @@ impl PocketSearch {
         &self.cache
     }
 
+    // api-ok: §7 coordinated eviction; tests/multi_cloudlet.rs drops
+    // an evicted pair from the search cache through it.
     /// Mutable access to the cache, for OS-driven coordinated eviction
     /// (§7) and tests.
     pub fn cache_mut(&mut self) -> &mut PocketCache {
@@ -394,7 +396,7 @@ impl PocketSearch {
 
     /// Total energy dissipated so far.
     pub fn energy(&self) -> Energy {
-        self.device.total_energy()
+        self.device.meter().total()
     }
 }
 

@@ -99,15 +99,17 @@ pub fn figure15_points(fetch_time: SimDuration) -> Vec<ServicePoint> {
 /// Produces Figure 16's two traces: ten consecutive queries served by
 /// PocketSearch, and the same ten queries over 3G.
 pub fn figure16_traces(queries: usize, fetch_time: SimDuration) -> (PowerTimeline, PowerTimeline) {
-    let mut pocket = Device::with_defaults();
+    let mut pocket = Device::traced();
     for _ in 0..queries {
         pocket.serve_cache_hit(fetch_time);
     }
-    let mut radio = Device::with_defaults();
+    let mut radio = Device::traced();
     for _ in 0..queries {
         radio.serve_via_radio(RadioKind::ThreeG);
     }
-    (pocket.timeline().clone(), radio.timeline().clone())
+    // Both devices are traced, so neither default is ever taken.
+    let trace = |device: &Device| device.timeline().cloned().unwrap_or_default();
+    (trace(&pocket), trace(&radio))
 }
 
 /// One §6.2 study world: the cache-construction month, the replay

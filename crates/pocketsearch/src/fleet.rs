@@ -305,7 +305,7 @@ mod tests {
         // Under the baseline the lone hit runs on its idle lane at once.
         assert_eq!(served.completed_at, SimInstant::ZERO + outcome.service);
         assert_eq!(served.queue_wait, SimDuration::ZERO);
-        assert_eq!(frontend.lane_name(served.lane), "search");
+        assert_eq!(frontend.telemetry().lanes[served.lane].name, "search");
     }
 
     #[test]

@@ -61,5 +61,5 @@ pub use config::PocketSearchConfig;
 pub use engine::{Catalog, PocketSearch, RecoveryStats, ServedQuery};
 pub use fleet::{search_frontend, SearchShard};
 pub use navigation::navigation_time;
-pub use replay::{replay_population, replay_user, ClassSummary, ReplayOutcome};
+pub use replay::{replay_population, ClassSummary, ReplayOutcome};
 pub use suggest::{SuggestIndex, Suggestion};

@@ -2,10 +2,10 @@
 //!
 //! The paper replays month-long anonymized query streams of 100 users per
 //! Table 6 class against a cache built from the *preceding* month's logs.
-//! [`replay_user`] reproduces one such run: every entry is served through
-//! the full engine (hash table → flash fetch → render, or radio on miss),
-//! then the click is recorded so personalization learns. Population runs
-//! fan out across threads with `crossbeam`.
+//! [`replay_population`] reproduces such runs, one engine clone per user:
+//! every entry is served through the full engine (hash table → flash
+//! fetch → render, or radio on miss), then the click is recorded so
+//! personalization learns. Users fan out across threads with `crossbeam`.
 
 use cloudlet_core::update::UpdateServer;
 use mobsim::power::Energy;
@@ -159,12 +159,6 @@ fn replay_stream(
     outcome
 }
 
-/// Replays one user's month against a fresh clone of `base`.
-pub fn replay_user(base: &PocketSearch, catalog: &Catalog, stream: &[LogEntry]) -> ReplayOutcome {
-    let mut engine = base.clone();
-    replay_stream(&mut engine, catalog, stream, None)
-}
-
 /// Replays a whole population in parallel, one engine clone per user.
 pub fn replay_population(
     base: &PocketSearch,
@@ -289,6 +283,11 @@ mod tests {
             .map(|u| replay_month.user_stream(u))
             .collect();
         (engine, catalog, streams)
+    }
+
+    /// One user's month against a fresh clone of `base`, on this thread.
+    fn replay_user(base: &PocketSearch, catalog: &Catalog, stream: &[LogEntry]) -> ReplayOutcome {
+        replay_stream(&mut base.clone(), catalog, stream, None)
     }
 
     #[test]

@@ -34,11 +34,6 @@ pub enum VisitOutcome {
 }
 
 impl VisitOutcome {
-    /// Whether the visit needed no radio activity.
-    pub fn is_instant_hit(self) -> bool {
-        matches!(self, VisitOutcome::InstantHit)
-    }
-
     /// Radio bytes this visit cost on demand.
     pub fn on_demand_bytes(self) -> u64 {
         match self {
@@ -114,12 +109,6 @@ impl PocketWeb {
         }
     }
 
-    /// Overrides the flash budget.
-    pub fn with_flash_budget(mut self, bytes: u64) -> Self {
-        self.flash_budget = bytes;
-        self
-    }
-
     /// The active policy.
     pub fn policy(&self) -> RefreshPolicy {
         self.policy
@@ -133,11 +122,6 @@ impl PocketWeb {
     /// Counter snapshot.
     pub fn stats(&self) -> WebStats {
         self.stats
-    }
-
-    /// Pages currently cached.
-    pub fn cached_pages(&self) -> usize {
-        self.cached.len()
     }
 
     /// Flash bytes currently occupied.
@@ -167,6 +151,8 @@ impl PocketWeb {
         cached.version == world.page(page).live_version(now) || self.realtime_set.contains(&page)
     }
 
+    // api-ok: §3.2's overnight bulk prefetch; the §3 search-then-web
+    // story in tests/multi_cloudlet.rs warms its landing pages with it.
     /// Installs a page at its current live version without radio cost —
     /// the overnight bulk prefetch path (charging + WiFi, §3.2).
     pub fn prefetch(&mut self, world: &WebWorld, page: PageId, now: SimInstant) {
@@ -365,16 +351,14 @@ mod tests {
     #[test]
     fn flash_budget_evicts_least_recently_used() {
         let w = world();
-        let mut web = PocketWeb::new(&w, RefreshPolicy::OvernightOnly).with_flash_budget(1_000_000);
+        let mut web = PocketWeb::new(&w, RefreshPolicy::OvernightOnly);
+        web.flash_budget = 1_000_000;
         let t = SimInstant::ZERO;
         for p in w.pages().iter().take(20) {
             web.visit(&w, p.id, t);
         }
         assert!(web.cached_bytes() <= 1_000_000);
-        assert!(
-            web.cached_pages() < 20,
-            "budget must have evicted something"
-        );
+        assert!(web.cached.len() < 20, "budget must have evicted something");
         // The very first page was evicted first (LRU).
         let first = w.pages()[0].id;
         assert!(matches!(web.visit(&w, first, t), VisitOutcome::Miss { .. }));

@@ -32,7 +32,7 @@
 //! ```
 //! use pocketweb::policy::RefreshPolicy;
 //! use pocketweb::world::{WebWorld, WorldConfig};
-//! use pocketweb::cloudlet::PocketWeb;
+//! use pocketweb::cloudlet::{PocketWeb, VisitOutcome};
 //! use mobsim::time::SimInstant;
 //!
 //! let world = WebWorld::generate(WorldConfig::test_scale(), 3);
@@ -41,7 +41,7 @@
 //! let page = world.pages()[0].id;
 //! web.prefetch(&world, page, SimInstant::ZERO);
 //! let outcome = web.visit(&world, page, SimInstant::ZERO);
-//! assert!(outcome.is_instant_hit());
+//! assert_eq!(outcome, VisitOutcome::InstantHit);
 //! ```
 
 pub mod cloudlet;

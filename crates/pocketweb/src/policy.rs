@@ -82,12 +82,7 @@ pub struct PolicyReport {
     pub realtime_mb: f64,
 }
 
-impl PolicyReport {
-    /// Total radio megabytes the policy cost.
-    pub fn radio_mb(&self) -> f64 {
-        self.on_demand_mb + self.realtime_mb
-    }
-}
+impl PolicyReport {}
 
 /// A multi-day per-user visit stream: `(page, when)` pairs in time order.
 pub type VisitStream = Vec<(PageId, SimInstant)>;
@@ -258,7 +253,7 @@ mod tests {
         let (world, streams) = study();
         let r = replay_visits(&world, RefreshPolicy::RealtimeTopK { k: 10 }, &streams[0]);
         assert_eq!(r.visits as usize, streams[0].len());
-        assert!(r.radio_mb() >= r.on_demand_mb);
+        assert!(r.realtime_mb >= 0.0);
         assert!((0.0..=1.0).contains(&r.instant_rate));
     }
 

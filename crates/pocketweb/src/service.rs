@@ -36,11 +36,6 @@ impl WebService {
     pub fn web(&self) -> &PocketWeb {
         &self.web
     }
-
-    /// The service-layer key of a page.
-    pub fn key_of(page: PageId) -> u64 {
-        u64::from(page.0)
-    }
 }
 
 impl CloudletService for WebService {
@@ -126,7 +121,7 @@ mod tests {
     fn serve_mirrors_visit_outcomes() {
         let mut svc = service();
         let t0 = SimInstant::ZERO;
-        let key = WebService::key_of(svc.world().pages()[0].id);
+        let key = u64::from(svc.world().pages()[0].id.0);
         let first = svc.serve(&at(key, t0)).expect("page key is valid");
         assert_eq!(first.kind, ServeKind::Miss);
         assert!(first.radio_bytes > 0);
@@ -162,7 +157,7 @@ mod tests {
     #[test]
     fn idle_epochs_shrink_demand_to_cached_bytes() {
         let mut svc = service();
-        let key = WebService::key_of(svc.world().pages()[0].id);
+        let key = u64::from(svc.world().pages()[0].id.0);
         svc.serve(&at(key, SimInstant::ZERO)).expect("valid key");
         // Epoch 1, no observed traffic: defend only what is cached.
         let idle = svc.budget_demand(CloudletId(1), &DemandContext::equal_priority(1));
@@ -174,7 +169,10 @@ mod tests {
             misses: 1,
             ..LaneTotals::default()
         };
-        let busy_ctx = DemandContext::equal_priority(1).with_telemetry(traffic);
+        let busy_ctx = DemandContext {
+            totals: traffic,
+            ..DemandContext::equal_priority(1)
+        };
         let busy = svc.budget_demand(CloudletId(1), &busy_ctx);
         assert_eq!(busy.demand_bytes as u64, PocketWeb::DEFAULT_FLASH_BUDGET);
     }

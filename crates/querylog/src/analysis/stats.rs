@@ -89,15 +89,6 @@ impl LogStats {
         }
         *self.class_histogram.get(&class).unwrap_or(&0) as f64 / eligible as f64
     }
-
-    /// Fraction of users who clicked fewer than `limit` distinct URLs.
-    pub fn users_below_url_count(&self, limit: usize) -> f64 {
-        if self.urls_per_user.is_empty() {
-            return 0.0;
-        }
-        let below = self.urls_per_user.values().filter(|&&c| c < limit).count();
-        below as f64 / self.urls_per_user.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +137,8 @@ mod tests {
         // §2's scaled analogue: the vast majority of users click far fewer
         // distinct URLs than a cloudlet can store.
         let s = stats();
-        assert!(s.users_below_url_count(1_000) > 0.9);
+        let below = s.urls_per_user.values().filter(|&&c| c < 1_000).count();
+        assert!(below as f64 > 0.9 * s.urls_per_user.len() as f64);
     }
 
     #[test]
@@ -155,6 +147,6 @@ mod tests {
         assert_eq!(s.entries, 0);
         assert_eq!(s.unique_result_fraction(), 0.0);
         assert_eq!(s.class_share(UserClass::Low), 0.0);
-        assert_eq!(s.users_below_url_count(10), 0.0);
+        assert!(s.urls_per_user.is_empty());
     }
 }

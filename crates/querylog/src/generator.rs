@@ -12,7 +12,7 @@
 //! month, day)` cell derives its RNG independently from the generator
 //! seed (see [`crate::stream`]), so [`LogGenerator::stream_month`] can
 //! lazily chunk a month into epoch batches and
-//! [`LogGenerator::generate_user_month`] can re-derive any single user's
+//! [`LogGenerator::append_user_month`] can re-derive any single user's
 //! stream without touching the rest of the population.
 //! [`LogGenerator::generate_month`] is a thin `collect()` wrapper over
 //! the stream.
@@ -169,21 +169,13 @@ impl LogGenerator {
         self.stream_month().collect_log()
     }
 
-    /// Generates one month of activity for a single user: the user's
-    /// slice of the month [`Self::generate_month`] would produce next,
-    /// re-derived independently (no other user is generated, and the
-    /// generator's month counter does not advance).
-    pub fn generate_user_month(&self, user: UserId) -> Vec<LogEntry> {
-        let mut entries = Vec::new();
-        self.append_user_month(user, &mut entries);
-        entries.sort_by_key(|e| e.time);
-        entries
-    }
-
-    /// The allocation-free form of [`Self::generate_user_month`]:
-    /// appends the user's month into a caller-owned buffer (in day
-    /// order; within a day events are unsorted), so loops over many
-    /// users reuse one buffer instead of allocating per user.
+    /// Appends one month of activity for a single user into a
+    /// caller-owned buffer (in day order; within a day events are
+    /// unsorted): the user's slice of the month [`Self::generate_month`]
+    /// would produce next, re-derived independently (no other user is
+    /// generated, and the generator's month counter does not advance).
+    /// Loops over many users reuse one buffer instead of allocating per
+    /// user.
     ///
     /// # Panics
     ///
@@ -221,7 +213,10 @@ mod tests {
     fn every_user_appears_with_their_volume() {
         let mut g = generator();
         let log = g.generate_month();
-        let volumes = log.volumes_by_user();
+        let mut volumes = std::collections::BTreeMap::new();
+        for e in log.iter() {
+            *volumes.entry(e.user).or_insert(0u32) += 1;
+        }
         for p in g.profiles() {
             assert_eq!(volumes[&p.id], p.monthly_volume, "user {}", p.id);
         }
@@ -281,7 +276,9 @@ mod tests {
     fn single_user_month_matches_population_shape() {
         let g = generator();
         let user = UserId::new(3);
-        let stream = g.generate_user_month(user);
+        let mut stream = Vec::new();
+        g.append_user_month(user, &mut stream);
+        stream.sort_by_key(|e| e.time);
         assert_eq!(stream.len() as u32, g.profile(user).monthly_volume);
         assert!(stream.windows(2).all(|w| w[0].time <= w[1].time));
     }
@@ -291,7 +288,8 @@ mod tests {
         let mut g = generator();
         let user = UserId::new(7);
         // Preview the next month for one user, then generate it for all.
-        let solo = g.generate_user_month(user);
+        let mut solo = Vec::new();
+        g.append_user_month(user, &mut solo);
         let month = g.generate_month();
         let mut slice: Vec<LogEntry> = month.iter().filter(|e| e.user == user).copied().collect();
         slice.sort_by_key(|e| e.time);

@@ -93,19 +93,6 @@ pub fn stable_hash64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Stable hash of a string key plus a small salt, used by the PocketSearch
-/// hash table to create overflow entries for queries with more than two
-/// search results ("by properly setting the second argument of the hash
-/// function", §5.2.1).
-pub fn stable_hash64_salted(bytes: &[u8], salt: u32) -> u64 {
-    let mut hash = stable_hash64(bytes);
-    for &b in salt.to_le_bytes().iter() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,20 +103,6 @@ mod tests {
         assert_eq!(stable_hash64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(stable_hash64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(stable_hash64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn salting_changes_the_hash() {
-        let base = stable_hash64(b"michael jackson");
-        assert_eq!(
-            stable_hash64_salted(b"michael jackson", 0),
-            stable_hash64_salted(b"michael jackson", 0)
-        );
-        assert_ne!(stable_hash64_salted(b"michael jackson", 1), base);
-        assert_ne!(
-            stable_hash64_salted(b"michael jackson", 1),
-            stable_hash64_salted(b"michael jackson", 2)
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! downstream user may have *real* traces. This module defines a simple
 //! line-oriented interchange format so external logs can be replayed
 //! through the exact same pipeline (triplet extraction → cache build →
-//! replay), and synthetic logs can be exported for inspection:
+//! replay):
 //!
 //! ```text
 //! # pocket-cloudlets log v1
@@ -15,11 +15,9 @@
 //! starting with `#` are comments. Query text and URL are the raw strings;
 //! tabs inside them are not supported (they do not occur in queries).
 
-use std::fmt::Write as _;
-
 use crate::ids::{stable_hash64, PairId, QueryId, ResultId, UserId};
 use crate::log::{DeviceClass, LogEntry, SearchLog, Timestamp};
-use crate::universe::{QueryKind, Universe};
+use crate::universe::QueryKind;
 
 /// The header line identifying the format.
 pub const FORMAT_HEADER: &str = "# pocket-cloudlets log v1";
@@ -82,6 +80,8 @@ pub struct ExternalLog {
 }
 
 impl ExternalLog {
+    // api-ok: turns a parsed real trace into the log §6.2's replay
+    // takes; item 4's hostile-input proptest converts every parsed row.
     /// Interns strings into dense ids and produces a [`SearchLog`] plus
     /// the query/url string tables (index = id).
     pub fn to_search_log(&self) -> (SearchLog, Vec<String>, Vec<String>) {
@@ -119,35 +119,8 @@ impl ExternalLog {
     }
 }
 
-/// Serializes a synthetic log to the interchange text format.
-pub fn write_log(log: &SearchLog, universe: &Universe) -> String {
-    let mut out = String::with_capacity(log.len() * 64);
-    out.push_str(FORMAT_HEADER);
-    out.push('\n');
-    for e in log.iter() {
-        let kind = match e.kind {
-            QueryKind::Navigational => "nav",
-            QueryKind::NonNavigational => "web",
-        };
-        let device = match e.device {
-            DeviceClass::FeaturePhone => "feature",
-            DeviceClass::Smartphone => "smart",
-        };
-        // Writing into a String is infallible; the Result only exists
-        // because `fmt::Write` is shared with fallible sinks.
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{kind}\t{device}\t{}\t{}",
-            e.user.index(),
-            e.time.day,
-            e.time.micros_of_day,
-            universe.query(e.query).text,
-            universe.result(e.result).url,
-        );
-    }
-    out
-}
-
+// api-ok: the entry point for replaying real traces through the §6.2
+// pipeline; ROADMAP item 4 counts its hostile-input proptest as done.
 /// Parses the interchange text format.
 ///
 /// # Errors
@@ -225,7 +198,38 @@ mod tests {
     use crate::analysis::stats::LogStats;
     use crate::generator::{GeneratorConfig, LogGenerator};
     use crate::triplets::TripletTable;
+    use crate::universe::Universe;
     use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// Serializes a synthetic log to the interchange text format.
+    fn write_log(log: &SearchLog, universe: &Universe) -> String {
+        let mut out = String::with_capacity(log.len() * 64);
+        out.push_str(FORMAT_HEADER);
+        out.push('\n');
+        for e in log.iter() {
+            let kind = match e.kind {
+                QueryKind::Navigational => "nav",
+                QueryKind::NonNavigational => "web",
+            };
+            let device = match e.device {
+                DeviceClass::FeaturePhone => "feature",
+                DeviceClass::Smartphone => "smart",
+            };
+            // Writing into a String is infallible; the Result only exists
+            // because `fmt::Write` is shared with fallible sinks.
+            let _ = writeln!(
+                out,
+                "{}\t{}\t{}\t{kind}\t{device}\t{}\t{}",
+                e.user.index(),
+                e.time.day,
+                e.time.micros_of_day,
+                universe.query(e.query).text,
+                universe.result(e.result).url,
+            );
+        }
+        out
+    }
 
     #[test]
     fn export_parse_round_trip_preserves_structure() {

@@ -105,7 +105,7 @@ pub struct LogEntry {
 ///
 /// let mut generator = LogGenerator::new(GeneratorConfig::test_scale(), 1);
 /// let log = generator.generate_month();
-/// let first_week = log.slice_days(0..7);
+/// let first_week = log.filter(|e| e.time.day < 7);
 /// assert!(first_week.len() < log.len());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -163,35 +163,12 @@ impl SearchLog {
         ids
     }
 
-    /// A sub-log restricted to `days` (e.g. `0..7` for the first week).
-    pub fn slice_days(&self, days: std::ops::Range<u16>) -> SearchLog {
-        let entries: Vec<LogEntry> = self
-            .entries
-            .iter()
-            .filter(|e| days.contains(&e.time.day))
-            .copied()
-            .collect();
-        SearchLog {
-            entries,
-            days: days.end.saturating_sub(days.start),
-        }
-    }
-
     /// A sub-log keeping only entries that satisfy `keep`.
     pub fn filter(&self, keep: impl Fn(&LogEntry) -> bool) -> SearchLog {
         SearchLog {
             entries: self.entries.iter().filter(|e| keep(e)).copied().collect(),
             days: self.days,
         }
-    }
-
-    /// Per-user query counts.
-    pub fn volumes_by_user(&self) -> std::collections::BTreeMap<UserId, u32> {
-        let mut map = std::collections::BTreeMap::new();
-        for e in &self.entries {
-            *map.entry(e.user).or_insert(0u32) += 1;
-        }
-        map
     }
 }
 
@@ -251,24 +228,13 @@ mod tests {
     }
 
     #[test]
-    fn slice_days_bounds_are_half_open() {
-        let log = SearchLog::new(
-            vec![entry(0, 0, 0, 0), entry(0, 6, 0, 1), entry(0, 7, 0, 2)],
-            28,
-        );
-        let week1 = log.slice_days(0..7);
-        assert_eq!(week1.len(), 2);
-        assert_eq!(week1.days(), 7);
-    }
-
-    #[test]
     fn volumes_and_users() {
         let log = SearchLog::new(
             vec![entry(3, 0, 0, 0), entry(3, 1, 0, 1), entry(5, 0, 0, 2)],
             28,
         );
         assert_eq!(log.users(), vec![UserId::new(3), UserId::new(5)]);
-        assert_eq!(log.volumes_by_user()[&UserId::new(3)], 2);
+        assert_eq!(log.iter().filter(|e| e.user == UserId::new(3)).count(), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **Deterministic per-user seeding.** Every `(user, month, day)` cell
 //!   draws from its own SplitMix64-derived RNG ([`day_seed`]), and every
 //!   user's profile derives from [`profile_seed`]. Any user's stream can
-//!   be re-derived in isolation — [`user_month_entries`] — without
+//!   be re-derived in isolation — [`append_user_month`] — without
 //!   generating anyone else, and it is bit-identical to that user's
 //!   slice of the full stream.
 //! * **Exact concatenation.** Epoch time ranges partition the month and
@@ -193,23 +193,6 @@ pub fn append_profile_month(
     for day in 0..days {
         append_user_day(universe, profile, seed, month, days, day, out);
     }
-}
-
-/// One user's month, independently re-derived and sorted by time — the
-/// per-user stream §6.2 replays. Bit-identical to the user's slice of
-/// the full population stream for the same `(seed, month)`.
-pub fn user_month_entries(
-    universe: &Universe,
-    behavior: &BehaviorConfig,
-    seed: u64,
-    month: u32,
-    days: u16,
-    user: UserId,
-) -> Vec<LogEntry> {
-    let mut entries = Vec::new();
-    append_user_month(universe, behavior, seed, month, days, user, &mut entries);
-    entries.sort_by_key(|e| e.time);
-    entries
 }
 
 /// Fewest users a day-generation worker is given: below this a thread's
@@ -716,8 +699,20 @@ mod tests {
     fn user_streams_rederive_identically_and_match_the_population() {
         let mut g = LogGenerator::new(GeneratorConfig::test_scale(), 11);
         let user = UserId::new(5);
-        let a = user_month_entries(g.universe(), &g.config().behavior, 11, 0, 28, user);
-        let b = user_month_entries(g.universe(), &g.config().behavior, 11, 0, 28, user);
+        let derive = || {
+            let mut entries = Vec::new();
+            append_user_month(
+                g.universe(),
+                &g.config().behavior,
+                11,
+                0,
+                28,
+                user,
+                &mut entries,
+            );
+            entries
+        };
+        let (a, b) = (derive(), derive());
         assert_eq!(a, b, "independent re-derivations must be identical");
         let month = g.generate_month();
         let mut from_month: Vec<LogEntry> =

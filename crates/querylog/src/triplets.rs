@@ -136,23 +136,6 @@ impl TripletTable {
         }
         &self.triplets
     }
-
-    /// Per-pair ranking scores: each pair's volume normalized across all
-    /// results clicked for the same query (§5.1's example: "michael
-    /// jackson" → imdb 0.53, azlyrics 0.47).
-    pub fn ranking_scores<'a>(
-        &'a self,
-        rows: &'a [Triplet],
-    ) -> impl Iterator<Item = (Triplet, f64)> + 'a {
-        let mut per_query: HashMap<QueryId, u64> = HashMap::new();
-        for t in rows {
-            *per_query.entry(t.query).or_insert(0) += t.volume;
-        }
-        rows.iter().map(move |&t| {
-            let q_total = per_query[&t.query];
-            (t, t.volume as f64 / q_total as f64)
-        })
-    }
 }
 
 impl<'a> IntoIterator for &'a TripletTable {
@@ -219,23 +202,6 @@ mod tests {
         assert_eq!(t.prefix_for_share(0.5).len(), 1);
         assert_eq!(t.prefix_for_share(0.51).len(), 2);
         assert_eq!(t.prefix_for_share(2.0).len(), 3);
-    }
-
-    #[test]
-    fn ranking_scores_normalize_within_query() {
-        // §5.1's example: 10^6 and 9*10^5 clicks on two results of the same
-        // query score 0.53 and 0.47.
-        let t = table_from(&[((0, 0), 100), ((0, 1), 90), ((1, 2), 5)]);
-        let rows = t.as_slice();
-        let scores: std::collections::HashMap<(QueryId, ResultId), f64> = t
-            .ranking_scores(rows)
-            .map(|(tr, s)| ((tr.query, tr.result), s))
-            .collect();
-        let imdb = scores[&(QueryId::new(0), ResultId::new(0))];
-        let azlyrics = scores[&(QueryId::new(0), ResultId::new(1))];
-        assert!((imdb - 0.526).abs() < 0.001);
-        assert!((azlyrics - 0.474).abs() < 0.001);
-        assert!((scores[&(QueryId::new(1), ResultId::new(2))] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -466,17 +466,6 @@ impl Universe {
         &self.pairs_by_result[result.as_usize()]
     }
 
-    /// Fraction of total click volume carried by head-segment pairs.
-    pub fn head_volume_share(&self) -> f64 {
-        let head: f64 = self
-            .pairs
-            .iter()
-            .filter(|p| p.segment == Segment::Head)
-            .map(|p| p.weight)
-            .sum();
-        head / self.sampler_all.total()
-    }
-
     /// Deterministic search-result page content for a result: the title,
     /// the human-readable display URL, and a short landing-page snippet.
     /// Together they average the ~500 bytes per result of §5.2.2.
@@ -532,6 +521,17 @@ mod tests {
 
     fn test_universe() -> Universe {
         Universe::generate(UniverseConfig::test_scale(), 11)
+    }
+
+    /// Fraction of total click volume carried by head-segment pairs.
+    fn head_volume_share(u: &Universe) -> f64 {
+        let head: f64 = u
+            .pairs
+            .iter()
+            .filter(|p| p.segment == Segment::Head)
+            .map(|p| p.weight)
+            .sum();
+        head / u.sampler_all.total()
     }
 
     #[test]
@@ -594,7 +594,7 @@ mod tests {
     fn head_volume_share_is_near_60_percent() {
         // 0.5 * 0.9 (nav head) + 0.5 * 0.3 (non-nav head) = 0.6, the
         // Figure 4 headline. Second-result pairs shift it slightly.
-        let share = test_universe().head_volume_share();
+        let share = head_volume_share(&test_universe());
         assert!((0.55..0.65).contains(&share), "head share was {share}");
     }
 
@@ -611,7 +611,7 @@ mod tests {
             }
         }
         let observed = head as f64 / n as f64;
-        let expected = u.head_volume_share();
+        let expected = head_volume_share(&u);
         assert!(
             (observed - expected).abs() < 0.02,
             "observed head rate {observed} vs expected {expected}"

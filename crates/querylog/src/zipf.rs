@@ -196,15 +196,6 @@ impl WeightedIndex {
             Err(i) => i.min(self.cumulative.len() - 1),
         }
     }
-
-    /// Cumulative mass of the first `k` items, normalized to `[0, 1]`.
-    pub fn cumulative_mass(&self, k: usize) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        let idx = k.min(self.cumulative.len()) - 1;
-        self.cumulative[idx] / self.total()
-    }
 }
 
 /// The cut points of a guide table over `cumulative` (see
@@ -291,15 +282,6 @@ mod tests {
         let p0 = counts[0] as f64 / 20_000.0;
         assert!((p0 - 0.8).abs() < 0.02, "p0 was {p0}");
         assert!(counts.iter().all(|&c| c > 0));
-    }
-
-    #[test]
-    fn cumulative_mass_reports_prefix_shares() {
-        let sampler = WeightedIndex::new(vec![3.0, 1.0, 1.0]);
-        assert_eq!(sampler.cumulative_mass(0), 0.0);
-        assert!((sampler.cumulative_mass(1) - 0.6).abs() < 1e-12);
-        assert!((sampler.cumulative_mass(3) - 1.0).abs() < 1e-12);
-        assert!((sampler.cumulative_mass(99) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -62,12 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pocket.device_mut().idle(SimDuration::from_secs(120));
     }
 
-    let timeline = pocket.device().timeline();
-    let peak = timeline.peak_power().ok_or("the day should not be empty")?;
+    let meter = pocket.device().meter();
+    let peak = meter.peak_power().ok_or("the day should not be empty")?;
     println!(
         "\nday so far: {hits}/10 hits, {:.1} s of activity, {:.1} J dissipated, peak draw {peak}",
-        timeline.busy_time().as_secs_f64(),
-        timeline.total_energy().joules(),
+        meter.busy_time().as_secs_f64(),
+        meter.total().joules(),
     );
 
     // Overnight, on the charger: upload the table, receive the merged

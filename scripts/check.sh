@@ -13,15 +13,15 @@ cargo fmt --check
 echo "==> cargo fmt --check (pipeline-bench is its own workspace; the root check skips it)"
 cargo fmt --check --manifest-path pipeline-bench/Cargo.toml
 
-echo "==> cloudlet-analysis lint (policy rules R1-R5)"
-cargo run -q -p cloudlet-analysis --bin lint
+echo "==> cloudlet-analysis lint (policy rules R1-R6)"
+cargo run -q --locked --offline -p cloudlet-analysis --bin lint
 
 echo "==> cargo build --release --locked --offline"
 cargo build --release --locked --offline
 
 echo "==> examples (each runs to a zero exit)"
 for example in examples/*.rs; do
-    cargo run --release --quiet --example "$(basename "$example" .rs)" >/dev/null
+    cargo run --release --quiet --locked --offline --example "$(basename "$example" .rs)" >/dev/null
 done
 
 echo "==> scripts/bench.sh --check (deterministic BENCH_*.json and results/*.txt regenerate byte-identical)"

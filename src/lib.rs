@@ -78,7 +78,7 @@ pub mod prelude {
     pub use pocketsearch::engine::{Catalog, PocketSearch};
     pub use pocketsearch::experiment::{run_hit_rate_study, HitRateConfig, StudyInputs};
     pub use pocketsearch::fleet::{search_frontend, SearchShard};
-    pub use pocketsearch::replay::{replay_population, replay_user, ClassSummary};
+    pub use pocketsearch::replay::{replay_population, ClassSummary};
     pub use pocketweb::{PocketWeb, RefreshPolicy, WebService, WebWorld, WorldConfig};
     pub use querylog::generator::{GeneratorConfig, LogGenerator};
     pub use querylog::triplets::TripletTable;

@@ -105,9 +105,7 @@ proptest! {
         let demands: Vec<usize> = lanes.iter().map(|&(.., d)| d).collect();
 
         let mut arb = AdaptiveArbiter::new(
-            ArbiterConfig::new(total)
-                .with_min_share(min_share)
-                .with_hysteresis(0.0),
+            ArbiterConfig { min_share, hysteresis: 0.0, ..ArbiterConfig::new(total) },
         );
         let decision = arb.run_epoch(SimInstant::from_micros(1), &observations, |cloudlet, ctx| {
             BudgetDemand {
@@ -157,7 +155,10 @@ proptest! {
 #[test]
 fn shifting_workload_shrinks_then_recovers() {
     const TOTAL: usize = 100_000;
-    let mut arb = AdaptiveArbiter::new(ArbiterConfig::new(TOTAL).with_hysteresis(0.0));
+    let mut arb = AdaptiveArbiter::new(ArbiterConfig {
+        hysteresis: 0.0,
+        ..ArbiterConfig::new(TOTAL)
+    });
     let hot = totals(900, 600, 36_000);
     let cold = totals(100, 600, 4_000);
     let full_demand = |cloudlet: CloudletId, ctx: &DemandContext| BudgetDemand {

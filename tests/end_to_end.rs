@@ -114,7 +114,7 @@ fn replay_statistics_match_engine_counters() {
     let month = generator.generate_month();
     let user = month.users()[0];
     let stream = month.user_stream(user);
-    let outcome = replay_user(&engine, &catalog, &stream);
+    let outcome = &replay_population(&engine, &catalog, std::slice::from_ref(&stream), None)[0];
 
     // Recompute serially with a fresh clone, serving through the
     // engine's service path, and compare.
@@ -170,10 +170,43 @@ fn energy_accounting_is_conserved_across_the_stack() {
         (total - sum).abs() < 1e-6,
         "device meter {total} vs reports {sum}"
     );
-    // The timeline agrees with the meter.
-    assert!(
-        (engine.device().timeline().total_energy().millijoules() - engine.energy().millijoules())
-            .abs()
-            < 1e-6
+}
+
+#[test]
+fn a_traced_timeline_totals_exactly_what_the_meter_counts() {
+    use pocket_cloudlets::mobsim::device::Device;
+    use pocket_cloudlets::mobsim::power::Energy;
+    use pocket_cloudlets::mobsim::radio::RadioKind;
+
+    // A mixed day: cache hits, 3G misses (cold and warm radio) and idle
+    // gaps. The meter is the one tally every device keeps; the trace a
+    // Figure 16 device records must integrate to the same numbers.
+    let mut device = Device::traced();
+    for i in 0..6u64 {
+        if i % 3 == 0 {
+            device.serve_via_radio(RadioKind::ThreeG);
+        } else {
+            device.serve_cache_hit(SimDuration::from_millis(10 + i));
+        }
+        device.idle(SimDuration::from_secs(30 * i));
+    }
+    device.serve_via_radio(RadioKind::ThreeG);
+
+    let meter = device.meter();
+    let timeline = device
+        .timeline()
+        .expect("a traced device keeps its timeline");
+    let segments = timeline.segments();
+    let energy: Energy = segments.iter().map(|s| s.power.over(s.duration())).sum();
+    assert_eq!(
+        energy.millijoules().to_bits(),
+        meter.total().millijoules().to_bits()
+    );
+    assert_eq!(timeline.busy_time(), meter.busy_time());
+    assert_eq!(timeline.peak_power(), meter.peak_power());
+    assert_eq!(timeline.end(), device.now());
+    assert_eq!(
+        meter.busy_time(),
+        device.now().duration_since(SimInstant::ZERO)
     );
 }

@@ -118,7 +118,7 @@ proptest! {
             events.iter().map(|e| e.key).collect();
         prop_assert_eq!(batch.report.totals().rejected, 0);
         prop_assert_eq!(
-            batch.report.totals().unique_serves(),
+            batch.report.totals().served() - batch.report.totals().coalesced,
             distinct.len() as u64,
             "one underlying serve per distinct key"
         );

@@ -22,7 +22,7 @@ use pocket_cloudlets::core::hashtable::frozen::FrozenTable;
 use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable, TopTwo};
 use pocket_cloudlets::core::population::{PairTable, PopulationConfig, PopulationLane};
 use pocket_cloudlets::core::ranking::RankingPolicy;
-use pocket_cloudlets::core::service::{CloudletService, ServeRequest};
+use pocket_cloudlets::core::service::{CloudletService, ServeKind, ServeRequest};
 use pocket_cloudlets::mobsim::time::SimInstant;
 
 /// One randomized table mutation.
@@ -165,7 +165,7 @@ proptest! {
                     // The fast path may only answer pure hits, and must
                     // answer them exactly as the write path would.
                     prop_assert_eq!(Ok(&outcome), expected.as_ref());
-                    prop_assert!(outcome.radio_slept());
+                    prop_assert!(matches!(outcome.kind, ServeKind::Hit | ServeKind::StaleHit));
                     fast_totals.record(&Ok(outcome), false);
                 }
                 None => {

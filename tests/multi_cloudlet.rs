@@ -7,6 +7,7 @@ use pocket_cloudlets::core::coordination::{
 };
 use pocket_cloudlets::pocketsearch::advert::{AdCloudlet, AdOutcome, AdRecord};
 use pocket_cloudlets::pocketweb::policy::RefreshPolicy;
+use pocket_cloudlets::pocketweb::VisitOutcome;
 use pocket_cloudlets::prelude::*;
 
 const SEARCH: CloudletId = CloudletId(0);
@@ -167,7 +168,7 @@ fn web_and_search_cloudlets_coexist_on_one_device_story() {
     assert!(served.hit, "search result page comes from the pocket");
     let landing = world.pages()[0].id;
     assert!(
-        web.visit(&world, landing, now).is_instant_hit(),
+        web.visit(&world, landing, now) == VisitOutcome::InstantHit,
         "landing page comes from the pocket too"
     );
 }

@@ -61,8 +61,8 @@ proptest! {
         let mut radio = Radio::new(model);
         let cold = radio.transfer(SimInstant::ZERO, req, resp);
         let warm = radio.transfer(SimInstant::ZERO + cold.total_time, req, resp);
-        prop_assert!(cold.was_cold());
-        prop_assert!(!warm.was_cold());
+        prop_assert!(cold.wakeup > SimDuration::ZERO);
+        prop_assert_eq!(warm.wakeup, SimDuration::ZERO);
         prop_assert!(warm.total_time < cold.total_time);
         prop_assert_eq!(
             cold.wakeup + cold.round_trips + cold.uplink + cold.server + cold.downlink,
@@ -136,7 +136,11 @@ proptest! {
         for &(ms, mw) in &segments {
             tl.push(tl.end(), SimDuration::from_millis(ms), Power::from_milliwatts(mw));
         }
-        let exact = tl.total_energy().millijoules();
+        let exact: f64 = tl
+            .segments()
+            .iter()
+            .map(|s| s.power.over(s.duration()).millijoules())
+            .sum();
         prop_assert!(exact > 0.0);
         let busy: u64 = segments.iter().map(|&(ms, _)| ms).sum();
         prop_assert_eq!(tl.busy_time(), SimDuration::from_millis(busy));

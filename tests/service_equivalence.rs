@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
 use pocket_cloudlets::core::frontend::{Frontend, FrontendConfig};
-use pocket_cloudlets::core::service::{CloudletService, ServeOutcome, ServeRequest};
+use pocket_cloudlets::core::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 use pocket_cloudlets::mobsim::time::{SimDuration, SimInstant};
 use pocket_cloudlets::pocketmaps::grid::TileGrid;
 use pocket_cloudlets::pocketmaps::{PocketMaps, TileId};
@@ -146,7 +146,7 @@ proptest! {
             .iter()
             .map(|&(page, at)| {
                 unified
-                    .serve(&ServeRequest::for_user(0, WebService::key_of(page), at))
+                    .serve(&ServeRequest::for_user(0, u64::from(page.0), at))
                     .expect("in-range page keys serve")
             })
             .collect();
@@ -267,7 +267,7 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
             1 => {
                 let page = PageId((i % world.pages().len() as u64) as u32);
                 let at = SimInstant::ZERO + SimDuration::from_secs(i * 30);
-                events.push(ServeRequest::new(i, WEB, WebService::key_of(page), at));
+                events.push(ServeRequest::new(i, WEB, u64::from(page.0), at));
             }
             _ => {
                 let tile = TileId {
@@ -318,8 +318,12 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
         ],
         FrontendConfig::pr3_baseline(),
     );
-    assert_eq!(frontend.lane_count(), 8);
-    assert_eq!(frontend.group_count(), 3);
+    assert_eq!(frontend.telemetry().lanes.len(), 8);
+    assert_eq!(
+        frontend.serve_batch(&[ServeRequest::new(0, 3, 0, SimInstant::ZERO)]),
+        Err(CloudletError::UnknownService { service: 3 }),
+        "exactly three service groups"
+    );
 
     let report = frontend.serve_batch(&events).expect("mixed batch").report;
 
@@ -342,7 +346,8 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
     );
 
     // Per-group sanity: lane names partition as declared.
-    assert_eq!(frontend.lane_name(0), "search");
-    assert_eq!(frontend.lane_name(6), "web");
-    assert_eq!(frontend.lane_name(7), "maps");
+    let lanes = frontend.telemetry().lanes;
+    assert_eq!(lanes[0].name, "search");
+    assert_eq!(lanes[6].name, "web");
+    assert_eq!(lanes[7].name, "maps");
 }
