@@ -25,6 +25,8 @@
 //! arbitrary `#` runs, byte strings, char literals vs. lifetimes, and
 //! keeps newlines everywhere so line numbers survive scrubbing.
 
+use std::ops::Range;
+
 /// The scrubbed view of one source file. See the module docs.
 #[derive(Debug)]
 pub struct FileScan {
@@ -452,6 +454,26 @@ pub fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
+/// The identifier tokens of `code[range]`, each with its byte offset
+/// into `code`. Only token starts count: the `wrap` inside `unwrap`
+/// (or a token cut by `range.start`) is never yielded.
+pub fn idents(code: &[u8], range: Range<usize>) -> impl Iterator<Item = (usize, &[u8])> {
+    let Range { start: mut i, end } = range;
+    std::iter::from_fn(move || {
+        while i < end {
+            if is_ident_start(code[i]) && (i == 0 || !is_ident_byte(code[i - 1])) {
+                let start = i;
+                while i < end && is_ident_byte(code[i]) {
+                    i += 1;
+                }
+                return Some((start, &code[start..i]));
+            }
+            i += 1;
+        }
+        None
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,5 +550,19 @@ mod tests {
         assert_eq!(scan.line_of(5), 1);
         assert_eq!(scan.column_of(5), 2);
         assert_eq!(scan.line_of(9), 2);
+    }
+
+    #[test]
+    fn idents_yield_token_starts_only() {
+        let code = b"x.unwrap(); r#in 0x1f _a";
+        let all: Vec<_> = idents(code, 0..code.len()).collect();
+        let names: Vec<&[u8]> = all.iter().map(|&(_, t)| t).collect();
+        assert_eq!(names, [&b"x"[..], b"unwrap", b"r", b"in", b"_a"]);
+        assert_eq!(all[1].0, 2);
+        // A range that starts inside `unwrap` skips its tail.
+        let tail: Vec<_> = idents(code, 4..code.len()).map(|(_, t)| t).collect();
+        assert_eq!(tail[0], b"r");
+        // The range end cuts the last token.
+        assert_eq!(idents(code, 0..5).last(), Some((2, &b"unw"[..])));
     }
 }

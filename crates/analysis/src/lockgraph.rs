@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{is_ident_byte, is_ident_start, FileScan};
+use crate::lexer::{idents, is_ident_byte, FileScan};
 use crate::report::{Finding, Rule};
 
 /// One lock acquisition inside a function body.
@@ -85,20 +85,13 @@ pub struct LockGraph {
 pub fn scan_functions(path: &str, scan: &FileScan) -> Vec<FnSummary> {
     let code = scan.code.as_bytes();
     let mut summaries = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        if !is_ident_start(code[i]) || (i > 0 && is_ident_byte(code[i - 1])) {
-            i += 1;
+    // Tokens before this offset belong to an already-read signature.
+    let mut resume = 0;
+    for (start, ident) in idents(code, 0..code.len()) {
+        if start < resume || ident != b"fn" {
             continue;
         }
-        let start = i;
-        while i < code.len() && is_ident_byte(code[i]) {
-            i += 1;
-        }
-        if &code[start..i] != b"fn" {
-            continue;
-        }
-        let (name, after_name) = ident_after(code, i);
+        let (name, after_name) = ident_after(code, start + ident.len());
         if name.is_empty() {
             continue;
         }
@@ -125,7 +118,7 @@ pub fn scan_functions(path: &str, scan: &FileScan) -> Vec<FnSummary> {
         }
         // Continue after the signature; nested fns inside the body are
         // also picked up by the outer loop, so do not skip the body.
-        i = open + 1;
+        resume = open + 1;
     }
     summaries
 }
@@ -141,17 +134,8 @@ fn scan_body(
 ) -> FnSummary {
     let mut acquisitions = Vec::new();
     let mut calls = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        if !is_ident_start(code[i]) || (i > 0 && is_ident_byte(code[i - 1])) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < close && is_ident_byte(code[i]) {
-            i += 1;
-        }
-        let ident = &code[start..i];
+    for (start, ident) in idents(code, open + 1..close) {
+        let i = start + ident.len();
         let is_method = prev_nonspace_byte(code, start) == Some(b'.');
         let Some(args_open) = nonspace_at(code, i, b'(') else {
             continue;

@@ -17,7 +17,7 @@
 //! classes come from [`FileClass::classify`]. The rules work on the
 //! scrubbed code view, so strings and comments never false-positive.
 
-use crate::lexer::{is_ident_byte, is_ident_start, FileScan};
+use crate::lexer::{idents, is_ident_byte, FileScan};
 use crate::report::{Finding, Rule};
 
 /// How a file participates in the build, derived from its path.
@@ -60,26 +60,9 @@ impl FileClass {
 pub fn check_file(path: &str, class: FileClass, scan: &FileScan) -> Vec<Finding> {
     let mut findings = Vec::new();
     let code = scan.code.as_bytes();
-    let mut i = 0;
-    while i < code.len() {
-        if !is_ident_start(code[i]) {
-            i += 1;
-            continue;
-        }
-        // Skip into the middle of identifiers (e.g. the `wrap` in
-        // `unwrap`): only token starts count.
-        if i > 0 && is_ident_byte(code[i - 1]) {
-            while i < code.len() && is_ident_byte(code[i]) {
-                i += 1;
-            }
-            continue;
-        }
-        let start = i;
-        while i < code.len() && is_ident_byte(code[i]) {
-            i += 1;
-        }
-        let ident = &code[start..i];
-        check_token(path, class, scan, code, start, i, ident, &mut findings);
+    for (start, ident) in idents(code, 0..code.len()) {
+        let end = start + ident.len();
+        check_token(path, class, scan, code, start, end, ident, &mut findings);
     }
     findings
 }

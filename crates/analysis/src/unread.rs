@@ -8,11 +8,17 @@
 //! scrubbed, non-test code of any library, binary, example or bench
 //! file (`pipeline-bench/src` included). These tokens do not count:
 //!
-//! * the names being defined (`fn name`, `struct Name`, ..);
+//! * the names being defined (`fn name`, `struct Name`, ..), but not
+//!   the types in `&'static T`, `*const T` or `fn(T)`;
 //! * anything inside a `use` / `pub use` declaration, so a re-export
-//!   alone is not a reader;
+//!   alone is not a reader; a `use a::probe as p;` alias makes each
+//!   read of `p` (and a `Trait as _` import) a read of `probe`;
 //! * strings, comments and doc examples (scrubbed by the lexer) and
 //!   test regions.
+//!
+//! A name collision can only hide a finding. A reader the lexer cannot
+//! see, such as a path inside a string attribute or a macro-built
+//! name, can raise a false one; such an item takes an `api-ok`.
 //!
 //! Items under `pipeline-bench/` are never flagged: it is a binary
 //! crate, so rustc's `dead_code` lint already covers it. An item kept
@@ -22,7 +28,7 @@
 
 use std::collections::HashSet;
 
-use crate::lexer::{is_ident_byte, is_ident_start, FileScan};
+use crate::lexer::{idents, FileScan};
 use crate::report::{Finding, Rule};
 use crate::rules::{marker_justifies, FileClass};
 
@@ -32,12 +38,13 @@ const ITEM_KEYWORDS: &[&[u8]] = &[
     b"fn", b"struct", b"enum", b"trait", b"type", b"const", b"static", b"union", b"mod",
 ];
 
-/// The cross-file state of the rule: every flaggable item, and every
-/// name read so far.
+/// The cross-file state of the rule: every flaggable item, every name
+/// read so far, and every `(original, alias)` pair a `use` renames.
 #[derive(Debug, Default)]
 pub struct UnreadApi {
     items: Vec<(String, Finding)>,
     read: HashSet<String>,
+    aliases: Vec<(String, String)>,
 }
 
 impl UnreadApi {
@@ -48,8 +55,8 @@ impl UnreadApi {
         if class == FileClass::Test {
             return;
         }
-        let tokens = tokens(scan);
         let code = scan.code.as_bytes();
+        let tokens: Vec<_> = idents(code, 0..code.len()).collect();
         if class == FileClass::Lib && !path.starts_with("pipeline-bench/") {
             for (idx, &(at, tok)) in tokens.iter().enumerate() {
                 if tok != b"pub" || !is_bare_pub(code, at) || scan.in_test(at) {
@@ -66,26 +73,47 @@ impl UnreadApi {
         }
         // Tokens before this offset belong to a `use` declaration.
         let mut use_end = 0;
-        let mut prev: &[u8] = b"";
-        for &(at, tok) in &tokens {
+        for (idx, &(at, tok)) in tokens.iter().enumerate() {
+            if scan.in_test(at) {
+                continue;
+            }
             if tok == b"use" {
                 use_end = code[at..]
                     .iter()
                     .position(|&b| b == b';')
                     .map_or(code.len(), |semi| at + semi);
             }
-            let defined = ITEM_KEYWORDS.contains(&prev);
-            prev = tok;
-            if at < use_end || defined || scan.in_test(at) {
+            if at < use_end {
+                if let (b"as", Some(&(_, original)), Some(&(_, alias))) = (
+                    tok,
+                    idx.checked_sub(1).map(|p| &tokens[p]),
+                    tokens.get(idx + 1),
+                ) {
+                    self.aliases.push((lossy(original), lossy(alias)));
+                }
                 continue;
             }
-            self.read.insert(String::from_utf8_lossy(tok).into_owned());
+            if idx == 0 || !defines(code, tokens[idx - 1], at) {
+                self.read.insert(lossy(tok));
+            }
         }
     }
 
     /// The findings: every collected item whose name has no reader.
     pub fn findings(self) -> Vec<Finding> {
-        let read = self.read;
+        let mut read = self.read;
+        // A read alias reads its original, through chains of renames.
+        loop {
+            let before = read.len();
+            for (original, alias) in &self.aliases {
+                if alias == "_" || read.contains(alias) {
+                    read.insert(original.clone());
+                }
+            }
+            if read.len() == before {
+                break;
+            }
+        }
         self.items
             .into_iter()
             .filter(|(name, _)| !read.contains(name))
@@ -94,23 +122,25 @@ impl UnreadApi {
     }
 }
 
-/// Identifier tokens of the scrubbed code, with their byte offsets.
-fn tokens(scan: &FileScan) -> Vec<(usize, &[u8])> {
-    let code = scan.code.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        if !is_ident_start(code[i]) || (i > 0 && is_ident_byte(code[i - 1])) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < code.len() && is_ident_byte(code[i]) {
-            i += 1;
-        }
-        out.push((start, &code[start..i]));
-    }
-    out
+/// Whether the token at `at` is the name that the item keyword token
+/// `(kw_at, kw)` before it defines: only whitespace lies between them,
+/// and the keyword is not the lifetime `'static`, the raw pointer
+/// `*const` or a `fn(..)` type (ruled out by the `(`).
+fn defines(code: &[u8], (kw_at, kw): (usize, &[u8]), at: usize) -> bool {
+    let before_kw = code[..kw_at]
+        .iter()
+        .rev()
+        .find(|b| !b.is_ascii_whitespace());
+    ITEM_KEYWORDS.contains(&kw)
+        && code[kw_at + kw.len()..at]
+            .iter()
+            .all(u8::is_ascii_whitespace)
+        && !(kw == b"static" && kw_at > 0 && code[kw_at - 1] == b'\'')
+        && !(kw == b"const" && before_kw == Some(&b'*'))
+}
+
+fn lossy(token: &[u8]) -> String {
+    String::from_utf8_lossy(token).into_owned()
 }
 
 /// Whether the `pub` at `at` is bare, not `pub(crate)` / `pub(super)`.
@@ -151,7 +181,7 @@ fn pub_item(tokens: &[(usize, &[u8])], code: &[u8]) -> Option<(&'static str, Str
     let gap = &code[at + tok.len()..name_at];
     gap.iter()
         .all(u8::is_ascii_whitespace)
-        .then(|| (kind, String::from_utf8_lossy(name).into_owned()))
+        .then(|| (kind, lossy(name)))
 }
 
 fn unread(path: &str, scan: &FileScan, offset: usize, kind: &str, name: &str) -> Finding {
@@ -250,6 +280,41 @@ mod tests {
             unread_names(&[(LIB, DEF), ("src/lib.rs", facade)]),
             ["probe"]
         );
+    }
+
+    #[test]
+    fn a_read_through_a_use_alias_counts() {
+        let facade = "pub use a::probe as p;\n";
+        let reader = "fn main() { p(); }\n";
+        assert!(unread_names(&[
+            (LIB, DEF),
+            ("src/lib.rs", facade),
+            ("examples/d.rs", reader)
+        ])
+        .is_empty());
+        // An unread alias keeps nothing alive; a `Trait as _` import does.
+        assert_eq!(
+            unread_names(&[(LIB, DEF), ("src/lib.rs", facade)]),
+            ["probe"]
+        );
+        let trait_import = "use a::probe as _;\n";
+        assert!(unread_names(&[(LIB, DEF), ("src/lib.rs", trait_import)]).is_empty());
+    }
+
+    #[test]
+    fn types_after_static_const_and_fn_in_type_position_are_read() {
+        let def = "pub struct T;\n";
+        for reader in [
+            "fn f(x: &'static T) {}\n",
+            "fn f(x: *const T) {}\n",
+            "fn f(x: fn(T) -> u8) {}\n",
+            "fn f(s: &HashSet<u8>) { s.union(&T); }\n",
+        ] {
+            assert!(
+                unread_names(&[(LIB, def), ("crates/b/src/lib.rs", reader)]).is_empty(),
+                "{reader}"
+            );
+        }
     }
 
     #[test]

@@ -321,6 +321,23 @@ mod tests {
             .collect();
         assert_eq!(bytes.iter().sum::<usize>() as u64, lane.cache_bytes());
         assert!(bytes.iter().all(|&b| b > 0));
+        // Each delta holds at most the three pairs served, never query 300...
+        assert!(lane
+            .deltas
+            .values()
+            .all(|d| d.pair_count() <= 3 && !d.contains_query(300)));
+        // ...and a further 100 serves of the same pairs grow nothing.
+        let total_pairs = |lane: &PopulationLane| {
+            lane.deltas
+                .values()
+                .map(PersonalDelta::pair_count)
+                .sum::<usize>()
+        };
+        let before = (total_pairs(&lane), lane.cache_bytes());
+        for i in 0..100u64 {
+            lane.serve(&at(i % 4, i % 3)).unwrap();
+        }
+        assert_eq!((total_pairs(&lane), lane.cache_bytes()), before);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl Device {
     }
 
     /// A default device that also records its power trace, segment by
-    /// segment, for [`Device::timeline`].
+    /// segment, for [`Device::into_timeline`].
     pub fn traced() -> Self {
         Device {
             timeline: Some(PowerTimeline::new()),
@@ -167,10 +167,10 @@ impl Device {
         self.clock
     }
 
-    /// The recorded power trace so far; `None` unless the device was
-    /// built [`traced`](Device::traced).
-    pub fn timeline(&self) -> Option<&PowerTimeline> {
-        self.timeline.as_ref()
+    /// The recorded power trace: every segment of a device built
+    /// [`traced`](Device::traced), and empty for any other device.
+    pub fn into_timeline(self) -> PowerTimeline {
+        self.timeline.unwrap_or_default()
     }
 
     /// Energy, busy time and peak power accumulated so far.
@@ -395,21 +395,19 @@ mod tests {
         d.serve_cache_hit(FETCH);
         d.idle(SimDuration::from_secs(1));
         d.serve_via_radio(RadioKind::ThreeG);
-        let timeline = d.timeline().unwrap();
-        assert_eq!(timeline.end(), d.now());
-        assert_eq!(
-            timeline.busy_time(),
-            d.now().duration_since(SimInstant::ZERO)
-        );
-        assert_eq!(d.meter().busy_time(), timeline.busy_time());
+        let (now, busy) = (d.now(), d.meter().busy_time());
+        let timeline = d.into_timeline();
+        assert_eq!(timeline.end(), now);
+        assert_eq!(timeline.busy_time(), now.duration_since(SimInstant::ZERO));
+        assert_eq!(busy, timeline.busy_time());
     }
 
     #[test]
     fn only_a_traced_device_records_segments() {
         let mut d = Device::with_defaults();
         d.serve_cache_hit(FETCH);
-        assert!(d.timeline().is_none());
         assert!(d.meter().busy_time() > SimDuration::ZERO);
+        assert!(d.into_timeline().segments().is_empty());
     }
 
     #[test]
@@ -426,12 +424,9 @@ mod tests {
     fn radio_power_shows_up_in_the_timeline() {
         let mut d = Device::traced();
         d.serve_via_radio(RadioKind::ThreeG);
-        let peak = d.timeline().unwrap().peak_power().unwrap();
-        assert_eq!(
-            peak,
-            d.config().base_power + RadioKind::ThreeG.default_model().active_extra_power
-        );
-        assert_eq!(d.meter().peak_power(), Some(peak));
+        let expected = d.config().base_power + RadioKind::ThreeG.default_model().active_extra_power;
+        assert_eq!(d.meter().peak_power(), Some(expected));
+        assert_eq!(d.into_timeline().peak_power(), Some(expected));
     }
 
     #[test]

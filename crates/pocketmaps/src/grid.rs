@@ -223,15 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_and_lerp() {
-        let a = Position::meters(0.0, 0.0);
-        let b = Position::meters(3.0, 4.0);
-        assert!((a.distance_to(b) - 5.0).abs() < 1e-12);
-        let mid = a.lerp(b, 0.5);
-        assert!((mid.x - 1.5).abs() < 1e-12 && (mid.y - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn table2_state_coverage_arithmetic() {
         // 5.5M tiles at 300 m cover ~sqrt(5.5e6)*0.3 km ≈ 700 km square —
         // a whole US state, as the paper says.
@@ -247,6 +238,15 @@ mod tests {
             (25.0..30.0).contains(&(bytes as f64 / 1e9)),
             "~25.6 GB per Table 2"
         );
+    }
+
+    #[test]
+    fn distance_and_lerp() {
+        let a = Position::meters(0.0, 0.0);
+        let b = Position::meters(3.0, 4.0);
+        assert!((a.distance_to(b) - 5.0).abs() < 1e-12);
+        let mid = a.lerp(b, 0.5);
+        assert!((mid.x - 1.5).abs() < 1e-12 && (mid.y - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -107,9 +107,7 @@ pub fn figure16_traces(queries: usize, fetch_time: SimDuration) -> (PowerTimelin
     for _ in 0..queries {
         radio.serve_via_radio(RadioKind::ThreeG);
     }
-    // Both devices are traced, so neither default is ever taken.
-    let trace = |device: &Device| device.timeline().cloned().unwrap_or_default();
-    (trace(&pocket), trace(&radio))
+    (pocket.into_timeline(), radio.into_timeline())
 }
 
 /// One §6.2 study world: the cache-construction month, the replay

@@ -82,8 +82,6 @@ pub struct PolicyReport {
     pub realtime_mb: f64,
 }
 
-impl PolicyReport {}
-
 /// A multi-day per-user visit stream: `(page, when)` pairs in time order.
 pub type VisitStream = Vec<(PageId, SimInstant)>;
 

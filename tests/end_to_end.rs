@@ -192,10 +192,8 @@ fn a_traced_timeline_totals_exactly_what_the_meter_counts() {
     }
     device.serve_via_radio(RadioKind::ThreeG);
 
-    let meter = device.meter();
-    let timeline = device
-        .timeline()
-        .expect("a traced device keeps its timeline");
+    let (meter, now) = (device.meter().clone(), device.now());
+    let timeline = device.into_timeline();
     let segments = timeline.segments();
     let energy: Energy = segments.iter().map(|s| s.power.over(s.duration())).sum();
     assert_eq!(
@@ -204,9 +202,6 @@ fn a_traced_timeline_totals_exactly_what_the_meter_counts() {
     );
     assert_eq!(timeline.busy_time(), meter.busy_time());
     assert_eq!(timeline.peak_power(), meter.peak_power());
-    assert_eq!(timeline.end(), device.now());
-    assert_eq!(
-        meter.busy_time(),
-        device.now().duration_since(SimInstant::ZERO)
-    );
+    assert_eq!(timeline.end(), now);
+    assert_eq!(meter.busy_time(), now.duration_since(SimInstant::ZERO));
 }
