@@ -13,13 +13,19 @@
 //! population, where the community component would be duplicated per
 //! user. There the §4 split is structure: one frozen [`CommunityCache`]
 //! (`Arc`-shared by every user and lane, probed through its one
-//! [`FrozenTable`] index) under a compact copy-on-write [`PersonalDelta`]
-//! per user. [`crate::population::PopulationLane`] composes the two:
-//! lookups go delta-then-community and clicks fold into the delta only.
-//! Under install-before-replay the split reproduces the flat cache's
-//! hit/miss sequence, scores and accessed bits bit for bit, in every
-//! mode (`tests/population_stream.rs`).
+//! [`FrozenTable`] index) under copy-on-write per-user deltas, which a
+//! lane keeps together in one flat [`DeltaArena`].
+//! [`crate::population::PopulationLane`] composes the two: lookups go
+//! delta-then-community and clicks fold into the delta only. Under
+//! install-before-replay the split reproduces the flat cache's hit/miss
+//! sequence, scores and accessed bits bit for bit, in every mode, for
+//! every user of a lane (`tests/population_stream.rs`).
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+use mobsim::Mix64Hasher;
 use serde::{Deserialize, Serialize};
 
 use crate::contentgen::CacheContents;
@@ -188,13 +194,13 @@ impl PocketCache {
 /// serving lane.
 ///
 /// Nothing writes a built community cache — clicks fold into each user's
-/// [`PersonalDelta`] instead, which is what makes one copy sufficient for
-/// a million users. A refresh builds a new one.
+/// delta in a [`DeltaArena`] instead, which is what makes one copy
+/// sufficient for a million users. A refresh builds a new one.
 ///
 /// # Example
 ///
 /// ```
-/// use cloudlet_core::cache::{CommunityCache, PersonalDelta};
+/// use cloudlet_core::cache::{CommunityCache, DeltaArena};
 /// use cloudlet_core::hashtable::{ConflictPolicy, QueryHashTable};
 /// use cloudlet_core::ranking::RankingPolicy;
 ///
@@ -205,9 +211,13 @@ impl PocketCache {
 ///
 /// // Alice's click folds into her delta only: the shared snapshot, and
 /// // so every other user's view, is unchanged.
-/// let mut alice = PersonalDelta::new();
-/// alice.record_click(community.policy(), Some(&community), 42, 2000);
-/// assert!(alice.lookup(42).unwrap().iter().any(|r| r.result_hash == 2000));
+/// let (alice, bob) = (1, 2);
+/// let mut deltas = DeltaArena::new();
+/// deltas.click(community.policy(), Some(&community), alice, 42, 2000);
+/// let mine = deltas.lookup(alice, 42).unwrap();
+/// assert!(mine.iter().any(|r| r.result_hash == 1000), "seeded from the community");
+/// assert!(mine.iter().any(|r| r.result_hash == 2000));
+/// assert!(deltas.lookup(bob, 42).is_none());
 /// assert!(!community.lookup(42).unwrap().iter().any(|r| r.result_hash == 2000));
 /// ```
 #[derive(Debug, Clone)]
@@ -236,6 +246,12 @@ impl CommunityCache {
         self.index.lookup(query_hash)
     }
 
+    /// Feeds every result the snapshot links to `query_hash` to `f`, in
+    /// chain order, without allocating.
+    pub(crate) fn each_result(&self, query_hash: u64, f: impl FnMut(ScoredResult)) {
+        self.index.each_result(query_hash, f);
+    }
+
     /// Whether the snapshot holds any result for `query_hash`.
     pub fn contains_query(&self, query_hash: u64) -> bool {
         self.index.contains_query(query_hash)
@@ -258,132 +274,188 @@ const DELTA_ENTRY_OVERHEAD_BYTES: usize = 16;
 /// 1-byte accessed flag.
 const DELTA_RESULT_BYTES: usize = 13;
 
-/// One query the user's personalization has touched, with the full
-/// result list as this user now sees it (seeded copy-on-write from the
-/// community snapshot on first click).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DeltaEntry {
-    query_hash: u64,
-    results: Vec<ScoredResult>,
+/// Where one delta entry's results live: `results[start..start + len]`
+/// of its [`DeltaArena`]. 32-bit offsets keep an index bucket at 24
+/// bytes; see [`offset`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
 }
 
-/// The compact per-user personalization component of the §4 two-part
-/// model.
+impl Span {
+    fn end(self) -> usize {
+        self.start as usize + self.len as usize
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end()
+    }
+}
+
+/// `n` as a span offset or length. Overflowing one would take 2^32
+/// results (64 GiB) on one lane; stop there rather than alias spans.
+fn offset(n: usize) -> u32 {
+    assert!(
+        n <= u32::MAX as usize,
+        "a lane's delta arena holds at most 2^32 results"
+    );
+    n as u32
+}
+
+/// The personalization component of the §4 two-part model for every
+/// user of one serving lane, in one flat arena.
 ///
-/// A delta holds only the queries this user has clicked on — for a
-/// typical user a few dozen entries — so a million users cost
+/// A user's delta holds only the queries they have clicked on — about
+/// three for a typical user of a simulated day — so a million users cost
 /// O(users · clicked-queries), independent of both the community
-/// snapshot size and the event count. First click on a query copies
-/// that query's community results into the delta (copy-on-write); the
-/// §5.3 re-ranking then runs entirely inside the delta, applying the
+/// snapshot size and the event count. One index keyed by
+/// `(user, query_hash)` and hashed with [`mobsim::Mix64Hasher`] maps
+/// each entry to a span of one lane-wide result array: no allocation
+/// per user or per entry, and one probe per click.
+///
+/// A first click on a query copies that query's community results into
+/// the arena (copy-on-write, walked in place from the frozen index);
+/// the §5.3 re-ranking then runs entirely inside the span, applying the
 /// exact score arithmetic [`PocketCache::record_click`] applies, which
 /// is what makes the split bit-compatible with the flattened cache.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PersonalDelta {
-    /// Entries sorted by `query_hash` for binary-search lookup.
-    entries: Vec<DeltaEntry>,
+#[derive(Debug, Clone, Default)]
+pub struct DeltaArena {
+    /// `(user, query_hash)` → the entry's span of `results`.
+    spans: HashMap<(u64, u64), Span, BuildHasherDefault<Mix64Hasher>>,
+    /// Every entry's results, back to back; a span grows only at the
+    /// tail, so an entry that gains a result moves there first.
+    results: Vec<ScoredResult>,
+    /// Slots of `results` that moved entries left behind.
+    dead: usize,
+    /// Accounted bytes: [`DELTA_ENTRY_OVERHEAD_BYTES`] per entry plus
+    /// [`DELTA_RESULT_BYTES`] per live result.
+    bytes: usize,
 }
 
-impl PersonalDelta {
-    /// An empty delta (a user who has never clicked).
+impl DeltaArena {
+    /// An empty arena (no user has clicked).
     pub fn new() -> Self {
-        PersonalDelta::default()
+        DeltaArena::default()
     }
 
-    /// Whether the delta shadows `query_hash`.
-    pub fn contains_query(&self, query_hash: u64) -> bool {
-        self.find(query_hash).is_ok()
-    }
-
-    /// `(query, result)` pairs resident in the delta.
-    pub fn pair_count(&self) -> usize {
-        self.entries.iter().map(|e| e.results.len()).sum()
-    }
-
-    /// Accounted resident bytes of this user's personalization state —
-    /// the per-user term of the population memory model.
+    /// Accounted resident bytes of every user's personalization state —
+    /// the per-user term of the population memory model, summed.
     pub fn footprint_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| DELTA_ENTRY_OVERHEAD_BYTES + e.results.len() * DELTA_RESULT_BYTES)
-            .sum()
+        self.bytes
     }
 
-    /// Ranked results for a query the delta shadows, in
+    /// The query of every delta entry, once per user holding it, in no
+    /// particular order.
+    pub fn queries(&self) -> impl Iterator<Item = u64> + '_ {
+        self.spans.keys().map(|&(_, query_hash)| query_hash)
+    }
+
+    /// `user`'s ranked results for a query their delta shadows, in
     /// [`ScoredResult::rank_order`] like every other lookup.
-    pub fn lookup(&self, query_hash: u64) -> Option<Vec<ScoredResult>> {
-        let idx = self.find(query_hash).ok()?;
-        let mut out = self.entries[idx].results.clone();
+    pub fn lookup(&self, user: u64, query_hash: u64) -> Option<Vec<ScoredResult>> {
+        let span = self.spans.get(&(user, query_hash))?;
+        let mut out = self.results[span.range()].to_vec();
         out.sort_by(ScoredResult::rank_order);
         Some(out)
     }
 
-    /// Folds one click into the delta, seeding the touched query from
-    /// `community` on first touch and then applying the §5.3 arithmetic:
-    /// clicked pair +1 (inserted at the max log score if absent),
-    /// siblings decay, accessed flag set.
+    /// Folds one click into `user`'s delta, seeding the touched query
+    /// from `community` on first touch and then applying the §5.3
+    /// arithmetic: clicked pair +1 (inserted at the max log score if
+    /// absent), siblings decay, accessed flag set.
     ///
-    /// Returns the accounted bytes the click added to
-    /// [`PersonalDelta::footprint_bytes`], so callers can keep a running
-    /// total without re-walking the delta.
-    pub fn record_click(
+    /// Returns whether the delta already shadowed the query before the
+    /// click — the personalized half of a hit.
+    pub fn click(
         &mut self,
         policy: &RankingPolicy,
         community: Option<&CommunityCache>,
+        user: u64,
         query_hash: u64,
         result_hash: u64,
-    ) -> usize {
-        let mut added = 0;
-        let idx = match self.find(query_hash) {
-            Ok(idx) => idx,
-            Err(insert_at) => {
+    ) -> bool {
+        let results = &mut self.results;
+        let (shadowed, span) = match self.spans.entry((user, query_hash)) {
+            Entry::Occupied(entry) => (true, entry.into_mut()),
+            Entry::Vacant(entry) => {
                 // Copy-on-write: this user's view of the query starts as
                 // the community's result list (empty if uncached there).
-                let results = community
-                    .and_then(|c| c.lookup(query_hash))
-                    .unwrap_or_default();
-                added += DELTA_ENTRY_OVERHEAD_BYTES + results.len() * DELTA_RESULT_BYTES;
-                self.entries.insert(
-                    insert_at,
-                    DeltaEntry {
-                        query_hash,
-                        results,
-                    },
-                );
-                insert_at
+                let start = results.len();
+                if let Some(community) = community {
+                    community.each_result(query_hash, |r| results.push(r));
+                }
+                let len = results.len() - start;
+                self.bytes += DELTA_ENTRY_OVERHEAD_BYTES + len * DELTA_RESULT_BYTES;
+                let span = Span {
+                    start: offset(start),
+                    len: offset(len),
+                };
+                (false, entry.insert(span))
             }
         };
-        let entry = &mut self.entries[idx];
-        if let Some(clicked) = entry
-            .results
-            .iter_mut()
-            .find(|r| r.result_hash == result_hash)
-        {
-            clicked.score = policy.clicked_update(clicked.score);
-            clicked.accessed = true;
-            let clicked_hash = result_hash;
-            for r in entry.results.iter_mut() {
-                if r.result_hash != clicked_hash {
+        let view = &mut results[span.range()];
+        if let Some(clicked) = view.iter().position(|r| r.result_hash == result_hash) {
+            for (i, r) in view.iter_mut().enumerate() {
+                if i == clicked {
+                    r.score = policy.clicked_update(r.score);
+                    r.accessed = true;
+                } else {
                     r.score = policy.sibling_update(r.score);
                 }
             }
-        } else {
-            for r in entry.results.iter_mut() {
-                r.score = policy.sibling_update(r.score);
-            }
-            entry.results.push(ScoredResult {
-                result_hash,
-                score: policy.miss_insert_score(),
-                accessed: true,
-            });
-            added += DELTA_RESULT_BYTES;
+            return shadowed;
         }
-        added
+        for r in view.iter_mut() {
+            r.score = policy.sibling_update(r.score);
+        }
+        if span.end() != results.len() {
+            // The entry gains a result but does not end at the tail:
+            // move it there, leaving its old slots dead.
+            let old = span.range();
+            span.start = offset(results.len());
+            results.extend_from_within(old);
+            self.dead += span.len as usize;
+        }
+        results.push(ScoredResult {
+            result_hash,
+            score: policy.miss_insert_score(),
+            accessed: true,
+        });
+        span.len = offset(span.len as usize + 1);
+        self.bytes += DELTA_RESULT_BYTES;
+        if self.dead > self.results.len() - self.dead {
+            self.compact();
+        }
+        shadowed
     }
 
-    fn find(&self, query_hash: u64) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by_key(&query_hash, |e| e.query_hash)
+    /// Packs every live span back to back, dropping the dead slots —
+    /// run once they outnumber the live ones, so moves never waste more
+    /// than the arena holds.
+    fn compact(&mut self) {
+        let mut packed = Vec::with_capacity(self.results.len() - self.dead);
+        for span in self.spans.values_mut() {
+            let start = offset(packed.len());
+            packed.extend_from_slice(&self.results[span.range()]);
+            span.start = start;
+        }
+        self.results = packed;
+        self.dead = 0;
+    }
+
+    /// Recomputes the accounted bytes from the spans, after checking
+    /// the layout: spans never overlap, live plus dead slots fill the
+    /// result array, and dead slots never outnumber live ones.
+    #[cfg(test)]
+    pub(crate) fn audited_bytes(&self) -> usize {
+        let mut spans: Vec<Span> = self.spans.values().copied().collect();
+        spans.sort_by_key(|s| s.start);
+        assert!(spans.windows(2).all(|w| w[0].end() <= w[1].start as usize));
+        let live: usize = spans.iter().map(|s| s.len as usize).sum();
+        assert_eq!(live + self.dead, self.results.len());
+        assert!(self.dead <= live, "{} dead slots, {live} live", self.dead);
+        spans.len() * DELTA_ENTRY_OVERHEAD_BYTES + live * DELTA_RESULT_BYTES
     }
 }
 
@@ -492,33 +564,37 @@ mod tests {
     fn deltas_are_per_user_and_community_is_untouched() {
         let community = community_with(&[(1, 10, 0.6), (1, 11, 0.4)]);
         let policy = *community.policy();
-        let mut alice = PersonalDelta::new();
+        let (alice, bob) = (1, 2);
+        let mut deltas = DeltaArena::new();
         for _ in 0..3 {
-            alice.record_click(&policy, Some(&community), 1, 11);
+            deltas.click(&policy, Some(&community), alice, 1, 11);
         }
-        // Alice's re-ranking lifted 11; Bob's empty delta falls through
-        // to the shared snapshot, which still has community order.
-        let bob = PersonalDelta::new();
-        assert_eq!(alice.lookup(1).unwrap()[0].result_hash, 11);
-        assert!(bob.lookup(1).is_none());
+        // Alice's re-ranking lifted 11; Bob has no delta and falls
+        // through to the shared snapshot, which still has community order.
+        assert_eq!(deltas.lookup(alice, 1).unwrap()[0].result_hash, 11);
+        assert!(deltas.lookup(bob, 1).is_none());
         assert_eq!(community.lookup(1).unwrap()[0].result_hash, 10);
         assert_eq!(community.pair_count(), 2);
-        // Only Alice pays for her personalization.
-        assert!(alice.footprint_bytes() > 0);
-        assert_eq!(bob.footprint_bytes(), 0);
+        // Only Alice pays for her personalization: one seeded entry.
+        assert_eq!(deltas.footprint_bytes(), 16 + 2 * 13);
+        assert_eq!(deltas.audited_bytes(), deltas.footprint_bytes());
     }
 
     #[test]
     fn copy_on_write_seeds_from_community_once() {
         let community = community_with(&[(1, 10, 0.6), (1, 11, 0.4)]);
         let policy = *community.policy();
-        let mut d = PersonalDelta::new();
-        assert_eq!(d.entries.len(), 0);
-        d.record_click(&policy, Some(&community), 1, 10);
-        assert_eq!(d.entries.len(), 1);
-        assert_eq!(d.pair_count(), 2, "seeded with both community results");
-        d.record_click(&policy, Some(&community), 1, 10);
-        assert_eq!(d.entries.len(), 1, "second click reuses the entry");
+        let mut d = DeltaArena::new();
+        assert!(d.spans.is_empty());
+        assert!(!d.click(&policy, Some(&community), 7, 1, 10), "first touch");
+        assert_eq!(d.spans.len(), 1);
+        assert_eq!(d.results.len(), 2, "seeded with both community results");
+        assert!(d.click(&policy, Some(&community), 7, 1, 10), "now shadowed");
+        assert_eq!(
+            (d.spans.len(), d.results.len()),
+            (1, 2),
+            "second click reuses the entry"
+        );
     }
 
     #[test]
@@ -534,35 +610,80 @@ mod tests {
         assert_eq!(lane.serve(&request).unwrap().kind, ServeKind::Miss);
         assert_eq!(lane.serve(&request).unwrap().kind, ServeKind::Hit);
         // Not seeded: the community's result 10 must be absent.
-        let results = lane.delta(7).and_then(|d| d.lookup(1)).unwrap();
+        let results = lane.lookup(7, 1).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].result_hash, 99);
     }
 
+    /// The accounted bytes one click adds to `d`.
+    fn grown_by(
+        d: &mut DeltaArena,
+        community: Option<&CommunityCache>,
+        (user, query_hash, result_hash): (u64, u64, u64),
+    ) -> usize {
+        let before = d.footprint_bytes();
+        d.click(
+            &RankingPolicy::default(),
+            community,
+            user,
+            query_hash,
+            result_hash,
+        );
+        assert_eq!(d.audited_bytes(), d.footprint_bytes());
+        d.footprint_bytes() - before
+    }
+
     #[test]
     fn delta_footprint_accounts_entries_and_results() {
-        let mut d = PersonalDelta::new();
+        let mut d = DeltaArena::new();
         assert_eq!(d.footprint_bytes(), 0);
-        let policy = RankingPolicy::default();
         // New entry, no community seed: overhead plus the clicked result.
-        assert_eq!(d.record_click(&policy, None, 1, 10), 16 + 13);
-        assert_eq!(d.footprint_bytes(), 16 + 13);
+        assert_eq!(grown_by(&mut d, None, (7, 1, 10)), 16 + 13);
         // A new result on a known entry: one result row.
-        assert_eq!(d.record_click(&policy, None, 1, 11), 13);
+        assert_eq!(grown_by(&mut d, None, (7, 1, 11)), 13);
         // A repeat click on a known pair adds nothing.
-        assert_eq!(d.record_click(&policy, None, 1, 11), 0);
-        assert_eq!(d.record_click(&policy, None, 2, 20), 16 + 13);
-        assert_eq!(d.footprint_bytes(), 2 * 16 + 3 * 13);
-        assert_eq!(d.entries.len(), 2);
-        assert_eq!(d.pair_count(), 3);
+        assert_eq!(grown_by(&mut d, None, (7, 1, 11)), 0);
+        assert_eq!(grown_by(&mut d, None, (7, 2, 20)), 16 + 13);
+        // The same query for another user is another entry.
+        assert_eq!(grown_by(&mut d, None, (8, 2, 20)), 16 + 13);
+        assert_eq!(d.footprint_bytes(), 3 * 16 + 4 * 13);
         // A new entry seeded with two community results, then a click on
         // a third result: 16 + 2·13 for the seeded entry, +13 appended.
         let community = community_with(&[(3, 30, 0.6), (3, 31, 0.4)]);
-        assert_eq!(
-            d.record_click(&policy, Some(&community), 3, 32),
-            16 + 3 * 13
-        );
-        assert_eq!(d.record_click(&policy, Some(&community), 4, 40), 16 + 13);
-        assert_eq!(d.footprint_bytes(), 4 * 16 + 7 * 13);
+        assert_eq!(grown_by(&mut d, Some(&community), (7, 3, 32)), 16 + 3 * 13);
+        assert_eq!(grown_by(&mut d, Some(&community), (7, 4, 40)), 16 + 13);
+        assert_eq!(d.footprint_bytes(), 5 * 16 + 8 * 13);
+    }
+
+    #[test]
+    fn entries_that_grow_off_the_tail_move_and_the_arena_compacts() {
+        // Two users' entries for one query, grown alternately: every
+        // growth finds the other entry at the tail, so every growth
+        // moves, until the dead slots outnumber the live ones.
+        let mut d = DeltaArena::new();
+        let mut flat = [full(), full()];
+        let script = [
+            (0, 10),
+            (1, 10),
+            (0, 11),
+            (1, 12),
+            (0, 13),
+            (1, 14),
+            (0, 15),
+        ];
+        let mut moved = false;
+        let mut compacted = false;
+        for (user, result_hash) in script {
+            let dead = d.dead;
+            grown_by(&mut d, None, (user, 1, result_hash));
+            flat[user as usize].record_click(1, result_hash);
+            moved |= d.dead > dead;
+            compacted |= dead > 0 && d.dead == 0;
+            for (u, cache) in flat.iter().enumerate() {
+                assert_eq!(d.lookup(u as u64, 1), cache.lookup(1), "user {u}");
+            }
+        }
+        assert!(moved && compacted, "both the move and the compaction ran");
+        assert_eq!(d.results.len(), 7, "compaction left only live slots");
     }
 }

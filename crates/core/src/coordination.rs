@@ -228,14 +228,6 @@ impl CoordinatedEviction {
         self.groups.entry(key).or_default().insert((cloudlet, item));
     }
 
-    /// Members currently linked under `key`.
-    pub fn group(&self, key: u64) -> Vec<(CloudletId, u64)> {
-        self.groups
-            .get(&key)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     // api-ok: §7 coordinated eviction; tests/multi_cloudlet.rs evicts
     // the search and ad entries of one query together through it.
     /// Evicts the whole group, returning every `(cloudlet, item)` that
@@ -398,11 +390,9 @@ mod tests {
         ev.link(42, SEARCH, 1);
         ev.link(42, ADS, 2);
         ev.link(43, SEARCH, 3);
-        let evicted = ev.evict(42);
-        assert_eq!(evicted.len(), 2);
-        assert!(ev.group(42).is_empty());
-        assert_eq!(ev.group(43).len(), 1);
+        assert_eq!(ev.evict(42), vec![(SEARCH, 1), (ADS, 2)]);
         assert!(ev.evict(42).is_empty(), "double eviction is a no-op");
+        assert_eq!(ev.evict(43), vec![(SEARCH, 3)], "other groups stay");
     }
 
     #[test]
@@ -410,7 +400,7 @@ mod tests {
         let mut ev = CoordinatedEviction::new();
         ev.link(1, SEARCH, 7);
         ev.link(1, SEARCH, 7);
-        assert_eq!(ev.group(1).len(), 1);
+        assert_eq!(ev.evict(1), vec![(SEARCH, 7)]);
     }
 
     #[test]

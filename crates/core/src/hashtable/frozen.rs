@@ -201,7 +201,7 @@ impl FrozenTable {
     }
 
     /// Feeds every result linked to `query_hash` to `f`, in chain order.
-    fn each_result(&self, query_hash: u64, mut f: impl FnMut(ScoredResult)) {
+    pub(crate) fn each_result(&self, query_hash: u64, mut f: impl FnMut(ScoredResult)) {
         let mut salt = 0u32;
         while let Some((last, bucket)) = self.find(query_hash, salt) {
             for i in 0..SLOTS_PER_ENTRY {

@@ -44,7 +44,7 @@
 //!   coalescing, and a shared-lock read path for hits.
 //! * [`population`] — population-scale serving, the one runtime form of
 //!   the §4 two-part split: one frozen [`cache::CommunityCache`]
-//!   snapshot plus per-user [`cache::PersonalDelta`]s behind a
+//!   snapshot plus every user's delta in one [`cache::DeltaArena`] per
 //!   [`CloudletService`] lane, with O(users) resident-memory accounting.
 //! * [`corpus`] — the small trait that ties hashes and record sizes back
 //!   to a concrete corpus (implemented for `querylog::Universe`).
@@ -96,7 +96,7 @@ pub mod service;
 pub mod update;
 
 pub use arbiter::{AdaptiveArbiter, ArbiterConfig, BudgetDecision, DemandContext};
-pub use cache::{CacheMode, CommunityCache, PersonalDelta, PocketCache};
+pub use cache::{CacheMode, CommunityCache, DeltaArena, PocketCache};
 pub use contentgen::{AdmissionPolicy, CacheContents, CachePair};
 pub use coordination::{CloudletBudgets, CloudletId, CoordinatedEviction};
 pub use corpus::{CorpusView, UniverseCorpus};

@@ -25,8 +25,9 @@
 //!
 //! The DRAM serve index takes no lock at all:
 //! the search fleet's lanes and the
-//! [`crate::cache::CommunityCache`] probes of `PopulationLane` and
-//! `PersonalDelta` all read a [`crate::hashtable::frozen::FrozenTable`]
+//! [`crate::cache::CommunityCache`] probes and first-click seeds of
+//! `PopulationLane`'s `DeltaArena` all read a
+//! [`crate::hashtable::frozen::FrozenTable`]
 //! — an immutable image shared by `Arc`. Nothing writes a built index
 //! (a §5.4 refresh builds a new one), so there is nothing to order. The
 //! front-end lane lock is still taken (shared, [`FRONT_LANE`]) to pin

@@ -6,17 +6,23 @@
 //! every user on the lane shares one `Arc`'d [`CommunityCache`] snapshot
 //! with its one serve index (and one [`PairTable`] mapping request keys
 //! back to query/result hashes), while each user's clicks fold into
-//! their own compact [`PersonalDelta`], created lazily on first click.
-//! Resident memory is therefore
+//! their own delta entries, created lazily on first click. Every user
+//! of the lane keeps those entries in the lane's one [`DeltaArena`]: an
+//! index keyed by `(user, query_hash)` over one flat result array, with
+//! no allocation per user or per entry. Resident memory is therefore
 //!
 //! ```text
-//! community (once) + pair table (once) + Σ_users delta(user)
+//! community (once) + pair table (once; its query index once, if peers)
+//!   + Σ_lanes (25 B · index buckets + 16 B · results)
 //! ```
 //!
-//! — O(users), with no per-event term: events stream through
-//! (`querylog::stream::EventStream`) and are dropped once served. The
-//! `ablations --study population` harness asserts this accounting while
-//! replaying a simulated day for a million users.
+//! where a lane's index buckets are the power of two that keeps its
+//! entries at ≤ 7/8 load — O(users), with no per-event term: events
+//! stream through (`querylog::stream::EventStream`) and are dropped once
+//! served. The model accounts `16 B · entries + 13 B · results` per lane
+//! ([`CloudletService::cache_bytes`]), and the `ablations --study
+//! population` harness asserts that accounting while replaying a
+//! simulated day for a million users.
 //!
 //! Lanes are meant to be driven by the front-end with
 //! [`crate::frontend::RouteBy::User`], so each user's delta exists on
@@ -24,12 +30,12 @@
 //! every lane their keys hash to and multiply delta memory by the lane
 //! count.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mobsim::time::SimDuration;
 
-use crate::cache::{CacheMode, CommunityCache, PersonalDelta};
+use crate::cache::{CacheMode, CommunityCache, DeltaArena};
+use crate::hashtable::ScoredResult;
 use crate::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 
 /// Accounting bytes per pair-table row: two 64-bit hashes.
@@ -41,15 +47,21 @@ const PAIR_ROW_BYTES: usize = 16;
 /// `querylog` universe's `PairId`); one shared table resolves it to the
 /// hash pair the caches speak. Like the community snapshot it is built
 /// once, frozen, and `Arc`-shared by every lane.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct PairTable {
     pairs: Vec<(u64, u64)>,
+    /// `(query_hash, key)` for every row, sorted: the query → keys
+    /// direction, built on the first peer-summary refresh that needs it.
+    by_query: OnceLock<Vec<(u64, u64)>>,
 }
 
 impl PairTable {
     /// A table whose row `i` resolves key `i`.
     pub fn new(pairs: Vec<(u64, u64)>) -> Self {
-        PairTable { pairs }
+        PairTable {
+            pairs,
+            by_query: OnceLock::new(),
+        }
     }
 
     /// Resolves a request key to its `(query_hash, result_hash)`.
@@ -57,6 +69,23 @@ impl PairTable {
         usize::try_from(key)
             .ok()
             .and_then(|i| self.pairs.get(i).copied())
+    }
+
+    /// Every key that resolves to `query_hash`, ascending.
+    fn keys_of(&self, query_hash: u64) -> impl Iterator<Item = u64> + '_ {
+        let index = self.by_query.get_or_init(|| {
+            let mut index: Vec<(u64, u64)> = (0u64..)
+                .zip(&self.pairs)
+                .map(|(key, &(query_hash, _))| (query_hash, key))
+                .collect();
+            index.sort_unstable();
+            index
+        });
+        let from = index.partition_point(|&(q, _)| q < query_hash);
+        index[from..]
+            .iter()
+            .take_while(move |&&(q, _)| q == query_hash)
+            .map(|&(_, key)| key)
     }
 
     /// Number of resolvable keys.
@@ -120,8 +149,7 @@ pub struct PopulationLane {
     config: PopulationConfig,
     community: Arc<CommunityCache>,
     pairs: Arc<PairTable>,
-    deltas: HashMap<u64, PersonalDelta>,
-    delta_bytes: usize,
+    deltas: DeltaArena,
 }
 
 impl PopulationLane {
@@ -135,8 +163,7 @@ impl PopulationLane {
             config,
             community,
             pairs,
-            deltas: HashMap::new(),
-            delta_bytes: 0,
+            deltas: DeltaArena::new(),
         }
     }
 
@@ -150,22 +177,12 @@ impl PopulationLane {
         &self.community
     }
 
-    /// `user`'s personalization delta, if they have clicked on this lane.
-    pub fn delta(&self, user: u64) -> Option<&PersonalDelta> {
-        self.deltas.get(&user)
-    }
-
-    /// Whether `user`'s view of the pair's query would hit right now.
-    fn is_hit(&self, user: u64, query_hash: u64) -> bool {
-        if self.config.mode.personalization_enabled()
-            && self
-                .deltas
-                .get(&user)
-                .is_some_and(|d| d.contains_query(query_hash))
-        {
-            return true;
-        }
-        self.config.mode.community_enabled() && self.community.contains_query(query_hash)
+    // api-ok: tests/population_stream.rs checks every user's view of
+    // the §4 split against a flat PocketCache through it.
+    /// `user`'s ranked results for `query_hash` if their delta on this
+    /// lane shadows it, in [`ScoredResult::rank_order`].
+    pub fn lookup(&self, user: u64, query_hash: u64) -> Option<Vec<ScoredResult>> {
+        self.deltas.lookup(user, query_hash)
     }
 }
 
@@ -183,26 +200,23 @@ impl CloudletService for PopulationLane {
             .pairs
             .get(key)
             .ok_or(CloudletError::UnknownKey { key })?;
-        let outcome = if self.is_hit(user, query_hash) {
-            ServeOutcome::hit().with_service(self.config.hit_service)
-        } else {
-            ServeOutcome::miss(self.config.miss_radio_bytes).with_service(self.config.miss_service)
-        };
-        if self.config.mode.personalization_enabled() {
-            let policy = *self.community.policy();
-            let community = self
-                .config
-                .mode
-                .community_enabled()
-                .then_some(self.community.as_ref());
-            self.delta_bytes += self.deltas.entry(user).or_default().record_click(
-                &policy,
-                community,
+        let mode = self.config.mode;
+        // The delta answers first; folding the click in probes it once.
+        let shadowed = mode.personalization_enabled()
+            && self.deltas.click(
+                self.community.policy(),
+                mode.community_enabled().then_some(self.community.as_ref()),
+                user,
                 query_hash,
                 result_hash,
             );
-        }
-        Ok(outcome)
+        let hit =
+            shadowed || (mode.community_enabled() && self.community.contains_query(query_hash));
+        Ok(if hit {
+            ServeOutcome::hit().with_service(self.config.hit_service)
+        } else {
+            ServeOutcome::miss(self.config.miss_radio_bytes).with_service(self.config.miss_service)
+        })
     }
 
     /// Shared-access community fast path: in community-only mode a
@@ -223,35 +237,31 @@ impl CloudletService for PopulationLane {
     }
 
     /// What this device can offer the cooperative peer tier: keys its
-    /// personalization deltas answer *beyond* the community snapshot.
-    /// Community-held keys are deliberately excluded — every lane
-    /// shares the same `Arc`'d snapshot, so a cellmate's local miss can
-    /// never be a community key; advertising them would only load the
-    /// Bloom summary. A full-table scan, meant for epoch-grained
-    /// summary refreshes, not per-request calls.
+    /// personalization deltas answer *beyond* the community snapshot,
+    /// ascending. Community-held keys are deliberately excluded — every
+    /// lane shares the same `Arc`'d snapshot, so a cellmate's local miss
+    /// can never be a community key; advertising them would only load
+    /// the Bloom summary. Walks the lane's distinct delta queries and
+    /// maps each to its keys through the pair table's query index.
     fn summary_keys(&self) -> Vec<u64> {
-        if !self.config.mode.personalization_enabled() || self.deltas.is_empty() {
-            return Vec::new();
-        }
+        let mut queries: Vec<u64> = self.deltas.queries().collect();
+        queries.sort_unstable();
+        queries.dedup();
         let community_on = self.config.mode.community_enabled();
-        (0..self.pairs.len() as u64)
-            .filter(|&key| {
-                let Some((query_hash, _)) = self.pairs.get(key) else {
-                    return false;
-                };
-                if community_on && self.community.contains_query(query_hash) {
-                    return false;
-                }
-                self.deltas.values().any(|d| d.contains_query(query_hash))
-            })
-            .collect()
+        let mut keys: Vec<u64> = queries
+            .into_iter()
+            .filter(|&q| !(community_on && self.community.contains_query(q)))
+            .flat_map(|q| self.pairs.keys_of(q))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Per-user resident bytes only: the community snapshot and pair
     /// table are shared across lanes and accounted once by the study,
     /// not per lane.
     fn cache_bytes(&self) -> u64 {
-        self.delta_bytes as u64
+        self.deltas.footprint_bytes() as u64
     }
 }
 
@@ -313,31 +323,65 @@ mod tests {
             let user = i % 4;
             lane.serve(&at(user, i % 3)).unwrap();
         }
-        assert_eq!(lane.deltas.len(), 4);
-        let bytes: Vec<usize> = lane
-            .deltas
-            .values()
-            .map(PersonalDelta::footprint_bytes)
-            .collect();
-        assert_eq!(bytes.iter().sum::<usize>() as u64, lane.cache_bytes());
-        assert!(bytes.iter().all(|&b| b > 0));
-        // Each delta holds at most the three pairs served, never query 300...
-        assert!(lane
-            .deltas
-            .values()
-            .all(|d| d.pair_count() <= 3 && !d.contains_query(300)));
-        // ...and a further 100 serves of the same pairs grow nothing.
-        let total_pairs = |lane: &PopulationLane| {
-            lane.deltas
-                .values()
-                .map(PersonalDelta::pair_count)
-                .sum::<usize>()
-        };
-        let before = (total_pairs(&lane), lane.cache_bytes());
+        // Each user holds queries 100 (results 10, 11) and 200 (20),
+        // never query 300: 8 entries and 12 results in all.
+        for user in 0..4 {
+            assert_eq!(lane.lookup(user, 100).map(|r| r.len()), Some(2));
+            assert_eq!(lane.lookup(user, 200).map(|r| r.len()), Some(1));
+            assert!(lane.lookup(user, 300).is_none());
+        }
+        assert!(lane.lookup(4, 100).is_none());
+        let bytes = 8 * 16 + 12 * 13;
+        assert_eq!(lane.cache_bytes(), bytes);
+        assert_eq!(lane.deltas.audited_bytes() as u64, bytes);
+        // A further 100 serves of the same pairs grow nothing.
         for i in 0..100u64 {
             lane.serve(&at(i % 4, i % 3)).unwrap();
         }
-        assert_eq!((total_pairs(&lane), lane.cache_bytes()), before);
+        assert_eq!(lane.cache_bytes(), bytes);
+        assert_eq!(lane.deltas.audited_bytes() as u64, bytes);
+    }
+
+    #[test]
+    fn growth_after_another_entry_moves_and_stays_accounted() {
+        let (community, _) = world();
+        let pairs = PairTable::new(vec![(100, 10), (300, 30), (200, 20), (100, 12)]);
+        let mut lane = PopulationLane::new(
+            PopulationConfig::default(),
+            Arc::clone(&community),
+            pairs.into_shared(),
+        );
+        // User 1's query-100 entry is seeded first; two more entries
+        // are appended behind it before it gains result 12, so it must
+        // move to the arena's tail.
+        for (user, key) in [(1, 0), (1, 1), (2, 2), (1, 3), (2, 0), (1, 3)] {
+            lane.serve(&at(user, key)).unwrap();
+            assert_eq!(lane.cache_bytes(), lane.deltas.audited_bytes() as u64);
+        }
+        // User 1: query 100 (10, 11, 12) and 300 (30); user 2: 200 (20)
+        // and 100 (10, 11).
+        assert_eq!(lane.cache_bytes(), 4 * 16 + 7 * 13);
+        let view = lane.lookup(1, 100).unwrap();
+        let order: Vec<(u64, bool)> = view.iter().map(|r| (r.result_hash, r.accessed)).collect();
+        assert_eq!(order, vec![(12, true), (10, true), (11, false)]);
+        assert_eq!(lane.lookup(2, 100).unwrap().len(), 2);
+        assert_eq!(lane.lookup(2, 200).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn summary_keys_are_every_key_of_the_deltas_non_community_queries() {
+        let (community, _) = world();
+        // Keys 1 and 4 share query 300, which the community lacks.
+        let pairs = PairTable::new(vec![(100, 10), (300, 30), (200, 20), (400, 40), (300, 31)]);
+        let mut lane =
+            PopulationLane::new(PopulationConfig::default(), community, pairs.into_shared());
+        assert!(lane.summary_keys().is_empty());
+        // Two users click query 300 and one clicks community query 100;
+        // query 400 is never clicked.
+        for (user, key) in [(1, 4), (2, 1), (1, 0)] {
+            lane.serve(&at(user, key)).unwrap();
+        }
+        assert_eq!(lane.summary_keys(), vec![1, 4]);
     }
 
     #[test]
@@ -351,8 +395,9 @@ mod tests {
         for key in [0u64, 3, 3, 3] {
             lane.serve(&at(1, key)).unwrap();
         }
-        assert!(lane.deltas.is_empty());
+        assert_eq!(lane.deltas.audited_bytes(), 0);
         assert_eq!(lane.cache_bytes(), 0);
+        assert!(lane.summary_keys().is_empty());
         // Query 300 never starts hitting: no personalization.
         assert_eq!(lane.serve(&at(1, 3)).unwrap().kind, ServeKind::Miss);
     }

@@ -2,11 +2,12 @@
 
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 use bytes::{Buf, BufMut, BytesMut};
 use mobsim::flash::{FileId, FlashError, FlashStore};
 use mobsim::time::SimDuration;
+use mobsim::Mix64Hasher;
 use serde::{Deserialize, Serialize};
 
 use crate::record::{DecodeError, RecordView, ResultRecord};
@@ -163,33 +164,12 @@ pub struct DbStats {
     pub dead_bytes: u64,
 }
 
-/// Hashes a record-hash key with one [`mobsim::mix64`] round. The keys
-/// are result hashes that reach the database only from its own build and
-/// from the update server, which already chooses every record's
-/// content, so SipHash's resistance to crafted colliding keys guards
-/// against no one on a path probed twice per search hit.
-#[derive(Debug, Clone, Copy, Default)]
-struct Mix64Hasher(u64);
-
-impl Hasher for Mix64Hasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = mobsim::mix64(self.0 ^ key);
-    }
-}
-
-/// A file's live entries: hash → (offset, encoded length). Its
-/// iteration order is arbitrary, so every pass that writes or returns
-/// entries in order sorts them first.
+/// A file's live entries: hash → (offset, encoded length). The keys
+/// are result hashes that reach the database only from its own build
+/// and from the update server, so [`Mix64Hasher`] replaces SipHash on a
+/// path probed twice per search hit. Its iteration order is arbitrary,
+/// so every pass that writes or returns entries in order sorts them
+/// first.
 type FileIndex = HashMap<u64, (u32, u32), BuildHasherDefault<Mix64Hasher>>;
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]

@@ -53,11 +53,40 @@ pub use time::{SimDuration, SimInstant};
 pub use timeline::{PowerSegment, PowerTimeline};
 
 /// The SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation,
-/// behind [`flash`]'s stuck-bit draws and the peer tier's Bloom-summary
-/// key hashes.
+/// behind [`flash`]'s stuck-bit draws, the peer tier's Bloom-summary
+/// key hashes and [`Mix64Hasher`].
 pub const fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// A [`std::hash::Hasher`] that folds each `u64` word through one
+/// [`mix64`] round, for `HashMap`s keyed by hashes and ids the simulator
+/// itself chooses (flash record hashes, `(user, query)` delta keys).
+/// SipHash's resistance to crafted colliding keys guards against no one
+/// there, and costs a serve-path probe several times a `mix64`. Use it
+/// as `BuildHasherDefault<Mix64Hasher>`. Its methods are `#[inline]`
+/// so that probes from other crates fold the rounds into the caller.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mix64Hasher(u64);
+
+impl std::hash::Hasher for Mix64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(self.0 ^ key);
+    }
 }

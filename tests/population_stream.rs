@@ -113,7 +113,7 @@ proptest! {
     }
 }
 
-/// The one user every split-equivalence script runs as.
+/// The one user the single-user split-equivalence script runs as.
 const USER: u64 = 7;
 
 /// `user`'s ranked view through the production split, gated as
@@ -124,13 +124,86 @@ fn split_view(lane: &PopulationLane, user: u64, q: u64) -> Option<Vec<ScoredResu
     let mode = lane.config().mode;
     let personal = mode
         .personalization_enabled()
-        .then(|| lane.delta(user).and_then(|d| d.lookup(q)))
+        .then(|| lane.lookup(user, q))
         .flatten();
     personal.or_else(|| {
         mode.community_enabled()
             .then(|| lane.community().lookup(q))
             .flatten()
     })
+}
+
+/// Replays `script` — `(user, query, result)` clicked events — through
+/// one `PopulationLane` over a frozen community built from `installs`,
+/// and through one flat `PocketCache` per user, in every cache mode.
+/// Each event must hit or miss alike, and every user's ranked view of
+/// the event's query must match their own flat cache before and after
+/// the click.
+fn check_split_against_flat(installs: &[(u64, u64, f32)], script: &[(u64, u64, u64)]) {
+    let policy = RankingPolicy::default();
+    let mut table = QueryHashTable::new();
+    for &(q, r, score) in installs {
+        table.upsert(q, r, score, ConflictPolicy::Max);
+    }
+    let community = Arc::new(CommunityCache::new(&table, policy));
+    // Request key `i` resolves to the script's `i`-th clicked pair.
+    let pairs = Arc::new(PairTable::new(
+        script.iter().map(|&(_, q, r)| (q, r)).collect(),
+    ));
+    let mut users: Vec<u64> = script.iter().map(|&(user, _, _)| user).collect();
+    users.sort_unstable();
+    users.dedup();
+    for mode in CacheMode::ALL {
+        // One flat cache per user, parallel to `users`.
+        let mut flats: Vec<PocketCache> = users
+            .iter()
+            .map(|_| {
+                let mut flat = PocketCache::new(mode, policy);
+                for &(q, r, score) in installs {
+                    flat.install_pair(q, r, score);
+                }
+                flat
+            })
+            .collect();
+        let config = PopulationConfig {
+            mode,
+            ..PopulationConfig::default()
+        };
+        let mut lane = PopulationLane::new(config, Arc::clone(&community), Arc::clone(&pairs));
+        for (step, &(user, q, r)) in script.iter().enumerate() {
+            for (&other, flat) in users.iter().zip(&flats) {
+                prop_assert_eq!(
+                    split_view(&lane, other, q),
+                    flat.lookup(q),
+                    "user {}'s view diverged before click {} ({:?})",
+                    other,
+                    step,
+                    mode
+                );
+            }
+            let request = ServeRequest::for_user(user, step as u64, SimInstant::ZERO);
+            let hit = lane.serve(&request).map(|o| o.kind == ServeKind::Hit);
+            let flat = &mut flats[users.partition_point(|&u| u < user)];
+            prop_assert_eq!(
+                hit,
+                Ok(flat.lookup(q).is_some()),
+                "hit/miss diverged at event {} ({:?})",
+                step,
+                mode
+            );
+            flat.record_click(q, r);
+            for (&other, flat) in users.iter().zip(&flats) {
+                prop_assert_eq!(
+                    split_view(&lane, other, q),
+                    flat.lookup(q),
+                    "user {}'s view diverged after click {} ({:?})",
+                    other,
+                    step,
+                    mode
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -147,40 +220,26 @@ proptest! {
         installs in proptest::collection::vec((0u64..16, 100u64..112, 0.0f32..1.0), 0..24),
         script in proptest::collection::vec((0u64..16, 100u64..112), 1..60),
     ) {
-        let policy = RankingPolicy::default();
-        let mut table = QueryHashTable::new();
-        for &(q, r, score) in &installs {
-            table.upsert(q, r, score, ConflictPolicy::Max);
-        }
-        let community = Arc::new(CommunityCache::new(&table, policy));
-        // Request key `i` resolves to the script's `i`-th clicked pair.
-        let pairs = Arc::new(PairTable::new(script.clone()));
-        for mode in CacheMode::ALL {
-            let mut flat = PocketCache::new(mode, policy);
-            for &(q, r, score) in &installs {
-                flat.install_pair(q, r, score);
-            }
-            let config = PopulationConfig { mode, ..PopulationConfig::default() };
-            let mut lane = PopulationLane::new(config, Arc::clone(&community), Arc::clone(&pairs));
-            for (step, &(q, r)) in script.iter().enumerate() {
-                let expected = flat.lookup(q);
-                prop_assert_eq!(
-                    &split_view(&lane, USER, q), &expected,
-                    "view diverged before click {} ({:?})", step, mode
-                );
-                let request = ServeRequest::for_user(USER, step as u64, SimInstant::ZERO);
-                let served = lane.serve(&request).expect("every script key resolves");
-                prop_assert_eq!(
-                    served.kind == ServeKind::Hit, expected.is_some(),
-                    "hit/miss diverged at event {} ({:?})", step, mode
-                );
-                flat.record_click(q, r);
-                prop_assert_eq!(
-                    split_view(&lane, USER, q), flat.lookup(q),
-                    "view diverged after click {} ({:?})", step, mode
-                );
-            }
-        }
+        let script: Vec<(u64, u64, u64)> = script.into_iter().map(|(q, r)| (USER, q, r)).collect();
+        check_split_against_flat(&installs, &script);
+    }
+
+    /// The lane's one arena keys entries by `(user, query)`: with 1–4
+    /// users interleaving clicks on overlapping queries, every user's
+    /// view stays their own flat `PocketCache`'s, whatever the others
+    /// click and however their entries move in the arena.
+    #[test]
+    fn interleaved_users_keep_their_own_views(
+        installs in proptest::collection::vec((0u64..8, 100u64..108, 0.0f32..1.0), 0..16),
+        n_users in 1u64..5,
+        script in proptest::collection::vec((0u64..4, 0u64..8, 100u64..108), 1..80),
+    ) {
+        // Users far apart in id space, as a user-routed lane sees them.
+        let script: Vec<(u64, u64, u64)> = script
+            .into_iter()
+            .map(|(u, q, r)| ((u % n_users) * 1_000_003 + 7, q, r))
+            .collect();
+        check_split_against_flat(&installs, &script);
     }
 }
 
