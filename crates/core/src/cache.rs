@@ -156,10 +156,9 @@ impl PocketCache {
         if !self.mode.personalization_enabled() {
             return;
         }
-        let known = self
-            .table
-            .lookup(query_hash)
-            .is_some_and(|rs| rs.iter().any(|r| r.result_hash == result_hash));
+        let mut known = false;
+        self.table
+            .each_result(query_hash, |r| known |= r.result_hash == result_hash);
         if known {
             let policy = self.policy;
             self.table.update_scores(query_hash, |rh, score, _| {

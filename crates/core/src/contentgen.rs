@@ -9,13 +9,19 @@
 //! its volume normalized across all results clicked for the same query.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
+use mobsim::Mix64Hasher;
 use querylog::ids::{QueryId, ResultId};
 use querylog::triplets::TripletTable;
 use serde::{Deserialize, Serialize};
 
 use crate::corpus::CorpusView;
 use crate::hashtable::QueryHashTable;
+
+/// A map keyed by log-pipeline ids, which the generator assigns itself:
+/// [`Mix64Hasher`] in place of SipHash.
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<Mix64Hasher>>;
 
 /// When to stop admitting pairs from the top of the triplet table.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,15 +88,15 @@ impl CacheContents {
         corpus: &impl CorpusView,
         policy: AdmissionPolicy,
     ) -> Self {
-        let mut per_query_volume: HashMap<QueryId, u64> = HashMap::new();
+        let mut per_query_volume: IdMap<QueryId, u64> = IdMap::default();
         for t in table.iter() {
             *per_query_volume.entry(t.query).or_insert(0) += t.volume;
         }
 
         let total_volume = table.total_volume();
         let mut pairs = Vec::new();
-        let mut results_per_query: HashMap<QueryId, usize> = HashMap::new();
-        let mut seen_results: HashMap<ResultId, ()> = HashMap::new();
+        let mut results_per_query: IdMap<QueryId, usize> = IdMap::default();
+        let mut seen_results: IdMap<ResultId, ()> = IdMap::default();
         let mut entries = 0usize;
         let mut flash_bytes = 0usize;
         let mut acc_volume = 0u64;

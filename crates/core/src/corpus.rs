@@ -55,8 +55,7 @@ impl CorpusView for UniverseCorpus<'_> {
     }
 
     fn record_size(&self, result: ResultId) -> usize {
-        let (title, display, snippet) = self.universe.record_text(result);
-        title.len() + display.len() + snippet.len() + RECORD_OVERHEAD_BYTES
+        self.universe.record_len(result) + RECORD_OVERHEAD_BYTES
     }
 }
 

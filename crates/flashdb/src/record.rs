@@ -195,6 +195,12 @@ impl<'a> RecordView<'a> {
         Reader { bytes, pos: 0 }.view()
     }
 
+    /// Bytes of the record's encoding: what [`decode`](Self::decode)
+    /// consumed, and what [`ResultRecord::encode`] writes for it.
+    pub fn encoded_len(&self) -> usize {
+        encoded_len(self.title, self.display_url, self.snippet)
+    }
+
     /// An owned copy of the record.
     pub fn to_owned(&self) -> ResultRecord {
         ResultRecord {
@@ -204,6 +210,12 @@ impl<'a> RecordView<'a> {
             snippet: self.snippet.to_owned(),
         }
     }
+}
+
+/// The encoded size of a record with these fields: an 8-byte hash,
+/// three 16-bit length-prefixed fields, and a trailing CRC-32.
+fn encoded_len(title: &str, display_url: &str, snippet: &str) -> usize {
+    8 + 2 + title.len() + 2 + display_url.len() + 2 + snippet.len() + 4
 }
 
 /// A cursor over one contiguous record encoding. `pos` counts the bytes
@@ -292,7 +304,7 @@ impl ResultRecord {
     /// Encoded size in bytes: an 8-byte hash, three length-prefixed
     /// fields, and a trailing CRC-32.
     pub fn encoded_len(&self) -> usize {
-        8 + 2 + self.title.len() + 2 + self.display_url.len() + 2 + self.snippet.len() + 4
+        encoded_len(&self.title, &self.display_url, &self.snippet)
     }
 
     /// Encodes the record. The trailing CRC-32 covers every preceding

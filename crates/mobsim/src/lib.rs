@@ -62,13 +62,18 @@ pub const fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A [`std::hash::Hasher`] that folds each `u64` word through one
-/// [`mix64`] round, for `HashMap`s keyed by hashes and ids the simulator
-/// itself chooses (flash record hashes, `(user, query)` delta keys).
-/// SipHash's resistance to crafted colliding keys guards against no one
-/// there, and costs a serve-path probe several times a `mix64`. Use it
-/// as `BuildHasherDefault<Mix64Hasher>`. Its methods are `#[inline]`
-/// so that probes from other crates fold the rounds into the caller.
+/// A [`std::hash::Hasher`] that folds each `u64` or `u32` word through
+/// one [`mix64`] round, for `HashMap`s keyed by hashes and ids the
+/// simulator itself chooses: flash record hashes (`flashdb`'s file
+/// index), `(user, query)` delta keys (`cloudlet_core::cache`), the
+/// query hash table's `(query, salt)` entries, the update server's
+/// fresh `(query, result)` set, and content generation's per-query and
+/// per-result maps. SipHash's resistance to crafted colliding keys
+/// guards against no one there, and costs a serve-path probe several
+/// times a `mix64`. Use it as `BuildHasherDefault<Mix64Hasher>`. Its
+/// methods are `#[inline]` so that probes from other crates fold the
+/// rounds into the caller. (`querylog`, which does not depend on this
+/// crate, keeps its own copy for triplet mining.)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mix64Hasher(u64);
 
@@ -86,7 +91,26 @@ impl std::hash::Hasher for Mix64Hasher {
     }
 
     #[inline]
+    fn write_u32(&mut self, key: u32) {
+        self.write_u64(u64::from(key));
+    }
+
+    #[inline]
     fn write_u64(&mut self, key: u64) {
         self.0 = mix64(self.0 ^ key);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::{BuildHasher, BuildHasherDefault};
+
+    #[test]
+    fn a_u32_word_costs_one_round() {
+        let build = BuildHasherDefault::<Mix64Hasher>::default();
+        let (a, b) = (0x0123_4567_89ab_cdef_u64, 0xfeed_beef_u32);
+        assert_eq!(build.hash_one((a, b)), mix64(mix64(a) ^ u64::from(b)));
+        assert_eq!(build.hash_one(a), mix64(a));
     }
 }

@@ -58,12 +58,42 @@ pub const DIURNAL_HOUR_WEIGHTS: [u64; 24] = [
 ];
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation used to
-/// derive independent RNG seeds from structured coordinates.
+/// derive independent RNG seeds from structured coordinates and behind
+/// [`Mix64Hasher`].
+#[inline]
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// A [`std::hash::Hasher`] that folds each `u64` word through one
+/// [`mix64`] round: a copy of `mobsim::Mix64Hasher` (this crate does not
+/// depend on `mobsim`) for maps keyed by ids the generator itself
+/// assigns, where SipHash's defence against crafted keys guards against
+/// no one. [`crate::triplets::TripletTable::from_log`] counts a log
+/// window's `(query, result)` pairs through it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Mix64Hasher(u64);
+
+impl std::hash::Hasher for Mix64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(self.0 ^ key);
+    }
 }
 
 /// The RNG seed a user's profile derives from: a function of the

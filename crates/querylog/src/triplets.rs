@@ -8,11 +8,13 @@
 //! clicked for that query.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{QueryId, ResultId};
 use crate::log::SearchLog;
+use crate::stream::Mix64Hasher;
 
 /// One row of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,26 +52,30 @@ pub struct TripletTable {
 impl TripletTable {
     /// Extracts and sorts triplets from a log.
     pub fn from_log(log: &SearchLog) -> Self {
-        let mut counts: HashMap<(QueryId, ResultId), u64> = HashMap::new();
+        // Counted under one packed `query << 32 | result` word, so each
+        // entry costs one `mix64` round.
+        let mut counts: HashMap<u64, u64, BuildHasherDefault<Mix64Hasher>> = HashMap::default();
         for e in log.iter() {
-            *counts.entry((e.query, e.result)).or_insert(0) += 1;
+            let pair = u64::from(e.query.index()) << 32 | u64::from(e.result.index());
+            *counts.entry(pair).or_insert(0) += 1;
         }
         let mut triplets: Vec<Triplet> = counts
             .into_iter()
-            .map(|((query, result), volume)| Triplet {
-                query,
-                result,
+            .map(|(pair, volume)| Triplet {
+                query: QueryId::new((pair >> 32) as u32),
+                result: ResultId::new(pair as u32),
                 volume,
             })
             .collect();
-        // Volume-descending, with a stable total order for determinism.
-        triplets.sort_by(|a, b| {
+        // Volume-descending, then by query and result: a total order over
+        // distinct pairs, so the unstable sort's output is deterministic.
+        triplets.sort_unstable_by(|a, b| {
             b.volume
                 .cmp(&a.volume)
                 .then(a.query.cmp(&b.query))
                 .then(a.result.cmp(&b.result))
         });
-        let total_volume = triplets.iter().map(|t| t.volume).sum();
+        let total_volume = log.len() as u64;
         TripletTable {
             triplets,
             total_volume,
@@ -149,6 +155,10 @@ impl<'a> IntoIterator for &'a TripletTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::ids::{PairId, UserId};
     use crate::log::{DeviceClass, LogEntry, Timestamp};
@@ -211,6 +221,48 @@ mod tests {
         assert_eq!(t.total_volume(), 0);
         assert_eq!(t.cumulative_share(10), 0.0);
         assert!(t.prefix_for_share(0.5).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `from_log` equals counting through a `BTreeMap` and a stable
+        /// sort. Volumes come from `1..4` over a few queries and results,
+        /// so most rows tie on volume and the query/result tie-breaks
+        /// decide the order.
+        #[test]
+        fn from_log_equals_the_btreemap_count_oracle(
+            groups in proptest::collection::vec((0u32..12, 0u32..6, 1usize..4), 0..48),
+            shuffle in any::<u64>(),
+        ) {
+            let mut entries = Vec::new();
+            for &(q, r, n) in &groups {
+                entries.extend(std::iter::repeat_n(entry(q, r), n));
+            }
+            let mix = |i: usize| {
+                let mut x = shuffle ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                x = (x ^ (x >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x ^ (x >> 29)
+            };
+            let mut keyed: Vec<(u64, LogEntry)> =
+                entries.into_iter().enumerate().map(|(i, e)| (mix(i), e)).collect();
+            keyed.sort_by_key(|&(k, _)| k);
+            let log = SearchLog::new(keyed.into_iter().map(|(_, e)| e).collect(), 28);
+
+            let mut counts: BTreeMap<(QueryId, ResultId), u64> = BTreeMap::new();
+            for e in log.iter() {
+                *counts.entry((e.query, e.result)).or_insert(0) += 1;
+            }
+            let mut oracle: Vec<Triplet> = counts
+                .into_iter()
+                .map(|((query, result), volume)| Triplet { query, result, volume })
+                .collect();
+            oracle.sort_by_key(|t| (std::cmp::Reverse(t.volume), t.query, t.result));
+
+            let table = TripletTable::from_log(&log);
+            prop_assert_eq!(table.as_slice(), oracle.as_slice());
+            prop_assert_eq!(table.total_volume(), oracle.iter().map(|t| t.volume).sum::<u64>());
+        }
     }
 
     #[test]

@@ -470,19 +470,39 @@ impl Universe {
     /// the human-readable display URL, and a short landing-page snippet.
     /// Together they average the ~500 bytes per result of §5.2.2.
     pub fn record_text(&self, id: ResultId) -> (String, String, String) {
-        let r = self.result(id);
-        let title = format!("Result {} — official site", r.url);
-        let display = r.url.trim_start_matches("www.").to_owned();
-        let mut snippet = format!("{} is the destination users reach for this query. ", r.url);
+        let url = &self.result(id).url;
+        let title = format!("{TITLE_PREFIX}{url}{TITLE_SUFFIX}");
+        let display = display_url(url).to_owned();
+        let mut snippet = format!("{url}{SNIPPET_LEAD}");
         // Pad deterministically to the ~400-byte snippet the paper's
         // database stores alongside each result.
-        let filler = "Popular mobile destination with fast pages and concise results. ";
-        while snippet.len() < 400 {
-            snippet.push_str(filler);
+        while snippet.len() < SNIPPET_BYTES {
+            snippet.push_str(SNIPPET_FILLER);
         }
-        snippet.truncate(400);
+        snippet.truncate(SNIPPET_BYTES);
         (title, display, snippet)
     }
+
+    /// The total length of [`record_text`](Self::record_text)'s three
+    /// strings, computed from the URL without building them.
+    pub fn record_len(&self, id: ResultId) -> usize {
+        let url = &self.result(id).url;
+        TITLE_PREFIX.len() + url.len() + TITLE_SUFFIX.len() + display_url(url).len() + SNIPPET_BYTES
+    }
+}
+
+/// A record title is the URL between these two.
+const TITLE_PREFIX: &str = "Result ";
+const TITLE_SUFFIX: &str = " — official site";
+/// A snippet opens with the URL and this lead, then repeats the filler
+/// and is cut to exactly [`SNIPPET_BYTES`].
+const SNIPPET_LEAD: &str = " is the destination users reach for this query. ";
+const SNIPPET_FILLER: &str = "Popular mobile destination with fast pages and concise results. ";
+const SNIPPET_BYTES: usize = 400;
+
+/// The human-readable form of a result URL: every leading `www.` cut.
+fn display_url(url: &str) -> &str {
+    url.trim_start_matches("www.")
 }
 
 fn result_naming(kind: QueryKind, rank: usize) -> (String, String) {
@@ -661,6 +681,20 @@ mod tests {
         assert!(!d1.starts_with("www."));
         let total = t1.len() + d1.len() + s1.len();
         assert!((420..600).contains(&total), "record text was {total} bytes");
+    }
+
+    #[test]
+    fn record_len_is_the_length_of_every_record_text() {
+        let u = test_universe();
+        for i in 0..u.results().len() {
+            let id = ResultId::new(i as u32);
+            let (title, display, snippet) = u.record_text(id);
+            assert_eq!(
+                u.record_len(id),
+                title.len() + display.len() + snippet.len(),
+                "result {i}"
+            );
+        }
     }
 
     #[test]
