@@ -6,7 +6,9 @@
 //!
 //! Scans every Rust source file under the workspace root, applies
 //! rules R1–R6 (see `analysis` crate docs), filters through the
-//! committed `lint.allow`, and reports what remains.
+//! committed `lint.allow`, and reports what remains. The root is
+//! `--root`, or else resolved at run time by `analysis::default_root`
+//! (Cargo's `CARGO_MANIFEST_DIR`, then the current directory).
 //!
 //! * Human-readable findings go to **stderr**; `--json` additionally
 //!   prints a machine-readable array to **stdout**.

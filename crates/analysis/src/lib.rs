@@ -120,10 +120,17 @@ pub fn load_allowlist(path: &Path) -> Result<Allowlist, AnalysisError> {
     }
 }
 
-/// The workspace root this crate was built in — shared default for
-/// the lint binary and the repo-cleanliness test.
+/// The workspace root to lint — shared default for the lint binary and
+/// the repo-cleanliness test. It is two levels above the
+/// `CARGO_MANIFEST_DIR` that `cargo run` and `cargo test` set, read at
+/// run time: a checkout copied with its `target/` still lints itself,
+/// not the tree the binary was built in. Outside Cargo it is the
+/// current directory.
 pub fn default_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
+    match std::env::var_os("CARGO_MANIFEST_DIR") {
+        Some(manifest_dir) => PathBuf::from(manifest_dir).join("..").join(".."),
+        None => PathBuf::from("."),
+    }
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), AnalysisError> {

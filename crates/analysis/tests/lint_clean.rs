@@ -4,6 +4,7 @@
 //! passes because it stopped looking).
 
 use std::path::Path;
+use std::process::Command;
 
 use analysis::allowlist::Allowlist;
 use analysis::report::render_json;
@@ -69,6 +70,66 @@ fn seeded_violations_still_fire_end_to_end() {
     let json = render_json(&findings);
     for expected in ["\"R1\"", "\"R2\"", "\"R3\"", "\"R4\"", "\"R5\"", "\"R6\""] {
         assert!(json.contains(expected), "JSON output lacks {expected}");
+    }
+}
+
+/// Copies the directory tree `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(to)?;
+    for entry in std::fs::read_dir(from)? {
+        let entry = entry?;
+        let target = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &target)?;
+        } else {
+            std::fs::copy(entry.path(), &target)?;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn the_lint_binary_checks_the_tree_it_runs_in() {
+    // A checkout copied with its `target/` reuses a lint binary built in
+    // the original tree, so the root must come from where the binary
+    // runs: Cargo's `CARGO_MANIFEST_DIR`, or else the current
+    // directory. The planted item exists only in the copy, so seeing it
+    // reported shows that the copy was linted.
+    let copy = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cloudlet-lint-copy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&copy);
+    let root = analysis::default_root();
+    copy_tree(
+        &root.join("crates/analysis/src"),
+        &copy.join("crates/analysis/src"),
+    )
+    .expect("source tree copies");
+    std::fs::copy(root.join("lint.allow"), copy.join("lint.allow")).expect("allowlist copies");
+    let planted = "crates/analysis/src/planted.rs";
+    std::fs::write(copy.join(planted), "pub fn planted_but_never_read() {}\n").expect("plant");
+
+    let from_manifest_dir = Command::new(env!("CARGO_BIN_EXE_lint"))
+        .env("CARGO_MANIFEST_DIR", copy.join("crates/analysis"))
+        .output();
+    let from_current_dir = Command::new(env!("CARGO_BIN_EXE_lint"))
+        .env_remove("CARGO_MANIFEST_DIR")
+        .current_dir(&copy)
+        .output();
+    let _ = std::fs::remove_dir_all(&copy);
+
+    for (how, output) in [
+        ("CARGO_MANIFEST_DIR", from_manifest_dir),
+        ("the current directory", from_current_dir),
+    ] {
+        let output = output.expect("lint binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "root from {how}:\n{stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with(&format!("{planted}:1:")) && l.contains("[R6]")),
+            "root from {how}: the planted R6 finding is missing:\n{stderr}"
+        );
     }
 }
 

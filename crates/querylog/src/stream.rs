@@ -5,9 +5,12 @@
 //! population a simulation can carry. [`EventStream`] generates the same
 //! month *epoch by epoch*: each [`EpochBatch`] holds one time slice of
 //! one day, chronologically sorted, and the stream never keeps more than
-//! a single day of events alive. Resident memory is O(users) — each user
-//! contributes a bounded number of events per day — independent of how
-//! many days (and therefore events) the stream covers.
+//! a single day of events alive. That day stays packed at 16 B an event
+//! (user, pair, time and device class; the query, result and kind come
+//! back from the universe), and only the epoch being handed out is
+//! expanded into 40-B [`LogEntry`]s. Resident memory is O(users) — each
+//! user contributes a bounded number of events per day — independent of
+//! how many days (and therefore events) the stream covers.
 //!
 //! Two properties make the stream equivalent to the eager generator:
 //!
@@ -42,8 +45,8 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ids::UserId;
-use crate::log::{LogEntry, SearchLog, Timestamp};
+use crate::ids::{PairId, UserId};
+use crate::log::{DeviceClass, LogEntry, SearchLog, Timestamp};
 use crate::universe::Universe;
 use crate::users::{BehaviorConfig, UserProfile};
 
@@ -162,16 +165,73 @@ fn sample_micros_of_day(rng: &mut StdRng) -> u64 {
     hour * 3_600_000_000 + rng.random_range(0..3_600_000_000u64)
 }
 
-/// Appends one user's events for one `(month, day)` cell, in generation
-/// order (times within the day are *not* sorted here).
-fn append_user_day(
+/// One event as a generated day holds it until its epoch is handed out:
+/// 16 B against a [`LogEntry`]'s 40. The day comes from the epoch, and
+/// the query, result and kind from `universe.pair(pair)`, so the user,
+/// the pair, the time and the device class are all an event keeps.
+#[derive(Debug, Clone, Copy)]
+struct DayEvent {
+    /// `micros_of_day << 1`, with the device class in the low bit (set
+    /// for a smartphone). A day's µs fit in 37 bits, so the shift loses
+    /// nothing.
+    stamp: u64,
+    user: u32,
+    pair: u32,
+}
+
+impl DayEvent {
+    fn new(user: UserId, device: DeviceClass, micros_of_day: u64, pair: PairId) -> Self {
+        debug_assert!(micros_of_day < MICROS_PER_DAY);
+        let smartphone = u64::from(device == DeviceClass::Smartphone);
+        DayEvent {
+            stamp: micros_of_day << 1 | smartphone,
+            user: user.index(),
+            pair: pair.index(),
+        }
+    }
+
+    fn micros_of_day(self) -> u64 {
+        self.stamp >> 1
+    }
+
+    /// Sorts one epoch into the canonical `(time, user, pair)` order. The
+    /// packed word would sort smartphones after feature phones at an
+    /// equal µs, so the device bit is shifted out first.
+    fn sort_epoch(events: &mut [DayEvent]) {
+        events.sort_unstable_by_key(|e| (e.micros_of_day(), e.user, e.pair));
+    }
+
+    /// The full entry, on `day` of the month.
+    fn unpack(self, universe: &Universe, day: u16) -> LogEntry {
+        let pair = PairId::new(self.pair);
+        let spec = universe.pair(pair);
+        LogEntry {
+            user: UserId::new(self.user),
+            time: Timestamp::new(day, self.micros_of_day()),
+            pair,
+            query: spec.query,
+            result: spec.result,
+            kind: spec.kind,
+            device: if self.stamp & 1 == 1 {
+                DeviceClass::Smartphone
+            } else {
+                DeviceClass::FeaturePhone
+            },
+        }
+    }
+}
+
+/// Draws one user's events for one `(month, day)` cell, in generation
+/// order (times within the day are *not* sorted here), and hands each to
+/// `emit`.
+fn draw_user_day(
     universe: &Universe,
     profile: &UserProfile,
     seed: u64,
     month: u32,
     days: u16,
     day: u16,
-    out: &mut Vec<LogEntry>,
+    mut emit: impl FnMut(DayEvent),
 ) {
     let n = events_on_day(profile.monthly_volume, days, day);
     if n == 0 {
@@ -179,18 +239,14 @@ fn append_user_day(
     }
     let mut rng = StdRng::seed_from_u64(day_seed(seed, month, profile.id, day));
     for _ in 0..n {
-        let pair_id = profile.next_pair(universe, &mut rng);
-        let pair = universe.pair(pair_id);
+        let pair = profile.next_pair(universe, &mut rng);
         let micros_of_day = sample_micros_of_day(&mut rng);
-        out.push(LogEntry {
-            user: profile.id,
-            time: Timestamp::new(day, micros_of_day),
-            pair: pair_id,
-            query: pair.query,
-            result: pair.result,
-            kind: pair.kind,
-            device: profile.device,
-        });
+        emit(DayEvent::new(
+            profile.id,
+            profile.device,
+            micros_of_day,
+            pair,
+        ));
     }
 }
 
@@ -221,7 +277,9 @@ pub fn append_profile_month(
     out: &mut Vec<LogEntry>,
 ) {
     for day in 0..days {
-        append_user_day(universe, profile, seed, month, days, day, out);
+        draw_user_day(universe, profile, seed, month, days, day, |event| {
+            out.push(event.unpack(universe, day));
+        });
     }
 }
 
@@ -325,11 +383,27 @@ impl ProfileSource<'_> {
     }
 }
 
+/// One epoch of a generated day, still packed: sorted like the
+/// [`EpochBatch`] it expands into.
+struct PackedEpoch {
+    day: u16,
+    epoch_of_day: u16,
+    events: Vec<DayEvent>,
+}
+
+impl PackedEpoch {
+    /// The epoch's events as full entries, in order.
+    fn entries<'s>(&'s self, universe: &'s Universe) -> impl Iterator<Item = LogEntry> + 's {
+        self.events.iter().map(|e| e.unpack(universe, self.day))
+    }
+}
+
 /// A lazy, chunked stream over one month of population activity.
 ///
 /// Iterating yields `days · epochs_per_day` [`EpochBatch`]es in
 /// chronological order (empty slices included, so downstream time series
-/// stay dense). Only one day of events is ever resident.
+/// stay dense). Only one day of events is ever resident, packed at 16 B
+/// an event, plus the one epoch being handed out.
 ///
 /// # Example
 ///
@@ -349,7 +423,9 @@ pub struct EventStream<'a> {
     days: u16,
     config: StreamConfig,
     next_day: u16,
-    pending: VecDeque<EpochBatch>,
+    /// The current day's epochs not yet handed out, each freed as it is
+    /// popped.
+    pending: VecDeque<PackedEpoch>,
     peak_day_entries: usize,
 }
 
@@ -438,8 +514,9 @@ impl<'a> EventStream<'a> {
     }
 
     /// The largest number of events the stream has held resident at once
-    /// (one day's worth) — the stream's peak-RSS proxy, updated as days
-    /// are generated.
+    /// (one day's worth) — the stream's peak-RSS proxy: 16 B an event for
+    /// the packed day, plus one expanded epoch. Updated as days are
+    /// generated.
     pub fn peak_day_entries(&self) -> usize {
         self.peak_day_entries
     }
@@ -450,21 +527,21 @@ impl<'a> EventStream<'a> {
     fn generate_day(&mut self, day: u16) {
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let workers = cores.min(self.profiles.n_users() / MIN_USERS_PER_WORKER);
-        let batches = self.day_batches(day, workers);
-        let day_entries: usize = batches.iter().map(|b| b.entries.len()).sum();
+        let epochs = self.day_epochs(day, workers);
+        let day_entries: usize = epochs.iter().map(|e| e.events.len()).sum();
         self.peak_day_entries = self.peak_day_entries.max(day_entries);
-        self.pending.extend(batches);
+        self.pending.extend(epochs);
     }
 
-    /// Day `day`'s epoch batches, generated on `workers` threads (at
+    /// Day `day`'s packed epochs, generated on `workers` threads (at
     /// least one). Users split into contiguous ranges, one per worker,
     /// each drawing its users' events into its own per-epoch pieces; an
     /// epoch is then the workers' pieces appended in range order — which
     /// is user order, exactly the serial generation order — and sorted.
-    /// Every cell's RNG is independent of every other's and entries with
-    /// equal sort keys are identical, so the batches are the same for any
-    /// worker count.
-    fn day_batches(&self, day: u16, workers: usize) -> Vec<EpochBatch> {
+    /// Every cell's RNG is independent of every other's and events with
+    /// equal sort keys are identical (the device class is the user's), so
+    /// the epochs are the same for any worker count.
+    fn day_epochs(&self, day: u16, workers: usize) -> Vec<PackedEpoch> {
         let epochs = usize::from(self.config.epochs_per_day);
         let n_users = self.profiles.n_users();
         let workers = workers.clamp(1, n_users.max(1));
@@ -472,10 +549,10 @@ impl<'a> EventStream<'a> {
         // Every bucket is first allocated here, on the calling thread.
         // Allocators with per-thread arenas (glibc's) grow a block inside
         // the arena it came from, so the day lands in the caller's arena,
-        // which reuses it once the batches drop; buckets born on workers
+        // which reuses it once the epochs drop; buckets born on workers
         // strand that memory in worker arenas (+22% peak RSS on a
         // 1M-user day).
-        let shares: Vec<(Range<usize>, Vec<Vec<LogEntry>>)> = (0..workers)
+        let shares: Vec<(Range<usize>, Vec<Vec<DayEvent>>)> = (0..workers)
             .map(|w| {
                 let users = (w * per_worker).min(n_users)..((w + 1) * per_worker).min(n_users);
                 (users, (0..epochs).map(|_| Vec::with_capacity(1)).collect())
@@ -486,83 +563,108 @@ impl<'a> EventStream<'a> {
             buckets
         });
 
-        let mut merged: Vec<Vec<LogEntry>> = Vec::with_capacity(epochs);
+        let mut merged: Vec<Vec<DayEvent>> = Vec::with_capacity(epochs);
         for e in 0..epochs {
             let (first, rest) = pieces.split_at_mut(1);
-            let mut entries = std::mem::take(&mut first[0][e]);
-            entries.reserve_exact(rest.iter().map(|worker| worker[e].len()).sum());
+            let mut events = std::mem::take(&mut first[0][e]);
+            events.reserve_exact(rest.iter().map(|worker| worker[e].len()).sum());
             // Each piece is freed as soon as it is appended, so the day is
             // never resident twice.
             for worker in rest {
-                entries.extend(std::mem::take(&mut worker[e]));
+                events.extend(std::mem::take(&mut worker[e]));
             }
-            merged.push(entries);
+            merged.push(events);
         }
 
         // The diurnal profile makes epochs uneven; dealing them out
         // round-robin balances the sorts across workers.
-        let mut sort_lanes: Vec<Vec<&mut Vec<LogEntry>>> =
+        let mut sort_lanes: Vec<Vec<&mut Vec<DayEvent>>> =
             (0..workers).map(|_| Vec::new()).collect();
-        for (i, entries) in merged.iter_mut().enumerate() {
-            sort_lanes[i % workers].push(entries);
+        for (i, events) in merged.iter_mut().enumerate() {
+            sort_lanes[i % workers].push(events);
         }
         on_workers(sort_lanes, |lane| {
-            for entries in lane {
-                entries.sort_unstable_by_key(|e| (e.time, e.user, e.pair));
+            for events in lane {
+                DayEvent::sort_epoch(events);
             }
         });
 
         merged
             .into_iter()
             .enumerate()
-            .map(|(slice, entries)| EpochBatch {
-                month: self.config.month,
+            .map(|(slice, events)| PackedEpoch {
                 day,
                 epoch_of_day: slice as u16,
-                epoch: u32::from(day) * u32::from(self.config.epochs_per_day) + slice as u32,
-                entries,
+                events,
             })
             .collect()
     }
 
     /// One worker's share of a day: appends the events of `users`, in
     /// user then generation order, to their epochs' `buckets`.
-    fn user_range_day(&self, users: Range<usize>, day: u16, buckets: &mut [Vec<LogEntry>]) {
+    fn user_range_day(&self, users: Range<usize>, day: u16, buckets: &mut [Vec<DayEvent>]) {
         let epochs = buckets.len();
-        let mut scratch = Vec::new();
         for u in users {
-            let user = UserId::new(u as u32);
             let derived;
             let profile = match &self.profiles {
                 ProfileSource::Table(t) => &t[u],
                 ProfileSource::Derived { .. } => {
+                    let user = UserId::new(u as u32);
                     derived = derive_profile(self.universe, &self.behavior, self.seed, user);
                     &derived
                 }
             };
-            scratch.clear();
-            append_user_day(
+            draw_user_day(
                 self.universe,
                 profile,
                 self.seed,
                 self.config.month,
                 self.days,
                 day,
-                &mut scratch,
+                |event| {
+                    let slice = (event.micros_of_day() * epochs as u64 / MICROS_PER_DAY) as usize;
+                    buckets[slice.min(epochs - 1)].push(event);
+                },
             );
-            for e in &scratch {
-                let slice = (e.time.micros_of_day * epochs as u64 / MICROS_PER_DAY) as usize;
-                buckets[slice.min(epochs - 1)].push(*e);
+        }
+    }
+
+    /// The next packed epoch, generating the next day when the current
+    /// one is used up; `None` once the month is.
+    fn next_packed(&mut self) -> Option<PackedEpoch> {
+        if self.pending.is_empty() {
+            if self.next_day >= self.days {
+                return None;
             }
+            let day = self.next_day;
+            self.next_day += 1;
+            self.generate_day(day);
+        }
+        self.pending.pop_front()
+    }
+
+    /// Expands a packed epoch into the batch the stream hands out; the
+    /// packed events are freed on return.
+    fn expand(&self, packed: PackedEpoch) -> EpochBatch {
+        let (day, epoch_of_day) = (packed.day, packed.epoch_of_day);
+        EpochBatch {
+            month: self.config.month,
+            day,
+            epoch_of_day,
+            epoch: u32::from(day) * u32::from(self.config.epochs_per_day) + u32::from(epoch_of_day),
+            entries: packed.entries(self.universe).collect(),
         }
     }
 
     /// Drains the stream into a [`SearchLog`] — the thin `collect()`
-    /// wrapper the eager `generate_month` API is now built on.
-    pub fn collect_log(self) -> SearchLog {
-        let days = self.days;
-        let entries: Vec<LogEntry> = self.flat_map(|batch| batch.entries).collect();
-        SearchLog::new(entries, days)
+    /// wrapper the eager `generate_month` API is now built on. Each packed
+    /// epoch expands straight into the month, with no batch in between.
+    pub fn collect_log(mut self) -> SearchLog {
+        let mut entries: Vec<LogEntry> = Vec::new();
+        while let Some(packed) = self.next_packed() {
+            entries.extend(packed.entries(self.universe));
+        }
+        SearchLog::new(entries, self.days)
     }
 }
 
@@ -581,15 +683,8 @@ impl Iterator for EventStream<'_> {
     type Item = EpochBatch;
 
     fn next(&mut self) -> Option<EpochBatch> {
-        if self.pending.is_empty() {
-            if self.next_day >= self.days {
-                return None;
-            }
-            let day = self.next_day;
-            self.next_day += 1;
-            self.generate_day(day);
-        }
-        self.pending.pop_front()
+        let packed = self.next_packed()?;
+        Some(self.expand(packed))
     }
 }
 
@@ -697,12 +792,17 @@ mod tests {
         let tiny = EventStream::new(g.universe(), behavior, 42, 5, 28, config);
         for stream in [&table, &derived, &tiny] {
             let mut events = 0;
+            // Whole batches, expanded the way `next` hands them out.
+            let batches = |day, workers| -> Vec<EpochBatch> {
+                let epochs = stream.day_epochs(day, workers);
+                epochs.into_iter().map(|p| stream.expand(p)).collect()
+            };
             for day in [0u16, 13, 27] {
-                let serial = stream.day_batches(day, 1);
+                let serial = batches(day, 1);
                 events += serial.iter().map(|b| b.entries.len()).sum::<usize>();
                 for workers in [2usize, 3, 8] {
                     assert!(
-                        stream.day_batches(day, workers) == serial,
+                        batches(day, workers) == serial,
                         "{} users, day {day}: {workers} workers differ from one",
                         stream.n_users()
                     );
@@ -710,6 +810,57 @@ mod tests {
             }
             assert!(events > 0, "{} users drew no events", stream.n_users());
         }
+    }
+
+    #[test]
+    fn a_day_event_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<DayEvent>(), 16);
+    }
+
+    #[test]
+    fn packing_gives_back_every_entry_of_a_month() {
+        let mut g = LogGenerator::new(GeneratorConfig::test_scale(), 42);
+        let month = g.generate_month();
+        let mut devices = [0usize; 2];
+        for e in month.iter() {
+            devices[usize::from(e.device == DeviceClass::Smartphone)] += 1;
+            let packed = DayEvent::new(e.user, e.device, e.time.micros_of_day, e.pair);
+            assert_eq!(packed.unpack(g.universe(), e.time.day), *e);
+        }
+        assert!(
+            devices.iter().all(|&n| n > 0),
+            "both device classes must be exercised: {devices:?}"
+        );
+    }
+
+    #[test]
+    fn equal_micros_sort_by_user_not_by_device_bit() {
+        let g = LogGenerator::new(GeneratorConfig::test_scale(), 42);
+        let at = 7_200_000_123;
+        // User 1's smartphone bit makes its packed word the larger one.
+        let smart = DayEvent::new(UserId::new(1), DeviceClass::Smartphone, at, PairId::new(9));
+        let feature = DayEvent::new(
+            UserId::new(2),
+            DeviceClass::FeaturePhone,
+            at,
+            PairId::new(3),
+        );
+        let smart_low_pair =
+            DayEvent::new(UserId::new(1), DeviceClass::Smartphone, at, PairId::new(4));
+        assert!(feature.stamp < smart.stamp);
+        let mut events = vec![feature, smart, smart_low_pair];
+        DayEvent::sort_epoch(&mut events);
+        let entries: Vec<LogEntry> = events.iter().map(|e| e.unpack(g.universe(), 3)).collect();
+        let keys: Vec<(u32, u32)> = entries
+            .iter()
+            .map(|e| (e.user.index(), e.pair.index()))
+            .collect();
+        assert_eq!(keys, [(1, 4), (1, 9), (2, 3)]);
+        assert_eq!(entries[0].device, DeviceClass::Smartphone);
+        assert_eq!(entries[2].device, DeviceClass::FeaturePhone);
+        assert!(entries
+            .windows(2)
+            .all(|w| (w[0].time, w[0].user, w[0].pair) < (w[1].time, w[1].user, w[1].pair)));
     }
 
     #[test]

@@ -14,7 +14,7 @@ echo "==> cargo fmt --check (pipeline-bench is its own workspace; the root check
 cargo fmt --check --manifest-path pipeline-bench/Cargo.toml
 
 echo "==> cloudlet-analysis lint (policy rules R1-R6)"
-cargo run -q --locked --offline -p cloudlet-analysis --bin lint
+cargo run -q --locked --offline -p cloudlet-analysis --bin lint -- --root .
 
 echo "==> cargo build --release --locked --offline"
 cargo build --release --locked --offline
