@@ -394,7 +394,7 @@ fn find_spans(code: &[u8]) -> (Spans, Spans) {
 }
 
 /// Offset of the delimiter matching `open` at `at` (or end of input).
-fn matching(code: &[u8], at: usize, open: u8, close: u8) -> usize {
+pub(crate) fn matching(code: &[u8], at: usize, open: u8, close: u8) -> usize {
     let mut depth = 0usize;
     let mut i = at;
     while i < code.len() {

@@ -259,11 +259,6 @@ impl LockGraph {
         }
     }
 
-    /// All edges, sorted.
-    pub fn edges(&self) -> &[LockEdge] {
-        &self.edges
-    }
-
     /// Reports each lock-order cycle as an R5 finding.
     pub fn cycles(&self) -> Vec<Finding> {
         let mut nodes: BTreeSet<&str> = BTreeSet::new();
@@ -590,7 +585,7 @@ mod tests {
         let fns = summaries(&[("x.rs", src)]);
         let graph = LockGraph::build(&fns);
         assert!(graph
-            .edges()
+            .edges
             .iter()
             .any(|e| e.from == "alpha" && e.to == "beta"));
     }
@@ -601,7 +596,7 @@ mod tests {
             "fn f(&self) {\n    self.alpha.read().touch();\n    let b = self.beta.write();\n}\n";
         let fns = summaries(&[("x.rs", src)]);
         let graph = LockGraph::build(&fns);
-        assert!(graph.edges().is_empty(), "edges: {:?}", graph.edges());
+        assert!(graph.edges.is_empty(), "edges: {:?}", graph.edges);
     }
 
     #[test]
@@ -609,7 +604,7 @@ mod tests {
         let src = "fn f(&self) {\n    {\n        let a = self.alpha.read();\n        a.touch();\n    }\n    let b = self.beta.write();\n}\n";
         let fns = summaries(&[("x.rs", src)]);
         let graph = LockGraph::build(&fns);
-        assert!(graph.edges().is_empty(), "edges: {:?}", graph.edges());
+        assert!(graph.edges.is_empty(), "edges: {:?}", graph.edges);
     }
 
     #[test]
@@ -627,7 +622,7 @@ mod tests {
         let fns = summaries(&[("a.rs", a), ("b.rs", b)]);
         let graph = LockGraph::build(&fns);
         assert!(graph
-            .edges()
+            .edges
             .iter()
             .any(|e| e.from == "alpha" && e.to == "beta" && e.witness.contains("call to helper")));
     }
@@ -669,7 +664,7 @@ mod tests {
         assert!(
             !cycles.is_empty(),
             "alpha->beta (via call) and beta->alpha should cycle; edges: {:?}",
-            graph.edges()
+            graph.edges
         );
     }
 }

@@ -103,11 +103,6 @@ impl<T> OrderedRwLock<T> {
         }
     }
 
-    /// The lock's rank in the workspace order.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
     /// The lock's diagnostic name.
     pub fn name(&self) -> &'static str {
         self.name

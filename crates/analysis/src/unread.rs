@@ -16,6 +16,11 @@
 //! * strings, comments and doc examples (scrubbed by the lexer) and
 //!   test regions.
 //!
+//! A `pub fn` inside an `impl` block is a method, and only a call-shaped
+//! token reads it: `.name(` (or `.name::<`), or a path `Self::name` /
+//! `Type::name`, called or passed as a value. A bare `name`, such as a
+//! local, a field or a binding of the same name, does not.
+//!
 //! A name collision can only hide a finding. A reader the lexer cannot
 //! see, such as a path inside a string attribute or a macro-built
 //! name, can raise a false one; such an item takes an `api-ok`.
@@ -28,7 +33,7 @@
 
 use std::collections::HashSet;
 
-use crate::lexer::{idents, FileScan};
+use crate::lexer::{idents, matching, FileScan};
 use crate::report::{Finding, Rule};
 use crate::rules::{marker_justifies, FileClass};
 
@@ -38,12 +43,14 @@ const ITEM_KEYWORDS: &[&[u8]] = &[
     b"fn", b"struct", b"enum", b"trait", b"type", b"const", b"static", b"union", b"mod",
 ];
 
-/// The cross-file state of the rule: every flaggable item, every name
-/// read so far, and every `(original, alias)` pair a `use` renames.
+/// The cross-file state of the rule: every flaggable item (with
+/// whether it is a method), every name read so far, every name read in
+/// call shape, and every `(original, alias)` pair a `use` renames.
 #[derive(Debug, Default)]
 pub struct UnreadApi {
-    items: Vec<(String, Finding)>,
+    items: Vec<(String, bool, Finding)>,
     read: HashSet<String>,
+    called: HashSet<String>,
     aliases: Vec<(String, String)>,
 }
 
@@ -58,6 +65,7 @@ impl UnreadApi {
         let code = scan.code.as_bytes();
         let tokens: Vec<_> = idents(code, 0..code.len()).collect();
         if class == FileClass::Lib && !path.starts_with("pipeline-bench/") {
+            let impls = impl_bodies(code, &tokens);
             for (idx, &(at, tok)) in tokens.iter().enumerate() {
                 if tok != b"pub" || !is_bare_pub(code, at) || scan.in_test(at) {
                     continue;
@@ -66,8 +74,9 @@ impl UnreadApi {
                     continue;
                 };
                 if !marker_justifies(scan, scan.line_of(at), "api-ok:") {
-                    let finding = unread(path, scan, at, kind, &name);
-                    self.items.push((name, finding));
+                    let method = kind == "fn" && impls.iter().any(|b| b.contains(&at));
+                    let finding = unread(path, scan, at, kind, &name, method);
+                    self.items.push((name, method, finding));
                 }
             }
         }
@@ -95,6 +104,9 @@ impl UnreadApi {
             }
             if idx == 0 || !defines(code, tokens[idx - 1], at) {
                 self.read.insert(lossy(tok));
+                if call_shaped(code, at, tok.len()) {
+                    self.called.insert(lossy(tok));
+                }
             }
         }
     }
@@ -116,8 +128,11 @@ impl UnreadApi {
         }
         self.items
             .into_iter()
-            .filter(|(name, _)| !read.contains(name))
-            .map(|(_, finding)| finding)
+            .filter(|(name, method, _)| {
+                let readers = if *method { &self.called } else { &read };
+                !readers.contains(name)
+            })
+            .map(|(_, _, finding)| finding)
             .collect()
     }
 }
@@ -137,6 +152,39 @@ fn defines(code: &[u8], (kw_at, kw): (usize, &[u8]), at: usize) -> bool {
             .all(u8::is_ascii_whitespace)
         && !(kw == b"static" && kw_at > 0 && code[kw_at - 1] == b'\'')
         && !(kw == b"const" && before_kw == Some(&b'*'))
+}
+
+/// Whether the token `code[at..at + len]` is a method read: a `.name(`
+/// or `.name::<` call (one dot, so not a `..name` range bound), or the
+/// last segment of a `Self::name` / `Type::name` path.
+fn call_shaped(code: &[u8], at: usize, len: usize) -> bool {
+    let before = code[..at].trim_ascii_end();
+    let after = code[at + len..].trim_ascii_start();
+    before.ends_with(b"::")
+        || (before.ends_with(b".")
+            && !before.ends_with(b"..")
+            && (after.starts_with(b"(") || after.starts_with(b"::")))
+}
+
+/// The byte ranges of the bodies of the `impl` blocks in `code`. An
+/// `impl` token opens one only in item position (first in the file, or
+/// after `}`, `;`, `{`, an attribute's `]` or `unsafe`), never as
+/// `-> impl Trait` or `x: impl Trait`.
+fn impl_bodies(code: &[u8], tokens: &[(usize, &[u8])]) -> Vec<std::ops::Range<usize>> {
+    let mut bodies = Vec::new();
+    for &(at, _) in tokens.iter().filter(|&&(_, tok)| tok == b"impl") {
+        let before = code[..at].trim_ascii_end();
+        let item_position = matches!(before.last(), None | Some(b'}' | b';' | b'{' | b']'))
+            || before.ends_with(b"unsafe");
+        if !item_position {
+            continue;
+        }
+        if let Some(open) = code[at..].iter().position(|&b| b == b'{') {
+            let open = at + open;
+            bodies.push(open..matching(code, open, b'{', b'}'));
+        }
+    }
+    bodies
 }
 
 fn lossy(token: &[u8]) -> String {
@@ -184,8 +232,20 @@ fn pub_item(tokens: &[(usize, &[u8])], code: &[u8]) -> Option<(&'static str, Str
         .then(|| (kind, lossy(name)))
 }
 
-fn unread(path: &str, scan: &FileScan, offset: usize, kind: &str, name: &str) -> Finding {
+fn unread(
+    path: &str,
+    scan: &FileScan,
+    offset: usize,
+    kind: &str,
+    name: &str,
+    method: bool,
+) -> Finding {
     let line = scan.line_of(offset);
+    let reader = if method {
+        format!("no `.{name}(` / `Self::{name}` / `Type::{name}` reader")
+    } else {
+        "no reader".to_owned()
+    };
     Finding {
         rule: Rule::UnreadApi,
         path: path.to_owned(),
@@ -193,7 +253,7 @@ fn unread(path: &str, scan: &FileScan, offset: usize, kind: &str, name: &str) ->
         column: scan.column_of(offset),
         snippet: scan.source_line(line).trim().to_owned(),
         message: format!(
-            "`pub {kind} {name}` has no reader outside tests and `use` lines; \
+            "`pub {kind} {name}` has {reader} outside tests and `use` lines; \
              delete it (with its tests and re-exports) or justify it with \
              `// api-ok: <reason>` directly above"
         ),
@@ -315,6 +375,45 @@ mod tests {
                 "{reader}"
             );
         }
+    }
+
+    #[test]
+    fn a_method_is_read_only_in_call_shape() {
+        let def = "impl S {\n    pub fn node(&self) {}\n}\n";
+        for reader in [
+            "fn f(s: &S) { s.node(); }\n",
+            "fn f(s: &S) {\n    s\n        .node()\n}\n",
+            "fn f(s: &S) { s.node::<u8>(); }\n",
+            "fn f(xs: &[S]) { xs.iter().for_each(S::node); }\n",
+            "impl T {\n    fn g(&self) { Self::node(self) }\n}\n",
+        ] {
+            assert!(
+                unread_names(&[(LIB, def), ("crates/b/src/lib.rs", reader)]).is_empty(),
+                "{reader}"
+            );
+        }
+        for namesake in [
+            "fn f() { let node = 1; }\n",
+            "fn f(node: u8) {}\n",
+            "fn f(s: &S) -> u8 { s.node }\n",
+            "fn f(v: &[u8]) -> &[u8] { &v[..node(v)] }\n",
+        ] {
+            assert_eq!(
+                unread_names(&[(LIB, def), ("crates/b/src/lib.rs", namesake)]),
+                ["node"],
+                "{namesake}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_free_fn_is_still_read_by_its_bare_name() {
+        assert!(
+            unread_names(&[(LIB, DEF), ("src/lib.rs", "fn f() { let p = probe; }\n")]).is_empty()
+        );
+        // `-> impl Trait` opens a fn body, not an impl block.
+        let nested = "fn outer() -> impl Sized {\n    pub fn inner() {}\n    inner\n}\n";
+        assert!(unread_names(&[(LIB, nested)]).is_empty());
     }
 
     #[test]

@@ -50,6 +50,12 @@ fn seeded_violations_still_fire_end_to_end() {
             "    fn ba(&self) { let _y = self.b.read(); let _x = self.a.read(); }\n",
             "}\n",
             "pub fn never_called() {}\n",
+            "pub struct Probe;\n",
+            "impl Probe {\n",
+            "    pub fn shadowed(&self) {}\n",
+            "    pub fn called(&self) {}\n",
+            "}\n",
+            "pub fn h(p: &Probe) -> u8 { let shadowed = 1; p.called(); shadowed }\n",
         ),
     )
     .expect("fixture file");
@@ -65,6 +71,22 @@ fn seeded_violations_still_fire_end_to_end() {
             "rule {expected} did not fire on the seeded fixture; got {ids:?}"
         );
     }
+
+    // A method is read only in call shape: a local of its name hides
+    // nothing, and a `.name(` call keeps it.
+    let unread: Vec<&str> = findings
+        .iter()
+        .filter(|f| f.rule.id() == "R6")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert!(
+        unread.iter().any(|m| m.starts_with("`pub fn shadowed`")),
+        "a method shadowed by a local was not flagged: {unread:?}"
+    );
+    assert!(
+        !unread.iter().any(|m| m.starts_with("`pub fn called`")),
+        "a method read through `.called(` was flagged: {unread:?}"
+    );
 
     // Each finding renders as machine-readable JSON naming its rule.
     let json = render_json(&findings);

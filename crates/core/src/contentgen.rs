@@ -16,7 +16,7 @@ use querylog::ids::{QueryId, ResultId};
 use querylog::triplets::TripletTable;
 use serde::{Deserialize, Serialize};
 
-use crate::corpus::CorpusView;
+use crate::corpus::UniverseCorpus;
 use crate::hashtable::QueryHashTable;
 
 /// A map keyed by log-pipeline ids, which the generator assigns itself:
@@ -85,7 +85,7 @@ impl CacheContents {
     /// cache.
     pub fn generate(
         table: &TripletTable,
-        corpus: &impl CorpusView,
+        corpus: &UniverseCorpus<'_>,
         policy: AdmissionPolicy,
     ) -> Self {
         let mut per_query_volume: IdMap<QueryId, u64> = IdMap::default();
@@ -189,6 +189,8 @@ impl CacheContents {
         self.flash_bytes
     }
 
+    // api-ok: tests/property_system.rs::contentgen_is_monotone_in_share
+    // holds admission to a monotone coverage.
     /// Share of total log volume the admitted pairs cover.
     pub fn covered_share(&self) -> f64 {
         self.covered_share
@@ -201,7 +203,6 @@ pub const DB_INDEX_ENTRY_BYTES: usize = 12;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::UniverseCorpus;
     use querylog::generator::{GeneratorConfig, LogGenerator};
     use querylog::universe::Universe;
 

@@ -144,16 +144,6 @@ impl CloudletBudgets {
         self.demands.clear();
     }
 
-    /// The registered demands, in registration order.
-    pub fn demands(&self) -> &[BudgetDemand] {
-        &self.demands
-    }
-
-    /// The budget being divided.
-    pub fn total_bytes(&self) -> usize {
-        self.total_bytes
-    }
-
     /// Computes the allocation (see the type-level invariants).
     pub fn allocate(&self) -> BTreeMap<CloudletId, usize> {
         let mut granted: BTreeMap<CloudletId, usize> =
@@ -357,8 +347,8 @@ mod tests {
             demand_bytes: 1_000,
             priority: 1.0,
         });
-        assert_eq!(b.demands().len(), 2);
-        assert_eq!(b.total_bytes(), 1_000);
+        assert_eq!(b.demands.len(), 2);
+        assert_eq!(b.total_bytes, 1_000);
         assert_eq!(b.allocate()[&SEARCH], 500);
         // Updating does not duplicate and the new priority takes effect.
         b.set_demand(BudgetDemand {
@@ -366,11 +356,11 @@ mod tests {
             demand_bytes: 1_000,
             priority: 3.0,
         });
-        assert_eq!(b.demands().len(), 2);
+        assert_eq!(b.demands.len(), 2);
         let a = b.allocate();
         assert!(a[&SEARCH] > a[&ADS]);
         b.clear();
-        assert!(b.demands().is_empty());
+        assert!(b.demands.is_empty());
         assert!(b.allocate().is_empty());
     }
 

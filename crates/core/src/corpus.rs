@@ -1,11 +1,11 @@
 //! Bridging cache machinery to a concrete corpus.
 //!
 //! The core cache works entirely on stable 64-bit hashes and abstract
-//! record sizes, so the same code can back any cloudlet. [`CorpusView`]
-//! is the narrow waist: given query/result identifiers from the log
-//! pipeline, produce the hashes the hash table stores and the record sizes
-//! the flash database will pay for. [`UniverseCorpus`] implements it for
-//! the synthetic `querylog` universe.
+//! record sizes, so the same code can back any cloudlet.
+//! [`UniverseCorpus`] is the narrow waist: given query/result identifiers
+//! from the synthetic `querylog` universe, it produces the hashes the
+//! hash table stores and the record sizes the flash database will pay
+//! for.
 
 use querylog::ids::{stable_hash64, QueryId, ResultId};
 use querylog::universe::Universe;
@@ -14,20 +14,8 @@ use querylog::universe::Universe;
 /// each of the three stored fields plus a 64-bit record hash.
 pub const RECORD_OVERHEAD_BYTES: usize = 14;
 
-/// Maps log-pipeline identifiers onto cache-visible hashes and sizes.
-pub trait CorpusView {
-    /// Stable hash of the query's raw string.
-    fn query_hash(&self, query: QueryId) -> u64;
-
-    /// Stable hash of the result's URL.
-    fn result_hash(&self, result: ResultId) -> u64;
-
-    /// Bytes the result's database record occupies (title + display URL +
-    /// snippet + framing), the ~500 bytes of §5.2.2.
-    fn record_size(&self, result: ResultId) -> usize;
-}
-
-/// [`CorpusView`] over a synthetic [`Universe`].
+/// Maps the identifiers of a synthetic [`Universe`] onto cache-visible
+/// hashes and sizes.
 #[derive(Debug, Clone, Copy)]
 pub struct UniverseCorpus<'a> {
     universe: &'a Universe,
@@ -43,18 +31,20 @@ impl<'a> UniverseCorpus<'a> {
     pub fn universe(&self) -> &'a Universe {
         self.universe
     }
-}
 
-impl CorpusView for UniverseCorpus<'_> {
-    fn query_hash(&self, query: QueryId) -> u64 {
+    /// Stable hash of the query's raw string.
+    pub fn query_hash(&self, query: QueryId) -> u64 {
         stable_hash64(self.universe.query(query).text.as_bytes())
     }
 
-    fn result_hash(&self, result: ResultId) -> u64 {
+    /// Stable hash of the result's URL.
+    pub fn result_hash(&self, result: ResultId) -> u64 {
         stable_hash64(self.universe.result(result).url.as_bytes())
     }
 
-    fn record_size(&self, result: ResultId) -> usize {
+    /// Bytes the result's database record occupies (title + display URL +
+    /// snippet + framing), the ~500 bytes of §5.2.2.
+    pub fn record_size(&self, result: ResultId) -> usize {
         self.universe.record_len(result) + RECORD_OVERHEAD_BYTES
     }
 }

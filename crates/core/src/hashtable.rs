@@ -8,9 +8,16 @@
 //! here that second argument is an explicit salt that grows along the
 //! entry chain.
 //!
-//! The table is the unit exchanged with the update server (§5.4): entries
-//! serialize to [`EntryRecord`]s, and never-accessed community entries can
-//! be pruned by inspecting flags alone.
+//! An entry is its two slots, each an optional [`ScoredResult`], and the
+//! flags word is the slots' `accessed` bits: bit `i` is slot `i`'s. The
+//! §5.2 footprint still charges the word its 8 bytes
+//! ([`QueryHashTable::layout_bytes`]), and [`frozen::FrozenTable`]'s
+//! bucket still carries it as a `u64`, built from those bits.
+//!
+//! The table is the unit exchanged with the update server (§5.4): each
+//! entry travels as one [`EntryRecord`], which holds the same slots, and
+//! never-accessed community entries can be pruned by inspecting flags
+//! alone.
 
 pub mod frozen;
 
@@ -29,6 +36,11 @@ pub const SLOTS_PER_ENTRY: usize = 2;
 const SLOT_BYTES: usize = 12;
 /// Bytes of fixed entry overhead: the query hash plus the flags word.
 const ENTRY_OVERHEAD_BYTES: usize = 16;
+/// Wire bytes of one [`EntryRecord`]'s key: the query hash plus the salt.
+const RECORD_KEY_WIRE_BYTES: usize = 12;
+/// Wire bytes of one live slot of a record: the result hash, the score
+/// and one `accessed` byte.
+const RECORD_SLOT_WIRE_BYTES: usize = 13;
 
 /// One scored result as returned by a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,57 +90,36 @@ pub enum ConflictPolicy {
     Max,
 }
 
+/// One §5.2 entry: its result slots, each result's `accessed` bit being
+/// its bit of the entry's flags word.
+type Entry = [Option<ScoredResult>; SLOTS_PER_ENTRY];
+
+/// An entry holding `results` (at most [`SLOTS_PER_ENTRY`]) in order
+/// from slot 0.
+fn entry_holding(results: &[ScoredResult]) -> Entry {
+    let mut entry = [None; SLOTS_PER_ENTRY];
+    for (slot, &r) in entry.iter_mut().zip(results) {
+        *slot = Some(r);
+    }
+    entry
+}
+
+/// One hash-table entry as it travels to the update server and back.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct Slot {
-    result_hash: u64,
-    score: f32,
-}
-
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-struct Entry {
-    slots: [Option<Slot>; SLOTS_PER_ENTRY],
-    flags: u64,
-}
-
-impl Entry {
-    fn accessed(&self, slot: usize) -> bool {
-        self.flags & (1 << slot) != 0
-    }
-
-    fn set_accessed(&mut self, slot: usize) {
-        self.flags |= 1 << slot;
-    }
-
-    fn live_slots(&self) -> usize {
-        self.slots.iter().flatten().count()
-    }
-
-    /// An entry holding `results` (at most [`SLOTS_PER_ENTRY`]) in order
-    /// from slot 0, with their accessed flags.
-    fn holding(results: &[ScoredResult]) -> Self {
-        let mut entry = Entry::default();
-        for (i, r) in results.iter().enumerate() {
-            entry.slots[i] = Some(Slot {
-                result_hash: r.result_hash,
-                score: r.score,
-            });
-            if r.accessed {
-                entry.set_accessed(i);
-            }
-        }
-        entry
-    }
-}
-
-/// A serialized hash-table entry, as uploaded to the update server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EntryRecord {
     /// Stable hash of the query string.
     pub query_hash: u64,
     /// Chain salt (0 for the first entry of a query).
     pub salt: u32,
-    /// Up to two `(result_hash, score, accessed)` triples.
-    pub slots: Vec<(u64, f32, bool)>,
+    /// The entry's slots, exactly as the table holds them.
+    pub slots: [Option<ScoredResult>; SLOTS_PER_ENTRY],
+}
+
+impl EntryRecord {
+    /// Bytes the record takes on the wire: its key, plus each live slot.
+    pub fn wire_bytes(&self) -> usize {
+        RECORD_KEY_WIRE_BYTES + RECORD_SLOT_WIRE_BYTES * self.slots.iter().flatten().count()
+    }
 }
 
 /// The query → results hash table.
@@ -173,7 +164,10 @@ impl QueryHashTable {
 
     /// Number of `(query, result)` pairs stored.
     pub fn pair_count(&self) -> usize {
-        self.entries.values().map(Entry::live_slots).sum()
+        self.entries
+            .values()
+            .map(|e| e.iter().flatten().count())
+            .sum()
     }
 
     /// Whether the table holds no pairs.
@@ -215,7 +209,7 @@ impl QueryHashTable {
         // Pass 1: existing link?
         let mut salt = 0u32;
         while let Some(entry) = self.entries.get_mut(&(query_hash, salt)) {
-            for slot in entry.slots.iter_mut().flatten() {
+            for slot in entry.iter_mut().flatten() {
                 if slot.result_hash == result_hash {
                     slot.score = match conflict {
                         ConflictPolicy::Replace => score,
@@ -228,6 +222,11 @@ impl QueryHashTable {
         }
         // Pass 2: first free slot along the chain.
         let chain_len = salt;
+        let fresh = ScoredResult {
+            result_hash,
+            score,
+            accessed: false,
+        };
         for s in 0..chain_len {
             // Pass 1 walked salts 0..chain_len, so every one of these
             // entries exists; the `else` arm is unreachable but keeps
@@ -235,15 +234,14 @@ impl QueryHashTable {
             let Some(entry) = self.entries.get_mut(&(query_hash, s)) else {
                 break;
             };
-            if let Some(free) = entry.slots.iter_mut().find(|x| x.is_none()) {
-                *free = Some(Slot { result_hash, score });
+            if let Some(free) = entry.iter_mut().find(|x| x.is_none()) {
+                *free = Some(fresh);
                 return true;
             }
         }
         // Pass 3: extend the chain.
-        let mut entry = Entry::default();
-        entry.slots[0] = Some(Slot { result_hash, score });
-        self.entries.insert((query_hash, chain_len), entry);
+        self.entries
+            .insert((query_hash, chain_len), entry_holding(&[fresh]));
         true
     }
 
@@ -251,15 +249,7 @@ impl QueryHashTable {
     pub(crate) fn each_result(&self, query_hash: u64, mut f: impl FnMut(ScoredResult)) {
         let mut salt = 0u32;
         while let Some(entry) = self.entries.get(&(query_hash, salt)) {
-            for (i, slot) in entry.slots.iter().enumerate() {
-                if let Some(slot) = slot {
-                    f(ScoredResult {
-                        result_hash: slot.result_hash,
-                        score: slot.score,
-                        accessed: entry.accessed(i),
-                    });
-                }
-            }
+            entry.iter().flatten().for_each(|&r| f(r));
             salt += 1;
         }
     }
@@ -290,14 +280,15 @@ impl QueryHashTable {
         self.entries.contains_key(&(query_hash, 0))
     }
 
-    /// Current score of a pair.
+    /// Current score of a pair, as the tests read it: the serve path
+    /// reads a whole chain through [`lookup`](Self::lookup) or
+    /// [`top_two`](Self::top_two).
     ///
     /// # Errors
     ///
-    /// [`CoreError::QueryNotCached`] when the query misses entirely;
-    /// [`CoreError::ResultNotLinked`] when the query exists but the result
-    /// is not among its slots.
-    pub fn score(&self, query_hash: u64, result_hash: u64) -> Result<f32, CoreError> {
+    /// Same contract as [`mark_accessed`](Self::mark_accessed).
+    #[cfg(test)]
+    pub(crate) fn score(&self, query_hash: u64, result_hash: u64) -> Result<f32, CoreError> {
         let (mut cached, mut score) = (false, None);
         self.each_result(query_hash, |r| {
             cached = true;
@@ -325,12 +316,9 @@ impl QueryHashTable {
         let mut visited = 0;
         let mut salt = 0u32;
         while let Some(entry) = self.entries.get_mut(&(query_hash, salt)) {
-            for i in 0..SLOTS_PER_ENTRY {
-                let accessed = entry.accessed(i);
-                if let Some(slot) = entry.slots[i].as_mut() {
-                    slot.score = f(slot.result_hash, slot.score, accessed);
-                    visited += 1;
-                }
+            for slot in entry.iter_mut().flatten() {
+                slot.score = f(slot.result_hash, slot.score, slot.accessed);
+                visited += 1;
             }
             salt += 1;
         }
@@ -341,17 +329,21 @@ impl QueryHashTable {
     ///
     /// # Errors
     ///
-    /// Same contract as [`score`](Self::score).
+    /// [`CoreError::QueryNotCached`] when the query misses entirely;
+    /// [`CoreError::ResultNotLinked`] when the query exists but the result
+    /// is not among its slots.
     pub fn mark_accessed(&mut self, query_hash: u64, result_hash: u64) -> Result<(), CoreError> {
         let mut salt = 0u32;
         let mut query_seen = false;
         while let Some(entry) = self.entries.get_mut(&(query_hash, salt)) {
             query_seen = true;
-            for i in 0..SLOTS_PER_ENTRY {
-                if entry.slots[i].map(|s| s.result_hash) == Some(result_hash) {
-                    entry.set_accessed(i);
-                    return Ok(());
-                }
+            if let Some(slot) = entry
+                .iter_mut()
+                .flatten()
+                .find(|s| s.result_hash == result_hash)
+            {
+                slot.accessed = true;
+                return Ok(());
             }
             salt += 1;
         }
@@ -383,15 +375,9 @@ impl QueryHashTable {
             survivors.clear();
             let mut chain_len = 0u32;
             while let Some(entry) = self.entries.get(&(query_hash, chain_len)) {
-                for (i, slot) in entry.slots.iter().enumerate() {
-                    let Some(slot) = slot else { continue };
-                    let accessed = entry.accessed(i);
-                    if keep(query_hash, slot.result_hash, slot.score, accessed) {
-                        survivors.push(ScoredResult {
-                            result_hash: slot.result_hash,
-                            score: slot.score,
-                            accessed,
-                        });
+                for &slot in entry.iter().flatten() {
+                    if keep(query_hash, slot.result_hash, slot.score, slot.accessed) {
+                        survivors.push(slot);
                     } else {
                         removed += 1;
                     }
@@ -404,7 +390,7 @@ impl QueryHashTable {
             let mut salt = 0u32;
             for chunk in survivors.chunks(SLOTS_PER_ENTRY) {
                 if let Some(entry) = self.entries.get_mut(&(query_hash, salt)) {
-                    *entry = Entry::holding(chunk);
+                    *entry = entry_holding(chunk);
                 }
                 salt += 1;
             }
@@ -420,14 +406,10 @@ impl QueryHashTable {
         let mut records: Vec<EntryRecord> = self
             .entries
             .iter()
-            .map(|(&(query_hash, salt), entry)| EntryRecord {
+            .map(|(&(query_hash, salt), &slots)| EntryRecord {
                 query_hash,
                 salt,
-                slots: (0..SLOTS_PER_ENTRY)
-                    .filter_map(|i| {
-                        entry.slots[i].map(|s| (s.result_hash, s.score, entry.accessed(i)))
-                    })
-                    .collect(),
+                slots,
             })
             .collect();
         records.sort_unstable_by_key(|r| (r.query_hash, r.salt));
@@ -438,10 +420,10 @@ impl QueryHashTable {
     pub fn from_records(records: &[EntryRecord]) -> Self {
         let mut table = QueryHashTable::new();
         for r in records {
-            for &(result_hash, score, accessed) in &r.slots {
-                table.upsert(r.query_hash, result_hash, score, ConflictPolicy::Max);
-                if accessed {
-                    let _ = table.mark_accessed(r.query_hash, result_hash);
+            for s in r.slots.iter().flatten() {
+                table.upsert(r.query_hash, s.result_hash, s.score, ConflictPolicy::Max);
+                if s.accessed {
+                    let _ = table.mark_accessed(r.query_hash, s.result_hash);
                 }
             }
         }
@@ -460,17 +442,11 @@ impl QueryHashTable {
         let mut survivors: HashMap<u64, Vec<ScoredResult>> = HashMap::new();
         let mut removed = 0;
         for (&(query_hash, _), entry) in &self.entries {
-            for i in 0..SLOTS_PER_ENTRY {
-                if let Some(slot) = entry.slots[i] {
-                    if keep(query_hash, slot.result_hash, slot.score, entry.accessed(i)) {
-                        survivors.entry(query_hash).or_default().push(ScoredResult {
-                            result_hash: slot.result_hash,
-                            score: slot.score,
-                            accessed: entry.accessed(i),
-                        });
-                    } else {
-                        removed += 1;
-                    }
+            for &slot in entry.iter().flatten() {
+                if keep(query_hash, slot.result_hash, slot.score, slot.accessed) {
+                    survivors.entry(query_hash).or_default().push(slot);
+                } else {
+                    removed += 1;
                 }
             }
         }
@@ -479,7 +455,7 @@ impl QueryHashTable {
             results.sort_by(ScoredResult::rank_order);
             for (chunk_idx, chunk) in results.chunks(SLOTS_PER_ENTRY).enumerate() {
                 self.entries
-                    .insert((query_hash, chunk_idx as u32), Entry::holding(chunk));
+                    .insert((query_hash, chunk_idx as u32), entry_holding(chunk));
             }
         }
         removed
@@ -489,9 +465,10 @@ impl QueryHashTable {
     /// unspecified order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (u64, u64, f32, bool)> + '_ {
         self.entries.iter().flat_map(|(&(query_hash, _), entry)| {
-            (0..SLOTS_PER_ENTRY).filter_map(move |i| {
-                entry.slots[i].map(|s| (query_hash, s.result_hash, s.score, entry.accessed(i)))
-            })
+            entry
+                .iter()
+                .flatten()
+                .map(move |s| (query_hash, s.result_hash, s.score, s.accessed))
         })
     }
 
@@ -509,6 +486,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::update::{UploadPayload, PROTOCOL_VERSION};
 
     /// Scores drawn from three values, so rank-order ties are common.
     const SCORES: [f32; 3] = [0.25, 0.5, 1.0];
@@ -564,6 +542,29 @@ mod tests {
             prop_assert_eq!(removed, oracle_removed);
             prop_assert_eq!(in_place.to_records(), rebuilt.to_records());
             prop_assert_eq!(in_place, rebuilt);
+        }
+
+        /// Chains stay hole-free (upsert backfills, retain repacks), so
+        /// serialize → rebuild gives the table back, serializing again
+        /// reproduces the exact same records, salts included, and the
+        /// upload's wire size is the §5.4 rule over the table's own
+        /// entry and pair counts.
+        #[test]
+        fn record_round_trip_is_a_fixed_point_for_chained_tables(
+            ops in ops(),
+            seed in any::<u64>(),
+        ) {
+            let mut t = table_from_ops(&ops);
+            t.retain_pairs(|q, r, s, a| keeps(seed, q, r, s, a));
+            let records = t.to_records();
+            let rebuilt = QueryHashTable::from_records(&records);
+            prop_assert_eq!(&rebuilt, &t);
+            prop_assert_eq!(rebuilt.to_records(), records.clone());
+            let upload = UploadPayload { version: PROTOCOL_VERSION, records };
+            prop_assert_eq!(
+                upload.wire_bytes(),
+                12 * t.entry_count() + 13 * t.pair_count()
+            );
         }
     }
 
@@ -791,7 +792,8 @@ mod tests {
         assert!(tail
             .slots
             .iter()
-            .any(|&(hash, _, accessed)| hash == 104 && accessed));
+            .flatten()
+            .any(|s| s.result_hash == 104 && s.accessed));
 
         let rebuilt = QueryHashTable::from_records(&records);
         assert_eq!(rebuilt.lookup(1), t.lookup(1));
@@ -800,25 +802,6 @@ mod tests {
             .unwrap()
             .iter()
             .any(|r| r.result_hash == 104 && r.accessed));
-    }
-
-    #[test]
-    fn record_round_trip_is_a_fixed_point_for_chained_tables() {
-        // Chains stay hole-free (upsert backfills, retain repacks), so
-        // serialize → rebuild → serialize must reproduce the exact same
-        // records, salts included.
-        let mut t = QueryHashTable::new();
-        for q in 0..8u64 {
-            for r in 0..(q % 5 + 1) {
-                t.upsert(q, 1000 + r, 1.0 / (r as f32 + 1.0), ConflictPolicy::Max);
-            }
-        }
-        t.mark_accessed(4, 1002).unwrap();
-        t.retain_pairs(|q, _, _, _| q != 3);
-        let records = t.to_records();
-        let rebuilt = QueryHashTable::from_records(&records);
-        assert_eq!(rebuilt.to_records(), records);
-        assert_eq!(rebuilt, t);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! protocol — immutable data is `Sync` by construction.
 //!
 //! Each bucket carries the `(query_hash, salt)` identity of one chain
-//! entry, its up-to-two scored results inline, and a copy of the §5.2
-//! flags word. Lookup results are bit-identical to
-//! [`super::QueryHashTable::lookup`]: same chain walk, same
-//! [`ScoredResult::rank_order`], same `accessed` bits, same
+//! entry, its up-to-two scored results inline, and the entry's §5.2
+//! flags word, built from the results' `accessed` bits. Lookup results
+//! are bit-identical to [`super::QueryHashTable::lookup`]: same chain
+//! walk, same [`ScoredResult::rank_order`], same `accessed` bits, same
 //! miss semantics — `tests/hotpath_equivalence.rs` proves this over 256
 //! random tables.
 
@@ -143,11 +143,13 @@ impl FrozenTable {
             let mut result_hashes = [0u64; SLOTS_PER_ENTRY];
             let mut scores = [0f32; SLOTS_PER_ENTRY];
             let mut present = 0u32;
-            for (i, slot) in entry.slots.iter().enumerate() {
+            let mut flags = 0u64;
+            for (i, slot) in entry.iter().enumerate() {
                 if let Some(s) = slot {
                     result_hashes[i] = s.result_hash;
                     scores[i] = s.score;
                     present |= 1 << i;
+                    flags |= u64::from(s.accessed) << i;
                 }
             }
             pairs += present.count_ones() as usize;
@@ -164,7 +166,7 @@ impl FrozenTable {
                 salt,
                 state,
                 present,
-                flags: entry.flags,
+                flags,
             };
         }
         FrozenTable {

@@ -99,7 +99,7 @@ pub use arbiter::{AdaptiveArbiter, ArbiterConfig, BudgetDecision, DemandContext}
 pub use cache::{CacheMode, CommunityCache, DeltaArena, PocketCache};
 pub use contentgen::{AdmissionPolicy, CacheContents, CachePair};
 pub use coordination::{CloudletBudgets, CloudletId, CoordinatedEviction};
-pub use corpus::{CorpusView, UniverseCorpus};
+pub use corpus::UniverseCorpus;
 pub use counters::CounterSet;
 pub use error::CoreError;
 pub use frontend::{

@@ -116,16 +116,6 @@ impl BloomSummary {
         self.entries
     }
 
-    /// The filter width in bits.
-    pub fn bits(&self) -> u64 {
-        self.m_bits
-    }
-
-    /// Probes per key.
-    pub fn hashes(&self) -> u32 {
-        self.hashes
-    }
-
     // api-ok: tests/peer_fabric.rs holds measured false positives to it,
     // and ROADMAP item 10's bits-per-key summary arm sizes by it.
     /// The textbook false-positive bound `(1 − e^{−kn/m})^k` for the
@@ -442,8 +432,8 @@ mod tests {
     #[test]
     fn degenerate_shapes_are_clamped() {
         let mut tiny = BloomSummary::new(0, 0);
-        assert_eq!(tiny.bits(), 64);
-        assert_eq!(tiny.hashes(), 1);
+        assert_eq!(tiny.m_bits, 64);
+        assert_eq!(tiny.hashes, 1);
         tiny.insert(42);
         assert!(tiny.contains(42));
     }

@@ -172,6 +172,8 @@ impl PopulationLane {
         &self.config
     }
 
+    // api-ok: tests/population_stream.rs probes the lane's community
+    // index directly to split a lookup into its two parts.
     /// The shared community snapshot.
     pub fn community(&self) -> &Arc<CommunityCache> {
         &self.community

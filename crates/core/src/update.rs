@@ -41,10 +41,11 @@ impl UploadPayload {
         }
     }
 
-    /// Approximate upload size on the wire. The paper bounds the exchange
-    /// at ~1.5 MB (200 KB table + 1 MB of patches).
+    /// Upload size on the wire: the sum of its records'
+    /// [`EntryRecord::wire_bytes`]. The paper bounds the exchange at
+    /// ~1.5 MB (200 KB table + 1 MB of patches).
     pub fn wire_bytes(&self) -> usize {
-        self.records.iter().map(|r| 12 + r.slots.len() * 13).sum()
+        self.records.iter().map(EntryRecord::wire_bytes).sum()
     }
 }
 

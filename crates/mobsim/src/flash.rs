@@ -456,6 +456,8 @@ impl FlashStore {
         id
     }
 
+    // api-ok: tests/fault_injection.rs picks the files it corrupts
+    // through it.
     /// The handles and names of all files, in name order.
     pub fn files(&self) -> impl Iterator<Item = (FileId, &str)> {
         self.ids
@@ -499,6 +501,8 @@ impl FlashStore {
             .sum()
     }
 
+    // api-ok: tests/property.rs::flash_store_is_a_timed_byte_store
+    // checks it against the allocated and logical byte counts.
     /// Bytes wasted to block rounding across all files.
     pub fn fragmentation_bytes(&self) -> u64 {
         self.allocated_bytes() - self.logical_bytes()

@@ -119,16 +119,6 @@ impl TieredMemory {
         TieredMemory { dram, pcm, flash }
     }
 
-    /// The DRAM tier model.
-    pub fn dram(&self) -> &DramModel {
-        &self.dram
-    }
-
-    /// The PCM tier model.
-    pub fn pcm(&self) -> &PcmModel {
-        &self.pcm
-    }
-
     /// The flash tier model.
     pub fn flash(&self) -> &FlashModel {
         &self.flash
@@ -209,8 +199,8 @@ mod tests {
             hot_per_mille: 1_000,
         });
         let all_cold = mem.probe_cost(IndexPlacement::PcmWithDramCache { hot_per_mille: 0 });
-        assert_eq!(all_hot, mem.dram().probe);
-        assert_eq!(all_cold, mem.pcm().probe);
+        assert_eq!(all_hot, mem.dram.probe);
+        assert_eq!(all_cold, mem.pcm.probe);
         let half = mem.probe_cost(IndexPlacement::PcmWithDramCache { hot_per_mille: 500 });
         assert!(half >= all_hot && half <= all_cold);
     }
@@ -221,7 +211,7 @@ mod tests {
         let clamped = mem.probe_cost(IndexPlacement::PcmWithDramCache {
             hot_per_mille: 9_999,
         });
-        assert_eq!(clamped, mem.dram().probe);
+        assert_eq!(clamped, mem.dram.probe);
     }
 
     #[test]

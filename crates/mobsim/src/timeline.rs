@@ -75,6 +75,8 @@ impl PowerTimeline {
         });
     }
 
+    // api-ok: tests/end_to_end.rs and tests/property_system.rs check
+    // the traced Figure 16 segments against the energy meter.
     /// All recorded segments in order.
     pub fn segments(&self) -> &[PowerSegment] {
         &self.segments

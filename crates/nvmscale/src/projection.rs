@@ -147,11 +147,6 @@ impl CapacityProjection {
         }
     }
 
-    /// The technique set this projection applies.
-    pub fn techniques(&self) -> ScalingTechnique {
-        self.techniques
-    }
-
     /// Projected NVM capacity of a `tier` device in `year`.
     ///
     /// Years between Table 1 columns snap to the most recent node. Returns

@@ -84,9 +84,11 @@ impl TechnologyNode {
 /// use nvmscale::ScalingTrends;
 ///
 /// let trends = ScalingTrends::paper_table1();
-/// let node_2018 = trends.node(2018).expect("2018 is a Table 1 column");
-/// assert_eq!(node_2018.feature_nm, 11);
-/// assert_eq!(node_2018.chip_stack, 8);
+/// // 2019 falls between Table 1 columns, so it is on 2018's node.
+/// let node = trends.node_at_or_before(2019).expect("after the baseline");
+/// assert_eq!(node.year, 2018);
+/// assert_eq!(node.feature_nm, 11);
+/// assert_eq!(node.chip_stack, 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScalingTrends {
@@ -141,11 +143,6 @@ impl ScalingTrends {
         &self.nodes[0]
     }
 
-    /// The node for an exact year, if the table has a column for it.
-    pub fn node(&self, year: u32) -> Option<&TechnologyNode> {
-        self.nodes.iter().find(|n| n.year == year)
-    }
-
     /// The most recent node at or before `year`, if any.
     ///
     /// Useful for querying capacity in odd years between Table 1 columns:
@@ -174,6 +171,14 @@ impl ScalingTrends {
 mod tests {
     use super::*;
 
+    /// The node for an exact Table 1 column year.
+    fn node(t: &ScalingTrends, year: u32) -> &TechnologyNode {
+        t.nodes
+            .iter()
+            .find(|n| n.year == year)
+            .expect("a Table 1 column")
+    }
+
     #[test]
     fn table1_matches_the_paper_row_by_row() {
         let t = ScalingTrends::paper_table1();
@@ -198,8 +203,8 @@ mod tests {
     #[test]
     fn flash_hands_over_to_post_flash_in_2018() {
         let t = ScalingTrends::paper_table1();
-        assert_eq!(t.node(2016).unwrap().technology, NvmTechnology::Flash);
-        assert_eq!(t.node(2018).unwrap().technology, NvmTechnology::PostFlash);
+        assert_eq!(node(&t, 2016).technology, NvmTechnology::Flash);
+        assert_eq!(node(&t, 2018).technology, NvmTechnology::PostFlash);
     }
 
     #[test]
@@ -207,8 +212,8 @@ mod tests {
         // The shift from flash causes scaling to stall for one generation:
         // 2016 and 2018 share feature size and scaling factor.
         let t = ScalingTrends::paper_table1();
-        let n16 = t.node(2016).unwrap();
-        let n18 = t.node(2018).unwrap();
+        let n16 = node(&t, 2016);
+        let n18 = node(&t, 2018);
         assert_eq!(n16.feature_nm, n18.feature_nm);
         assert_eq!(n16.scaling_factor, n18.scaling_factor);
     }
@@ -217,8 +222,8 @@ mod tests {
     fn lithography_scaling_stops_at_5nm_in_2022() {
         let t = ScalingTrends::paper_table1();
         for year in [2022, 2024, 2026] {
-            assert_eq!(t.node(year).unwrap().feature_nm, 5);
-            assert_eq!(t.node(year).unwrap().scaling_factor, 32);
+            assert_eq!(node(&t, year).feature_nm, 5);
+            assert_eq!(node(&t, year).scaling_factor, 32);
         }
     }
 
@@ -235,7 +240,7 @@ mod tests {
     fn density_multiplier_composes_opted_in_factors() {
         let t = ScalingTrends::paper_table1();
         let base = *t.baseline();
-        let n = t.node(2026).unwrap();
+        let n = node(&t, 2026);
         // Lithography only: 32x.
         assert_eq!(n.density_multiplier(&base, false, false, false), 32.0);
         // + chip stacking: 16/4 = 4x more.

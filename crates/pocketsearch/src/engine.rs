@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use cloudlet_core::cache::{CacheMode, PocketCache};
 use cloudlet_core::contentgen::CacheContents;
+use cloudlet_core::corpus::UniverseCorpus;
 use cloudlet_core::error::CoreError;
 use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, ServeRequest};
 use cloudlet_core::update::{apply_update, UpdateServer, UploadPayload};
@@ -13,7 +14,7 @@ use flashdb::{DbError, ResultDb, ResultRecord};
 use mobsim::device::{Device, ServiceReport};
 use mobsim::power::Energy;
 use mobsim::time::SimDuration;
-use querylog::ids::{stable_hash64, QueryId, ResultId};
+use querylog::ids::{QueryId, ResultId};
 use querylog::universe::Universe;
 
 use crate::config::PocketSearchConfig;
@@ -33,16 +34,17 @@ pub struct Catalog {
 impl Catalog {
     /// Builds the catalog for a universe.
     pub fn new(universe: &Universe) -> Self {
+        let corpus = UniverseCorpus::new(universe);
         let query_hashes = universe
             .queries()
             .iter()
-            .map(|q| stable_hash64(q.text.as_bytes()))
+            .map(|q| corpus.query_hash(q.id))
             .collect();
         let mut result_hashes = Vec::with_capacity(universe.results().len());
         let mut records = Vec::with_capacity(universe.results().len());
         let mut by_result_hash = HashMap::with_capacity(universe.results().len());
         for r in universe.results() {
-            let hash = stable_hash64(r.url.as_bytes());
+            let hash = corpus.result_hash(r.id);
             let (title, display, snippet) = universe.record_text(r.id);
             result_hashes.push(hash);
             records.push(Arc::new(ResultRecord::new(hash, title, display, snippet)));
@@ -340,6 +342,8 @@ impl PocketSearch {
         self.recovery_stats
     }
 
+    // api-ok: tests/fault_injection.rs checks that a degraded hit
+    // queues its file for repair.
     /// Database files currently flagged corrupt and awaiting
     /// [`recover_corrupted`](Self::recover_corrupted).
     pub fn pending_repairs(&self) -> Vec<usize> {
@@ -433,9 +437,9 @@ impl CloudletService for PocketSearch {
 mod tests {
     use super::*;
     use cloudlet_core::contentgen::AdmissionPolicy;
-    use cloudlet_core::corpus::UniverseCorpus;
     use cloudlet_core::ranking::RankingPolicy;
     use querylog::generator::{GeneratorConfig, LogGenerator};
+    use querylog::ids::stable_hash64;
     use querylog::triplets::TripletTable;
 
     fn setup() -> (LogGenerator, CacheContents, Catalog) {

@@ -5,7 +5,10 @@
 //! [`replay_population`] reproduces such runs, one engine clone per user:
 //! every entry is served through the full engine (hash table → flash
 //! fetch → render, or radio on miss), then the click is recorded so
-//! personalization learns. Users fan out across threads with `crossbeam`.
+//! personalization learns. Users fan out in contiguous chunks across
+//! scoped threads (`std::thread::scope`), and the outcomes come back in
+//! stream order, one per stream: a worker that panics re-raises its own
+//! panic instead of dropping its chunk's users from Figures 17–19.
 
 use cloudlet_core::update::UpdateServer;
 use mobsim::power::Energy;
@@ -159,7 +162,10 @@ fn replay_stream(
     outcome
 }
 
-/// Replays a whole population in parallel, one engine clone per user.
+/// Replays a whole population in parallel, one engine clone per user,
+/// and returns one outcome per stream, in stream order. A worker's panic
+/// is re-raised with its original payload, so no user goes missing from
+/// the result.
 pub fn replay_population(
     base: &PocketSearch,
     catalog: &Catalog,
@@ -170,29 +176,29 @@ pub fn replay_population(
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
         .min(streams.len().max(1));
-    let chunk_size = streams.len().div_ceil(threads);
-    let mut outcomes: Vec<Option<ReplayOutcome>> = vec![None; streams.len()];
-
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for (chunk_idx, (streams_chunk, out_chunk)) in streams
+    let chunk_size = streams.len().div_ceil(threads).max(1);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = streams
             .chunks(chunk_size)
-            .zip(outcomes.chunks_mut(chunk_size))
-            .enumerate()
-        {
-            let _ = chunk_idx;
-            scope.spawn(move |_| {
-                for (stream, slot) in streams_chunk.iter().zip(out_chunk.iter_mut()) {
-                    let mut engine = base.clone();
-                    *slot = Some(replay_stream(&mut engine, catalog, stream, servers_by_day));
-                }
-            });
-        }
-    });
-    // `replay_stream` is panic-free, so every slot is filled; if a
-    // worker somehow died, drop its chunk's unfilled slots rather than
-    // poison the whole population run.
-    debug_assert!(scope_result.is_ok(), "replay worker panicked");
-    outcomes.into_iter().flatten().collect()
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|stream| {
+                            replay_stream(&mut base.clone(), catalog, stream, servers_by_day)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Per-class aggregate of replay outcomes (the bars of Figures 17–19).
@@ -260,6 +266,7 @@ mod tests {
     use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
     use cloudlet_core::corpus::UniverseCorpus;
     use querylog::generator::{GeneratorConfig, LogGenerator};
+    use querylog::ids::QueryId;
     use querylog::triplets::TripletTable;
 
     use crate::config::PocketSearchConfig;
@@ -332,6 +339,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_panicking_worker_re_raises_its_own_panic() {
+        let (engine, catalog, mut streams) = setup();
+        // An id past the catalog's end makes `Catalog::query_hash` panic
+        // on whichever worker replays this stream.
+        streams[5][0].query = QueryId::new(u32::MAX);
+        replay_population(&engine, &catalog, &streams[..8], None);
+    }
+
+    #[test]
     fn class_summary_aggregates_present_classes() {
         let (engine, catalog, streams) = setup();
         let outcomes = replay_population(&engine, &catalog, &streams, None);
@@ -353,5 +370,6 @@ mod tests {
         assert_eq!(o.total, 0);
         assert_eq!(o.hit_rate(), 0.0);
         assert_eq!(o.class, None);
+        assert!(replay_population(&engine, &catalog, &[], None).is_empty());
     }
 }

@@ -33,16 +33,6 @@ pub enum VisitOutcome {
     },
 }
 
-impl VisitOutcome {
-    /// Radio bytes this visit cost on demand.
-    pub fn on_demand_bytes(self) -> u64 {
-        match self {
-            VisitOutcome::InstantHit => 0,
-            VisitOutcome::StaleRefetch { bytes } | VisitOutcome::Miss { bytes } => bytes,
-        }
-    }
-}
-
 /// Radio/freshness counters of a [`PocketWeb`] instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WebStats {
@@ -71,11 +61,6 @@ impl WebStats {
         } else {
             self.instant_hits as f64 / self.visits() as f64
         }
-    }
-
-    /// Total radio bytes (on-demand plus real-time pushes).
-    pub fn radio_bytes(&self) -> u64 {
-        self.on_demand_bytes + self.realtime_bytes
     }
 }
 
@@ -127,11 +112,6 @@ impl PocketWeb {
     /// Flash bytes currently occupied.
     pub fn cached_bytes(&self) -> u64 {
         self.cached.values().map(|c| c.bytes).sum()
-    }
-
-    /// The pages currently subscribed to real-time updates.
-    pub fn realtime_set(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.realtime_set.iter().copied()
     }
 
     /// Whether a [`PocketWeb::visit`] at `now` would be an instant hit,
@@ -315,7 +295,7 @@ mod tests {
         web.visit(&w, page, SimInstant::ZERO);
         // Overnight: the revisited page enters the real-time set.
         web.overnight_refresh(&w, SimInstant::ZERO + SimDuration::from_secs(8 * 3_600));
-        assert!(web.realtime_set().any(|p| p == page));
+        assert!(web.realtime_set.contains(&page));
         // Next day, hours later: fresh despite many content changes...
         let next_day = SimInstant::ZERO + SimDuration::from_secs(30 * 3_600);
         assert_eq!(web.visit(&w, page, next_day), VisitOutcome::InstantHit);
@@ -378,6 +358,6 @@ mod tests {
         assert_eq!(s.misses, 5);
         assert_eq!(s.instant_hits, 5);
         assert!((s.instant_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(s.radio_bytes(), s.on_demand_bytes);
+        assert_eq!(s.realtime_bytes, 0, "no push stream overnight-only");
     }
 }

@@ -32,6 +32,8 @@ impl WebService {
         &self.world
     }
 
+    // api-ok: tests/service_equivalence.rs compares the wrapped
+    // cloudlet's stats with the legacy visit loop's.
     /// The wrapped cloudlet.
     pub fn web(&self) -> &PocketWeb {
         &self.web

@@ -59,11 +59,6 @@ impl Timestamp {
         );
         Timestamp { day, micros_of_day }
     }
-
-    /// The ISO week index (0-based) this day falls into, with 7-day weeks.
-    pub fn week(self) -> u16 {
-        self.day / 7
-    }
 }
 
 impl std::fmt::Display for Timestamp {
@@ -235,14 +230,6 @@ mod tests {
         );
         assert_eq!(log.users(), vec![UserId::new(3), UserId::new(5)]);
         assert_eq!(log.iter().filter(|e| e.user == UserId::new(3)).count(), 2);
-    }
-
-    #[test]
-    fn week_index() {
-        assert_eq!(Timestamp::new(0, 0).week(), 0);
-        assert_eq!(Timestamp::new(6, 0).week(), 0);
-        assert_eq!(Timestamp::new(7, 0).week(), 1);
-        assert_eq!(Timestamp::new(27, 0).week(), 3);
     }
 
     #[test]

@@ -869,7 +869,7 @@ mod tests {
         for u in [0usize, 3, 99, 299] {
             let user = UserId::new(u as u32);
             let derived = derive_profile(g.universe(), &g.config().behavior, 7, user);
-            let table = g.profile(user);
+            let table = &g.profiles()[u];
             assert_eq!(derived.monthly_volume, table.monthly_volume);
             assert_eq!(derived.repertoire, table.repertoire);
             assert_eq!(derived.device, table.device);

@@ -407,23 +407,30 @@ mod wear_properties {
 
 #[test]
 fn update_protocol_survives_hostile_uploads() {
-    use pocket_cloudlets::core::hashtable::EntryRecord;
+    use pocket_cloudlets::core::hashtable::{EntryRecord, ScoredResult};
     use pocket_cloudlets::core::update::{UpdateServer, UploadPayload, PROTOCOL_VERSION};
 
     // An upload with nonsense salts, duplicate pairs, and extreme scores
     // must still produce a coherent bundle.
+    let slot = |result_hash, score, accessed| {
+        Some(ScoredResult {
+            result_hash,
+            score,
+            accessed,
+        })
+    };
     let upload = UploadPayload {
         version: PROTOCOL_VERSION,
         records: vec![
             EntryRecord {
                 query_hash: 1,
                 salt: 999, // out-of-chain salt
-                slots: vec![(10, f32::MAX, true), (10, -0.0, false)],
+                slots: [slot(10, f32::MAX, true), slot(10, -0.0, false)],
             },
             EntryRecord {
                 query_hash: 1,
                 salt: 0,
-                slots: vec![(10, 0.5, true)],
+                slots: [slot(10, 0.5, true), None],
             },
         ],
     };

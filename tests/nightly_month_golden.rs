@@ -40,11 +40,11 @@ impl Digest {
     fn record(&mut self, r: &EntryRecord) {
         self.word(r.query_hash);
         self.word(u64::from(r.salt));
-        self.word(r.slots.len() as u64);
-        for &(hash, score, accessed) in &r.slots {
-            self.word(hash);
-            self.word(u64::from(score.to_bits()));
-            self.word(u64::from(accessed));
+        self.word(r.slots.iter().flatten().count() as u64);
+        for s in r.slots.iter().flatten() {
+            self.word(s.result_hash);
+            self.word(u64::from(s.score.to_bits()));
+            self.word(u64::from(s.accessed));
         }
     }
 }
@@ -89,7 +89,9 @@ fn month_digest() -> Result<u64, EngineError> {
     // patches that add and remove records, and accessed flags that
     // survive the prune.
     assert!(added > 0 && removed > 0, "added {added}, removed {removed}");
-    assert!(records.iter().any(|r| r.slots.iter().any(|s| s.2)));
+    assert!(records
+        .iter()
+        .any(|r| r.slots.iter().flatten().any(|s| s.accessed)));
     digest.word(records.len() as u64);
     for r in &records {
         digest.record(r);
