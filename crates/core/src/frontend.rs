@@ -43,16 +43,20 @@
 //!   each request, coalesces it onto its key's leader, probes the fast
 //!   path once, serves it exclusively and consults peers, recording the
 //!   lane, the disposition (follower, fast path, exclusive or rejected)
-//!   and the outcome. It sets no simulated time. Only
+//!   and the outcome, and counts each request into its lane's
+//!   [`LaneTotals`] as it goes. It sets no simulated time. Only
 //!   [`OverflowPolicy::Reject`] reads the lane queues here, because a
-//!   shed request is never served; under [`OverflowPolicy::Park`] the
-//!   queue depth changes nothing.
+//!   shed request is never served: a per-lane `LaneSim` holds the
+//!   completion instants of the serves still in flight, and it is
+//!   `Reject` admission's queue and nothing else. Under
+//!   [`OverflowPolicy::Park`] the queue depth changes nothing.
 //! * **The timing pass** is a serial discrete-event simulation over
 //!   those records, and the only code that sets simulated time: each
-//!   lane is one exclusive server draining its queue FIFO; shared-read
-//!   hits run on a `READ_WORKERS`-wide (4) pool; followers complete
-//!   with their leader. It assigns every completion instant and queue
-//!   wait, then the batch makespan and queue-wait percentiles.
+//!   lane is one exclusive server draining its queue FIFO, kept as one
+//!   busy-until instant per lane; shared-read hits run on a
+//!   `READ_WORKERS`-wide (4) pool; followers complete with their
+//!   leader. It assigns every completion instant and queue wait, then
+//!   the batch makespan and queue-wait percentiles.
 //!
 //! All of these are pure functions of the request stream and the
 //! configuration, so reports are bit-reproducible across machines.
@@ -61,11 +65,13 @@
 //! time — which is what the ablation studies use as their baseline.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use analysis::sync::OrderedRwLock;
 
 use mobsim::time::{SimDuration, SimInstant};
+use mobsim::Mix64Hasher;
 
 use crate::arbiter::{AdaptiveArbiter, BudgetDecision, EpochObservation};
 use crate::coordination::CloudletId;
@@ -575,9 +581,10 @@ impl std::fmt::Debug for FrontLane {
     }
 }
 
-/// One lane's exclusive server in simulated time, local to one
-/// `serve_batch` call: the FIFO the timing pass runs, and the queue
-/// occupancy `Reject` admission reads.
+/// One lane's queue of exclusive serves in simulated time, local to
+/// one `serve_batch` call: the occupancy [`OverflowPolicy::Reject`]
+/// admission reads. The timing pass does not use it; it keeps only each
+/// lane's busy-until instant.
 #[derive(Clone, Default)]
 struct LaneSim {
     /// When the lane's single exclusive server frees up.
@@ -598,13 +605,11 @@ impl LaneSim {
     }
 
     /// Queues an exclusive serve of `service` arriving at `t` behind
-    /// the lane's server, and returns when it starts.
-    fn admit(&mut self, t: SimInstant, service: SimDuration) -> SimInstant {
+    /// the lane's server, by the same FIFO rule the timing pass applies.
+    fn admit(&mut self, t: SimInstant, service: SimDuration) {
         self.occupancy_at(t);
-        let start = self.busy_until.max(t);
-        self.busy_until = start + service;
+        self.busy_until = self.busy_until.max(t) + service;
         self.queue.push_back(self.busy_until);
-        start
     }
 }
 
@@ -908,11 +913,8 @@ impl Frontend {
             .iter()
             .map(|r| self.lane_of(r))
             .collect::<Result<_, _>>()?;
-        let (mut served, leaders) = self.outcome_phase(requests, &homes);
         let mut lanes = vec![LaneTotals::default(); self.lanes.len()];
-        for done in &served {
-            lanes[done.lane].record(&done.outcome, done.coalesced);
-        }
+        let (mut served, leaders) = self.outcome_phase(requests, &homes, &mut lanes);
         for (lane, totals) in self.lanes.iter().zip(&lanes) {
             lane.counters.add(totals);
         }
@@ -922,19 +924,23 @@ impl Frontend {
 
     /// The outcome phase: in request order, each request either rides
     /// its key's leader in this window (a follower, whose leader's index
-    /// goes in the second vector) or leads it through [`Frontend::lead`].
-    /// Every disposition is left completing at arrival for the timing
-    /// pass. Only `Reject` admission keeps lane queues here, run by the
-    /// same [`LaneSim`] FIFO the timing pass uses.
+    /// goes in the second vector) or leads it through [`Frontend::lead`],
+    /// and is counted into `lanes` as it goes. Every disposition is left
+    /// completing at arrival for the timing pass. Only `Reject`
+    /// admission keeps lane queues here, one [`LaneSim`] per lane.
     fn outcome_phase(
         &self,
         requests: &[ServeRequest],
         homes: &[usize],
+        lanes: &mut [LaneTotals],
     ) -> (Vec<FrontServed>, Vec<Option<usize>>) {
         let mut queues = (self.config.overflow == OverflowPolicy::Reject)
             .then(|| vec![LaneSim::default(); self.lanes.len()]);
         // Each key's leader in this window, as an index into `served`.
-        let mut in_flight: HashMap<(u32, u64), usize> = HashMap::new();
+        // The keys are the simulator's own hashes, so SipHash's guard
+        // against crafted collisions buys nothing here.
+        let mut in_flight: HashMap<(u32, u64), usize, BuildHasherDefault<Mix64Hasher>> =
+            HashMap::default();
         let mut window = 0usize;
         let mut served: Vec<FrontServed> = Vec::with_capacity(requests.len());
         let mut leaders = Vec::with_capacity(requests.len());
@@ -958,6 +964,7 @@ impl Frontend {
             if self.config.coalescing && leader.is_none() && outcome.is_ok() {
                 in_flight.insert(key, i);
             }
+            lanes[lane].record(&outcome, leader.is_some());
             served.push(FrontServed {
                 outcome,
                 lane,
@@ -974,9 +981,10 @@ impl Frontend {
     /// The timing pass: one serial walk, and the only code that sets
     /// simulated time. A follower completes with its leader (or at its
     /// own arrival, if later), a fast-path hit on the first free read
-    /// worker, an exclusive serve FIFO behind its lane's server, and a
-    /// shed or failed request at arrival. Then the makespan and the
-    /// queue-wait percentiles over served requests.
+    /// worker, an exclusive serve FIFO behind its lane's server (one
+    /// busy-until instant per lane), and a shed or failed request at
+    /// arrival. Then the makespan and the queue-wait percentiles over
+    /// served requests.
     fn timing_pass(
         &self,
         requests: &[ServeRequest],
@@ -984,7 +992,7 @@ impl Frontend {
         leaders: &[Option<usize>],
         lanes: Vec<LaneTotals>,
     ) -> FrontendReport {
-        let mut sims = vec![LaneSim::default(); self.lanes.len()];
+        let mut busy_until = vec![SimInstant::ZERO; self.lanes.len()];
         let mut read_pool = [SimInstant::ZERO; READ_WORKERS];
         let mut waits: Vec<u64> = Vec::with_capacity(requests.len());
         let mut last_completion = SimInstant::ZERO;
@@ -1003,8 +1011,10 @@ impl Frontend {
                     (start, read_pool[worker])
                 }
                 (None, Ok(outcome)) => {
-                    let start = sims[served[i].lane].admit(t, outcome.service);
-                    (start, start + outcome.service)
+                    let busy = &mut busy_until[served[i].lane];
+                    let start = (*busy).max(t);
+                    *busy = start + outcome.service;
+                    (start, *busy)
                 }
             };
             let done = &mut served[i];
