@@ -186,9 +186,11 @@ proptest! {
         prop_assert_eq!(&first, &shed(&requests), "shedding must be deterministic");
     }
 
-    /// One accounting rule, counted once: for random configurations and
-    /// batches with spread arrivals, each lane's batch report is the
-    /// fold of `LaneTotals::record` over that lane's dispositions, the
+    /// One accounting rule, counted once: for random configurations
+    /// (either `RouteBy`, so a user-routed follower counts on its
+    /// leader's lane rather than its own home) and batches with spread
+    /// arrivals, each lane's batch report is the fold of
+    /// `LaneTotals::record` over that lane's dispositions, the
     /// cumulative telemetry moves by exactly the report, every event
     /// lands in one bucket, and with one-request batches before and
     /// after the batch the telemetry is the fold of every disposition
@@ -200,9 +202,9 @@ proptest! {
         singles in proptest::collection::vec((0u64..32, any::<u64>(), any::<bool>()), 0..10),
         (shards, depth) in (1usize..=6, 1usize..=6),
         window in prop_oneof![Just(usize::MAX), 1usize..=8],
-        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
     ) {
-        let (coalescing, shared_read, reject) = flags;
+        let (coalescing, shared_read, reject, by_user) = flags;
         let (engine, cached) = shared_engine();
         let mut requests = materialize(&raw, cached);
         let mut at = 0;
@@ -216,6 +218,7 @@ proptest! {
             .coalesce_window(window)
             .hit_path(if shared_read { HitPathMode::SharedRead } else { HitPathMode::Exclusive })
             .overflow(if reject { OverflowPolicy::Reject } else { OverflowPolicy::Park })
+            .route_by(if by_user { RouteBy::User } else { RouteBy::Key })
             .build();
         let frontend = search_frontend(engine, shards, config);
         let lanes = || -> Vec<LaneTotals> {
