@@ -55,7 +55,10 @@ fn seeded_violations_still_fire_end_to_end() {
             "    pub fn shadowed(&self) {}\n",
             "    pub fn called(&self) {}\n",
             "}\n",
-            "pub fn h(p: &Probe) -> u8 { let shadowed = 1; p.called(); shadowed }\n",
+            "impl Default for Probe {\n",
+            "    fn default() -> Probe { Probe.called(); Probe }\n",
+            "}\n",
+            "pub fn h() -> u8 { let shadowed = 1; shadowed }\n",
         ),
     )
     .expect("fixture file");
@@ -73,7 +76,8 @@ fn seeded_violations_still_fire_end_to_end() {
     }
 
     // A method is read only in call shape: a local of its name hides
-    // nothing, and a `.name(` call keeps it.
+    // nothing, and a `.name(` call keeps it. A type's own impls do not
+    // read it.
     let unread: Vec<&str> = findings
         .iter()
         .filter(|f| f.rule.id() == "R6")
@@ -86,6 +90,10 @@ fn seeded_violations_still_fire_end_to_end() {
     assert!(
         !unread.iter().any(|m| m.starts_with("`pub fn called`")),
         "a method read through `.called(` was flagged: {unread:?}"
+    );
+    assert!(
+        unread.iter().any(|m| m.starts_with("`pub struct Probe`")),
+        "a struct read only by its own impls was not flagged: {unread:?}"
     );
 
     // Each finding renders as machine-readable JSON naming its rule.

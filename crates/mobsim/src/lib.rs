@@ -46,7 +46,7 @@ pub use battery::Battery;
 pub use browser::{BrowserModel, PageWeight};
 pub use device::{Device, DeviceConfig, ServiceBreakdown, ServiceReport};
 pub use flash::{FlashModel, FlashStore};
-pub use memory::{DramModel, IndexPlacement, MemoryTier, PcmModel, TieredMemory};
+pub use memory::{DramModel, IndexPlacement, PcmModel, TieredMemory};
 pub use power::{Energy, EnergyMeter, Power};
 pub use radio::{Radio, RadioKind, RadioModel, RadioState, Transfer};
 pub use time::{SimDuration, SimInstant};

@@ -12,27 +12,6 @@ use serde::{Deserialize, Serialize};
 use crate::flash::FlashModel;
 use crate::time::SimDuration;
 
-/// Where a cloudlet's index lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemoryTier {
-    /// Volatile main memory: fastest lookups, index lost on power-down.
-    Dram,
-    /// Phase-change memory: slower lookups, survives power cycles.
-    Pcm,
-    /// Bulk NAND flash: where the data (not the index) normally lives.
-    Flash,
-}
-
-impl std::fmt::Display for MemoryTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MemoryTier::Dram => write!(f, "DRAM"),
-            MemoryTier::Pcm => write!(f, "PCM"),
-            MemoryTier::Flash => write!(f, "NAND flash"),
-        }
-    }
-}
-
 /// DRAM timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DramModel {

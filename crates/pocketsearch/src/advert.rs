@@ -37,6 +37,8 @@ pub enum AdOutcome {
     Miss,
 }
 
+// api-ok: the §7 ad cloudlet beside search; tests/multi_cloudlet.rs
+// and tests/service_equivalence.rs drive it.
 /// The advertisement cloudlet.
 ///
 /// # Example

@@ -13,6 +13,8 @@ use cloudlet_core::service::{CloudletError, CloudletService, ServeOutcome, Serve
 use crate::cloudlet::{PocketWeb, VisitOutcome};
 use crate::world::{PageId, WebWorld};
 
+// api-ok: PocketWeb behind the unified service interface;
+// tests/service_equivalence.rs serves pages through it.
 /// A [`PocketWeb`] cloudlet paired with its simulated web, servable
 /// through [`CloudletService`].
 #[derive(Debug, Clone, PartialEq)]
