@@ -172,19 +172,19 @@ pub struct PopulationWorld {
 pub fn population_world(config: GeneratorConfig, seed: u64, share: f64) -> PopulationWorld {
     let mut generator = LogGenerator::new(config, seed);
     let (_, _, contents) = StudyInputs::mine_build_month(&mut generator, share);
-    let catalog = Catalog::new(generator.universe());
+    let universe = generator.into_universe();
+    let catalog = Catalog::new(&universe);
     let mut installed = PocketCache::new(CacheMode::Full, RankingPolicy::default());
     installed.install_contents(&contents);
     let pairs = PairTable::new(
-        generator
-            .universe()
+        universe
             .pairs()
             .iter()
             .map(|p| (catalog.query_hash(p.query), catalog.result_hash(p.result)))
             .collect(),
     );
     PopulationWorld {
-        universe: generator.universe().clone(),
+        universe,
         community: Arc::new(CommunityCache::new(
             installed.table(),
             RankingPolicy::default(),

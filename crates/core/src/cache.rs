@@ -364,8 +364,11 @@ impl DeltaArena {
     /// arithmetic: clicked pair +1 (inserted at the max log score if
     /// absent), siblings decay, accessed flag set.
     ///
-    /// Returns whether the delta already shadowed the query before the
-    /// click — the personalized half of a hit.
+    /// Returns whether `user`'s view of the query held any result before
+    /// the click — the delta's entry, or on a first touch the community
+    /// results it was just seeded with. That is whether the serve this
+    /// click belongs to hit, with one probe of the delta and at most one
+    /// of the community.
     pub fn click(
         &mut self,
         policy: &RankingPolicy,
@@ -375,7 +378,8 @@ impl DeltaArena {
         result_hash: u64,
     ) -> bool {
         let results = &mut self.results;
-        let (shadowed, span) = match self.spans.entry((user, query_hash)) {
+        let (answered, span) = match self.spans.entry((user, query_hash)) {
+            // A delta entry is never empty: its first click leaves a result.
             Entry::Occupied(entry) => (true, entry.into_mut()),
             Entry::Vacant(entry) => {
                 // Copy-on-write: this user's view of the query starts as
@@ -390,7 +394,7 @@ impl DeltaArena {
                     start: offset(start),
                     len: offset(len),
                 };
-                (false, entry.insert(span))
+                (len > 0, entry.insert(span))
             }
         };
         let view = &mut results[span.range()];
@@ -403,7 +407,7 @@ impl DeltaArena {
                     r.score = policy.sibling_update(r.score);
                 }
             }
-            return shadowed;
+            return answered;
         }
         for r in view.iter_mut() {
             r.score = policy.sibling_update(r.score);
@@ -426,7 +430,7 @@ impl DeltaArena {
         if self.dead > self.results.len() - self.dead {
             self.compact();
         }
-        shadowed
+        answered
     }
 
     /// Packs every live span back to back, dropping the dead slots —
@@ -464,6 +468,8 @@ mod tests {
     use crate::population::{PairTable, PopulationConfig, PopulationLane};
     use crate::service::{CloudletService, ServeKind, ServeRequest};
     use mobsim::time::SimInstant;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn full() -> PocketCache {
@@ -585,7 +591,10 @@ mod tests {
         let policy = *community.policy();
         let mut d = DeltaArena::new();
         assert!(d.spans.is_empty());
-        assert!(!d.click(&policy, Some(&community), 7, 1, 10), "first touch");
+        assert!(
+            d.click(&policy, Some(&community), 7, 1, 10),
+            "a first touch of a community query hits through its seed"
+        );
         assert_eq!(d.spans.len(), 1);
         assert_eq!(d.results.len(), 2, "seeded with both community results");
         assert!(d.click(&policy, Some(&community), 7, 1, 10), "now shadowed");
@@ -594,6 +603,11 @@ mod tests {
             (1, 2),
             "second click reuses the entry"
         );
+        assert!(
+            !d.click(&policy, Some(&community), 7, 2, 20),
+            "a first touch of an uncached query misses"
+        );
+        assert!(d.click(&policy, Some(&community), 7, 2, 20), "now shadowed");
     }
 
     #[test]
@@ -684,5 +698,148 @@ mod tests {
         }
         assert!(moved && compacted, "both the move and the compaction ran");
         assert_eq!(d.results.len(), 7, "compaction left only live slots");
+    }
+
+    /// Scores the generated community tables draw from.
+    const SCORES: [f32; 3] = [0.25, 0.5, 0.75];
+
+    /// The §5.3 arithmetic on a plain map, for the arena to agree with:
+    /// a first touch copies the community's results, a click lifts the
+    /// clicked result and decays its siblings, and a result the view
+    /// lacks is appended at the miss-insert score. Returns whether the
+    /// view held any result before the click.
+    fn model_click(
+        model: &mut BTreeMap<(u64, u64), Vec<ScoredResult>>,
+        community: &CommunityCache,
+        (user, query_hash, result_hash): (u64, u64, u64),
+    ) -> bool {
+        let policy = community.policy();
+        let view = model
+            .entry((user, query_hash))
+            .or_insert_with(|| community.lookup(query_hash).unwrap_or_default());
+        let answered = !view.is_empty();
+        let clicked = view.iter().position(|r| r.result_hash == result_hash);
+        for (i, r) in view.iter_mut().enumerate() {
+            if Some(i) == clicked {
+                r.score = policy.clicked_update(r.score);
+                r.accessed = true;
+            } else {
+                r.score = policy.sibling_update(r.score);
+            }
+        }
+        if clicked.is_none() {
+            view.push(ScoredResult {
+                result_hash,
+                score: policy.miss_insert_score(),
+                accessed: true,
+            });
+        }
+        answered
+    }
+
+    /// `model`'s view of a key in rank order, as a lookup returns it.
+    fn model_lookup(
+        model: &BTreeMap<(u64, u64), Vec<ScoredResult>>,
+        key: (u64, u64),
+    ) -> Option<Vec<ScoredResult>> {
+        let mut view = model.get(&key)?.clone();
+        view.sort_by(ScoredResult::rank_order);
+        Some(view)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A serve reads its hit from the click's community seed, so the
+        /// seed must find a result exactly when the community holds the
+        /// query — also for queries whose every result was retained away.
+        #[test]
+        fn community_contains_a_query_exactly_when_it_yields_a_result(
+            ops in proptest::collection::vec((0u64..24, 0u64..9, 0usize..3), 0..80),
+            seed in any::<u64>(),
+        ) {
+            let mut table = QueryHashTable::new();
+            for &(q, r, s) in &ops {
+                table.upsert(q, 100 + r, SCORES[s], ConflictPolicy::Max);
+            }
+            table.retain_pairs(|q, r, _, _| {
+                !mobsim::mix64(seed ^ q ^ r.wrapping_mul(31)).is_multiple_of(3)
+            });
+            let community = CommunityCache::new(&table, RankingPolicy::default());
+            for q in 0..30 {
+                let mut yielded = 0;
+                community.each_result(q, |_| yielded += 1);
+                prop_assert_eq!(community.contains_query(q), yielded > 0, "query {}", q);
+            }
+        }
+
+        /// One arena through a few thousand clicks agrees with the map
+        /// model on every hit answer and lookup, on the `queries()`
+        /// multiset, and on its accounted bytes. Enough distinct keys to
+        /// grow the index several times, users 0 and `u64::MAX`, repeat
+        /// clicks, entries that move, and a compaction.
+        #[test]
+        fn an_arena_agrees_with_the_map_model_through_a_few_thousand_clicks(
+            community_pairs in proptest::collection::vec((0u64..16, 0u64..6, 0usize..3), 0..40),
+            clicks in proptest::collection::vec((0u64..130, 0u64..24, 0u64..8), 2_000..4_000),
+        ) {
+            let mut table = QueryHashTable::new();
+            for &(q, r, s) in &community_pairs {
+                table.upsert(q, 100 + r, SCORES[s], ConflictPolicy::Max);
+            }
+            let community = CommunityCache::new(&table, RankingPolicy::default());
+            let policy = *community.policy();
+            let mut d = DeltaArena::new();
+            let mut model = BTreeMap::new();
+            // Clicks `key` into both and checks the answer and the view;
+            // returns whether the index grew and whether the arena
+            // compacted.
+            let mut click = |d: &mut DeltaArena, key: (u64, u64, u64)| {
+                let (capacity, dead) = (d.spans.capacity(), d.dead);
+                let answered = d.click(&policy, Some(&community), key.0, key.1, key.2);
+                assert_eq!(answered, model_click(&mut model, &community, key), "{key:?}");
+                assert_eq!(d.lookup(key.0, key.1), model_lookup(&model, (key.0, key.1)));
+                (d.spans.capacity() > capacity, dead > 0 && d.dead == 0)
+            };
+            let mut growths = 0;
+            let mut compacted = false;
+            for (i, &(user, query, result)) in clicks.iter().enumerate() {
+                // User 129 stands for the largest id.
+                let user = if user == 129 { u64::MAX } else { user };
+                let (grew, packed) = click(&mut d, (user, query, 100 + result));
+                growths += usize::from(grew);
+                compacted |= packed;
+                if i % 512 == 0 {
+                    prop_assert_eq!(d.audited_bytes(), d.footprint_bytes());
+                }
+            }
+            // Two entries of one uncached query grown in turn: each
+            // growth finds the other at the tail and moves, until the
+            // dead slots outnumber the live ones and the arena compacts.
+            let mut fresh = 1_000;
+            while !compacted && fresh < 10_000 {
+                for user in [0, u64::MAX] {
+                    compacted |= click(&mut d, (user, 99, fresh)).1;
+                    fresh += 1;
+                }
+            }
+            prop_assert!(compacted, "no compaction in {} fresh clicks", fresh - 1_000);
+            prop_assert!(growths >= 5, "the index grew only {} times", growths);
+            for &(user, query) in model.keys() {
+                prop_assert_eq!(d.lookup(user, query), model_lookup(&model, (user, query)));
+            }
+            prop_assert_eq!(d.lookup(1, 99), None);
+            let mut queries: Vec<u64> = d.queries().collect();
+            queries.sort_unstable();
+            let mut model_queries: Vec<u64> = model.keys().map(|&(_, q)| q).collect();
+            model_queries.sort_unstable();
+            prop_assert_eq!(queries, model_queries);
+            let results: usize = model.values().map(Vec::len).sum();
+            prop_assert_eq!(d.footprint_bytes(), d.audited_bytes());
+            prop_assert_eq!(
+                d.footprint_bytes(),
+                model.len() * DELTA_ENTRY_OVERHEAD_BYTES + results * DELTA_RESULT_BYTES
+            );
+        }
     }
 }

@@ -203,17 +203,19 @@ impl CloudletService for PopulationLane {
             .get(key)
             .ok_or(CloudletError::UnknownKey { key })?;
         let mode = self.config.mode;
-        // The delta answers first; folding the click in probes it once.
-        let shadowed = mode.personalization_enabled()
-            && self.deltas.click(
+        // Folding the click in answers the serve: the delta's entry, or
+        // on a first touch the community seed, probed once each.
+        let hit = if mode.personalization_enabled() {
+            self.deltas.click(
                 self.community.policy(),
                 mode.community_enabled().then_some(self.community.as_ref()),
                 user,
                 query_hash,
                 result_hash,
-            );
-        let hit =
-            shadowed || (mode.community_enabled() && self.community.contains_query(query_hash));
+            )
+        } else {
+            mode.community_enabled() && self.community.contains_query(query_hash)
+        };
         Ok(if hit {
             ServeOutcome::hit().with_service(self.config.hit_service)
         } else {

@@ -67,8 +67,9 @@ pub const fn mix64(mut x: u64) -> u64 {
 /// simulator itself chooses: flash record hashes (`flashdb`'s file
 /// index), `(user, query)` delta keys (`cloudlet_core::cache`), the
 /// query hash table's `(query, salt)` entries, the update server's
-/// fresh `(query, result)` set, and content generation's per-query and
-/// per-result maps. SipHash's resistance to crafted colliding keys
+/// fresh `(query, result)` set, content generation's per-query and
+/// per-result maps, the front-end's coalescing map, and the search
+/// catalog's result-hash directory (`pocketsearch::engine::Catalog`). SipHash's resistance to crafted colliding keys
 /// guards against no one there, and costs a serve-path probe several
 /// times a `mix64`. Use it as `BuildHasherDefault<Mix64Hasher>`. Its
 /// methods are `#[inline]` so that probes from other crates fold the

@@ -1,7 +1,8 @@
 //! The PocketSearch engine: cache + database + device, serving queries.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::hash::BuildHasherDefault;
+use std::sync::{Arc, OnceLock};
 
 use cloudlet_core::cache::{CacheMode, PocketCache};
 use cloudlet_core::contentgen::CacheContents;
@@ -14,25 +15,38 @@ use flashdb::{DbError, ResultDb, ResultRecord};
 use mobsim::device::{Device, ServiceReport};
 use mobsim::power::Energy;
 use mobsim::time::SimDuration;
+use mobsim::Mix64Hasher;
 use querylog::ids::{QueryId, ResultId};
-use querylog::universe::Universe;
+use querylog::universe::{record_text, Universe};
 
 use crate::config::PocketSearchConfig;
 
 /// Precomputed hash↔identifier mappings for a universe, shared by the
 /// engine, the replay harness, and the update server.
+///
+/// Like the §5.2 device, which keeps only the query hash table in DRAM
+/// and the ~500-B result records in flash, the catalog keeps hashes and
+/// URLs and formats a result's record the first time it is asked for:
+/// a run reads only the community's records and the ones its misses
+/// insert.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     query_hashes: Vec<u64>,
     result_hashes: Vec<u64>,
-    /// Shared records: the serve hit path hands these out by `Arc`
-    /// clone instead of copying title/URL/snippet strings per hit.
-    records: Vec<Arc<ResultRecord>>,
-    by_result_hash: HashMap<u64, ResultId>,
+    /// Every result's URL, back to back in result order: result `i`'s
+    /// is `urls[url_bounds[i]..url_bounds[i + 1]]`.
+    urls: String,
+    url_bounds: Vec<usize>,
+    /// Each result's record, formatted from its URL on first request
+    /// and shared by `Arc` after that.
+    records: Vec<OnceLock<Arc<ResultRecord>>>,
+    /// Result hash → result. The hashes are the simulator's own, so
+    /// [`Mix64Hasher`] replaces SipHash.
+    by_result_hash: HashMap<u64, ResultId, BuildHasherDefault<Mix64Hasher>>,
 }
 
 impl Catalog {
-    /// Builds the catalog for a universe.
+    /// Builds the catalog for a universe. Formats no record.
     pub fn new(universe: &Universe) -> Self {
         let corpus = UniverseCorpus::new(universe);
         let query_hashes = universe
@@ -40,20 +54,25 @@ impl Catalog {
             .iter()
             .map(|q| corpus.query_hash(q.id))
             .collect();
-        let mut result_hashes = Vec::with_capacity(universe.results().len());
-        let mut records = Vec::with_capacity(universe.results().len());
-        let mut by_result_hash = HashMap::with_capacity(universe.results().len());
+        let n = universe.results().len();
+        let mut result_hashes = Vec::with_capacity(n);
+        let mut urls = String::new();
+        let mut url_bounds = Vec::with_capacity(n + 1);
+        url_bounds.push(0);
+        let mut by_result_hash = HashMap::with_capacity_and_hasher(n, Default::default());
         for r in universe.results() {
             let hash = corpus.result_hash(r.id);
-            let (title, display, snippet) = universe.record_text(r.id);
             result_hashes.push(hash);
-            records.push(Arc::new(ResultRecord::new(hash, title, display, snippet)));
+            urls.push_str(&r.url);
+            url_bounds.push(urls.len());
             by_result_hash.insert(hash, r.id);
         }
         Catalog {
             query_hashes,
             result_hashes,
-            records,
+            urls,
+            url_bounds,
+            records: (0..n).map(|_| OnceLock::new()).collect(),
             by_result_hash,
         }
     }
@@ -68,17 +87,33 @@ impl Catalog {
         self.result_hashes[result.as_usize()]
     }
 
-    /// The database record of a result, shared — cloning the `Arc`, not
-    /// the record's strings.
+    /// The database record of a result, formatted on the first call and
+    /// shared after it — cloning the `Arc`, not the record's strings.
     pub fn record(&self, result: ResultId) -> Arc<ResultRecord> {
-        Arc::clone(&self.records[result.as_usize()])
+        let i = result.as_usize();
+        let record = self.records[i].get_or_init(|| {
+            let url = &self.urls[self.url_bounds[i]..self.url_bounds[i + 1]];
+            let (title, display, snippet) = record_text(url);
+            Arc::new(ResultRecord::new(
+                self.result_hashes[i],
+                title,
+                display,
+                snippet,
+            ))
+        });
+        Arc::clone(record)
     }
 
     /// Resolves a result hash back to its shared record, if known.
     pub fn record_by_hash(&self, result_hash: u64) -> Option<Arc<ResultRecord>> {
-        self.by_result_hash
-            .get(&result_hash)
-            .map(|&id| Arc::clone(&self.records[id.as_usize()]))
+        let &id = self.by_result_hash.get(&result_hash)?;
+        Some(self.record(id))
+    }
+
+    /// How many records have been formatted so far.
+    #[cfg(test)]
+    fn formatted(&self) -> usize {
+        self.records.iter().filter(|r| r.get().is_some()).count()
     }
 }
 
@@ -655,5 +690,34 @@ mod tests {
             catalog.query_hash(q),
             stable_hash64(g.universe().query(q).text.as_bytes())
         );
+    }
+
+    #[test]
+    fn records_are_formatted_on_demand_and_equal_the_eager_ones() {
+        let (g, _, catalog) = setup();
+        assert_eq!(
+            catalog.formatted(),
+            0,
+            "building the catalog formats no record"
+        );
+        let _ = catalog.record(ResultId::new(0));
+        assert_eq!(catalog.formatted(), 1);
+        let results = g.universe().results();
+        // The second pass reads the memoized records.
+        for pass in 0..2 {
+            for r in results {
+                let hash = catalog.result_hash(r.id);
+                let (title, display, snippet) = record_text(&r.url);
+                let eager = ResultRecord::new(hash, title, display, snippet);
+                assert_eq!(*catalog.record(r.id), eager, "pass {pass}, {:?}", r.id);
+                assert_eq!(
+                    catalog.record_by_hash(hash).as_deref(),
+                    Some(&eager),
+                    "pass {pass}, {:?}",
+                    r.id
+                );
+            }
+        }
+        assert_eq!(catalog.formatted(), results.len());
     }
 }

@@ -140,14 +140,15 @@ impl StudyInputs {
         let mut generator = LogGenerator::new(config, seed);
         let (build_month, triplets, contents) = Self::mine_build_month(&mut generator, share);
         let replay_month = generator.generate_month();
+        let universe = generator.into_universe();
         StudyInputs {
-            universe: generator.universe().clone(),
+            catalog: Catalog::new(&universe),
+            universe,
             build_month,
             replay_month,
             triplets,
             share,
             contents,
-            catalog: Catalog::new(generator.universe()),
         }
     }
 

@@ -112,6 +112,12 @@ impl LogGenerator {
         &self.universe
     }
 
+    /// Consumes the generator for its universe, so a world that outlives
+    /// generation keeps the one copy instead of cloning it.
+    pub fn into_universe(self) -> Universe {
+        self.universe
+    }
+
     /// How many months have been generated (or streamed) so far; the
     /// next month to be produced has this index.
     pub fn months_generated(&self) -> u32 {

@@ -284,8 +284,10 @@ pub fn append_profile_month(
 }
 
 /// Fewest users a day-generation worker is given: below this a thread's
-/// start-up outweighs its share, so test-scale populations stay serial.
-const MIN_USERS_PER_WORKER: usize = 2_048;
+/// start-up outweighs its share, so test-scale populations (300 users)
+/// stay serial, while the 4,000-user full-scale months split across two
+/// cores (the day is the same for any worker count).
+const MIN_USERS_PER_WORKER: usize = 1_024;
 
 /// Runs `work` over `inputs`, one scoped thread per input (inline when
 /// there is only one), and returns the outputs in input order. A worker's

@@ -466,29 +466,28 @@ impl Universe {
         &self.pairs_by_result[result.as_usize()]
     }
 
-    /// Deterministic search-result page content for a result: the title,
-    /// the human-readable display URL, and a short landing-page snippet.
-    /// Together they average the ~500 bytes per result of §5.2.2.
-    pub fn record_text(&self, id: ResultId) -> (String, String, String) {
-        let url = &self.result(id).url;
-        let title = format!("{TITLE_PREFIX}{url}{TITLE_SUFFIX}");
-        let display = display_url(url).to_owned();
-        let mut snippet = format!("{url}{SNIPPET_LEAD}");
-        // Pad deterministically to the ~400-byte snippet the paper's
-        // database stores alongside each result.
-        while snippet.len() < SNIPPET_BYTES {
-            snippet.push_str(SNIPPET_FILLER);
-        }
-        snippet.truncate(SNIPPET_BYTES);
-        (title, display, snippet)
-    }
-
-    /// The total length of [`record_text`](Self::record_text)'s three
-    /// strings, computed from the URL without building them.
+    /// The total length of [`record_text`]'s three strings for this
+    /// result, computed from the URL without building them.
     pub fn record_len(&self, id: ResultId) -> usize {
         let url = &self.result(id).url;
         TITLE_PREFIX.len() + url.len() + TITLE_SUFFIX.len() + display_url(url).len() + SNIPPET_BYTES
     }
+}
+
+/// Deterministic search-result page content for a result URL: the
+/// title, the human-readable display URL, and a short landing-page
+/// snippet. Together they average the ~500 bytes per result of §5.2.2.
+pub fn record_text(url: &str) -> (String, String, String) {
+    let title = format!("{TITLE_PREFIX}{url}{TITLE_SUFFIX}");
+    let display = display_url(url).to_owned();
+    let mut snippet = format!("{url}{SNIPPET_LEAD}");
+    // Pad deterministically to the ~400-byte snippet the paper's
+    // database stores alongside each result.
+    while snippet.len() < SNIPPET_BYTES {
+        snippet.push_str(SNIPPET_FILLER);
+    }
+    snippet.truncate(SNIPPET_BYTES);
+    (title, display, snippet)
 }
 
 /// A record title is the URL between these two.
@@ -673,8 +672,9 @@ mod tests {
     #[test]
     fn record_text_is_deterministic_and_right_sized() {
         let u = test_universe();
-        let (t1, d1, s1) = u.record_text(ResultId::new(5));
-        let (t2, _, s2) = u.record_text(ResultId::new(5));
+        let url = &u.result(ResultId::new(5)).url;
+        let (t1, d1, s1) = record_text(url);
+        let (t2, _, s2) = record_text(url);
         assert_eq!(t1, t2);
         assert_eq!(s1, s2);
         assert_eq!(s1.len(), 400);
@@ -688,7 +688,7 @@ mod tests {
         let u = test_universe();
         for i in 0..u.results().len() {
             let id = ResultId::new(i as u32);
-            let (title, display, snippet) = u.record_text(id);
+            let (title, display, snippet) = record_text(&u.result(id).url);
             assert_eq!(
                 u.record_len(id),
                 title.len() + display.len() + snippet.len(),

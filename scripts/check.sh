@@ -27,11 +27,11 @@ done
 echo "==> scripts/bench.sh --check (deterministic BENCH_*.json and results/*.txt regenerate byte-identical)"
 scripts/bench.sh --check
 
-echo "==> cargo test -q --locked --offline"
-cargo test -q --locked --offline
+echo "==> cargo test -q --no-fail-fast --locked --offline (every test binary runs; any failure still fails the step)"
+cargo test -q --no-fail-fast --locked --offline
 
 echo "==> pipeline-bench tests (the end-to-end benchmark package builds and runs; --locked fails if its Cargo.lock would change)"
-cargo test -q --locked --offline --manifest-path pipeline-bench/Cargo.toml
+cargo test -q --no-fail-fast --locked --offline --manifest-path pipeline-bench/Cargo.toml
 
 echo "==> pipeline --workload all (full-size correctness: exits 1 if an input digest or population-day's pinned event count or hit ratio moves)"
 cargo run --release --quiet --offline --locked --manifest-path pipeline-bench/Cargo.toml --bin pipeline -- --workload all --seed 2011 --seconds 1 --trace 0 >/dev/null
